@@ -12,7 +12,7 @@ from .errors import (
     UnknownConstant,
 )
 from .nbe import normalize_tm, normalize_ty
-from .normal import NfTy, erase
+from .normal import erase
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -61,7 +61,7 @@ def _check_args(sig, ctx, name, params, args):
 
 
 def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
-    """Synthesize a type, or fail; lambdas are check-only."""
+    """Synthesize a type, or fail; lambdas are check-only unless applied."""
     match t:
         case Var(i):
             if not 0 <= i < len(ctx):
@@ -69,6 +69,10 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             return ctx.var_type(i)
         case Lam(_):
             raise CannotInfer("cannot infer the type of a lambda; annotate it")
+        case App(Lam(body), a):
+            # a beta-redex: the argument's type is the binder's type
+            a_ty = infer(sig, ctx, a)
+            return subst1(infer(sig, ctx.extend(a_ty), body), a)
         case App(f, a):
             fn_ty = erase(normalize_ty(sig, ctx, infer(sig, ctx, f)))
             if not isinstance(fn_ty, Pi):
@@ -86,12 +90,12 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             try:
                 check(sig, ctx, zcase, subst1(motive, Zero()))
             except Mismatch as e:
-                raise MotiveMismatch(f"zero case does not match the motive: {e}") from e
+                raise MotiveMismatch("zero", e) from e
             ctx2 = ctx.extend(Nat()).extend(motive)
             try:
                 check(sig, ctx2, scase, motive_succ_case(motive))
             except Mismatch as e:
-                raise MotiveMismatch(f"successor case does not match the motive: {e}") from e
+                raise MotiveMismatch("successor", e) from e
             return subst1(motive, scrut)
         case TmConst(name, args):
             decl = sig.get(name)
@@ -106,21 +110,14 @@ def check(sig: Signature, ctx: Context, t: Term, ty: Ty) -> None:
     """Check ``t`` against ``ty``; conversion sees through beta/iota/eta."""
     if isinstance(t, Lam):
         if not isinstance(ty, Pi):
-            raise Mismatch(
-                f"function literal checked against {_ty_str(sig, ctx, ty)}",
-                expected_nf=normalize_ty(sig, ctx, ty),
-            )
+            raise Mismatch(sig, ctx, ty)
         check(sig, ctx.extend(ty.dom), t.body, ty.cod)
         return
     actual = infer(sig, ctx, t)
-    expected_nf = normalize_ty(sig, ctx, ty)
-    actual_nf = normalize_ty(sig, ctx, actual)
-    if expected_nf != actual_nf:
-        raise Mismatch(
-            f"expected {_nf_str(expected_nf, ctx)}, got {_nf_str(actual_nf, ctx)}",
-            expected_nf=expected_nf,
-            actual_nf=actual_nf,
-        )
+    if actual == ty:  # syntactic equality implies conversion
+        return
+    if not conv_ty(sig, ctx, ty, actual):
+        raise Mismatch(sig, ctx, ty, actual)
 
 
 def conv_ty(sig: Signature, ctx: Context, a: Ty, b: Ty) -> bool:
@@ -132,12 +129,3 @@ def conv_tm(sig: Signature, ctx: Context, ty: Ty, t: Term, u: Term) -> bool:
     """Definitional equality of terms checked at ``ty``."""
     return normalize_tm(sig, ctx, ty, t) == normalize_tm(sig, ctx, ty, u)
 
-
-def _nf_str(nf: NfTy, ctx: Context) -> str:
-    from .surface import print_nf  # late import: surface depends on this module
-
-    return print_nf(nf, tuple(f"v{i}" for i in range(len(ctx))))
-
-
-def _ty_str(sig, ctx, ty) -> str:
-    return _nf_str(normalize_ty(sig, ctx, ty), ctx)

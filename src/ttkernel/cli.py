@@ -25,7 +25,7 @@ import sys
 
 from . import gen
 from .check import check, check_ty, conv_tm, infer
-from .errors import KernelError, ParseError
+from .errors import BadFuel, KernelError, ParseError
 from .nbe import normalize_tm
 from .normal import erase, is_normal
 from .rewrite import DEFAULT_FUEL, oracle_equal, rw_normalize
@@ -44,7 +44,12 @@ from .syntax import Context, alpha_eq
 
 
 def _fuel() -> int:
-    return int(os.environ.get("TT_FUEL", DEFAULT_FUEL))
+    text = os.environ.get("TT_FUEL")
+    if text is None:
+        return DEFAULT_FUEL
+    if not text.strip().isdecimal():
+        raise BadFuel(f"TT_FUEL must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _emit(args, status: str, output: str | None, error: KernelError | None, code: int) -> int:

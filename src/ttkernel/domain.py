@@ -31,22 +31,12 @@ Env = tuple  # of Value, outermost binder first
 
 @dataclass(frozen=True)
 class Closure:
-    """A term body binding one variable, under a captured environment."""
+    """A body under a captured environment: a term or a type binding one
+    variable (a lambda, a codomain, a motive) or a term binding two (the
+    successor case of the eliminator)."""
 
     env: Env
-    body: Term
-
-
-@dataclass(frozen=True)
-class TyClosure:
-    env: Env
-    body: Ty  # binds 1
-
-
-@dataclass(frozen=True)
-class BiClosure:
-    env: Env
-    body: Term  # binds 2
+    body: Term | Ty
 
 
 @dataclass(frozen=True)
@@ -59,13 +49,13 @@ class ReflectClosure:
 
     ne: Neutral
     dom: SemTy
-    cod: TyClosure
+    cod: Closure
 
 
 @dataclass(frozen=True)
 class DPi(SemTy):
     dom: SemTy
-    cod: TyClosure
+    cod: Closure
 
 
 @dataclass(frozen=True)
@@ -117,9 +107,9 @@ class NApp(Neutral):
 @dataclass(frozen=True)
 class NNatInd(Neutral):
     scrut: Neutral
-    motive: TyClosure
+    motive: Closure
     zcase: Value
-    scase: BiClosure
+    scase: Closure
 
 
 @dataclass(frozen=True)
@@ -131,9 +121,3 @@ class NConst(Neutral):
 def env_lookup(env: Env, index: int) -> Value:
     return env[len(env) - 1 - index]
 
-
-def var_value(ty: SemTy, level: int) -> Value:
-    """The value of a fresh variable: the reflection of its level."""
-    from .nbe import reflect
-
-    return reflect(ty, NVar(level))

@@ -9,7 +9,7 @@ class KernelError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str = "", line: int | None = None, col: int | None = None):
         super().__init__(message)
         self.line = line
         self.col = col
@@ -46,18 +46,45 @@ class CannotInfer(CheckError):
 
 
 class Mismatch(CheckError):
-    """Conversion failure; carries both sides in normal form."""
+    """Conversion failure in ``ctx``: ``actual`` is not ``expected``, or,
+    when ``actual`` is None, a lambda met the non-function ``expected``.
+    The normal forms and the message are computed only when asked for,
+    so a rejected candidate costs no normalization or printing."""
 
     code = "mismatch"
 
-    def __init__(self, message, expected_nf=None, actual_nf=None):
-        super().__init__(message)
-        self.expected_nf = expected_nf
-        self.actual_nf = actual_nf
+    def __init__(self, sig, ctx, expected, actual=None):
+        super().__init__()
+        self.sig, self.ctx = sig, ctx
+        self.expected, self.actual = expected, actual
+
+    @property
+    def expected_nf(self):
+        return _normalize(self.sig, self.ctx, self.expected)
+
+    @property
+    def actual_nf(self):
+        return None if self.actual is None else _normalize(self.sig, self.ctx, self.actual)
+
+    def __str__(self) -> str:
+        expected = _show(self.expected_nf, len(self.ctx))
+        if self.actual is None:
+            return f"function literal checked against {expected}"
+        return f"expected {expected}, got {_show(self.actual_nf, len(self.ctx))}"
 
 
 class MotiveMismatch(CheckError):
+    """An eliminator case (``"zero"`` or ``"successor"``) fails its motive."""
+
     code = "motive_mismatch"
+
+    def __init__(self, case: str, cause: Mismatch):
+        super().__init__()
+        self.case = case
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return f"{self.case} case does not match the motive: {self.cause}"
 
 
 class DuplicateName(CheckError):
@@ -72,3 +99,24 @@ class FuelExhausted(KernelError):
     """The rewriting oracle ran out of fuel: a kernel bug, not a user error."""
 
     code = "fuel_exhausted"
+
+
+class BadFuel(KernelError):
+    """``TT_FUEL`` is not a non-negative integer."""
+
+    code = "bad_fuel"
+
+
+# late imports: surface imports this module, and nbe does through signature
+
+
+def _normalize(sig, ctx, ty):
+    from .nbe import normalize_ty
+
+    return normalize_ty(sig, ctx, ty)
+
+
+def _show(nf, depth: int) -> str:
+    from .surface import print_nf
+
+    return print_nf(nf, tuple(f"v{i}" for i in range(depth)))

@@ -4,7 +4,8 @@ Generation is by typed synthesis: lambdas at function types, then a
 weighted choice among constructors and spines whose (possibly
 instantiated) result type matches the target. Enumeration goes the
 other way: every well-scoped tree up to a node-count bound is produced
-and filtered through the checker, which makes completeness immediate.
+and filtered through the kernel checker, which makes completeness
+immediate; the checker types beta-redexes, so the corpus has them.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .check import check_ty, conv_ty
+from .check import check, check_ty
 from .errors import KernelError
-from .nbe import normalize_ty
-from .normal import erase
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -211,7 +210,9 @@ def _gen_ind(sig, ctx, ty, size, rng) -> Term:
         dependent = [
             m
             for m in ty_abstractions(ty, scrut)
-            if uses_index(m, 0) and _wf_motive(sig, ctx, m)
+            # abstracting only some occurrences of the scrutinee can break
+            # a dependency between a spine's arguments: re-check the family
+            if uses_index(m, 0) and _well_formed(sig, ctx.extend(Nat()), m)
         ]
         if dependent:
             motive = rng.choice(dependent)
@@ -220,16 +221,6 @@ def _gen_ind(sig, ctx, ty, size, rng) -> Term:
     ctx2 = ctx.extend(Nat()).extend(motive)
     scase = _gen_term(sig, ctx2, motive_succ_case(motive), budget, rng)
     return NatInd(scrut, motive, zcase, scase)
-
-
-def _wf_motive(sig, ctx, motive) -> bool:
-    # abstracting only some occurrences of the scrutinee can break a
-    # dependency between a spine's arguments, so re-check the family
-    try:
-        check_ty(sig, ctx.extend(Nat()), motive)
-    except KernelError:
-        return False
-    return True
 
 
 def gen_type(sig: Signature, ctx: Context, rng=None, size: int = 4) -> Ty:
@@ -376,90 +367,24 @@ def _dedup(items: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Declarative typability.
-#
-# The kernel's checker is strictly bidirectional, so it rejects bare
-# beta-redexes like (\x. x) zero even though the theory types them. The
-# enumerator wants those terms (equivalence classes under conversion are
-# only interesting with redexes in them), so it filters with a liberal
-# judge: bidirectional rules plus inference of a lambda-headed
-# application by synthesizing the argument's type.
+# Well-typedness, as the kernel checker judges it
 
 
 def typable(sig: Signature, ctx: Context, t: Term, ty: Ty) -> bool:
-    """Declarative well-typedness at ``ty`` (checker rules + redex rule)."""
-    if isinstance(t, Lam):
-        return isinstance(ty, Pi) and typable(sig, ctx.extend(ty.dom), t.body, ty.cod)
-    got = _infer_liberal(sig, ctx, t)
-    if got is None:
-        return False
+    """Whether ``t`` checks at ``ty``."""
     try:
-        return conv_ty(sig, ctx, got, ty)
+        check(sig, ctx, t, ty)
     except KernelError:
         return False
+    return True
 
 
-def _infer_liberal(sig, ctx, t) -> Ty | None:
-    match t:
-        case Var(i):
-            return ctx.var_type(i) if 0 <= i < len(ctx) else None
-        case Lam(_):
-            return None
-        case App(Lam(body), a):
-            a_ty = _infer_liberal(sig, ctx, a)
-            if a_ty is None or not _wf_liberal(sig, ctx, a_ty):
-                return None
-            b_ty = _infer_liberal(sig, ctx.extend(a_ty), body)
-            return None if b_ty is None else subst1(b_ty, a)
-        case App(f, a):
-            f_ty = _infer_liberal(sig, ctx, f)
-            if f_ty is None:
-                return None
-            f_ty = erase(normalize_ty(sig, ctx, f_ty))
-            if not isinstance(f_ty, Pi) or not typable(sig, ctx, a, f_ty.dom):
-                return None
-            return subst1(f_ty.cod, a)
-        case Zero():
-            return Nat()
-        case Succ(p):
-            return Nat() if typable(sig, ctx, p, Nat()) else None
-        case NatInd(scrut, motive, zcase, scase):
-            if not typable(sig, ctx, scrut, Nat()):
-                return None
-            if not _wf_liberal(sig, ctx.extend(Nat()), motive):
-                return None
-            if not typable(sig, ctx, zcase, subst1(motive, Zero())):
-                return None
-            ctx2 = ctx.extend(Nat()).extend(motive)
-            if not typable(sig, ctx2, scase, motive_succ_case(motive)):
-                return None
-            return subst1(motive, scrut)
-        case TmConst(name, args):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTm) or len(decl.params) != len(args):
-                return None
-            for i, a in enumerate(args):
-                if not typable(sig, ctx, a, inst_params(decl.params[i], tuple(args[:i]))):
-                    return None
-            return inst_params(decl.result, args)
-    return None
-
-
-def _wf_liberal(sig, ctx, ty) -> bool:
-    match ty:
-        case Nat():
-            return True
-        case Pi(dom, cod):
-            return _wf_liberal(sig, ctx, dom) and _wf_liberal(sig, ctx.extend(dom), cod)
-        case TyConst(name, args):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTy) or len(decl.params) != len(args):
-                return False
-            return all(
-                typable(sig, ctx, a, inst_params(decl.params[i], tuple(args[:i])))
-                for i, a in enumerate(args)
-            )
-    return False
+def _well_formed(sig: Signature, ctx: Context, ty: Ty) -> bool:
+    try:
+        check_ty(sig, ctx, ty)
+    except KernelError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -560,5 +485,5 @@ def enum_types(sig: Signature, ctx: Context, max_size: int) -> list[Ty]:
     raw = _RawEnum(sig)
     out = []
     for s in range(1, max_size + 1):
-        out += [ty for ty in raw.types(len(ctx), s) if _wf_liberal(sig, ctx, ty)]
+        out += [ty for ty in raw.types(len(ctx), s) if _well_formed(sig, ctx, ty)]
     return out

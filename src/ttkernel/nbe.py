@@ -10,7 +10,6 @@ two over the identity environment of a context.
 from __future__ import annotations
 
 from .domain import (
-    BiClosure,
     Closure,
     DConst,
     DNat,
@@ -23,14 +22,12 @@ from .domain import (
     Neutral,
     ReflectClosure,
     SemTy,
-    TyClosure,
     Value,
     VLam,
     VNe,
     VSucc,
     VZero,
     env_lookup,
-    var_value,
 )
 from .normal import (
     AppNe,
@@ -70,7 +67,7 @@ from .syntax import (
 def eval_ty(sig: Signature, env: Env, ty: Ty) -> SemTy:
     match ty:
         case Pi(dom, cod):
-            return DPi(eval_ty(sig, env, dom), TyClosure(env, cod))
+            return DPi(eval_ty(sig, env, dom), Closure(env, cod))
         case Nat():
             return DNat()
         case TyConst(name, args):
@@ -109,23 +106,19 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
             rec = _nat_ind(sig, env, motive, zcase, scase, p)
             return eval_tm(sig, env + (p, rec), scase)
         case VNe(_, ne):
-            blocked = NNatInd(ne, TyClosure(env, motive), eval_tm(sig, env, zcase), BiClosure(env, scase))
+            blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
             return reflect(eval_ty(sig, env + (scrut,), motive), blocked)
     raise AssertionError(f"eliminating a non-Nat value: {scrut!r}")
 
 
-def apply(sig: Signature, fn: Value, arg: Value, arg_ty: SemTy | None = None) -> Value:
-    """Apply a semantic function value to an argument.
-
-    ``arg_ty`` only matters for reflected neutrals, whose closures
-    already record their domain; passing it is optional.
-    """
+def apply(sig: Signature, fn: Value, arg: Value) -> Value:
+    """Apply a semantic function value to an argument."""
     assert isinstance(fn, VLam), f"applying a non-function: {fn!r}"
     clo = fn.clo
     if isinstance(clo, Closure):
         return eval_tm(sig, clo.env + (arg,), clo.body)
     result_ty = eval_ty(sig, clo.cod.env + (arg,), clo.cod.body)
-    return reflect(result_ty, NApp(clo.ne, arg, arg_ty if arg_ty is not None else clo.dom))
+    return reflect(result_ty, NApp(clo.ne, arg, clo.dom))
 
 
 def reflect(ty: SemTy, ne: Neutral) -> Value:
@@ -143,12 +136,17 @@ def reflect(ty: SemTy, ne: Neutral) -> Value:
     raise AssertionError(f"not a semantic type: {ty!r}")
 
 
+def var_value(ty: SemTy, level: int) -> Value:
+    """The value of a fresh variable: the reflection of its level."""
+    return reflect(ty, NVar(level))
+
+
 def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
     """Read a value back as an eta-long normal form under ``depth`` binders."""
     match ty:
         case DPi(dom, cod):
             fresh = var_value(dom, depth)
-            body = apply(sig, v, fresh, dom)
+            body = apply(sig, v, fresh)
             body_ty = eval_ty(sig, cod.env + (fresh,), cod.body)
             return LamNf(reify(sig, depth + 1, body_ty, body))
         case DNat():

@@ -12,7 +12,7 @@ import time
 from ttkernel.check import check
 from ttkernel.cli import main
 from ttkernel.domain import (
-    BiClosure,
+    Closure,
     DConst,
     DNat,
     DPi,
@@ -20,11 +20,9 @@ from ttkernel.domain import (
     NConst,
     NNatInd,
     NVar,
-    TyClosure,
     VNe,
     VSucc,
     VZero,
-    var_value,
 )
 from ttkernel.gen import (
     GenerationStuck,
@@ -44,6 +42,7 @@ from ttkernel.nbe import (
     reflect,
     reify,
     reify_ne,
+    var_value,
 )
 from ttkernel.normal import (
     AppNe,
@@ -328,15 +327,15 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         d = len(ctx)
         v = eval_tm(sig, env, Lam(body))
         fresh = var_value(DNat(), d)
-        lhs = reify(sig, d, DPi(DNat(), TyClosure(env, Nat())), v)
-        assert lhs == LamNf(reify(sig, d + 1, DNat(), apply(sig, v, fresh, DNat())))
+        lhs = reify(sig, d, DPi(DNat(), Closure(env, Nat())), v)
+        assert lhs == LamNf(reify(sig, d + 1, DNat(), apply(sig, v, fresh)))
 
     # applying a reflected neutral extends the spine and re-reflects
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
-        pi = DPi(DNat(), TyClosure(env, Nat()))
+        pi = DPi(DNat(), Closure(env, Nat()))
         arg = eval_tm(sig, env, gen_term(sig, ctx, Nat(), 4, rng))
         napp = NApp(NVar(0), arg, DNat())  # level 0 is the function variable
-        lhs = apply(sig, reflect(pi, NVar(0)), arg, DNat())
+        lhs = apply(sig, reflect(pi, NVar(0)), arg)
         rhs = reflect(DNat(), napp)
         assert reify(sig, depth, DNat(), lhs) == reify(sig, depth, DNat(), rhs)
 
@@ -350,7 +349,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         scase = gen_term(sig, ctx2, motive_succ_case(motive), 4, rng)
         scrut = erase(NeNat(reify_ne(sig, depth, ne)))
         lhs = eval_tm(sig, env, NatInd(scrut, motive, zcase, scase))
-        blocked = NNatInd(ne, TyClosure(env, motive), eval_tm(sig, env, zcase), BiClosure(env, scase))
+        blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
         sem_motive = eval_ty(sig, env + (reflect(DNat(), ne),), motive)
         rhs = reflect(sem_motive, blocked)
         assert reify(sig, depth, sem_motive, lhs) == reify(sig, depth, sem_motive, rhs)

@@ -95,6 +95,15 @@ def test_infer_constant_arity(sig_abf):
         infer(sig_abf, Context(), TmConst("f", ()))
 
 
+def test_infer_beta_redex(sig_abf):
+    assert infer(sig_abf, Context(), App(Lam(Var(0)), Zero())) == Nat()
+    # the body's type may mention the bound variable: the argument replaces it
+    t = App(Lam(TmConst("f", (Var(0),))), Var(0))
+    assert infer(sig_abf, Context((A,)), t) == TyConst("B", (Var(0),))
+    with pytest.raises(CannotInfer):  # the argument must infer
+        infer(sig_abf, Context(), App(Lam(Var(0)), Lam(Var(0))))
+
+
 def test_check_lambda(sig_empty):
     check(sig_empty, Context(), Lam(Var(0)), NN)
 
@@ -102,6 +111,8 @@ def test_check_lambda(sig_empty):
 def test_check_mismatch(sig_empty):
     with pytest.raises(Mismatch):
         check(sig_empty, Context(), Succ(Zero()), NN)
+    with pytest.raises(Mismatch):
+        check(sig_empty, Context(), Lam(Var(0)), Nat())
 
 
 def test_check_sees_through_redex_in_expected_type(sig_abf):
@@ -175,6 +186,10 @@ def test_checker_error_carries_normal_forms(sig_empty):
         assert "Nat -> Nat" in str(e)
     else:
         raise AssertionError("expected a Mismatch")
+    with pytest.raises(MotiveMismatch) as info:
+        infer(sig_empty, Context((NN,)), NatInd(Zero(), Nat(), Var(0), Zero()))
+    assert isinstance(info.value.__cause__, Mismatch)
+    assert str(info.value) == "zero case does not match the motive: expected Nat, got Nat -> Nat"
 
 
 def test_check_rejects_ill_typed_constant_argument(sig_abf):

@@ -113,6 +113,20 @@ def test_fuel_env(good, monkeypatch, capsys):
     assert main(["normalize", good, "-e", "mul 4 5", "--oracle"]) == 0
 
 
+def test_fuel_env_malformed(good, monkeypatch, capsys):
+    for bad in ("abc", "-3", ""):
+        monkeypatch.setenv("TT_FUEL", bad)
+        assert main(["normalize", good, "-e", "add 1 2", "--oracle", "--json"]) == 1
+        rec = _json_of(capsys)
+        assert rec["status"] == "type-error"
+        assert rec["error"]["code"] == "bad_fuel"
+
+
+def test_normalize_infers_beta_redex(good, capsys):
+    assert main(["normalize", good, "-e", "(\\x. x) zero"]) == 0
+    assert capsys.readouterr().out.strip() == "zero"
+
+
 def test_equal_requires_two_expressions(good):
     assert main(["equal", good, "-e", "zero"]) == 2
 

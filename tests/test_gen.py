@@ -24,6 +24,7 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
+    TmConst,
     TyConst,
     Var,
     Zero,
@@ -127,6 +128,22 @@ def test_enum_is_duplicate_free_and_size_bounded(sig_abf):
 def test_enum_includes_redexes(sig_empty):
     terms = enum_terms(sig_empty, Context(), Nat(), 4)
     assert App(Lam(Var(0)), Zero()) in terms
+
+
+def test_enum_pinned_list(sig_abf):
+    # the exact list, in order, at (a : A) |- B a up to size 5
+    ctx = Context((TyConst("A"),))
+    f0, f1 = TmConst("f", (Var(0),)), TmConst("f", (Var(1),))
+    assert enum_terms(sig_abf, ctx, TyConst("B", (Var(0),)), 5) == [
+        f0,
+        App(Lam(Var(0)), f0),
+        App(Lam(f0), Var(0)),
+        App(Lam(f1), Var(0)),
+        App(Lam(f1), Zero()),
+        TmConst("f", (App(Lam(Var(0)), Var(0)),)),
+        TmConst("f", (App(Lam(Var(1)), Var(0)),)),
+        TmConst("f", (App(Lam(Var(1)), Zero()),)),
+    ]
 
 
 def test_enum_types(sig_abf):

@@ -8,7 +8,6 @@ independently and comparing their readbacks.
 import pytest
 
 from ttkernel.domain import (
-    BiClosure,
     Closure,
     DConst,
     DNat,
@@ -18,12 +17,10 @@ from ttkernel.domain import (
     NNatInd,
     NVar,
     ReflectClosure,
-    TyClosure,
     VLam,
     VNe,
     VSucc,
     VZero,
-    var_value,
 )
 from ttkernel.nbe import (
     apply,
@@ -36,6 +33,7 @@ from ttkernel.nbe import (
     reflect,
     reify,
     reify_ne,
+    var_value,
 )
 from ttkernel.normal import (
     AppNe,
@@ -68,7 +66,7 @@ from ttkernel.syntax import (
 )
 
 NN = Pi(Nat(), Nat())
-NAT_CLO = TyClosure((), Nat())
+NAT_CLO = Closure((), Nat())
 A = TyConst("A")
 B_OF = lambda t: TyConst("B", (t,))
 
@@ -95,7 +93,7 @@ def test_var_value_at_function_type_is_lambda():
 def test_eval_ty_basics(sig_empty, sig_abf):
     assert eval_ty(sig_empty, (), Nat()) == DNat()
     assert eval_ty(sig_abf, (), A) == DConst("A", ())
-    assert eval_ty(sig_empty, (), NN) == DPi(DNat(), TyClosure((), Nat()))
+    assert eval_ty(sig_empty, (), NN) == DPi(DNat(), Closure((), Nat()))
 
 
 def test_eval_ind_zero_case(sig_empty):
@@ -123,24 +121,24 @@ def test_eval_ind_succ_uses_predecessor_and_recursion(sig_empty):
 
 
 def test_apply_closure(sig_empty):
-    assert apply(sig_empty, VLam(Closure((), Var(0))), VZero(), DNat()) == VZero()
+    assert apply(sig_empty, VLam(Closure((), Var(0))), VZero()) == VZero()
 
 
 def test_apply_reflected_variable(sig_empty):
     fn = var_value(DPi(DNat(), NAT_CLO), 0)
-    assert apply(sig_empty, fn, VZero(), DNat()) == VNe(
+    assert apply(sig_empty, fn, VZero()) == VNe(
         DNat(), NApp(NVar(0), VZero(), DNat())
     )
 
 
 def test_apply_non_function_is_invariant_breach(sig_empty):
     with pytest.raises(AssertionError):
-        apply(sig_empty, VZero(), VZero(), DNat())
+        apply(sig_empty, VZero(), VZero())
 
 
 def test_apply_closure_with_body(sig_empty):
     fn = VLam(Closure((), Succ(Var(0))))
-    assert apply(sig_empty, fn, VSucc(VZero()), DNat()) == VSucc(VSucc(VZero()))
+    assert apply(sig_empty, fn, VSucc(VZero())) == VSucc(VSucc(VZero()))
 
 
 # -- reflect
@@ -283,7 +281,7 @@ def test_equation_reify_abs(sig_empty):
 def test_equation_apply_reflected(sig_empty):
     dom, cod = DNat(), NAT_CLO
     ne = NVar(0)
-    lhs = apply(sig_empty, reflect(DPi(dom, cod), ne), VZero(), dom)
+    lhs = apply(sig_empty, reflect(DPi(dom, cod), ne), VZero())
     rhs = reflect(
         eval_ty(sig_empty, cod.env + (VZero(),), cod.body), NApp(ne, VZero(), dom)
     )
@@ -317,9 +315,9 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     lhs = eval_tm(sig_empty, env, NatInd(Var(0), Nat(), Zero(), Succ(Var(0))))
     blocked = NNatInd(
         scrut_ne,
-        TyClosure(env, Nat()),
+        Closure(env, Nat()),
         eval_tm(sig_empty, env, Zero()),
-        BiClosure(env, Succ(Var(0))),
+        Closure(env, Succ(Var(0))),
     )
     rhs = reflect(DNat(), blocked)
     assert lhs == rhs
