@@ -39,6 +39,7 @@ from .surface import (
     parse_type,
     print_nf,
     print_tm,
+    print_ty,
 )
 from .syntax import Context, alpha_eq
 
@@ -117,6 +118,31 @@ def _cmd_equal(args) -> int:
     return _emit(args, "not-equal", "not equal", None, 3)
 
 
+def _fuzz_problem(sig, ctx, ty, t) -> str | None:
+    """The first fuzz property ``t`` fails, or None."""
+    nf = normalize_tm(sig, ctx, ty, t)
+    back = erase(nf)
+    if not is_normal(sig, ctx, ty, back):
+        return "not normal"
+    if not oracle_equal(sig, ctx, ty, back, t, _fuel()):
+        return "oracle disagrees"
+    if normalize_tm(sig, ctx, ty, back) != nf:
+        return "not idempotent"
+    try:
+        check(sig, ctx, back, ty)
+    except KernelError as e:
+        return f"normal form fails to recheck ({e})"
+    return None
+
+
+def _show_case(ctx: Context, ty, t) -> str:
+    """``v0 : T0, v1 : T1 |- t : ty`` in surface syntax."""
+    names = tuple(f"v{i}" for i in range(len(ctx)))
+    hyps = ", ".join(f"{names[i]} : {print_ty(a, names[:i])}" for i, a in enumerate(ctx.entries))
+    judgement = f"|- {print_tm(t, names)} : {print_ty(ty, names)}"
+    return f"{hyps} {judgement}" if hyps else judgement
+
+
 def _cmd_fuzz(args) -> int:
     sig = _load(args.file)
     rng = random.Random(args.seed)
@@ -129,20 +155,10 @@ def _cmd_fuzz(args) -> int:
         except gen.GenerationStuck:
             stuck += 1
             continue
+        problem = _fuzz_problem(sig, ctx, ty, t)
+        if problem is not None:
+            failures.append(f"seed {args.seed} case {ran}: {problem}: {_show_case(ctx, ty, t)}")
         ran += 1
-        nf = normalize_tm(sig, ctx, ty, t)
-        back = erase(nf)
-        if not is_normal(sig, ctx, ty, back):
-            failures.append(f"not normal: {t!r}")
-        elif not oracle_equal(sig, ctx, ty, back, t, _fuel()):
-            failures.append(f"oracle disagrees: {t!r}")
-        elif normalize_tm(sig, ctx, ty, back) != nf:
-            failures.append(f"not idempotent: {t!r}")
-        else:
-            try:
-                check(sig, ctx, back, ty)
-            except KernelError as e:
-                failures.append(f"normal form fails to recheck: {t!r} ({e})")
     summary = f"{ran} case(s), {len(failures)} failure(s)"
     if failures:
         detail = summary + "\n" + "\n".join(failures[:10])
@@ -186,10 +202,8 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](args)
-    except ParseError as e:
-        return _emit(args, "parse-error", None, e, 2)
     except KernelError as e:
-        return _emit(args, "type-error", None, e, 1)
+        return _emit(args, e.status, None, e, e.exit_code)
     except FileNotFoundError as e:
         return _emit(args, "error", None, KernelError(str(e)), 1)
 

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 class KernelError(Exception):
     """Base of all user-facing errors. ``code`` is stable; ``line``/``col``
-    are attached by the frontend when a source span is known."""
+    are attached by the frontend when a source span is known. ``status``
+    and ``exit_code`` are what the CLI reports for the error's class."""
 
     code = "error"
+    status = "error"
+    exit_code = 1
 
     def __init__(self, message: str = "", line: int | None = None, col: int | None = None):
         super().__init__(message)
@@ -17,12 +20,15 @@ class KernelError(Exception):
 
 class ParseError(KernelError):
     code = "parse_error"
+    status = "parse-error"
+    exit_code = 2
 
 
 class CheckError(KernelError):
     """Base of type-checking errors."""
 
     code = "type_error"
+    status = "type-error"
 
 
 class UnboundVariable(CheckError):
@@ -93,6 +99,7 @@ class DuplicateName(CheckError):
 
 class UnknownName(KernelError):
     code = "unknown_name"
+    status = "type-error"
 
 
 class FuelExhausted(KernelError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ttkernel import cli
 from ttkernel.cli import main
 
 GOOD = """
@@ -109,6 +110,7 @@ def test_fuel_env(good, monkeypatch, capsys):
     assert rec_code == 1
     rec = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert rec["error"]["code"] == "fuel_exhausted"
+    assert rec["status"] == "error"
     monkeypatch.setenv("TT_FUEL", "100000")
     assert main(["normalize", good, "-e", "mul 4 5", "--oracle"]) == 0
 
@@ -118,7 +120,7 @@ def test_fuel_env_malformed(good, monkeypatch, capsys):
         monkeypatch.setenv("TT_FUEL", bad)
         assert main(["normalize", good, "-e", "add 1 2", "--oracle", "--json"]) == 1
         rec = _json_of(capsys)
-        assert rec["status"] == "type-error"
+        assert rec["status"] == "error"
         assert rec["error"]["code"] == "bad_fuel"
 
 
@@ -135,5 +137,26 @@ def test_normalize_parse_error_in_expression(good):
     assert main(["normalize", good, "-e", "succ )"]) == 2
 
 
-def test_normalize_unknown_identifier(good):
+def test_normalize_unknown_identifier(good, capsys):
     assert main(["normalize", good, "-e", "nope"]) == 1
+    capsys.readouterr()
+    assert main(["normalize", good, "-e", "nope", "--json"]) == 1
+    assert _json_of(capsys)["status"] == "type-error"
+
+
+def test_missing_file_is_an_error(tmp_path, capsys):
+    assert main(["check", str(tmp_path / "absent.tt"), "--json"]) == 1
+    assert _json_of(capsys)["status"] == "error"
+
+
+def test_fuzz_failure_is_replayable(good, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "oracle_equal", lambda *args: False)
+    assert main(["fuzz", good, "--count", "3", "--seed", "0", "--json"]) == 1
+    rec = _json_of(capsys)
+    assert rec["status"] == "error"
+    lines = rec["output"].splitlines()
+    assert lines[0] == "3 case(s), 3 failure(s)"
+    for i, line in enumerate(lines[1:]):
+        assert line.startswith(f"seed 0 case {i}: oracle disagrees: ")
+        assert "|- " in line
+        assert "App(" not in line and "Var(" not in line

@@ -1,14 +1,21 @@
 """The rewriting oracle: stepping, normalization, equality."""
 
+import ast
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttkernel.errors import FuelExhausted
-from ttkernel.gen import GenerationStuck, gen_context, gen_term, gen_type
-from ttkernel.normal import is_normal
+from ttkernel import rewrite
 from ttkernel.check import check
-from ttkernel.rewrite import oracle_equal, rw_normalize, step
+from ttkernel.errors import FuelExhausted
+from ttkernel.gen import GenerationStuck, enum_terms, gen_context, gen_term, gen_type
+from ttkernel.normal import is_normal
+from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize, step
+from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
 from ttkernel.syntax import (
     App,
     Context,
@@ -17,12 +24,96 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
+    TyConst,
     Var,
     Zero,
     numeral,
 )
 
 NN = Pi(Nat(), Nat())
+
+# Postulates, a type family over A, a Nat-indexed family and definitions
+# (inlined, so their uses are redexes): the cross-validation signature.
+CROSSVAL = r"""
+postulate A
+postulate B (x : A)
+postulate f : (x : A) -> B x
+postulate C (n : Nat)
+postulate c0 : C zero
+postulate h : (n : Nat) -> C n
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def twice : Nat -> Nat := \n. add n n
+"""
+
+PARTITION_TARGETS = (
+    (Context((Nat(),)), Nat()),
+    (Context(), NN),
+    (Context((TyConst("A"),)), TyConst("B", (Var(0),))),
+    (Context((Nat(),)), TyConst("C", (Var(0),))),
+)
+
+ARITH = r"""
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
+def exp : Nat -> Nat -> Nat := \b. \e. ind(e; _. Nat; 1; p r. mul b r)
+"""
+
+
+@pytest.fixture(scope="module")
+def sig_crossval():
+    return elaborate(parse(CROSSVAL))
+
+
+@pytest.fixture(scope="module")
+def sig_arith():
+    return elaborate(parse(ARITH))
+
+
+class CountingFuel(rewrite._Fuel):
+    def __init__(self, amount: int):
+        super().__init__(amount)
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        super().spend()
+
+
+def iterate_step(sig, t):
+    """The specification: contract with ``step`` until none applies."""
+    count = 0
+    while (u := step(sig, t)) is not None:
+        t, count = u, count + 1
+    return t, count
+
+
+def substitutions(run):
+    """``run()`` and the substitutions it made through the oracle: one per
+    beta or successor-iota contraction, so their order is the redexes'."""
+    log = []
+
+    def logged(fn):
+        def wrapper(*args):
+            log.append(args)
+            return fn(*args)
+
+        return wrapper
+
+    saved = rewrite.subst1, rewrite.subst_many
+    rewrite.subst1, rewrite.subst_many = logged(saved[0]), logged(saved[1])
+    try:
+        return run(), log
+    finally:
+        rewrite.subst1, rewrite.subst_many = saved
+
+
+def assert_reduce_is_iterated_step(sig, t):
+    tank = CountingFuel(10**6)
+    got, order = substitutions(lambda: _reduce(sig, t, tank))
+    (want, count), want_order = substitutions(lambda: iterate_step(sig, t))
+    assert got == want
+    assert tank.spent == count
+    assert order == want_order
 
 
 def test_step_beta(sig_empty):
@@ -119,3 +210,119 @@ def test_dependent_eliminator_oracle(sig_dep):
     t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(Var(1)),)))
     got = rw_normalize(sig_dep, Context(), TyConst("C", (numeral(2),)), t)
     assert got == TmConst("h", (numeral(2),))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), size=st.integers(1, 12))
+def test_reduce_is_iterated_step_on_generated_terms(sig_crossval, seed, size):
+    rng = random.Random(seed)
+    ctx = gen_context(sig_crossval, rng, max_len=3, size=4)
+    ty = gen_type(sig_crossval, ctx, rng, size=4)
+    try:
+        t = gen_term(sig_crossval, ctx, ty, size, rng)
+    except GenerationStuck:
+        return
+    assert_reduce_is_iterated_step(sig_crossval, t)
+
+
+def test_reduce_is_iterated_step_on_enumerated_terms(sig_crossval):
+    terms = [t for ctx, ty in PARTITION_TARGETS for t in enum_terms(sig_crossval, ctx, ty, 5)]
+    assert len(terms) == 96
+    for t in terms:
+        assert_reduce_is_iterated_step(sig_crossval, t)
+    # the corpus is not all normal: 68 contractions over the 96 terms
+    assert sum(iterate_step(sig_crossval, t)[1] for t in terms) == 68
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "add 3 4",
+        "mul 4 3",
+        "exp 2 3",
+        "(\\x. mul x x) (add 1 2)",
+        "g (add 1 1) (mul 2 2)",
+        "\\y. ind(g y y; _. Nat; add 1 1; p r. (\\z. add z p) r)",
+    ],
+)
+def test_reduce_is_iterated_step_on_arithmetic(sig_arith, text):
+    assert_reduce_is_iterated_step(sig_arith, elab_tm(sig_arith, ("g",), parse_expression(text)))
+
+
+@pytest.fixture()
+def tanks(monkeypatch):
+    """The fuel tanks ``rw_normalize`` creates, each a ``CountingFuel``."""
+    made = []
+
+    def counting(amount):
+        made.append(CountingFuel(amount))
+        return made[-1]
+
+    monkeypatch.setattr(rewrite, "_Fuel", counting)
+    return made
+
+
+@pytest.mark.parametrize(("text", "steps"), [("mul 10 10", 121), ("exp 2 8", 3834)])
+def test_rw_normalize_pinned_step_counts(sig_arith, tanks, text, steps):
+    t = elab_tm(sig_arith, (), parse_expression(text))
+    rw_normalize(sig_arith, Context(), Nat(), t)
+    assert [tank.spent for tank in tanks] == [steps]
+
+
+def test_fuel_exhausted_exactly_below_needed_steps(sig_arith, tanks):
+    ctx = Context((NN,))
+    t = elab_tm(sig_arith, ("g",), parse_expression("\\x. g (mul 2 (add x 1))"))
+    rw_normalize(sig_arith, ctx, NN, t)
+    needed = tanks[0].spent
+    assert needed > 0
+    for k in range(needed + 2):
+        if k < needed:
+            with pytest.raises(FuelExhausted):
+                rw_normalize(sig_arith, ctx, NN, t, fuel=k)
+        else:
+            rw_normalize(sig_arith, ctx, NN, t, fuel=k)
+
+
+def test_reduce_shares_what_does_not_reduce(sig_empty):
+    tank = CountingFuel(100)
+    normal = Lam(App(Var(0), NatInd(Var(1), Nat(), Zero(), Succ(Var(0)))))
+    assert _reduce(sig_empty, normal, tank) is normal
+    redex = App(Lam(Var(0)), Zero())
+    got = _reduce(sig_empty, App(App(Var(0), normal), redex), tank)
+    assert got == App(App(Var(0), normal), Zero())
+    assert got.fn.arg is normal
+    assert tank.spent == 1
+
+
+def test_reduce_stack_follows_nesting_not_steps(sig_arith):
+    # 900 successors come out of 1,000+ contractions; walking them with
+    # the step loop needs a frame per successor
+    t = elab_tm(sig_arith, (), parse_expression("mul 30 30"))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        out = _reduce(sig_arith, t, CountingFuel(10**6))
+    finally:
+        sys.setrecursionlimit(limit)
+    n = 0
+    while isinstance(out, Succ):
+        out, n = out.pred, n + 1
+    assert (out, n) == (Zero(), 900)
+
+
+def test_oracle_imports_no_evaluator():
+    tree = ast.parse(Path(rewrite.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            if not node.module or node.module == "ttkernel":
+                imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found: is the parse right?"
+    assert not imported & {"nbe", "domain", "check"}
