@@ -11,8 +11,7 @@ from .errors import (
     UnboundVariable,
     UnknownConstant,
 )
-from .nbe import normalize_tm, normalize_ty
-from .normal import erase
+from .nbe import eval_tm, eval_ty, id_env, nfty, reify
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -74,7 +73,8 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             a_ty = infer(sig, ctx, a)
             return subst1(infer(sig, ctx.extend(a_ty), body), a)
         case App(f, a):
-            fn_ty = erase(normalize_ty(sig, ctx, infer(sig, ctx, f)))
+            # a type's head (Pi, Nat or a constant) is stable under normalization
+            fn_ty = infer(sig, ctx, f)
             if not isinstance(fn_ty, Pi):
                 raise NotAFunction("application head is not a function")
             check(sig, ctx, a, fn_ty.dom)
@@ -122,10 +122,14 @@ def check(sig: Signature, ctx: Context, t: Term, ty: Ty) -> None:
 
 def conv_ty(sig: Signature, ctx: Context, a: Ty, b: Ty) -> bool:
     """Definitional equality of well-formed types."""
-    return normalize_ty(sig, ctx, a) == normalize_ty(sig, ctx, b)
+    env, depth = id_env(sig, ctx), len(ctx)
+    return nfty(sig, depth, eval_ty(sig, env, a)) == nfty(sig, depth, eval_ty(sig, env, b))
 
 
 def conv_tm(sig: Signature, ctx: Context, ty: Ty, t: Term, u: Term) -> bool:
     """Definitional equality of terms checked at ``ty``."""
-    return normalize_tm(sig, ctx, ty, t) == normalize_tm(sig, ctx, ty, u)
+    env, depth = id_env(sig, ctx), len(ctx)
+    sem_ty = eval_ty(sig, env, ty)
+    nf_t, nf_u = (reify(sig, depth, sem_ty, eval_tm(sig, env, x)) for x in (t, u))
+    return nf_t == nf_u
 

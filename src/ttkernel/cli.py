@@ -8,11 +8,13 @@
     tt equal FILE -e E1 -e E2 [-t TYPE]
                                   exit 0 equal / 3 not equal
     tt fuzz FILE [--count N] [--seed S] [--size K]
-                                  runs the property suites over FILE's
-                                  signature
+                                  judges N random cases over FILE's
+                                  signature by gen.case_problem
 
-Any command accepts --json and emits {status, output, error{code, line,
-col}}. The environment variable TT_FUEL overrides the oracle's fuel.
+Any command exits 4 (code resource_exhausted) on input too deep or too
+large for the recursion limit or memory, accepts --json and emits
+{status, output, error{code, line, col}}. The environment variable
+TT_FUEL overrides the oracle's fuel.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import gen
 from .check import check, check_ty, conv_tm, infer
-from .errors import BadFuel, KernelError, ParseError
+from .errors import BadFuel, KernelError, ParseError, ResourceExhausted
 from .nbe import normalize_tm
-from .normal import erase, is_normal
-from .rewrite import DEFAULT_FUEL, oracle_equal, rw_normalize
+from .normal import erase
+from .rewrite import DEFAULT_FUEL, rw_normalize
 from .signature import Signature
 from .surface import (
     elab_tm,
@@ -37,9 +38,9 @@ from .surface import (
     parse,
     parse_expression,
     parse_type,
+    print_case,
     print_nf,
     print_tm,
-    print_ty,
 )
 from .syntax import Context, alpha_eq
 
@@ -118,46 +119,14 @@ def _cmd_equal(args) -> int:
     return _emit(args, "not-equal", "not equal", None, 3)
 
 
-def _fuzz_problem(sig, ctx, ty, t) -> str | None:
-    """The first fuzz property ``t`` fails, or None."""
-    nf = normalize_tm(sig, ctx, ty, t)
-    back = erase(nf)
-    if not is_normal(sig, ctx, ty, back):
-        return "not normal"
-    if not oracle_equal(sig, ctx, ty, back, t, _fuel()):
-        return "oracle disagrees"
-    if normalize_tm(sig, ctx, ty, back) != nf:
-        return "not idempotent"
-    try:
-        check(sig, ctx, back, ty)
-    except KernelError as e:
-        return f"normal form fails to recheck ({e})"
-    return None
-
-
-def _show_case(ctx: Context, ty, t) -> str:
-    """``v0 : T0, v1 : T1 |- t : ty`` in surface syntax."""
-    names = tuple(f"v{i}" for i in range(len(ctx)))
-    hyps = ", ".join(f"{names[i]} : {print_ty(a, names[:i])}" for i, a in enumerate(ctx.entries))
-    judgement = f"|- {print_tm(t, names)} : {print_ty(ty, names)}"
-    return f"{hyps} {judgement}" if hyps else judgement
-
-
 def _cmd_fuzz(args) -> int:
     sig = _load(args.file)
-    rng = random.Random(args.seed)
-    ran, stuck, failures = 0, 0, []
-    while ran < args.count and stuck < 10 * args.count:
-        ctx = gen.gen_context(sig, rng, max_len=3, size=4)
-        ty = gen.gen_type(sig, ctx, rng, size=4)
-        try:
-            t = gen.gen_term(sig, ctx, ty, args.size, rng)
-        except gen.GenerationStuck:
-            stuck += 1
-            continue
-        problem = _fuzz_problem(sig, ctx, ty, t)
+    fuel = _fuel()
+    ran, failures = 0, []
+    for ctx, ty, t in gen.gen_cases(sig, args.seed, args.count, args.size):
+        problem = gen.case_problem(sig, ctx, ty, t, fuel)
         if problem is not None:
-            failures.append(f"seed {args.seed} case {ran}: {problem}: {_show_case(ctx, ty, t)}")
+            failures.append(f"seed {args.seed} case {ran}: {problem}: {print_case(ctx, ty, t)}")
         ran += 1
     summary = f"{ran} case(s), {len(failures)} failure(s)"
     if failures:
@@ -203,9 +172,14 @@ def main(argv=None) -> int:
     try:
         return commands[args.command](args)
     except KernelError as e:
-        return _emit(args, e.status, None, e, e.exit_code)
+        err = e
     except FileNotFoundError as e:
-        return _emit(args, "error", None, KernelError(str(e)), 1)
+        err = KernelError(str(e))
+    except RecursionError:
+        err = ResourceExhausted("input too deep: recursion limit exceeded")
+    except MemoryError:
+        err = ResourceExhausted("input too large: out of memory")
+    return _emit(args, err.status, None, err, err.exit_code)
 
 
 def entry():  # console-script hook

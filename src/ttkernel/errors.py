@@ -73,10 +73,13 @@ class Mismatch(CheckError):
         return None if self.actual is None else _normalize(self.sig, self.ctx, self.actual)
 
     def __str__(self) -> str:
-        expected = _show(self.expected_nf, len(self.ctx))
+        from .surface import context_names, print_nf  # late: surface imports this module
+
+        names = context_names(len(self.ctx))
+        expected = print_nf(self.expected_nf, names)
         if self.actual is None:
             return f"function literal checked against {expected}"
-        return f"expected {expected}, got {_show(self.actual_nf, len(self.ctx))}"
+        return f"expected {expected}, got {print_nf(self.actual_nf, names)}"
 
 
 class MotiveMismatch(CheckError):
@@ -114,16 +117,14 @@ class BadFuel(KernelError):
     code = "bad_fuel"
 
 
-# late imports: surface imports this module, and nbe does through signature
+class ResourceExhausted(KernelError):
+    """The input is too deep or too large: recursion or memory ran out."""
+
+    code = "resource_exhausted"
+    exit_code = 4
 
 
 def _normalize(sig, ctx, ty):
-    from .nbe import normalize_ty
+    from .nbe import normalize_ty  # late: nbe imports this module through signature
 
     return normalize_ty(sig, ctx, ty)
-
-
-def _show(nf, depth: int) -> str:
-    from .surface import print_nf
-
-    return print_nf(nf, tuple(f"v{i}" for i in range(depth)))

@@ -1,4 +1,5 @@
-"""Typed term generators and enumerators for the property suites.
+"""Typed term generators and enumerators for the property suites, and
+``case_problem``, the per-case properties that ``tt fuzz`` and the tests judge by.
 
 Generation is by typed synthesis: lambdas at function types, then a
 weighted choice among constructors and spines whose (possibly
@@ -15,6 +16,9 @@ from itertools import product
 
 from .check import check, check_ty
 from .errors import KernelError
+from .nbe import normalize_tm
+from .normal import erase, is_normal
+from .rewrite import DEFAULT_FUEL, oracle_equal
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -212,7 +216,7 @@ def _gen_ind(sig, ctx, ty, size, rng) -> Term:
             for m in ty_abstractions(ty, scrut)
             # abstracting only some occurrences of the scrutinee can break
             # a dependency between a spine's arguments: re-check the family
-            if uses_index(m, 0) and _well_formed(sig, ctx.extend(Nat()), m)
+            if uses_index(m, 0) and _accepts(check_ty, sig, ctx.extend(Nat()), m)
         ]
         if dependent:
             motive = rng.choice(dependent)
@@ -257,6 +261,24 @@ def gen_context(sig: Signature, rng=None, max_len: int = 3, size: int = 4) -> Co
     for _ in range(rng.randint(0, max_len)):
         ctx = ctx.extend(gen_type(sig, ctx, rng, size))
     return ctx
+
+
+def gen_cases(sig: Signature, seed, count: int, size: int, ty_size: int = 4):
+    """Up to ``count`` random cases ``(ctx, ty, t)``, ``t`` of size ``size``;
+    deterministic per seed. A draw at an uninhabited type is skipped, and
+    generation gives up after ``10 * count`` of them."""
+    rng = _rng(seed)
+    done = stuck = 0
+    while done < count and stuck < 10 * count:
+        ctx = gen_context(sig, rng, max_len=3, size=4)
+        ty = gen_type(sig, ctx, rng, size=ty_size)
+        try:
+            t = gen_term(sig, ctx, ty, size, rng)
+        except GenerationStuck:
+            stuck += 1
+            continue
+        done += 1
+        yield ctx, ty, t
 
 
 def gen_renaming(sig: Signature, seed=0) -> tuple[Context, Context, Renaming]:
@@ -311,7 +333,7 @@ def ty_abstractions(ty: Ty, u: Term) -> list[Ty]:
     occurrences it skips carry a dependency, so callers who need a
     well-formed family must re-check the candidates.
     """
-    return _dedup(_abs_ty(ty, u, 0))
+    return list(dict.fromkeys(_abs_ty(ty, u, 0)))  # without duplicates, in order
 
 
 def _abs_ty(ty, u, d) -> list:
@@ -356,35 +378,44 @@ def _abs_args(args, u, d) -> list:
     return [tuple(combo) for combo in product(*(_abs_tm(a, u, d) for a in args))] if args else [()]
 
 
-def _dedup(items: list) -> list:
-    seen = set()
-    out = []
-    for x in items:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Well-typedness, as the kernel checker judges it
 
 
 def typable(sig: Signature, ctx: Context, t: Term, ty: Ty) -> bool:
     """Whether ``t`` checks at ``ty``."""
+    return _accepts(check, sig, ctx, t, ty)
+
+
+def _accepts(judge, *args) -> bool:
     try:
-        check(sig, ctx, t, ty)
+        judge(*args)
     except KernelError:
         return False
     return True
 
 
-def _well_formed(sig: Signature, ctx: Context, ty: Ty) -> bool:
+# ---------------------------------------------------------------------------
+# Per-case properties
+
+
+def case_problem(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFAULT_FUEL) -> str | None:
+    """The first property the well-typed ``t`` fails, or None: its NbE normal
+    form is normal, agrees with the rewriting oracle (given ``fuel``), is
+    idempotent and checks at ``ty``."""
+    nf = normalize_tm(sig, ctx, ty, t)
+    back = erase(nf)
+    if not is_normal(sig, ctx, ty, back):
+        return "not normal"
+    if not oracle_equal(sig, ctx, ty, back, t, fuel):
+        return "oracle disagrees"
+    if normalize_tm(sig, ctx, ty, back) != nf:
+        return "not idempotent"
     try:
-        check_ty(sig, ctx, ty)
-    except KernelError:
-        return False
-    return True
+        check(sig, ctx, back, ty)
+    except KernelError as e:
+        return f"normal form fails to recheck ({e})"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -485,5 +516,5 @@ def enum_types(sig: Signature, ctx: Context, max_size: int) -> list[Ty]:
     raw = _RawEnum(sig)
     out = []
     for s in range(1, max_size + 1):
-        out += [ty for ty in raw.types(len(ctx), s) if _well_formed(sig, ctx, ty)]
+        out += [ty for ty in raw.types(len(ctx), s) if _accepts(check_ty, sig, ctx, ty)]
     return out

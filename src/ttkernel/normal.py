@@ -252,11 +252,16 @@ def to_nf_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy | None:
 
 def _const_arg_nfs(sig, ctx, name, args) -> tuple[NfTm, ...] | None:
     decl = sig.get(name)
-    if not isinstance(decl, PostulateTy) or len(decl.params) != len(args):
+    return _arg_nfs(sig, ctx, decl.params, args) if isinstance(decl, PostulateTy) else None
+
+
+def _arg_nfs(sig, ctx, params, args) -> tuple[NfTm, ...] | None:
+    """The normal-form trees of a constant's arguments, checked against its telescope."""
+    if len(params) != len(args):
         return None
     nfs = []
     for i, a in enumerate(args):
-        anf = to_nf(sig, ctx, inst_params(decl.params[i], tuple(args[:i])), a)
+        anf = to_nf(sig, ctx, inst_params(params[i], tuple(args[:i])), a)
         if anf is None:
             return None
         nfs.append(anf)
@@ -291,15 +296,10 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
         case TmConst(name, args):
             decl = sig.get(name)
-            if not isinstance(decl, PostulateTm) or len(decl.params) != len(args):
+            if not isinstance(decl, PostulateTm):
                 return None
-            nfs = []
-            for i, a in enumerate(args):
-                anf = to_nf(sig, ctx, inst_params(decl.params[i], tuple(args[:i])), a)
-                if anf is None:
-                    return None
-                nfs.append(anf)
-            return TmConstNe(name, tuple(nfs)), inst_params(decl.result, args)
+            nfs = _arg_nfs(sig, ctx, decl.params, args)
+            return None if nfs is None else (TmConstNe(name, nfs), inst_params(decl.result, args))
         case _:
             return None
 

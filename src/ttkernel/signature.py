@@ -60,9 +60,6 @@ class Signature:
         return tuple(d.name for d in self.decls)
 
 
-EMPTY_SIG = Signature()
-
-
 def declare(sig: Signature, decl: Declaration) -> Signature:
     """Check ``decl`` against ``sig`` and append it."""
     from .check import check, check_ty  # late import: the checker depends on signatures
@@ -70,27 +67,19 @@ def declare(sig: Signature, decl: Declaration) -> Signature:
     if sig.get(decl.name) is not None:
         raise DuplicateName(f"duplicate name '{decl.name}'")
     match decl:
-        case PostulateTy(_, params):
-            _check_telescope(sig, params)
-        case PostulateTm(_, params, result):
-            ctx = _check_telescope(sig, params)
-            check_ty(sig, ctx, result)
+        case PostulateTy(_, params) | PostulateTm(_, params, _):
+            ctx = Context()
+            for ty in params:
+                check_ty(sig, ctx, ty)
+                ctx = ctx.extend(ty)
+            if isinstance(decl, PostulateTm):
+                check_ty(sig, ctx, decl.result)
         case Define(_, declared_type, body):
             check_ty(sig, Context(), declared_type)
             check(sig, Context(), body, declared_type)
         case _:
             raise AssertionError(f"not a declaration: {decl!r}")
     return Signature(sig.decls + (decl,))
-
-
-def _check_telescope(sig: Signature, params: tuple[Ty, ...]) -> Context:
-    from .check import check_ty
-
-    ctx = Context()
-    for ty in params:
-        check_ty(sig, ctx, ty)
-        ctx = ctx.extend(ty)
-    return ctx
 
 
 def validate(sig: Signature) -> None:

@@ -33,6 +33,7 @@ from .signature import (
 )
 from .syntax import (
     App,
+    Context,
     Lam,
     Nat,
     NatInd,
@@ -301,17 +302,11 @@ class _Parser:
 
     def tm(self):
         t = self.peek()
-        if t.kind == "\\":
+        if t.kind in ("\\", "fun"):
             loc = self.loc()
             self.advance()
             name = self.expect("ident").text
-            self.expect(".")
-            return SLam(name, self.tm(), loc)
-        if t.kind == "fun":
-            loc = self.loc()
-            self.advance()
-            name = self.expect("ident").text
-            self.expect("=>")
+            self.expect("." if t.kind == "\\" else "=>")
             return SLam(name, self.tm(), loc)
         if t.kind == "ind":
             loc = self.loc()
@@ -588,6 +583,19 @@ def print_ty(ty: Ty, names: tuple[str, ...] = (), prec: int = 0) -> str:
 
 def _wrap(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
+
+
+def context_names(depth: int) -> tuple[str, ...]:
+    """The names ``v0, v1, ...`` of a context's variables, outermost first."""
+    return tuple(f"v{i}" for i in range(depth))
+
+
+def print_case(ctx: Context, ty: Ty, t: Term) -> str:
+    """``v0 : T0, v1 : T1 |- t : ty`` in surface syntax."""
+    names = context_names(len(ctx))
+    hyps = ", ".join(f"{names[i]} : {print_ty(a, names[:i])}" for i, a in enumerate(ctx.entries))
+    judgement = f"|- {print_tm(t, names)} : {print_ty(ty, names)}"
+    return f"{hyps} {judgement}" if hyps else judgement
 
 
 def print_nf(n, names: tuple[str, ...] = ()) -> str:

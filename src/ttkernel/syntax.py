@@ -104,9 +104,6 @@ class Context:
         return shift(self.entries[n - 1 - index], index + 1)
 
 
-EMPTY = Context()
-
-
 def numeral(n: int) -> Term:
     t: Term = Zero()
     for _ in range(n):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ttkernel import cli
+from ttkernel import gen
 from ttkernel.cli import main
 
 GOOD = """
@@ -150,7 +150,7 @@ def test_missing_file_is_an_error(tmp_path, capsys):
 
 
 def test_fuzz_failure_is_replayable(good, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "oracle_equal", lambda *args: False)
+    monkeypatch.setattr(gen, "oracle_equal", lambda *args: False)
     assert main(["fuzz", good, "--count", "3", "--seed", "0", "--json"]) == 1
     rec = _json_of(capsys)
     assert rec["status"] == "error"
@@ -160,3 +160,22 @@ def test_fuzz_failure_is_replayable(good, monkeypatch, capsys):
         assert line.startswith(f"seed 0 case {i}: oracle disagrees: ")
         assert "|- " in line
         assert "App(" not in line and "Var(" not in line
+
+
+CHAIN = "def d0 : Nat -> Nat := \\n. succ n\n" + "".join(
+    f"def d{j} : Nat -> Nat := \\n. d{j - 1} (d{j - 1} n)\n" for j in range(1, 10)
+)
+DEEP = {"mul 40 40": "mul 40 40", "1200": "1200", "600 nested succ": "succ (" * 600 + "zero" + ")" * 600}
+
+
+@pytest.mark.parametrize("case", [*DEEP, "check chain d0..d9"])
+def test_deep_input_is_resource_exhausted(good, tmp_path, capsys, case):
+    (tmp_path / "chain.tt").write_text(CHAIN)
+    argv = ["normalize", good, "-e", DEEP[case]] if case in DEEP else ["check", str(tmp_path / "chain.tt")]
+    assert main(argv + ["--json"]) == 4
+    out, err = capsys.readouterr()
+    record = {"code": "resource_exhausted", "line": None, "col": None}
+    assert err == "" and json.loads(out) == {"status": "error", "output": None, "error": record}
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[resource_exhausted]: ") and "Traceback" not in err

@@ -4,24 +4,27 @@ import random
 
 import pytest
 
+from ttkernel import gen
 from ttkernel.check import check
+from ttkernel.errors import CheckError
 from ttkernel.gen import (
     GenerationStuck,
+    case_problem,
     enum_terms,
     enum_types,
-    gen_context,
+    gen_cases,
     gen_renaming,
     gen_term,
-    gen_type,
     ty_abstractions,
     typable,
 )
+from ttkernel.normal import ZeroNf
+from ttkernel.surface import print_case
 from ttkernel.syntax import (
     App,
     Context,
     Lam,
     Nat,
-    NatInd,
     Pi,
     Succ,
     TmConst,
@@ -59,25 +62,31 @@ def test_gen_deterministic_per_seed(sig_abf):
 
 
 def test_generated_terms_check(sig_abf, sig_dep):
-    from ttkernel.nbe import normalize_tm
-    from ttkernel.normal import erase
-    from ttkernel.rewrite import rw_normalize
-    from ttkernel.syntax import alpha_eq
-
     for sig in (sig_abf, sig_dep):
-        rng = random.Random(8)
-        done = 0
-        while done < 150:
-            ctx = gen_context(sig, rng, max_len=3, size=4)
-            ty = gen_type(sig, ctx, rng, size=5)
-            try:
-                t = gen_term(sig, ctx, ty, 10, rng)
-            except GenerationStuck:
-                continue
-            done += 1
+        for ctx, ty, t in gen_cases(sig, 8, 150, 10, ty_size=5):
             check(sig, ctx, t, ty)
-            nbe_out = erase(normalize_tm(sig, ctx, ty, t))
-            assert alpha_eq(nbe_out, rw_normalize(sig, ctx, ty, t))
+            assert case_problem(sig, ctx, ty, t) is None, print_case(ctx, ty, t)
+
+
+def test_case_problem_names_each_property(sig_empty, monkeypatch):
+    ctx, ty = Context((Nat(),)), Nat()
+    t = App(Lam(Succ(Var(0))), Var(0))  # normal form: succ v0
+    assert case_problem(sig_empty, ctx, ty, t) is None
+
+    def problem_with(name, fake):
+        with monkeypatch.context() as m:
+            m.setattr(gen, name, fake)
+            return case_problem(sig_empty, ctx, ty, t)
+
+    def reject(*args):
+        raise CheckError("rejected")
+
+    normalize = gen.normalize_tm  # renormalizing the normal form gives zero
+    renormalize = lambda sig, c, a, u: normalize(sig, c, a, u) if u == t else ZeroNf()
+    assert problem_with("is_normal", lambda *args: False) == "not normal"
+    assert problem_with("oracle_equal", lambda *args: False) == "oracle disagrees"
+    assert problem_with("normalize_tm", renormalize) == "not idempotent"
+    assert problem_with("check", reject) == "normal form fails to recheck (rejected)"
 
 
 def test_gen_reaches_eliminators_and_spines(sig_abf):

@@ -22,6 +22,7 @@ from ttkernel.domain import (
     VSucc,
     VZero,
 )
+from ttkernel.gen import gen_cases
 from ttkernel.nbe import (
     apply,
     eval_tm,
@@ -389,19 +390,6 @@ def _audit_ne(ne):
 
 
 def test_no_neutral_value_at_function_type(sig_abf):
-    import random
-
-    from ttkernel.gen import GenerationStuck, gen_context, gen_term, gen_type
-
-    rng = random.Random(3)
-    done = 0
-    while done < 100:
-        ctx = gen_context(sig_abf, rng, max_len=3, size=4)
-        ty = gen_type(sig_abf, ctx, rng, size=5)
-        try:
-            t = gen_term(sig_abf, ctx, ty, 8, rng)
-        except GenerationStuck:
-            continue
-        done += 1
+    for ctx, ty, t in gen_cases(sig_abf, 3, 100, 8, ty_size=5):
         env = id_env(sig_abf, ctx)
         _audit_no_vne_at_function_type(eval_tm(sig_abf, env, t))

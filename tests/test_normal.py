@@ -1,6 +1,6 @@
 """Normal-form trees: erasure, renaming, the recognition predicate."""
 
-from ttkernel.gen import gen_renaming, gen_term, GenerationStuck
+from ttkernel.gen import gen_cases, gen_renaming, gen_term, GenerationStuck
 from ttkernel.nbe import normalize_tm, normalize_ty
 from ttkernel.normal import (
     AppNe,
@@ -119,20 +119,7 @@ def test_is_normal_ty(sig_abf):
 
 def test_roundtrip_unique_reconstruction(sig_abf):
     # the tree rebuilt from an erased normal form is the original tree
-    import random
-
-    from ttkernel.gen import gen_context, gen_type
-
-    rng = random.Random(11)
-    done = 0
-    while done < 100:
-        ctx = gen_context(sig_abf, rng, max_len=3, size=4)
-        ty = gen_type(sig_abf, ctx, rng, size=4)
-        try:
-            t = gen_term(sig_abf, ctx, ty, 8, rng)
-        except GenerationStuck:
-            continue
-        done += 1
+    for ctx, ty, t in gen_cases(sig_abf, 11, 100, 8):
         n = normalize_tm(sig_abf, ctx, ty, t)
         back = erase(normalize_ty(sig_abf, ctx, ty))
         assert to_nf(sig_abf, ctx, back, erase(n)) == n

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ttkernel import rewrite
 from ttkernel.check import check
 from ttkernel.errors import FuelExhausted
-from ttkernel.gen import GenerationStuck, enum_terms, gen_context, gen_term, gen_type
+from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, gen_term, gen_type
 from ttkernel.normal import is_normal
 from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize, step
 from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
@@ -181,16 +181,7 @@ def test_oracle_equal_basics(sig_empty):
 
 
 def test_output_is_normal_and_well_typed(sig_abf):
-    rng = random.Random(4)
-    done = 0
-    while done < 100:
-        ctx = gen_context(sig_abf, rng, max_len=3, size=4)
-        ty = gen_type(sig_abf, ctx, rng, size=4)
-        try:
-            t = gen_term(sig_abf, ctx, ty, 9, rng)
-        except GenerationStuck:
-            continue
-        done += 1
+    for ctx, ty, t in gen_cases(sig_abf, 4, 100, 9):
         out = rw_normalize(sig_abf, ctx, ty, t)
         assert is_normal(sig_abf, ctx, ty, out)
         check(sig_abf, ctx, out, ty)
