@@ -116,8 +116,3 @@ class NNatInd(Neutral):
 class NConst(Neutral):
     name: str
     args: tuple[Value, ...] = ()
-
-
-def env_lookup(env: Env, index: int) -> Value:
-    return env[len(env) - 1 - index]
-

@@ -27,7 +27,6 @@ from .domain import (
     VNe,
     VSucc,
     VZero,
-    env_lookup,
 )
 from .normal import (
     AppNe,
@@ -61,6 +60,8 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
+    peel,
+    rebuild,
 )
 
 
@@ -76,17 +77,20 @@ def eval_ty(sig: Signature, env: Env, ty: Ty) -> SemTy:
 
 
 def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
+    # the frequent classes are tested by identity before the rare ones
+    cls = t.__class__
+    if cls is Var:
+        return env[len(env) - 1 - t.index]
+    if cls is App:
+        return apply(sig, eval_tm(sig, env, t.fn), eval_tm(sig, env, t.arg))
+    if cls is Lam:
+        return VLam(Closure(env, t.body))
+    if cls is Succ:
+        n, base = peel(t, Succ)
+        return rebuild(VSucc, n, eval_tm(sig, env, base))
     match t:
-        case Var(i):
-            return env_lookup(env, i)
-        case Lam(body):
-            return VLam(Closure(env, body))
-        case App(f, a):
-            return apply(sig, eval_tm(sig, env, f), eval_tm(sig, env, a))
         case Zero():
             return VZero()
-        case Succ(p):
-            return VSucc(eval_tm(sig, env, p))
         case NatInd(scrut, motive, z, s):
             return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
         case TmConst(name, args):
@@ -99,23 +103,31 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
 
 
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
+    """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
+    the bottom of its successor chain, then the successor case folded
+    upward, innermost predecessor first."""
+    preds = []
+    while scrut.__class__ is VSucc:
+        scrut = scrut.pred
+        preds.append(scrut)
     match scrut:
         case VZero():
-            return eval_tm(sig, env, zcase)
-        case VSucc(p):
-            rec = _nat_ind(sig, env, motive, zcase, scase, p)
-            return eval_tm(sig, env + (p, rec), scase)
+            rec = eval_tm(sig, env, zcase)
         case VNe(_, ne):
             blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-            return reflect(eval_ty(sig, env + (scrut,), motive), blocked)
-    raise AssertionError(f"eliminating a non-Nat value: {scrut!r}")
+            rec = reflect(eval_ty(sig, env + (scrut,), motive), blocked)
+        case _:
+            raise AssertionError(f"eliminating a non-Nat value: {scrut!r}")
+    for p in reversed(preds):
+        rec = eval_tm(sig, env + (p, rec), scase)
+    return rec
 
 
 def apply(sig: Signature, fn: Value, arg: Value) -> Value:
     """Apply a semantic function value to an argument."""
-    assert isinstance(fn, VLam), f"applying a non-function: {fn!r}"
+    assert fn.__class__ is VLam, f"applying a non-function: {fn!r}"
     clo = fn.clo
-    if isinstance(clo, Closure):
+    if clo.__class__ is Closure:
         return eval_tm(sig, clo.env + (arg,), clo.body)
     result_ty = eval_ty(sig, clo.cod.env + (arg,), clo.cod.body)
     return reflect(result_ty, NApp(clo.ne, arg, clo.dom))
@@ -150,14 +162,13 @@ def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
             body_ty = eval_ty(sig, cod.env + (fresh,), cod.body)
             return LamNf(reify(sig, depth + 1, body_ty, body))
         case DNat():
-            match v:
+            n, base = peel(v, VSucc)
+            match base:
                 case VZero():
-                    return ZeroNf()
-                case VSucc(p):
-                    return SuccNf(reify(sig, depth, ty, p))
+                    return rebuild(SuccNf, n, ZeroNf())
                 case VNe(_, ne):
-                    return NeNat(reify_ne(sig, depth, ne))
-            raise AssertionError(f"not a Nat value: {v!r}")
+                    return rebuild(SuccNf, n, NeNat(reify_ne(sig, depth, ne)))
+            raise AssertionError(f"not a Nat value: {base!r}")
         case DConst(name, args):
             assert isinstance(v, VNe), f"not a neutral at a constant type: {v!r}"
             return NeConst(name, _reify_const_args(sig, depth, name, args), reify_ne(sig, depth, v.ne))

@@ -31,7 +31,10 @@ from .syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
+    peel,
+    rebuild,
     subst1,
+    succ_chain_eq,
 )
 
 
@@ -77,6 +80,8 @@ class ZeroNf(NfTm):
 @dataclass(frozen=True)
 class SuccNf(NfTm):
     pred: NfTm
+
+    __eq__ = succ_chain_eq
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,9 @@ def erase(n):
             return Lam(erase(b))
         case ZeroNf():
             return Zero()
-        case SuccNf(p):
-            return Succ(erase(p))
+        case SuccNf():
+            k, base = peel(n, SuccNf)
+            return rebuild(Succ, k, erase(base))
         case NeNat(e):
             return erase(e)
         case NeConst(_, _, e):
@@ -163,8 +169,9 @@ def _map_nf(n, depth: int, on_var):
             return TyConstNf(c, tuple(_map_nf(a, depth, on_var) for a in args))
         case LamNf(b):
             return LamNf(_map_nf(b, depth + 1, on_var))
-        case SuccNf(p):
-            return SuccNf(_map_nf(p, depth, on_var))
+        case SuccNf():
+            k, base = peel(n, SuccNf)
+            return rebuild(SuccNf, k, _map_nf(base, depth, on_var))
         case NeNat(e):
             return NeNat(_map_nf(e, depth, on_var))
         case NeConst(c, idx, e):
@@ -219,9 +226,10 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
             match t:
                 case Zero():
                     return ZeroNf()
-                case Succ(p):
-                    pnf = to_nf(sig, ctx, ty, p)
-                    return None if pnf is None else SuccNf(pnf)
+                case Succ():
+                    k, base = peel(t, Succ)
+                    nf = to_nf(sig, ctx, ty, base)
+                    return None if nf is None else rebuild(SuccNf, k, nf)
                 case _:
                     spine = _to_ne(sig, ctx, t)
                     if spine is None or not isinstance(spine[1], Nat):

@@ -37,6 +37,8 @@ from .syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
+    peel,
+    rebuild,
     shift,
     subst1,
     subst_many,
@@ -237,8 +239,9 @@ def _eta_tm(sig, ctx: Context, ty: Ty, t: Term, fuel: _Fuel) -> Term:
             match t:
                 case Zero():
                     return t
-                case Succ(p):
-                    return Succ(_eta_tm(sig, ctx, ty, p, fuel))
+                case Succ():
+                    k, base = peel(t, Succ)
+                    return rebuild(Succ, k, _eta_tm(sig, ctx, ty, base, fuel))
                 case _:
                     return _eta_ne(sig, ctx, t, fuel)[0]
         case TyConst(_, _):

@@ -45,6 +45,8 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
+    peel,
+    rebuild,
     shift,
     subst1,
     uses_index,
@@ -447,8 +449,11 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
     match stm:
         case SZero(_):
             return Zero()
-        case SSucc(a, _):
-            return Succ(elab_tm(sig, names, a))
+        case SSucc(_, _):
+            n = 0
+            while isinstance(stm, SSucc):
+                n, stm = n + 1, stm.arg
+            return rebuild(Succ, n, elab_tm(sig, names, stm))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):
@@ -532,12 +537,13 @@ def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
         case Zero():
             return "zero"
         case Succ(_):
-            depth, inner = 0, t
-            while isinstance(inner, Succ):
-                depth, inner = depth + 1, inner.pred
+            depth, inner = peel(t, Succ)
             if isinstance(inner, Zero):
                 return str(depth)
-            return _wrap(f"succ {print_tm(t.pred, names, 2)}", prec > 1)
+            s = print_tm(inner, names, 2)
+            for _ in range(depth - 1):
+                s = f"(succ {s})"
+            return _wrap(f"succ {s}", prec > 1)
         case Lam(body):
             x = _fresh(names)
             return _wrap(f"\\{x}. {print_tm(body, names + (x,), 0)}", prec > 0)

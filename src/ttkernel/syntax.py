@@ -12,6 +12,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# ---------------------------------------------------------------------------
+# Successor chains.  Numerals are chains of thousands of successor nodes, so
+# every layer walks them in a loop: peel the chain, handle its base once,
+# rebuild it bottom-up. ``cls`` is the successor class of the layer (Succ,
+# SuccNf, VSucc); each has one field, ``pred``.
+
+
+def peel(t, cls):
+    """``(n, base)``: ``t`` is ``n`` successors of class ``cls`` over ``base``."""
+    n = 0
+    while t.__class__ is cls:
+        n, t = n + 1, t.pred
+    return n, t
+
+
+def rebuild(cls, n: int, base):
+    """``n`` successors of class ``cls`` over ``base``."""
+    for _ in range(n):
+        base = cls(base)
+    return base
+
+
+def succ_chain_eq(a, b):
+    """Structural ``==`` of a successor class, peeling both chains in a loop."""
+    cls = a.__class__
+    if b.__class__ is not cls:
+        return NotImplemented
+    while a.__class__ is cls and b.__class__ is cls:
+        if a is b:
+            return True
+        a, b = a.pred, b.pred
+    return a == b
+
+
 class Ty:
     """Base class for types."""
 
@@ -62,6 +96,8 @@ class Zero(Term):
 class Succ(Term):
     pred: Term
 
+    __eq__ = succ_chain_eq
+
 
 @dataclass(frozen=True)
 class NatInd(Term):
@@ -105,10 +141,7 @@ class Context:
 
 
 def numeral(n: int) -> Term:
-    t: Term = Zero()
-    for _ in range(n):
-        t = Succ(t)
-    return t
+    return rebuild(Succ, n, Zero())
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +159,9 @@ def _map_term(t: Term, depth: int, on_var) -> Term:
             return App(_map_term(f, depth, on_var), _map_term(a, depth, on_var))
         case Zero():
             return t
-        case Succ(p):
-            return Succ(_map_term(p, depth, on_var))
+        case Succ():
+            n, base = peel(t, Succ)
+            return rebuild(Succ, n, _map_term(base, depth, on_var))
         case NatInd(n, motive, z, s):
             return NatInd(
                 _map_term(n, depth, on_var),

@@ -165,13 +165,32 @@ def test_fuzz_failure_is_replayable(good, monkeypatch, capsys):
 CHAIN = "def d0 : Nat -> Nat := \\n. succ n\n" + "".join(
     f"def d{j} : Nat -> Nat := \\n. d{j - 1} (d{j - 1} n)\n" for j in range(1, 10)
 )
-DEEP = {"mul 40 40": "mul 40 40", "1200": "1200", "600 nested succ": "succ (" * 600 + "zero" + ")" * 600}
+DEEP = {
+    "mul 40 40": (["normalize", "-e", "mul 40 40"], "1600"),
+    "1200": (["normalize", "-e", "1200"], "1200"),
+    "mul 100 100": (["normalize", "-e", "mul 100 100"], "10000"),
+    "mul 100 100 --oracle": (["normalize", "-e", "mul 100 100", "--oracle"], "10000"),
+    "equal mul 40 40": (["equal", "-e", "mul 40 40", "-e", "add (mul 40 20) (mul 40 20)"], "equal"),
+    "check chain d0..d9": (["check"], "ok: 10 declaration(s)"),
+}
 
 
-@pytest.mark.parametrize("case", [*DEEP, "check chain d0..d9"])
-def test_deep_input_is_resource_exhausted(good, tmp_path, capsys, case):
+@pytest.mark.parametrize("case", DEEP)
+def test_deep_input_works(good, tmp_path, capsys, case):
+    # successor chains are walked in loops, so these fit the default recursion limit
+    (command, *rest), want = DEEP[case]
     (tmp_path / "chain.tt").write_text(CHAIN)
-    argv = ["normalize", good, "-e", DEEP[case]] if case in DEEP else ["check", str(tmp_path / "chain.tt")]
+    argv = [command, str(tmp_path / "chain.tt") if command == "check" else good, *rest]
+    assert main(argv + ["--json"]) == 0
+    assert _json_of(capsys) == {"status": "ok", "output": want, "error": None}
+    assert main(argv) == 0
+    assert capsys.readouterr() == (want + "\n", "")
+
+
+@pytest.mark.parametrize("case", ["600 nested succ"])
+def test_deep_input_is_resource_exhausted(good, capsys, case):
+    # the parser still recurses once per parenthesis
+    argv = ["normalize", good, "-e", "succ (" * 600 + "zero" + ")" * 600]
     assert main(argv + ["--json"]) == 4
     out, err = capsys.readouterr()
     record = {"code": "resource_exhausted", "line": None, "col": None}

@@ -5,8 +5,11 @@ normalization structure, one per rule, by computing both sides
 independently and comparing their readbacks.
 """
 
+import sys
+
 import pytest
 
+from ttkernel.check import conv_tm, infer
 from ttkernel.domain import (
     Closure,
     DConst,
@@ -50,7 +53,11 @@ from ttkernel.normal import (
     VarNe,
     ZeroNf,
     erase,
+    is_normal,
+    rename_nf,
 )
+from ttkernel.rewrite import rw_normalize
+from ttkernel.surface import elab_tm, parse_expression, print_nf, print_tm
 from ttkernel.syntax import (
     App,
     Context,
@@ -58,6 +65,7 @@ from ttkernel.syntax import (
     Nat,
     NatInd,
     Pi,
+    Renaming,
     Succ,
     TmConst,
     TyConst,
@@ -393,3 +401,70 @@ def test_no_neutral_value_at_function_type(sig_abf):
     for ctx, ty, t in gen_cases(sig_abf, 3, 100, 8, ty_size=5):
         env = id_env(sig_abf, ctx)
         _audit_no_vne_at_function_type(eval_tm(sig_abf, env, t))
+
+
+# -- deep numerals
+
+
+def _with_frames_to_spare(frames, thunk):
+    """Run ``thunk`` with the recursion limit ``frames`` above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return thunk()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# the third eliminates a 1,000-successor scrutinee and substitutes a
+# 500-successor numeral under binders
+DEEP_NUMERALS = [("mul 30 30", 900), ("2000", 2000), ("add 1000 (mul 2 500)", 2000)]
+LAYERS = [
+    "elab_tm",
+    "infer",
+    "normalize_tm",
+    "erase",
+    "print_nf",
+    "print_tm",
+    "conv_tm",
+    "rw_normalize",
+    "is_normal",
+    "rename_nf",
+]
+
+
+@pytest.mark.parametrize("src, n", DEEP_NUMERALS)
+@pytest.mark.parametrize("layer", LAYERS)
+def test_deep_numeral_stack_follows_nesting(sig_walkthrough, layer, src, n):
+    # every layer walks a successor chain in a loop, so the stack a numeral
+    # needs does not grow with its value
+    sig, ctx = sig_walkthrough, Context()
+    stm = parse_expression(src)
+    t = elab_tm(sig, (), stm)
+    nf = ZeroNf()
+    for _ in range(n):
+        nf = SuccNf(nf)
+    assert normalize_tm(sig, ctx, Nat(), t) == nf
+    open_t = Var(0)  # n successors over a variable print as nested succ
+    for _ in range(n):
+        open_t = Succ(open_t)
+    calls = {
+        "elab_tm": (lambda: elab_tm(sig, (), stm), t),
+        "infer": (lambda: infer(sig, ctx, t), Nat()),
+        "normalize_tm": (lambda: normalize_tm(sig, ctx, Nat(), t), nf),
+        "erase": (lambda: erase(nf), numeral(n)),
+        "print_nf": (lambda: print_nf(nf), str(n)),
+        "print_tm": (lambda: print_tm(open_t, ("x",)), "succ " + "(succ " * (n - 1) + "x" + ")" * (n - 1)),
+        "conv_tm": (
+            lambda: (conv_tm(sig, ctx, Nat(), t, numeral(n)), conv_tm(sig, ctx, Nat(), t, numeral(n + 1))),
+            (True, False),
+        ),
+        "rw_normalize": (lambda: rw_normalize(sig, ctx, Nat(), t), numeral(n)),
+        "is_normal": (lambda: is_normal(sig, ctx, Nat(), numeral(n)), True),
+        "rename_nf": (lambda: rename_nf(Renaming.identity(ctx), nf), nf),
+    }
+    thunk, want = calls[layer]
+    assert _with_frames_to_spare(100, thunk) == want
