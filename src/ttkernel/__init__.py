@@ -29,7 +29,7 @@ from .syntax import (
 from .signature import Define, PostulateTm, PostulateTy, Signature, declare
 from .normal import NeTm, NfTm, NfTy, erase, is_normal, rename_nf
 from .nbe import normalize_tm, normalize_ty
-from .check import check, check_ty, conv_tm, conv_ty, infer
+from .check import check_ty, conv_tm, conv_ty, infer
 from .rewrite import oracle_equal, rw_normalize, step
 from .surface import elaborate, parse, print_nf
 
@@ -56,7 +56,6 @@ __all__ = [
     "Var",
     "Zero",
     "alpha_eq",
-    "check",
     "check_ty",
     "conv_tm",
     "conv_ty",

@@ -75,7 +75,11 @@ def _emit(args, status: str, output: str | None, error: KernelError | None, code
 
 def _load(path: str) -> Signature:
     with open(path, encoding="utf-8") as fh:
-        return elaborate(parse(fh.read()))
+        try:
+            source = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return elaborate(parse(source))
 
 
 def _expr_at(sig, text, ty_text):
@@ -173,7 +177,7 @@ def main(argv=None) -> int:
         return commands[args.command](args)
     except KernelError as e:
         err = e
-    except FileNotFoundError as e:
+    except OSError as e:
         err = KernelError(str(e))
     except RecursionError:
         err = ResourceExhausted("input too deep: recursion limit exceeded")

@@ -9,28 +9,29 @@ evaluates to ``env[len(env) - 1 - i]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .syntax import Term, Ty
+from .syntax import Node, Term, Ty, node
 
 
-class SemTy:
+class SemTy(Node):
     """Semantic types."""
+    __slots__ = ()
 
 
-class Value:
+class Value(Node):
     """Semantic values."""
+    __slots__ = ()
 
 
-class Neutral:
+class Neutral(Node):
     """Blocked eliminations over de Bruijn levels."""
+    __slots__ = ()
 
 
 Env = tuple  # of Value, outermost binder first
 
 
-@dataclass(frozen=True)
-class Closure:
+@node
+class Closure(Node):
     """A body under a captured environment: a term or a type binding one
     variable (a lambda, a codomain, a motive) or a term binding two (the
     successor case of the eliminator)."""
@@ -39,8 +40,8 @@ class Closure:
     body: Term | Ty
 
 
-@dataclass(frozen=True)
-class ReflectClosure:
+@node
+class ReflectClosure(Node):
     """The defunctionalized function ``d -> reflect(cod(d), ne d)``.
 
     Produced by reflect at a function type; ``dom`` is recorded so that
@@ -52,39 +53,39 @@ class ReflectClosure:
     cod: Closure
 
 
-@dataclass(frozen=True)
+@node
 class DPi(SemTy):
     dom: SemTy
     cod: Closure
 
 
-@dataclass(frozen=True)
+@node
 class DNat(SemTy):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class DConst(SemTy):
     name: str
     args: tuple[Value, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class VLam(Value):
     clo: Closure | ReflectClosure
 
 
-@dataclass(frozen=True)
+@node
 class VZero(Value):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class VSucc(Value):
     pred: Value
 
 
-@dataclass(frozen=True)
+@node
 class VNe(Value):
     """A neutral embedded in a base type (never at a function type)."""
 
@@ -92,19 +93,19 @@ class VNe(Value):
     ne: Neutral
 
 
-@dataclass(frozen=True)
+@node
 class NVar(Neutral):
     level: int
 
 
-@dataclass(frozen=True)
+@node
 class NApp(Neutral):
     fn: Neutral
     arg: Value
     arg_ty: SemTy
 
 
-@dataclass(frozen=True)
+@node
 class NNatInd(Neutral):
     scrut: Neutral
     motive: Closure
@@ -112,7 +113,7 @@ class NNatInd(Neutral):
     scase: Closure
 
 
-@dataclass(frozen=True)
+@node
 class NConst(Neutral):
     name: str
     args: tuple[Value, ...] = ()

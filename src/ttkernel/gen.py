@@ -41,6 +41,7 @@ from .syntax import (
     node_count,
     rename_with,
     shift,
+    split_pi,
     subst1,
     uses_index,
 )
@@ -100,19 +101,11 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
     raise GenerationStuck(f"no inhabitant found at {ty!r}")
 
 
-def _peel(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
-    tele = []
-    while isinstance(ty, Pi):
-        tele.append(ty.dom)
-        ty = ty.cod
-    return tuple(tele), ty
-
-
 def _spine_heads(sig, ctx, ty):
     """Heads whose result type can be made to match ``ty``."""
     heads = []
     for i in range(len(ctx)):
-        tele, result = _peel(ctx.var_type(i))
+        tele, result = split_pi(ctx.var_type(i))
         binds = _match_result(result, ty, len(tele))
         if binds is not None:
             heads.append((Var(i), tele, binds))

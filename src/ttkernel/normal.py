@@ -10,8 +10,6 @@ of the type constant's arguments alongside the neutral itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -19,6 +17,7 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Renaming,
     Succ,
@@ -31,67 +30,68 @@ from .syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
+    node,
     peel,
     rebuild,
     subst1,
-    succ_chain_eq,
 )
 
 
-class NfTy:
+class NfTy(Node):
     """Normal types."""
+    __slots__ = ()
 
 
-class NfTm:
+class NfTm(Node):
     """Normal terms."""
+    __slots__ = ()
 
 
-class NeTm:
+class NeTm(Node):
     """Neutral terms: blocked eliminations headed by a variable or constant."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class FunNf(NfTy):
     dom: NfTy
     cod: NfTy  # binds 1
 
 
-@dataclass(frozen=True)
+@node
 class NatNf(NfTy):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class TyConstNf(NfTy):
     name: str
     args: tuple[NfTm, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class LamNf(NfTm):
     body: NfTm  # binds 1
 
 
-@dataclass(frozen=True)
+@node
 class ZeroNf(NfTm):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class SuccNf(NfTm):
     pred: NfTm
 
-    __eq__ = succ_chain_eq
 
-
-@dataclass(frozen=True)
+@node
 class NeNat(NfTm):
     """A neutral coerced to normal form at type Nat."""
 
     ne: NeTm
 
 
-@dataclass(frozen=True)
+@node
 class NeConst(NfTm):
     """A neutral coerced to normal form at a type constant.
 
@@ -103,18 +103,18 @@ class NeConst(NfTm):
     ne: NeTm
 
 
-@dataclass(frozen=True)
+@node
 class VarNe(NeTm):
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class AppNe(NeTm):
     fn: NeTm
     arg: NfTm
 
 
-@dataclass(frozen=True)
+@node
 class NatIndNe(NeTm):
     scrut: NeTm
     motive: NfTy  # binds 1
@@ -122,7 +122,7 @@ class NatIndNe(NeTm):
     scase: NfTm  # binds 2
 
 
-@dataclass(frozen=True)
+@node
 class TmConstNe(NeTm):
     name: str
     args: tuple[NfTm, ...] = ()

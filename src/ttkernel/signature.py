@@ -8,40 +8,38 @@ never mention other definitions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DuplicateName, UnknownName
-from .syntax import Context, Term, Ty
+from .syntax import Context, Node, Term, Ty, node
 
 
-class Declaration:
+class Declaration(Node):
     """Base class for signature entries."""
-
+    __slots__ = ()
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class PostulateTy(Declaration):
     name: str
     params: tuple[Ty, ...] = ()  # telescope
 
 
-@dataclass(frozen=True)
+@node
 class PostulateTm(Declaration):
     name: str
     params: tuple[Ty, ...]
     result: Ty  # scoped in params
 
 
-@dataclass(frozen=True)
+@node
 class Define(Declaration):
     name: str
     declared_type: Ty
     body: Term
 
 
-@dataclass(frozen=True)
-class Signature:
+@node
+class Signature(Node):
     decls: tuple[Declaration, ...] = ()
 
     def get(self, name: str) -> Declaration | None:

@@ -20,8 +20,6 @@ Numerals desugar to iterated successors; "--" comments to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ArityMismatch, CheckError, ParseError, UnknownName
 from .signature import (
     Declaration,
@@ -37,6 +35,7 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
     Term,
@@ -45,9 +44,11 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
+    node,
     peel,
     rebuild,
     shift,
+    split_pi,
     subst1,
     uses_index,
 )
@@ -57,8 +58,8 @@ KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
 _PUNCT = (":=", "->", "=>", "(", ")", ":", ";", ".", "\\")
 
 
-@dataclass(frozen=True)
-class Token:
+@node
+class Token(Node):
     kind: str
     text: str
     line: int
@@ -116,39 +117,39 @@ def tokenize(source: str) -> list[Token]:
 # Surface trees (named variables, with source locations)
 
 
-@dataclass(frozen=True)
-class SVar:
+@node
+class SVar(Node):
     name: str
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SZero:
+@node
+class SZero(Node):
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SSucc:
-    arg: object
+@node
+class SSucc(Node):
+    pred: object
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SLam:
+@node
+class SLam(Node):
     param: str
     body: object
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SApp:
+@node
+class SApp(Node):
     fn: object
     arg: object
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SInd:
+@node
+class SInd(Node):
     scrut: object
     motive_var: str
     motive: object
@@ -159,42 +160,42 @@ class SInd:
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class STyNat:
+@node
+class STyNat(Node):
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class STyName:
+@node
+class STyName(Node):
     name: str
     args: tuple
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class STyPi:
+@node
+class STyPi(Node):
     param: str | None  # None for the non-dependent arrow sugar
     dom: object
     cod: object
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SPostulateTy:
+@node
+class SPostulateTy(Node):
     name: str
     params: tuple  # of (name, surface type)
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SPostulateTm:
+@node
+class SPostulateTm(Node):
     name: str
     ty: object
     loc: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SDefine:
+@node
+class SDefine(Node):
     name: str
     ty: object
     body: object
@@ -416,12 +417,7 @@ def _elab_decl(sig: Signature, d) -> Declaration:
                 names += (pname,)
             return PostulateTy(name, tuple(tys))
         case SPostulateTm(name, sty, _):
-            ty = elab_ty(sig, (), sty)
-            params = []
-            while isinstance(ty, Pi):
-                params.append(ty.dom)
-                ty = ty.cod
-            return PostulateTm(name, tuple(params), ty)
+            return PostulateTm(name, *split_pi(elab_ty(sig, (), sty)))
         case SDefine(name, sty, sbody, _):
             return Define(name, elab_ty(sig, (), sty), elab_tm(sig, (), sbody))
     raise AssertionError(f"not a declaration: {d!r}")
@@ -450,10 +446,8 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
         case SZero(_):
             return Zero()
         case SSucc(_, _):
-            n = 0
-            while isinstance(stm, SSucc):
-                n, stm = n + 1, stm.arg
-            return rebuild(Succ, n, elab_tm(sig, names, stm))
+            n, base = peel(stm, SSucc)
+            return rebuild(Succ, n, elab_tm(sig, names, base))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):

@@ -2,14 +2,83 @@
 
 Terms and types are well-scoped de Bruijn trees: ``Var(0)`` is the
 innermost binder. A context is a telescope ordered outermost-first, so
-``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. Everything is an
-immutable, hashable dataclass; structural equality is alpha-equivalence
-for free.
+``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. Every node is a
+slotted dataclass on the ``Node`` base, which the kernel never mutates;
+structural equality is alpha-equivalence for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+node = dataclass(slots=True, eq=False, repr=False)  # Node supplies ==, hash and repr
+
+
+class Node:
+    """Base of every tree class: structural ``==``, ``hash`` and dataclass-style
+    ``repr``. Trees are as deep as their numerals, so all three walk them with an
+    explicit stack over each class's fields (``__match_args__``), never recursing."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        xs, ys = [self], [other]
+        while xs:
+            a, b = xs.pop(), ys.pop()
+            if a is b:
+                continue
+            cls = a.__class__
+            if cls is not b.__class__ or cls is tuple and len(a) != len(b):
+                return False
+            if cls is tuple:
+                xs += a
+                ys += b
+            elif isinstance(a, Node):
+                for name in cls.__match_args__:
+                    xs.append(getattr(a, name))
+                    ys.append(getattr(b, name))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self):  # equal trees walk alike
+        shape = (len(x) if x.__class__ is tuple else x.__class__ if isinstance(x, Node) else x
+                 for x in walk(self))
+        return hash(tuple(shape))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if x.__class__ is str:  # text ready to print
+                out.append(x)
+                continue
+            if x.__class__ is tuple:
+                out.append("(")
+                stack.append(",)" if len(x) == 1 else ")")
+                fields = [("", y) for y in x]
+            else:
+                out.append(x.__class__.__qualname__ + "(")
+                stack.append(")")
+                fields = [(name + "=", getattr(x, name)) for name in x.__match_args__]
+            for i, (label, y) in reversed(list(enumerate(fields))):
+                stack.append(y if isinstance(y, (Node, tuple)) else repr(y))
+                stack.append(", " + label if i else label)
+        return "".join(out)
+
+
+def walk(t):
+    """Every node, tuple and field value in ``t``, depth-first, ``t`` first."""
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        yield x
+        if x.__class__ is tuple:
+            stack += x
+        elif isinstance(x, Node):
+            stack += [getattr(x, name) for name in x.__match_args__]
 
 
 # ---------------------------------------------------------------------------
@@ -34,72 +103,60 @@ def rebuild(cls, n: int, base):
     return base
 
 
-def succ_chain_eq(a, b):
-    """Structural ``==`` of a successor class, peeling both chains in a loop."""
-    cls = a.__class__
-    if b.__class__ is not cls:
-        return NotImplemented
-    while a.__class__ is cls and b.__class__ is cls:
-        if a is b:
-            return True
-        a, b = a.pred, b.pred
-    return a == b
-
-
-class Ty:
+class Ty(Node):
     """Base class for types."""
+    __slots__ = ()
 
 
-class Term:
+class Term(Node):
     """Base class for terms."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Pi(Ty):
     dom: Ty
     cod: Ty  # binds 1
 
 
-@dataclass(frozen=True)
+@node
 class Nat(Ty):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class TyConst(Ty):
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@node
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@node
 class Lam(Term):
     body: Term  # binds 1
 
 
-@dataclass(frozen=True)
+@node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@node
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Succ(Term):
     pred: Term
 
-    __eq__ = succ_chain_eq
 
-
-@dataclass(frozen=True)
+@node
 class NatInd(Term):
     """Fully annotated eliminator for Nat.
 
@@ -114,14 +171,14 @@ class NatInd(Term):
     scase: Term  # binds 2
 
 
-@dataclass(frozen=True)
+@node
 class TmConst(Term):
     name: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
-class Context:
+@node
+class Context(Node):
     """A telescope: entry i is scoped over the entries before it."""
 
     entries: tuple[Ty, ...] = ()
@@ -142,6 +199,15 @@ class Context:
 
 def numeral(n: int) -> Term:
     return rebuild(Succ, n, Zero())
+
+
+def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
+    """``(params, result)``: ``ty`` is the Pi type over ``params`` returning ``result``."""
+    params = []
+    while isinstance(ty, Pi):
+        params.append(ty.dom)
+        ty = ty.cod
+    return tuple(params), ty
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +318,7 @@ def uses_index(t, i: int) -> bool:
 
 def node_count(t) -> int:
     """Size of a term or type: nodes including binders."""
-    match t:
-        case Var(_) | Zero() | Nat():
-            return 1
-        case Lam(b):
-            return 1 + node_count(b)
-        case Succ(p):
-            return 1 + node_count(p)
-        case App(f, a):
-            return 1 + node_count(f) + node_count(a)
-        case NatInd(n, motive, z, s):
-            return 1 + node_count(n) + node_count(motive) + node_count(z) + node_count(s)
-        case TmConst(_, args) | TyConst(_, args):
-            return 1 + sum(node_count(a) for a in args)
-        case Pi(dom, cod):
-            return 1 + node_count(dom) + node_count(cod)
-    raise AssertionError(f"not syntax: {t!r}")
+    return sum(isinstance(x, Node) for x in walk(t))
 
 
 def alpha_eq(a, b) -> bool:
@@ -290,8 +341,8 @@ def rename_with(mapping: tuple[int, ...], t):
     return _map(t, on_var)
 
 
-@dataclass(frozen=True)
-class Renaming:
+@node
+class Renaming(Node):
     """A type-respecting variable map between contexts.
 
     ``map[i]`` is the target index of source variable i. Weakening,

@@ -36,6 +36,12 @@ NN = Pi(Nat(), Nat())
 A = TyConst("A")
 
 
+def test_package_attribute_check_is_the_module():
+    import ttkernel.check
+
+    assert ttkernel.check.infer is infer
+
+
 def test_check_ty_nat(sig_empty):
     check_ty(sig_empty, Context(), Nat())
 

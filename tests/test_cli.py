@@ -149,6 +149,25 @@ def test_missing_file_is_an_error(tmp_path, capsys):
     assert _json_of(capsys)["status"] == "error"
 
 
+UNREADABLE = {  # how to make the file, then the exit code, status and error code
+    "directory": (lambda p: p.mkdir(), 1, "error", "error"),
+    "not UTF-8": (lambda p: p.write_bytes(b"\xff\xfe"), 2, "parse-error", "parse_error"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_file_is_an_error(tmp_path, capsys, case):
+    make, exit_code, status, code = UNREADABLE[case]
+    make(tmp_path / "input.tt")
+    argv = ["check", str(tmp_path / "input.tt")]
+    assert main(argv + ["--json"]) == exit_code
+    error = {"code": code, "line": None, "col": None}
+    assert _json_of(capsys) == {"status": status, "output": None, "error": error}
+    assert main(argv) == exit_code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error[{code}]: ") and "input.tt" in err
+
+
 def test_fuzz_failure_is_replayable(good, monkeypatch, capsys):
     monkeypatch.setattr(gen, "oracle_equal", lambda *args: False)
     assert main(["fuzz", good, "--count", "3", "--seed", "0", "--json"]) == 1

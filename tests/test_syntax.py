@@ -1,18 +1,29 @@
-"""Core syntax: renamings, substitution, alpha-equivalence."""
+"""Core syntax: renamings, substitution, alpha-equivalence, the node base."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkernel import domain, normal, signature, surface, syntax
+from ttkernel.domain import VSucc, VZero
+from ttkernel.gen import gen_cases
+from ttkernel.nbe import normalize_tm
+from ttkernel.normal import SuccNf, VarNe, ZeroNf
+from ttkernel.signature import Signature
 from ttkernel.syntax import (
     App,
     Context,
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Renaming,
     Succ,
+    TmConst,
+    TyConst,
     Var,
     Zero,
     alpha_eq,
@@ -20,9 +31,11 @@ from ttkernel.syntax import (
     motive_succ_case,
     node_count,
     numeral,
+    rebuild,
     rename,
     shift,
     subst1,
+    subst_many,
     uses_index,
 )
 
@@ -117,6 +130,7 @@ def test_node_count():
     assert node_count(numeral(3)) == 4
     assert node_count(Lam(Var(0))) == 2
     assert node_count(NatInd(Zero(), Nat(), Zero(), Var(0))) == 5
+    assert node_count(TmConst("f", (Var(0), Zero()))) == 3
 
 
 def test_uses_index():
@@ -202,3 +216,80 @@ def test_shift_then_subst_cancels(data):
     n = data.draw(st.integers(0, 3))
     t = data.draw(scoped_terms(n))
     assert subst1(shift(t, 1), Zero()) == t
+
+
+# -- the node base: structural ==, hash and repr without recursion
+
+DEEP = 10**5
+DEEP_CHAINS = {
+    "numeral": lambda: numeral(DEEP),
+    "SuccNf normal form": lambda: normalize_tm(Signature(), Context(), Nat(), numeral(DEEP)),
+    "VSucc chain": lambda: rebuild(VSucc, DEEP, VZero()),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CHAINS)
+def test_deep_chain_eq_hash_repr(case):
+    a, b = DEEP_CHAINS[case](), DEEP_CHAINS[case]()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != a.pred and a.pred != a
+    name, base = a.__class__.__name__, {"Succ": "Zero()", "SuccNf": "ZeroNf()", "VSucc": "VZero()"}
+    assert repr(a) == f"{name}(pred=" * DEEP + base[name] + ")" * DEEP
+
+
+def test_repr_is_the_dataclass_format():
+    assert repr(TmConst("f", (Var(0),))) == "TmConst(name='f', args=(Var(index=0),))"
+    assert repr(TyConst("B", (Var(0), Zero()))) == "TyConst(name='B', args=(Var(index=0), Zero()))"
+    assert repr(TyConst("A")) == "TyConst(name='A', args=())"
+    assert repr(Context((Nat(),))) == "Context(entries=(Nat(),))"
+    assert repr(surface.parse_type("(x : Nat) -> A")) == (
+        "STyPi(param='x', dom=STyNat(loc=(1, 6)), cod=STyName(name='A', args=(), loc=(1, 14)), "
+        "loc=(1, 1))"
+    )
+
+
+def test_eq_compares_classes_lengths_and_leaves():
+    assert Var(0) != VarNe(0) and VarNe(0) != Var(0)
+    assert Succ(Zero()) != SuccNf(ZeroNf())
+    assert Context((Nat(),)) != Context((Nat(), Nat()))
+    assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
+    assert Var(0) != 0 and Context() != ()
+
+
+def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
+    for _, _, t in gen_cases(sig_walkthrough, 0, 200, 9):
+        if isinstance(t, Zero):
+            continue  # substitution returns a bare Zero() itself
+        copy = subst_many(t, ())
+        assert copy is not t and copy == t and hash(copy) == hash(t)
+
+
+NODE_MODULES = (syntax, normal, domain, signature, surface)
+ABSTRACT_NODES = {
+    Node,
+    syntax.Ty,
+    syntax.Term,
+    normal.NfTy,
+    normal.NfTm,
+    normal.NeTm,
+    domain.SemTy,
+    domain.Value,
+    domain.Neutral,
+    signature.Declaration,
+}
+
+
+def test_every_node_class_is_a_slotted_dataclass():
+    classes = [
+        c
+        for m in NODE_MODULES
+        for c in vars(m).values()
+        if isinstance(c, type) and c.__module__ == m.__name__ and c is not surface._Parser
+    ]
+    concrete = [c for c in classes if c not in ABSTRACT_NODES]
+    assert len(concrete) == 54
+    for c in concrete:
+        assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
+        assert not hasattr(object.__new__(c), "__dict__"), c
+    for c in ABSTRACT_NODES:
+        assert vars(c)["__slots__"] == (), c
