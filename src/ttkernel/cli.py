@@ -54,6 +54,17 @@ def _fuel() -> int:
     return int(text)
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of --count and --size: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
+    return n
+
+
 def _emit(args, status: str, output: str | None, error: KernelError | None, code: int) -> int:
     if args.json:
         record = {
@@ -159,9 +170,9 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="run the property suites")
     p_fuzz.add_argument("file")
-    p_fuzz.add_argument("--count", type=int, default=100)
+    p_fuzz.add_argument("--count", type=_non_negative, default=100)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--size", type=int, default=8)
+    p_fuzz.add_argument("--size", type=_non_negative, default=8)
 
     for p in (p_check, p_norm, p_eq, p_fuzz):
         p.add_argument("--json", action="store_true")

@@ -3,10 +3,13 @@
 
 Generation is by typed synthesis: lambdas at function types, then a
 weighted choice among constructors and spines whose (possibly
-instantiated) result type matches the target. Enumeration goes the
-other way: every well-scoped tree up to a node-count bound is produced
-and filtered through the kernel checker, which makes completeness
-immediate; the checker types beta-redexes, so the corpus has them.
+instantiated) result type matches the target. Enumeration is typed too:
+it builds, size by size, only the terms and types the kernel checker
+accepts, by the checker's own rules (conversion included, so a term that
+fits the target only up to conversion is kept). The tests hold it to a
+reference that filters every well-scoped tree through the checker: the
+same lists, in the same order. The checker types beta-redexes, so the
+corpus has them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .check import check, check_ty
+from .check import check, check_ty, conv_ty
 from .errors import KernelError
 from .nbe import normalize_tm
 from .normal import erase, is_normal
@@ -415,99 +418,139 @@ def case_problem(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
 # Exhaustive enumeration
 
 
-class _RawEnum:
-    """All well-scoped trees of an exact node count, memoized by depth."""
+class _TypedEnum:
+    """Well-typed terms and well-formed types of an exact node count, built by
+    ``check``'s rules one for one and memoized for one enumeration.
+
+    Every entry carries a key: its position in the order of the reference
+    enumeration over all well-scoped trees (constructor block, then the sizes
+    of the parts, then the parts' keys). Each memo list is sorted by key, so
+    the output is the reference's filtered list, in its order.
+    """
 
     def __init__(self, sig: Signature):
+        self.sig = sig
         self.tm_consts = [d for d in sig.decls if isinstance(d, PostulateTm)]
         self.ty_consts = [d for d in sig.decls if isinstance(d, PostulateTy)]
-        self._terms: dict[tuple[int, int], tuple] = {}
-        self._types: dict[tuple[int, int], tuple] = {}
+        self._lists: dict = {}  # (builder name, arguments) -> its entries, sorted by key
+        self._fits: dict = {}  # (ctx, ty) -> {inferred type: whether check accepts it at ty}
 
-    def terms(self, n: int, s: int) -> tuple:
-        key = (n, s)
-        if key in self._terms:
-            return self._terms[key]
-        out: list[Term] = []
+    def inferable(self, ctx: Context, s: int) -> list:
+        """``(key, term, type)`` for every term of size ``s`` that infers ``type``."""
+        return self._memo(self._infer_new, ctx, s)
+
+    def checkable(self, ctx: Context, ty: Ty, s: int) -> list:
+        """``(key, term)`` for every term of size ``s`` that checks at ``ty``."""
+        return self._memo(self._check_new, ctx, ty, s)
+
+    def types(self, ctx: Context, s: int) -> list:
+        """``(key, type)`` for every well-formed type of size ``s``."""
+        return self._memo(self._types_new, ctx, s)
+
+    def _memo(self, build, *args):
+        memo = (build.__name__, *args)
+        got = self._lists.get(memo)
+        if got is None:
+            got = self._lists[memo] = sorted(build(*args), key=_key)
+        return got
+
+    def _infer_new(self, ctx, s):
         if s == 1:
-            out += [Var(i) for i in range(n)]
-            out.append(Zero())
-            out += [TmConst(d.name) for d in self.tm_consts if not d.params]
-        elif s >= 2:
-            out += [Succ(p) for p in self.terms(n, s - 1)]
-            out += [Lam(b) for b in self.terms(n + 1, s - 1)]
-            for s1 in range(1, s - 1):
-                for f in self.terms(n, s1):
-                    out += [App(f, a) for a in self.terms(n, s - 1 - s1)]
-            for d in self.tm_consts:
-                if d.params:
-                    out += [
-                        TmConst(d.name, args)
-                        for args in self._arg_tuples(n, len(d.params), s - 1)
-                    ]
-            for sizes in _compositions(s - 1, 4):
-                for scrut in self.terms(n, sizes[0]):
-                    for motive in self.types(n + 1, sizes[1]):
-                        for z in self.terms(n, sizes[2]):
-                            out += [
-                                NatInd(scrut, motive, z, sc)
-                                for sc in self.terms(n + 2, sizes[3])
-                            ]
-        result = tuple(out)
-        self._terms[key] = result
-        return result
+            yield from (((0, i), Var(i), ctx.var_type(i)) for i in range(len(ctx)))
+            yield (1,), Zero(), Nat()
+            for j, d in enumerate(self.tm_consts):
+                if not d.params:
+                    yield (2, j), TmConst(d.name), inst_params(d.result, ())
+            return
+        for k, p in self.checkable(ctx, Nat(), s - 1):
+            yield (0, k), Succ(p), Nat()
+        for s1 in range(1, s - 1):
+            s2 = s - 1 - s1
+            for kf, f, f_ty in self.inferable(ctx, s1):
+                if isinstance(f_ty, Pi):
+                    for ka, a in self.checkable(ctx, f_ty.dom, s2):
+                        yield (2, s1, kf, ka), App(f, a), subst1(f_ty.cod, a)
+            if s1 >= 2:  # beta-redexes: the argument's type is the binder's type
+                for ka, a, a_ty in self.inferable(ctx, s2):
+                    for kb, body, b_ty in self.inferable(ctx.extend(a_ty), s1 - 1):
+                        yield (2, s1, (1, kb), ka), App(Lam(body), a), subst1(b_ty, a)
+        for j, d in enumerate(self.tm_consts):
+            if d.params:
+                for k, args in self._parts(self._arg_slots(ctx, d.params), s - 1):
+                    yield (3, j) + k, TmConst(d.name, args), inst_params(d.result, args)
+        ind_slots = (
+            lambda done, sz: self.checkable(ctx, Nat(), sz),
+            lambda done, sz: self.types(ctx.extend(Nat()), sz),
+            lambda done, sz: self.checkable(ctx, subst1(done[1], Zero()), sz),
+            lambda done, sz: self.checkable(
+                ctx.extend(Nat()).extend(done[1]), motive_succ_case(done[1]), sz
+            ),
+        )
+        for k, (scrut, motive, zcase, scase) in self._parts(ind_slots, s - 1):
+            yield (4,) + k, NatInd(scrut, motive, zcase, scase), subst1(motive, scrut)
 
-    def types(self, n: int, s: int) -> tuple:
-        key = (n, s)
-        if key in self._types:
-            return self._types[key]
-        out: list[Ty] = []
+    def _check_new(self, ctx, ty, s):
+        if isinstance(ty, Pi) and s >= 2:
+            for k, body in self.checkable(ctx.extend(ty.dom), ty.cod, s - 1):
+                yield (1, k), Lam(body)
+        fits = self._fits.setdefault((ctx, ty), {})
+        for k, t, actual in self.inferable(ctx, s):
+            ok = fits.get(actual)
+            if ok is None:  # check's last step, once per inferred type
+                ok = fits[actual] = actual == ty or conv_ty(self.sig, ctx, ty, actual)
+            if ok:
+                yield k, t
+
+    def _types_new(self, ctx, s):
         if s == 1:
-            out.append(Nat())
-            out += [TyConst(d.name) for d in self.ty_consts if not d.params]
-        elif s >= 2:
-            for d in self.ty_consts:
-                if d.params:
-                    out += [
-                        TyConst(d.name, args)
-                        for args in self._arg_tuples(n, len(d.params), s - 1)
-                    ]
-            for s1 in range(1, s - 1):
-                for dom in self.types(n, s1):
-                    out += [Pi(dom, cod) for cod in self.types(n + 1, s - 1 - s1)]
-        result = tuple(out)
-        self._types[key] = result
-        return result
+            yield (0,), Nat()
+            for j, d in enumerate(self.ty_consts):
+                if not d.params:
+                    yield (1, j), TyConst(d.name)
+            return
+        for j, d in enumerate(self.ty_consts):
+            if d.params:
+                for k, args in self._parts(self._arg_slots(ctx, d.params), s - 1):
+                    yield (0, j) + k, TyConst(d.name, args)
+        for s1 in range(1, s - 1):
+            for kd, dom in self.types(ctx, s1):
+                for kc, cod in self.types(ctx.extend(dom), s - 1 - s1):
+                    yield (1, s1, kd, kc), Pi(dom, cod)
 
-    def _arg_tuples(self, n: int, k: int, budget: int):
-        for sizes in _compositions(budget, k):
-            yield from product(*(self.terms(n, sz) for sz in sizes))
+    def _arg_slots(self, ctx, params):
+        # argument i checks at its parameter instantiated by the arguments before it
+        return tuple(
+            lambda done, sz, p=p: self.checkable(ctx, inst_params(p, done), sz) for p in params
+        )
+
+    def _parts(self, slots, budget, done=(), sizes=(), keys=()):
+        """``(sizes + keys, parts)`` for every tuple of parts, one per slot, of
+        ``budget`` nodes in all; a slot maps the parts before it and a size to
+        the ``(key, part)`` list of that size."""
+        i = len(done)
+        if i == len(slots):
+            yield sizes + keys, done
+            return
+        last = i == len(slots) - 1
+        for sz in range(budget if last else 1, budget - (len(slots) - 1 - i) + 1):
+            for k, part in slots[i](done, sz):
+                yield from self._parts(
+                    slots, budget - sz, done + (part,), sizes + (sz,), keys + (k,)
+                )
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` positive integers summing to ``total``."""
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _key(entry):
+    return entry[0]
 
 
 def enum_terms(sig: Signature, ctx: Context, ty: Ty, max_size: int) -> list[Term]:
-    """Every well-typed term at ``ty`` with node count <= ``max_size``."""
-    raw = _RawEnum(sig)
-    out = []
-    for s in range(1, max_size + 1):
-        out += [t for t in raw.terms(len(ctx), s) if typable(sig, ctx, t, ty)]
-    return out
+    """Every well-typed term at ``ty`` with node count <= ``max_size``, by
+    size and then in the reference enumeration's order."""
+    typed = _TypedEnum(sig)
+    return [t for s in range(1, max_size + 1) for _, t in typed.checkable(ctx, ty, s)]
 
 
 def enum_types(sig: Signature, ctx: Context, max_size: int) -> list[Ty]:
-    """Every well-formed type with node count <= ``max_size``."""
-    raw = _RawEnum(sig)
-    out = []
-    for s in range(1, max_size + 1):
-        out += [ty for ty in raw.types(len(ctx), s) if _accepts(check_ty, sig, ctx, ty)]
-    return out
+    """Every well-formed type with node count <= ``max_size``, in the same order."""
+    typed = _TypedEnum(sig)
+    return [ty for s in range(1, max_size + 1) for _, ty in typed.types(ctx, s)]

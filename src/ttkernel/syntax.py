@@ -22,8 +22,12 @@ class Node:
     __slots__ = ()
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if not self.__match_args__:  # no fields: one class, one value
+            return True
         xs, ys = [self], [other]
         while xs:
             a, b = xs.pop(), ys.pop()
@@ -44,6 +48,8 @@ class Node:
         return True
 
     def __hash__(self):  # equal trees walk alike
+        if not self.__match_args__:
+            return hash((self.__class__,))
         shape = (len(x) if x.__class__ is tuple else x.__class__ if isinstance(x, Node) else x
                  for x in walk(self))
         return hash(tuple(shape))

@@ -13,6 +13,19 @@ def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
 def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
 """
 
+# Postulates, a type family over A, a Nat-indexed family and definitions
+# (inlined, so their uses are redexes): the cross-validation signature.
+CROSSVAL = r"""
+postulate A
+postulate B (x : A)
+postulate f : (x : A) -> B x
+postulate C (n : Nat)
+postulate c0 : C zero
+postulate h : (n : Nat) -> C n
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def twice : Nat -> Nat := \n. add n n
+"""
+
 
 @pytest.fixture(scope="session")
 def sig_empty():
@@ -29,6 +42,11 @@ def sig_abf():
 @pytest.fixture(scope="session")
 def sig_walkthrough():
     return elaborate(parse(WALKTHROUGH))
+
+
+@pytest.fixture(scope="session")
+def sig_crossval():
+    return elaborate(parse(CROSSVAL))
 
 
 @pytest.fixture(scope="session")

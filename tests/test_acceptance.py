@@ -79,6 +79,8 @@ from ttkernel.syntax import (
     rename,
 )
 
+from enum_reference import PARTITION_TARGETS
+
 NN = Pi(Nat(), Nat())
 A = TyConst("A")
 
@@ -233,6 +235,23 @@ def test_criterion_4_uniqueness_by_exhaustive_partition(sig_abf):
         f"{len(terms)} terms in {len(classes)} conversion classes, one NF each",
         started,
     )
+
+
+def test_criterion_4_uniqueness_at_size_7(sig_crossval):
+    # typed enumeration makes the size-7 corpus cheap
+    started = time.time()
+    total = 0
+    for ctx, ty in PARTITION_TARGETS:
+        classes = {}
+        for t in enum_terms(sig_crossval, ctx, ty, 7):
+            key = rw_normalize(sig_crossval, ctx, ty, t)
+            classes.setdefault(key, set()).add(normalize_tm(sig_crossval, ctx, ty, t))
+            total += 1
+        assert all(len(nfs) == 1 for nfs in classes.values()), "a class got several normal forms"
+        assert len(set().union(*classes.values())) == len(classes), "classes share a normal form"
+    assert total == 506 + 180 + 25 + 43
+    assert time.time() - started < 10.0
+    _report(4, f"{total} terms of size <= 7 at the partition targets, one NF per class", started)
 
 
 # -- 5. stability under renaming --------------------------------------------

@@ -103,6 +103,15 @@ def test_fuzz(good, capsys):
     assert "0 failure(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", ["--count", "--size"])
+def test_fuzz_rejects_a_negative_count_or_size(good, option, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["fuzz", good, option, "-1"])
+    assert exit_.value.code == 2
+    assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
+    assert main(["fuzz", good, option, "0"]) == 0
+
+
 def test_fuel_env(good, monkeypatch, capsys):
     monkeypatch.setenv("TT_FUEL", "1")
     assert main(["normalize", good, "-e", "mul 4 5", "--oracle"]) == 1

@@ -36,6 +36,8 @@ from ttkernel.syntax import (
     subst1,
 )
 
+from enum_reference import PARTITION_TARGETS, reference_terms, reference_types
+
 
 def test_gen_minimal_nat(sig_empty):
     assert gen_term(sig_empty, Context(), Nat(), 1, seed=0) == Zero()
@@ -153,6 +155,38 @@ def test_enum_pinned_list(sig_abf):
         TmConst("f", (App(Lam(Var(1)), Var(0)),)),
         TmConst("f", (App(Lam(Var(1)), Zero()),)),
     ]
+
+
+A, B0 = TyConst("A"), TyConst("B", (Var(0),))
+# (signature fixture, context, type, largest size) over which the typed
+# enumeration must give the reference's list, in its order, at every size
+EXACT_TARGETS = [("sig_crossval", ctx, ty, 6) for ctx, ty in PARTITION_TARGETS] + [
+    # context entries of Pi type
+    ("sig_crossval", Context((Pi(Nat(), Nat()),)), Nat(), 5),
+    ("sig_crossval", Context((Pi(A, B0), A)), B0, 5),
+    # a Pi target with a dependent codomain
+    ("sig_crossval", Context(), Pi(Nat(), TyConst("C", (Var(0),))), 5),
+    # (n : Nat) |- Nat -> C n
+    ("sig_crossval", Context((Nat(),)), Pi(Nat(), TyConst("C", (Var(1),))), 5),
+    # g's second argument checks at a type instantiated by its first
+    ("sig_dep", Context((Nat(),)), Nat(), 5),
+]
+
+
+@pytest.mark.parametrize("sig_name, ctx, ty, size", EXACT_TARGETS)
+def test_enum_terms_is_the_reference_list(request, sig_name, ctx, ty, size):
+    sig = request.getfixturevalue(sig_name)
+    got = enum_terms(sig, ctx, ty, size)
+    assert got == reference_terms(sig, ctx, ty, size)
+    for s in range(1, size):  # the reference is ordered by size
+        assert enum_terms(sig, ctx, ty, s) == [t for t in got if node_count(t) <= s]
+
+
+@pytest.mark.parametrize(
+    "ctx", [Context(), Context((A,)), Context((Nat(), TyConst("C", (Var(0),))))]
+)
+def test_enum_types_is_the_reference_list(sig_crossval, ctx):
+    assert enum_types(sig_crossval, ctx, 4) == reference_types(sig_crossval, ctx, 4)
 
 
 def test_enum_types(sig_abf):

@@ -24,44 +24,20 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
-    TyConst,
     Var,
     Zero,
     numeral,
 )
 
+from enum_reference import PARTITION_TARGETS
+
 NN = Pi(Nat(), Nat())
-
-# Postulates, a type family over A, a Nat-indexed family and definitions
-# (inlined, so their uses are redexes): the cross-validation signature.
-CROSSVAL = r"""
-postulate A
-postulate B (x : A)
-postulate f : (x : A) -> B x
-postulate C (n : Nat)
-postulate c0 : C zero
-postulate h : (n : Nat) -> C n
-def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
-def twice : Nat -> Nat := \n. add n n
-"""
-
-PARTITION_TARGETS = (
-    (Context((Nat(),)), Nat()),
-    (Context(), NN),
-    (Context((TyConst("A"),)), TyConst("B", (Var(0),))),
-    (Context((Nat(),)), TyConst("C", (Var(0),))),
-)
 
 ARITH = r"""
 def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
 def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
 def exp : Nat -> Nat -> Nat := \b. \e. ind(e; _. Nat; 1; p r. mul b r)
 """
-
-
-@pytest.fixture(scope="module")
-def sig_crossval():
-    return elaborate(parse(CROSSVAL))
 
 
 @pytest.fixture(scope="module")

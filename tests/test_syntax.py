@@ -254,6 +254,18 @@ def test_eq_compares_classes_lengths_and_leaves():
     assert Context((Nat(),)) != Context((Nat(), Nat()))
     assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
     assert Var(0) != 0 and Context() != ()
+    # nodes without fields: one value per class
+    assert Nat() == Nat() and Zero() == Zero() and ZeroNf() == ZeroNf()
+    assert Nat() != Zero() and Zero() != ZeroNf() and Nat() != Pi(Nat(), Nat())
+    t = Pi(Nat(), Nat())
+    assert t == t and not t != t
+
+
+def test_hash_is_the_hash_of_the_walk_shape():
+    # pinned values: set iteration and dict order depend on them
+    assert hash(Nat()) == hash((Nat,)) and hash(Zero()) == hash((Zero,))
+    assert hash(App(Var(0), Zero())) == hash((App, Zero, Var, 0))
+    assert hash(TmConst("f", (Var(0),))) == hash((TmConst, 1, Var, 0, "f"))
 
 
 def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
