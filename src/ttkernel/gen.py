@@ -101,7 +101,7 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
             options = [o for o in options if o != pick]
     if isinstance(ty, Nat):
         return Zero()
-    raise GenerationStuck(f"no inhabitant found at {ty!r}")
+    raise GenerationStuck("no inhabitant found")
 
 
 def _spine_heads(sig, ctx, ty):

@@ -10,6 +10,7 @@ of the type constant's arguments alongside the neutral itself.
 
 from __future__ import annotations
 
+from .rewrite import DEFAULT_FUEL, _Fuel, _reduce_ty
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -207,15 +208,18 @@ def rename_nf(r: Renaming, n):
 
 # ---------------------------------------------------------------------------
 # Type-directed recognition of normal forms.
-#
-# to_nf reconstructs the unique normal-form tree over a term, or returns
-# None if the term is not in the grammar. It assumes the type arguments
-# occurring in ctx and ty are themselves normal terms, which holds for
-# every type this kernel produces; with a non-normal type argument in
-# the input the check is conservative.
 
 
 def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
+    """The unique normal-form tree over ``t`` at ``ty``, or None if ``t`` is
+    not in the grammar.
+
+    The type arguments in ``ctx`` and ``ty`` are assumed normal; with a
+    non-normal one the check is conservative. The types computed on the way
+    by substitution need not be normal even then (``q : (u : Nat -> Nat) ->
+    C (u zero)`` applied to ``\\x. v x`` has type ``C ((\\x. v x) zero)``),
+    so each is reduced before use.
+    """
     match ty:
         case Pi(dom, cod):
             if not isinstance(t, Lam):
@@ -269,7 +273,7 @@ def _arg_nfs(sig, ctx, params, args) -> tuple[NfTm, ...] | None:
         return None
     nfs = []
     for i, a in enumerate(args):
-        anf = to_nf(sig, ctx, inst_params(params[i], tuple(args[:i])), a)
+        anf = to_nf(sig, ctx, _reduced(sig, inst_params(params[i], tuple(args[:i]))), a)
         if anf is None:
             return None
         nfs.append(anf)
@@ -290,26 +294,34 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             anf = to_nf(sig, ctx, head[1].dom, a)
             if anf is None:
                 return None
-            return AppNe(head[0], anf), subst1(head[1].cod, a)
+            return AppNe(head[0], anf), _reduced(sig, subst1(head[1].cod, a))
         case NatInd(scrut, motive, z, s):
             head = _to_ne(sig, ctx, scrut)
             if head is None or not isinstance(head[1], Nat):
                 return None
             mnf = to_nf_ty(sig, ctx.extend(Nat()), motive)
-            znf = to_nf(sig, ctx, subst1(motive, Zero()), z)
+            znf = to_nf(sig, ctx, _reduced(sig, subst1(motive, Zero())), z)
             ctx2 = ctx.extend(Nat()).extend(motive)
-            snf = to_nf(sig, ctx2, motive_succ_case(motive), s)
+            snf = to_nf(sig, ctx2, _reduced(sig, motive_succ_case(motive)), s)
             if mnf is None or znf is None or snf is None:
                 return None
-            return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
+            return NatIndNe(head[0], mnf, znf, snf), _reduced(sig, subst1(motive, scrut))
         case TmConst(name, args):
             decl = sig.get(name)
             if not isinstance(decl, PostulateTm):
                 return None
             nfs = _arg_nfs(sig, ctx, decl.params, args)
-            return None if nfs is None else (TmConstNe(name, nfs), inst_params(decl.result, args))
+            if nfs is None:
+                return None
+            return TmConstNe(name, nfs), _reduced(sig, inst_params(decl.result, args))
         case _:
             return None
+
+
+def _reduced(sig: Signature, ty: Ty) -> Ty:
+    """``ty`` with its term arguments beta/iota-reduced by the oracle's
+    reducer, on a tank of its own: these are not oracle steps."""
+    return _reduce_ty(sig, ty, _Fuel(DEFAULT_FUEL))
 
 
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:

@@ -15,10 +15,16 @@ The concrete grammar:
     tmApp   := tmApp tmAtom | tmAtom
     tmAtom  := IDENT | "zero" | "succ" tmAtom | NUMERAL | "(" tm ")"
 
-Numerals desugar to iterated successors; "--" comments to end of line.
+NUMERAL is a run of decimal digits (Unicode category Nd) and desugars to
+iterated successors. IDENT starts with a letter or "_" and continues with
+letters, numeric characters (such as "2" or "²"), "_" and "'"; keywords
+are reserved. Blanks are space, tab and carriage return; "--" comments run to
+the end of the line. Any other character is an error.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ArityMismatch, CheckError, ParseError, UnknownName
 from .signature import (
@@ -55,7 +61,15 @@ from .syntax import (
 from .normal import NfTy, erase
 
 KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
-_PUNCT = (":=", "->", "=>", "(", ")", ":", ";", ".", "\\")
+
+# One alternative per token class; blanks and comments match no group.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|--[^\n]*"
+    r"|(?P<punct>:=|->|=>|[():;.\\])"
+    r"|(?P<num>\d+)"
+    r"|(?P<word>[^\W\d][\w']*)"
+    r"|(?P<bad>.)"
+)
 
 
 @node
@@ -68,48 +82,22 @@ class Token(Node):
 
 def tokenize(source: str) -> list[Token]:
     toks = []
-    line, col, pos = 1, 1, 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            pos += 1
-            col += 1
-            continue
-        if source.startswith("--", pos):
-            while pos < n and source[pos] != "\n":
-                pos += 1
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, pos):
-                toks.append(Token(p, p, line, col))
-                pos += len(p)
-                col += len(p)
-                break
-        else:
-            if ch.isdigit():
-                start = pos
-                while pos < n and source[pos].isdigit():
-                    pos += 1
-                text = source[start:pos]
-                toks.append(Token("num", text, line, col))
-                col += len(text)
-            elif ch.isalpha() or ch == "_":
-                start = pos
-                while pos < n and (source[pos].isalnum() or source[pos] in "_'"):
-                    pos += 1
-                text = source[start:pos]
-                kind = text if text in KEYWORDS else "ident"
-                toks.append(Token(kind, text, line, col))
-                col += len(text)
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, bol = 1, 0  # bol: the offset where the current line begins
+    for m in _TOKEN.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "newline":
+            line, bol = line + 1, m.end()
+        elif kind is not None:
+            col = m.start() - bol + 1
+            # \w also holds numeric characters such as '²', which start no word
+            if kind == "bad" or kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+            if kind == "punct" or text in KEYWORDS:
+                kind = text
+            elif kind == "word":
+                kind = "ident"
+            toks.append(Token(kind, text, line, col))
+    toks.append(Token("eof", "", line, len(source) - bol + 1))
     return toks
 
 
@@ -210,9 +198,8 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # pos never passes the eof token
 
     def advance(self) -> Token:
         t = self.toks[self.pos]
@@ -220,15 +207,24 @@ class _Parser:
             self.pos += 1
         return t
 
+    def accept(self, kind: str) -> Token | None:
+        """Consume and return the next token if it is of ``kind``."""
+        return self.advance() if self.toks[self.pos].kind == kind else None
+
     def expect(self, kind: str) -> Token:
+        return self.accept(kind) or self.fail(f"'{kind}'")
+
+    def fail(self, expected: str):
         t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected '{kind}', found '{t.text or 'end of input'}'", t.line, t.col)
-        return self.advance()
+        raise ParseError(f"expected {expected}, found '{t.text or 'end of input'}'", t.line, t.col)
 
     def loc(self) -> tuple[int, int]:
         t = self.peek()
         return (t.line, t.col)
+
+    def at_binder(self) -> bool:
+        """At ``( IDENT :``, the domain of a dependent arrow."""
+        return [t.kind for t in self.toks[self.pos : self.pos + 3]] == ["(", "ident", ":"]
 
     # declarations
 
@@ -239,37 +235,31 @@ class _Parser:
         return decls
 
     def decl(self):
-        t = self.peek()
-        if t.kind == "postulate":
-            loc = self.loc()
-            self.advance()
+        loc = self.loc()
+        if self.accept("postulate"):
             name = self.expect("ident").text
-            if self.peek().kind == ":":
-                self.advance()
+            if self.accept(":"):
                 return SPostulateTm(name, self.ty(), loc)
             params = []
-            while self.peek().kind == "(":
-                self.advance()
+            while self.accept("("):
                 pname = self.expect("ident").text
                 self.expect(":")
                 params.append((pname, self.ty()))
                 self.expect(")")
             return SPostulateTy(name, tuple(params), loc)
-        if t.kind == "def":
-            loc = self.loc()
-            self.advance()
+        if self.accept("def"):
             name = self.expect("ident").text
             self.expect(":")
             ty = self.ty()
             self.expect(":=")
             return SDefine(name, ty, self.tm(), loc)
-        raise ParseError(f"expected 'postulate' or 'def', found '{t.text or 'end of input'}'", t.line, t.col)
+        self.fail("'postulate' or 'def'")
 
     # types
 
     def ty(self):
         loc = self.loc()
-        if self.peek().kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
+        if self.at_binder():
             self.advance()
             pname = self.expect("ident").text
             self.expect(":")
@@ -278,42 +268,32 @@ class _Parser:
             self.expect("->")
             return STyPi(pname, dom, self.ty(), loc)
         left = self.ty1()
-        if self.peek().kind == "->":
-            self.advance()
-            return STyPi(None, left, self.ty(), loc)
-        return left
+        return STyPi(None, left, self.ty(), loc) if self.accept("->") else left
 
     def ty1(self):
-        t = self.peek()
-        if t.kind == "Nat":
-            self.advance()
-            return STyNat((t.line, t.col))
-        if t.kind == "ident":
-            self.advance()
+        loc = self.loc()
+        if self.accept("Nat"):
+            return STyNat(loc)
+        if t := self.accept("ident"):
             args = []
             while self._starts_atom():
                 args.append(self.atom())
-            return STyName(t.text, tuple(args), (t.line, t.col))
-        if t.kind == "(":
-            self.advance()
+            return STyName(t.text, tuple(args), loc)
+        if self.accept("("):
             ty = self.ty()
             self.expect(")")
             return ty
-        raise ParseError(f"expected a type, found '{t.text or 'end of input'}'", t.line, t.col)
+        self.fail("a type")
 
     # terms
 
     def tm(self):
-        t = self.peek()
-        if t.kind in ("\\", "fun"):
-            loc = self.loc()
-            self.advance()
+        loc = self.loc()
+        if t := self.accept("\\") or self.accept("fun"):
             name = self.expect("ident").text
             self.expect("." if t.kind == "\\" else "=>")
             return SLam(name, self.tm(), loc)
-        if t.kind == "ind":
-            loc = self.loc()
-            self.advance()
+        if self.accept("ind"):
             self.expect("(")
             scrut = self.tm()
             self.expect(";")
@@ -329,66 +309,54 @@ class _Parser:
             scase = self.tm()
             self.expect(")")
             return SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, loc)
-        return self.tm_app()
-
-    def tm_app(self):
         t = self.atom()
         while self._starts_atom():
-            arg = self.atom()
-            t = SApp(t, arg, t.loc)
+            t = SApp(t, self.atom(), t.loc)
         return t
 
     def _starts_atom(self) -> bool:
-        k = self.peek().kind
-        if k not in _ATOM_START:
-            return False
-        if k == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
-            return False  # a dependent arrow domain, not a term atom
-        return True
+        kind = self.peek().kind
+        return kind in _ATOM_START and not (kind == "(" and self.at_binder())
 
     def atom(self):
-        t = self.peek()
-        loc = (t.line, t.col)
-        if t.kind == "zero":
-            self.advance()
-            return SZero(loc)
-        if t.kind == "succ":
-            self.advance()
-            return SSucc(self.atom(), loc)
-        if t.kind == "num":
-            self.advance()
+        loc = self.loc()
+        if t := self.accept("ident"):
+            return SVar(t.text, loc)
+        if t := self.accept("num"):
             out = SZero(loc)
             for _ in range(int(t.text)):
                 out = SSucc(out, loc)
             return out
-        if t.kind == "ident":
-            self.advance()
-            return SVar(t.text, loc)
-        if t.kind == "(":
-            self.advance()
+        if self.accept("zero"):
+            return SZero(loc)
+        if self.accept("succ"):
+            return SSucc(self.atom(), loc)
+        if self.accept("("):
             tm = self.tm()
             self.expect(")")
             return tm
-        raise ParseError(f"expected a term, found '{t.text or 'end of input'}'", t.line, t.col)
+        self.fail("a term")
+
+
+def _parse_whole(source: str, rule):
+    """Run ``rule`` on the tokens of ``source``, which it must consume."""
+    p = _Parser(tokenize(source))
+    out = rule(p)
+    p.expect("eof")
+    return out
 
 
 def parse(source: str) -> list:
     """Parse a file of declarations."""
-    return _Parser(tokenize(source)).file()
+    return _parse_whole(source, _Parser.file)
 
 
 def parse_expression(source: str):
-    p = _Parser(tokenize(source))
-    t = p.tm()
-    p.expect("eof")
-    return t
+    return _parse_whole(source, _Parser.tm)
 
 
 def parse_type(source: str):
-    p = _Parser(tokenize(source))
-    ty = p.ty()
-    p.expect("eof")
-    return ty
+    return _parse_whole(source, _Parser.ty)
 
 
 # ---------------------------------------------------------------------------

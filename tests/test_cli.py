@@ -226,3 +226,36 @@ def test_deep_input_is_resource_exhausted(good, capsys, case):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error[resource_exhausted]: ") and "Traceback" not in err
+
+
+HIGHER_ORDER = "postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)\n"
+
+
+def test_fuzz_higher_order_postulate(tmp_path, capsys):
+    # q v0 : C (v0 zero) is normal once q's instantiated result type is reduced
+    (tmp_path / "ho.tt").write_text(HIGHER_ORDER)
+    assert main(["fuzz", str(tmp_path / "ho.tt"), "--count", "100", "--seed", "0", "--size", "9"]) == 0
+    assert capsys.readouterr().out == "100 case(s), 0 failure(s)\n"
+
+
+# Characters outside the token classes: superscripts and fractions are
+# numeric but no decimal digits. Each goes in as -e text and as a def body,
+# except the NUL byte, which argv cannot carry.
+ODD_TEXT = ["²", "1²", "x²", "½x", "\ufeff", "\f", "\x00"]
+ODD_INPUTS = [("-e", text) for text in ODD_TEXT if text != "\x00"] + [("FILE", text) for text in ODD_TEXT]
+
+
+@pytest.mark.parametrize(("where", "text"), ODD_INPUTS)
+def test_odd_characters_are_a_kernel_error(good, tmp_path, capsys, where, text):
+    if where == "-e":
+        argv = ["normalize", good, "-e", text]
+    else:
+        (tmp_path / "odd.tt").write_text(f"def x : Nat := {text}\n", encoding="utf-8")
+        argv = ["check", str(tmp_path / "odd.tt")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error[") and err.count("\n") == 1 and "Traceback" not in err
+    assert main(argv + ["--json"]) == code
+    record = _json_of(capsys)
+    assert record["status"] in ("parse-error", "type-error") and record["error"]["code"]

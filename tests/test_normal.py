@@ -18,14 +18,18 @@ from ttkernel.normal import (
     to_nf,
     to_nf_ty,
 )
+from ttkernel.surface import elaborate, parse
 from ttkernel.syntax import (
     App,
     Context,
     Lam,
     Nat,
+    NatInd,
     Pi,
     Renaming,
     Succ,
+    TmConst,
+    TyConst,
     Var,
     Zero,
     numeral,
@@ -146,3 +150,22 @@ def test_numeral_roundtrip(sig_empty):
 
 def test_fun_nf_shape(sig_empty):
     assert to_nf_ty(sig_empty, Context(), NN) == FunNf(NatNf(), NatNf())
+
+
+def test_is_normal_reduces_the_types_it_computes_by_substitution():
+    sig = elaborate(parse("postulate C (n : Nat)\npostulate c0 : C zero\n"
+                          "postulate q : (u : Nat -> Nat) -> C (u zero)"))
+    # q's result C (u zero) at the eta-long u = \x. v0 x is C ((\x. v0 x) zero)
+    ctx = Context((NN,))
+    ty = TyConst("C", (App(Var(0), Zero()),))
+    t = TmConst("q", (Lam(App(Var(1), Var(0))),))
+    assert erase(normalize_tm(sig, ctx, ty, TmConst("q", (Var(0),)))) == t
+    assert is_normal(sig, ctx, ty, t)
+    # the motive C (ind(x; _. Nat; zero; p r. r)) at zero and at succ p has
+    # an iota-redex in its argument: C zero and C (ind(p; ...)) once reduced
+    ctx = Context((Nat(),))
+    motive = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
+    t = NatInd(Var(0), motive, TmConst("c0"), Var(0))
+    ty = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
+    assert erase(normalize_tm(sig, ctx, ty, t)) == t
+    assert is_normal(sig, ctx, ty, t)

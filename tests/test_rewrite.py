@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkernel import rewrite
+from ttkernel import normal, rewrite
 from ttkernel.check import check
 from ttkernel.errors import FuelExhausted
 from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, gen_term, gen_type
@@ -282,14 +282,16 @@ def test_reduce_stack_follows_nesting_not_steps(sig_arith):
 
 
 def test_oracle_imports_no_evaluator():
-    tree = ast.parse(Path(rewrite.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rsplit(".", 1)[-1])
-            if not node.module or node.module == "ttkernel":
-                imported.update(alias.name for alias in node.names)
-    assert imported, "no imports found: is the parse right?"
-    assert not imported & {"nbe", "domain", "check"}
+    # the oracle, and the normal-form recognizer that judges both engines
+    for module in (rewrite, normal):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rsplit(".", 1)[-1])
+                if not node.module or node.module == "ttkernel":
+                    imported.update(alias.name for alias in node.names)
+        assert imported, f"no imports found in {module.__name__}: is the parse right?"
+        assert not imported & {"nbe", "domain", "check"}, module.__name__

@@ -16,6 +16,7 @@ from ttkernel.surface import (
     print_nf,
     print_tm,
     print_ty,
+    tokenize,
 )
 from ttkernel.syntax import (
     App,
@@ -78,6 +79,13 @@ def test_parse_error_has_position():
 def test_parse_error_rejects_stray_token():
     with pytest.raises(ParseError):
         parse_expression("succ )")
+
+
+def test_binder_ends_a_type_constant_application():
+    # "( IDENT :" opens a dependent arrow's domain, never a term argument
+    with pytest.raises(ParseError, match="expected 'eof', found '\\('") as e:
+        parse_type("B a (x : A) -> B x")
+    assert (e.value.line, e.value.col) == (1, 5)
 
 
 def test_elaborate_unknown_name_carries_span():
@@ -194,3 +202,120 @@ def test_zero_parameter_term_constant():
     c = sig.lookup("c")
     assert isinstance(c, PostulateTm) and c.params == ()
     assert sig.lookup("d").body == Succ(TmConst("c"))
+
+
+# The benchmark's preludes and a chain of definitions d0..d3.
+ARITH_SOURCE = r"""
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
+def exp : Nat -> Nat -> Nat := \b. \e. ind(e; _. Nat; 1; p r. mul b r)
+"""
+CROSSVAL_SOURCE = r"""
+postulate A
+postulate B (x : A)
+postulate f : (x : A) -> B x
+postulate C (n : Nat)
+postulate c0 : C zero
+postulate h : (n : Nat) -> C n
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def twice : Nat -> Nat := \n. add n n
+"""
+CHAIN_SOURCE = r"""def d0 : Nat -> Nat := \n. succ n
+def d1 : Nat -> Nat := \n. d0 (d0 n)
+def d2 : Nat -> Nat := \n. d1 (d1 n)
+def d3 : Nat -> Nat := \n. d2 (d2 n)
+"""
+
+
+# Sources whose token lists are pinned: the benchmark's preludes, a chain of
+# definitions and edge cases. Each token shows as text@line:col, prefixed
+# by its kind when that is not the text.
+TOKENIZED = {
+    "arith": ARITH_SOURCE,
+    "crossval": CROSSVAL_SOURCE,
+    "chain 3": CHAIN_SOURCE,
+    "tabs": "def\tx :\t\tNat := 12",
+    "crlf": "postulate A\r\ndef x : Nat := 2\r\n",
+    "primes": "\\x'. \\x''. x' x''_1",
+    "comment": "def x : Nat := zero -- done\n",
+    "comment eof": "def x : Nat := -- missing",
+    "keywords": "postulated defx Natural zero1 succ' fun_ _ind ind(succzero)",
+}
+PINNED_TOKENS = {
+    "arith": (
+        "def@2:1 ident:add@2:5 :@2:9 Nat@2:11 ->@2:15 Nat@2:18 ->@2:22 Nat@2:25 :=@2:29 "
+        "\\@2:32 ident:m@2:33 .@2:34 \\@2:36 ident:n@2:37 .@2:38 ind@2:40 (@2:43 ident:m@2:44 "
+        ";@2:45 ident:_@2:47 .@2:48 Nat@2:50 ;@2:53 ident:n@2:55 ;@2:56 ident:p@2:58 "
+        "ident:r@2:60 .@2:61 succ@2:63 ident:r@2:68 )@2:69 def@3:1 ident:mul@3:5 :@3:9 "
+        "Nat@3:11 ->@3:15 Nat@3:18 ->@3:22 Nat@3:25 :=@3:29 \\@3:32 ident:m@3:33 .@3:34 \\@3:36 "
+        "ident:n@3:37 .@3:38 ind@3:40 (@3:43 ident:m@3:44 ;@3:45 ident:_@3:47 .@3:48 Nat@3:50 "
+        ";@3:53 zero@3:55 ;@3:59 ident:p@3:61 ident:r@3:63 .@3:64 ident:add@3:66 ident:n@3:70 "
+        "ident:r@3:72 )@3:73 def@4:1 ident:exp@4:5 :@4:9 Nat@4:11 ->@4:15 Nat@4:18 ->@4:22 "
+        "Nat@4:25 :=@4:29 \\@4:32 ident:b@4:33 .@4:34 \\@4:36 ident:e@4:37 .@4:38 ind@4:40 "
+        "(@4:43 ident:e@4:44 ;@4:45 ident:_@4:47 .@4:48 Nat@4:50 ;@4:53 num:1@4:55 ;@4:56 "
+        "ident:p@4:58 ident:r@4:60 .@4:61 ident:mul@4:63 ident:b@4:67 ident:r@4:69 )@4:70 "
+        "eof:@5:1"
+    ),
+    "crossval": (
+        "postulate@2:1 ident:A@2:11 postulate@3:1 ident:B@3:11 (@3:13 ident:x@3:14 :@3:16 "
+        "ident:A@3:18 )@3:19 postulate@4:1 ident:f@4:11 :@4:13 (@4:15 ident:x@4:16 :@4:18 "
+        "ident:A@4:20 )@4:21 ->@4:23 ident:B@4:26 ident:x@4:28 postulate@5:1 ident:C@5:11 "
+        "(@5:13 ident:n@5:14 :@5:16 Nat@5:18 )@5:21 postulate@6:1 ident:c0@6:11 :@6:14 "
+        "ident:C@6:16 zero@6:18 postulate@7:1 ident:h@7:11 :@7:13 (@7:15 ident:n@7:16 :@7:18 "
+        "Nat@7:20 )@7:23 ->@7:25 ident:C@7:28 ident:n@7:30 def@8:1 ident:add@8:5 :@8:9 "
+        "Nat@8:11 ->@8:15 Nat@8:18 ->@8:22 Nat@8:25 :=@8:29 \\@8:32 ident:m@8:33 .@8:34 \\@8:36 "
+        "ident:n@8:37 .@8:38 ind@8:40 (@8:43 ident:m@8:44 ;@8:45 ident:_@8:47 .@8:48 Nat@8:50 "
+        ";@8:53 ident:n@8:55 ;@8:56 ident:p@8:58 ident:r@8:60 .@8:61 succ@8:63 ident:r@8:68 "
+        ")@8:69 def@9:1 ident:twice@9:5 :@9:11 Nat@9:13 ->@9:17 Nat@9:20 :=@9:24 \\@9:27 "
+        "ident:n@9:28 .@9:29 ident:add@9:31 ident:n@9:35 ident:n@9:37 eof:@10:1"
+    ),
+    "chain 3": (
+        "def@1:1 ident:d0@1:5 :@1:8 Nat@1:10 ->@1:14 Nat@1:17 :=@1:21 \\@1:24 ident:n@1:25 "
+        ".@1:26 succ@1:28 ident:n@1:33 def@2:1 ident:d1@2:5 :@2:8 Nat@2:10 ->@2:14 Nat@2:17 "
+        ":=@2:21 \\@2:24 ident:n@2:25 .@2:26 ident:d0@2:28 (@2:31 ident:d0@2:32 ident:n@2:35 "
+        ")@2:36 def@3:1 ident:d2@3:5 :@3:8 Nat@3:10 ->@3:14 Nat@3:17 :=@3:21 \\@3:24 "
+        "ident:n@3:25 .@3:26 ident:d1@3:28 (@3:31 ident:d1@3:32 ident:n@3:35 )@3:36 def@4:1 "
+        "ident:d3@4:5 :@4:8 Nat@4:10 ->@4:14 Nat@4:17 :=@4:21 \\@4:24 ident:n@4:25 .@4:26 "
+        "ident:d2@4:28 (@4:31 ident:d2@4:32 ident:n@4:35 )@4:36 eof:@5:1"
+    ),
+    "tabs": "def@1:1 ident:x@1:5 :@1:7 Nat@1:10 :=@1:14 num:12@1:17 eof:@1:19",
+    "crlf": (
+        "postulate@1:1 ident:A@1:11 def@2:1 ident:x@2:5 :@2:7 Nat@2:9 :=@2:13 num:2@2:16 "
+        "eof:@3:1"
+    ),
+    "primes": (
+        "\\@1:1 ident:x'@1:2 .@1:4 \\@1:6 ident:x''@1:7 .@1:10 ident:x'@1:12 ident:x''_1@1:15 "
+        "eof:@1:20"
+    ),
+    "comment": "def@1:1 ident:x@1:5 :@1:7 Nat@1:9 :=@1:13 zero@1:16 eof:@2:1",
+    "comment eof": "def@1:1 ident:x@1:5 :@1:7 Nat@1:9 :=@1:13 eof:@1:26",
+    "keywords": (
+        "ident:postulated@1:1 ident:defx@1:12 ident:Natural@1:17 ident:zero1@1:25 "
+        "ident:succ'@1:31 ident:fun_@1:37 ident:_ind@1:42 ind@1:47 (@1:50 ident:succzero@1:51 "
+        ")@1:59 eof:@1:60"
+    ),
+}
+
+
+def _render(tokens) -> str:
+    return " ".join(
+        (t.text if t.kind == t.text else f"{t.kind}:{t.text}") + f"@{t.line}:{t.col}" for t in tokens
+    )
+
+
+@pytest.mark.parametrize("name", TOKENIZED)
+def test_tokenize_pinned(name):
+    # at end of input after a comment, the eof token stands at the end of
+    # the input, not where the comment begins
+    assert _render(tokenize(TOKENIZED[name])) == PINNED_TOKENS[name]
+
+
+@pytest.mark.parametrize(
+    ("source", "col"),
+    [("\u00bdx", 1), ("1\u00b2", 2), ("x \u00b2", 3), ("a\fb", 2), ("\ufeffdef", 1), ("a\x00", 2)],
+)
+def test_tokenize_rejects_a_character_that_starts_no_token(source, col):
+    # a numeric character that is not a decimal digit starts no numeral and no identifier
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        tokenize(source)
+    assert (e.value.line, e.value.col) == (1, col)
