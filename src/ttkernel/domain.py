@@ -1,10 +1,10 @@
 """Semantic domain for normalization by evaluation.
 
 Values are weak-head: codomains and case arms live in closures that
-capture an environment and a piece of syntax. Neutrals keep semantic
-payloads (values, closures) and are read back to normal-form trees only
-at reify time. Environments are ordered outermost-first, so ``Var(i)``
-evaluates to ``env[len(env) - 1 - i]``.
+capture an environment and a piece of syntax. A neutral carries its type
+at every type and keeps semantic payloads (values, closures); reify reads
+it back, eta-expanding it at function types. Environments are ordered
+outermost-first, so ``Var(i)`` evaluates to ``env[len(env) - 1 - i]``.
 """
 
 from __future__ import annotations
@@ -41,19 +41,6 @@ class Closure(Node):
 
 
 @node
-class ReflectClosure(Node):
-    """The defunctionalized function ``d -> reflect(cod(d), ne d)``.
-
-    Produced by reflect at a function type; ``dom`` is recorded so that
-    application can stamp the argument's type into the neutral spine.
-    """
-
-    ne: Neutral
-    dom: SemTy
-    cod: Closure
-
-
-@node
 class DPi(SemTy):
     dom: SemTy
     cod: Closure
@@ -72,7 +59,7 @@ class DConst(SemTy):
 
 @node
 class VLam(Value):
-    clo: Closure | ReflectClosure
+    clo: Closure
 
 
 @node
@@ -87,7 +74,7 @@ class VSucc(Value):
 
 @node
 class VNe(Value):
-    """A neutral embedded in a base type (never at a function type)."""
+    """A neutral at its semantic type, function types included."""
 
     ty: SemTy
     ne: Neutral

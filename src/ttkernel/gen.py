@@ -21,7 +21,7 @@ from .check import check, check_ty, conv_ty
 from .errors import KernelError
 from .nbe import normalize_tm
 from .normal import erase, is_normal
-from .rewrite import DEFAULT_FUEL, oracle_equal
+from .rewrite import DEFAULT_FUEL, oracle_equal, rw_normalize
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -105,33 +105,39 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
 
 
 def _spine_heads(sig, ctx, ty):
-    """Heads whose result type can be made to match ``ty``."""
+    """Heads whose result type can be made to match ``ty``, each with its
+    telescope and the match's binds and open positions."""
     heads = []
     for i in range(len(ctx)):
         tele, result = split_pi(ctx.var_type(i))
-        binds = _match_result(result, ty, len(tele))
-        if binds is not None:
-            heads.append((Var(i), tele, binds))
+        found = _match_result(result, ty, len(tele))
+        if found is not None:
+            heads.append((Var(i), tele, *found))
     for d in sig.decls:
         if isinstance(d, PostulateTm):
-            binds = _match_result(d.result, ty, len(d.params))
-            if binds is not None:
-                heads.append((d.name, d.params, binds))
+            found = _match_result(d.result, ty, len(d.params))
+            if found is not None:
+                heads.append((d.name, d.params, *found))
     return heads
 
 
 def _gen_spine(sig, ctx, head, size, rng) -> Term:
-    name_or_var, tele, binds = head
+    name_or_var, tele, binds, opened = head
     k = len(tele)
     committed = sum(node_count(a) for a in binds.values())
     free = max(k - len(binds), 1)
     share = max(1, (size - 1 - committed) // free)
     args = []
     for j in range(k):
-        if j in binds:
-            args.append(binds[j])
+        param_ty = inst_params(tele[j], tuple(args))
+        if j not in binds:
+            args.append(_gen_term(sig, ctx, param_ty, share, rng))
+        elif j in opened and not typable(sig, ctx, binds[j], param_ty):
+            raise GenerationStuck("a matched argument does not fit its parameter")
+        elif isinstance(param_ty, Pi):  # a subterm of the target need not be eta-long
+            args.append(rw_normalize(sig, ctx, param_ty, binds[j]))
         else:
-            args.append(_gen_term(sig, ctx, inst_params(tele[j], tuple(args)), share, rng))
+            args.append(binds[j])
     if isinstance(name_or_var, Var):
         t: Term = name_or_var
         for a in args:
@@ -144,30 +150,36 @@ def _match_result(pattern: Ty, target: Ty, k: int):
     """Match a head's result type against the target.
 
     Returns telescope-position bindings for the parameters that occur in
-    the result, or None when the head cannot produce the target.
+    the result, and the positions the match leaves open: those at or under
+    an application whose head is a parameter, whose terms the target fixes
+    but whose types it does not. None when the head cannot produce the target.
     """
     binds: dict[int, Term] = {}
-    if not _match_ty(pattern, target, k, binds):
+    opened: set[int] = set()
+    if not _match_ty(pattern, target, k, binds, opened):
         return None
-    return {k - 1 - idx: t for idx, t in binds.items()}
+    return {k - 1 - idx: t for idx, t in binds.items()}, opened
 
 
-def _match_ty(pat, tgt, k, binds) -> bool:
+def _match_ty(pat, tgt, k, binds, opened) -> bool:
     if k == 0:
         return alpha_eq(pat, tgt)
     match (pat, tgt):
         case (Nat(), Nat()):
             return True
         case (TyConst(c1, pas), TyConst(c2, tas)) if c1 == c2 and len(pas) == len(tas):
-            return all(_match_tm(p, t, k, binds) for p, t in zip(pas, tas))
+            return all(_match_tm(p, t, k, binds, opened) for p, t in zip(pas, tas))
         case (Pi(_, _), Pi(_, _)):
             return _param_free_eq(pat, tgt, k)
     return False
 
 
-def _match_tm(pat, tgt, k, binds) -> bool:
+def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
+    # under: inside an application whose head is a parameter
     match pat:
         case Var(j) if j < k:
+            if under:
+                opened.add(k - 1 - j)
             if j in binds:
                 return alpha_eq(binds[j], tgt)
             binds[j] = tgt
@@ -177,19 +189,23 @@ def _match_tm(pat, tgt, k, binds) -> bool:
         case Zero():
             return tgt == Zero()
         case Succ(p):
-            return isinstance(tgt, Succ) and _match_tm(p, tgt.pred, k, binds)
+            return isinstance(tgt, Succ) and _match_tm(p, tgt.pred, k, binds, opened, under)
         case App(f, a):
+            head = f
+            while isinstance(head, App):
+                head = head.fn
+            under = under or isinstance(head, Var) and head.index < k
             return (
                 isinstance(tgt, App)
-                and _match_tm(f, tgt.fn, k, binds)
-                and _match_tm(a, tgt.arg, k, binds)
+                and _match_tm(f, tgt.fn, k, binds, opened, under)
+                and _match_tm(a, tgt.arg, k, binds, opened, under)
             )
         case TmConst(c, pas):
             return (
                 isinstance(tgt, TmConst)
                 and tgt.name == c
                 and len(tgt.args) == len(pas)
-                and all(_match_tm(p, t, k, binds) for p, t in zip(pas, tgt.args))
+                and all(_match_tm(p, t, k, binds, opened, under) for p, t in zip(pas, tgt.args))
             )
         case Lam(_) | NatInd(_, _, _, _):
             return _param_free_eq(pat, tgt, k)

@@ -20,7 +20,6 @@ from .domain import (
     NNatInd,
     NVar,
     Neutral,
-    ReflectClosure,
     SemTy,
     Value,
     VLam,
@@ -124,28 +123,19 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
 
 
 def apply(sig: Signature, fn: Value, arg: Value) -> Value:
-    """Apply a semantic function value to an argument."""
-    assert fn.__class__ is VLam, f"applying a non-function: {fn!r}"
-    clo = fn.clo
-    if clo.__class__ is Closure:
+    """Apply a lambda, or extend a neutral function's spine."""
+    if fn.__class__ is VLam:
+        clo = fn.clo
         return eval_tm(sig, clo.env + (arg,), clo.body)
-    result_ty = eval_ty(sig, clo.cod.env + (arg,), clo.cod.body)
-    return reflect(result_ty, NApp(clo.ne, arg, clo.dom))
+    match fn:
+        case VNe(DPi(dom, cod), ne):
+            return VNe(eval_ty(sig, cod.env + (arg,), cod.body), NApp(ne, arg, dom))
+    raise AssertionError(f"applying a non-function: {fn!r}")
 
 
 def reflect(ty: SemTy, ne: Neutral) -> Value:
-    """Embed a neutral at a semantic type.
-
-    At a function type this produces a lambda whose body re-reflects the
-    application spine; at Nat and at type constants it is the neutral
-    constructor itself.
-    """
-    match ty:
-        case DPi(dom, cod):
-            return VLam(ReflectClosure(ne, dom, cod))
-        case DNat() | DConst():
-            return VNe(ty, ne)
-    raise AssertionError(f"not a semantic type: {ty!r}")
+    """Embed a neutral at a semantic type, function types included."""
+    return VNe(ty, ne)
 
 
 def var_value(ty: SemTy, level: int) -> Value:
@@ -185,9 +175,10 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
             return AppNe(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))
         case NNatInd(scrut, motive, zcase, scase):
             fresh_n = var_value(DNat(), depth)
-            motive_nf = nfty(sig, depth + 1, eval_ty(sig, motive.env + (fresh_n,), motive.body))
+            motive_n = eval_ty(sig, motive.env + (fresh_n,), motive.body)
+            motive_nf = nfty(sig, depth + 1, motive_n)
             zcase_nf = reify(sig, depth, eval_ty(sig, motive.env + (VZero(),), motive.body), zcase)
-            fresh_ih = var_value(eval_ty(sig, motive.env + (fresh_n,), motive.body), depth + 1)
+            fresh_ih = var_value(motive_n, depth + 1)
             body = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
             body_ty = eval_ty(sig, motive.env + (VSucc(fresh_n),), motive.body)
             scase_nf = reify(sig, depth + 2, body_ty, body)

@@ -261,7 +261,7 @@ def _eta_ne(sig, ctx: Context, t: Term, fuel: _Fuel) -> tuple[Term, Ty]:
             return App(f2, a2), _reduce_ty(sig, subst1(f_ty.cod, a2), fuel)
         case NatInd(scrut, motive, zcase, scase):
             scrut2, _ = _eta_ne(sig, ctx, scrut, fuel)
-            motive2 = _eta_ty(sig, ctx.extend(Nat()), _reduce_ty(sig, motive, fuel), fuel)
+            motive2 = _eta_ty(sig, ctx.extend(Nat()), motive, fuel)
             zcase2 = _eta_tm(sig, ctx, _reduce_ty(sig, subst1(motive2, Zero()), fuel), zcase, fuel)
             ctx2 = ctx.extend(Nat()).extend(motive2)
             scase_ty = _reduce_ty(sig, motive_succ_case(motive2), fuel)
@@ -282,7 +282,7 @@ def _eta_ty(sig, ctx: Context, ty: Ty, fuel: _Fuel) -> Ty:
             return ty
         case Pi(dom, cod):
             dom2 = _eta_ty(sig, ctx, dom, fuel)
-            return Pi(dom2, _eta_ty(sig, ctx.extend(dom2), _reduce_ty(sig, cod, fuel), fuel))
+            return Pi(dom2, _eta_ty(sig, ctx.extend(dom2), cod, fuel))
         case TyConst(name, args):
             decl = sig.lookup(name)
             assert isinstance(decl, PostulateTy)
@@ -294,7 +294,7 @@ def _eta_args(sig, ctx, params, args, fuel):
     out = []
     for i, a in enumerate(args):
         param_ty = _reduce_ty(sig, inst_params(params[i], tuple(out)), fuel)
-        out.append(_eta_tm(sig, ctx, param_ty, _reduce(sig, a, fuel), fuel))
+        out.append(_eta_tm(sig, ctx, param_ty, a, fuel))
     return tuple(out)
 
 

@@ -51,6 +51,7 @@ from .syntax import (
     Var,
     Zero,
     node,
+    numeral,
     peel,
     rebuild,
     shift,
@@ -112,7 +113,8 @@ class SVar(Node):
 
 
 @node
-class SZero(Node):
+class SNum(Node):
+    value: int
     loc: tuple[int, int]
 
 
@@ -323,12 +325,9 @@ class _Parser:
         if t := self.accept("ident"):
             return SVar(t.text, loc)
         if t := self.accept("num"):
-            out = SZero(loc)
-            for _ in range(int(t.text)):
-                out = SSucc(out, loc)
-            return out
+            return SNum(int(t.text), loc)
         if self.accept("zero"):
-            return SZero(loc)
+            return SNum(0, loc)
         if self.accept("succ"):
             return SSucc(self.atom(), loc)
         if self.accept("("):
@@ -411,8 +410,8 @@ def elab_ty(sig: Signature, names: tuple[str, ...], sty) -> Ty:
 
 def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
     match stm:
-        case SZero(_):
-            return Zero()
+        case SNum(value, _):
+            return numeral(value)
         case SSucc(_, _):
             n, base = peel(stm, SSucc)
             return rebuild(Succ, n, elab_tm(sig, names, base))

@@ -228,14 +228,26 @@ def test_deep_input_is_resource_exhausted(good, capsys, case):
     assert out == "" and err.startswith("error[resource_exhausted]: ") and "Traceback" not in err
 
 
-HIGHER_ORDER = "postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)\n"
+# Constants whose result applies a parameter: generating at C (v0 zero)
+# matches q's argument as v0, which is generated eta-long, as \x. v0 x (it
+# can land in a type argument of d); m's arguments, matched from an
+# application in the target, are checked against A -> Nat and A.
+HIGHER_ORDER = [
+    "postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)\n",
+    "postulate C (n : Nat)\npostulate D (n : Nat) (c : C n)\n"
+    "postulate q : (u : Nat -> Nat) -> C (u zero)\npostulate d : (n : Nat) -> (c : C n) -> D n c\n",
+    "postulate A\npostulate C (n : Nat)\npostulate m : (u : A -> Nat) -> (a : A) -> C (u a)\n",
+]
 
 
 def test_fuzz_higher_order_postulate(tmp_path, capsys):
-    # q v0 : C (v0 zero) is normal once q's instantiated result type is reduced
-    (tmp_path / "ho.tt").write_text(HIGHER_ORDER)
-    assert main(["fuzz", str(tmp_path / "ho.tt"), "--count", "100", "--seed", "0", "--size", "9"]) == 0
-    assert capsys.readouterr().out == "100 case(s), 0 failure(s)\n"
+    for source in HIGHER_ORDER:
+        (tmp_path / "ho.tt").write_text(source)
+        argv = ["fuzz", str(tmp_path / "ho.tt"), "--count", "200", "--seed", "0", "--size", "9"]
+        assert main(argv) == 0, source
+        assert capsys.readouterr() == ("200 case(s), 0 failure(s)\n", "")
+        assert main(argv + ["--json"]) == 0
+        assert _json_of(capsys) == {"status": "ok", "output": "200 case(s), 0 failure(s)", "error": None}
 
 
 # Characters outside the token classes: superscripts and fractions are

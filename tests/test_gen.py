@@ -19,7 +19,7 @@ from ttkernel.gen import (
     typable,
 )
 from ttkernel.normal import ZeroNf
-from ttkernel.surface import print_case
+from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
     App,
     Context,
@@ -63,8 +63,13 @@ def test_gen_deterministic_per_seed(sig_abf):
         assert a == b
 
 
+# m's arguments are matched from an application in the target, whose head
+# need not be at A -> Nat, nor its argument at A
+HIGHER_ORDER = "postulate A\npostulate C (n : Nat)\npostulate m : (u : A -> Nat) -> (a : A) -> C (u a)\n"
+
+
 def test_generated_terms_check(sig_abf, sig_dep):
-    for sig in (sig_abf, sig_dep):
+    for sig in (sig_abf, sig_dep, elaborate(parse(HIGHER_ORDER))):
         for ctx, ty, t in gen_cases(sig, 8, 150, 10, ty_size=5):
             check(sig, ctx, t, ty)
             assert case_problem(sig, ctx, ty, t) is None, print_case(ctx, ty, t)

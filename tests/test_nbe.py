@@ -19,13 +19,11 @@ from ttkernel.domain import (
     NConst,
     NNatInd,
     NVar,
-    ReflectClosure,
     VLam,
     VNe,
     VSucc,
     VZero,
 )
-from ttkernel.gen import gen_cases
 from ttkernel.nbe import (
     apply,
     eval_tm,
@@ -91,9 +89,11 @@ def test_var_value_at_constant():
     assert var_value(DConst("A"), 0) == VNe(DConst("A"), NVar(0))
 
 
-def test_var_value_at_function_type_is_lambda():
-    v = var_value(DPi(DNat(), NAT_CLO), 0)
-    assert v == VLam(ReflectClosure(NVar(0), DNat(), NAT_CLO))
+def test_var_value_at_function_type_is_typed_neutral(sig_empty):
+    ty = DPi(DNat(), NAT_CLO)
+    v = var_value(ty, 0)
+    assert v == VNe(ty, NVar(0))
+    assert reify(sig_empty, 1, ty, v) == LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
 
 
 # -- evaluation
@@ -370,37 +370,6 @@ def test_equation_term_constant(sig_abf):
     lhs = eval_tm(sig_abf, env, TmConst("f", (Var(0),)))
     rhs = reflect(DConst("B", (a0,)), NConst("f", (a0,)))
     assert lhs == rhs
-
-
-# -- structural invariants
-
-
-def _audit_no_vne_at_function_type(v, seen=None):
-    if isinstance(v, VNe):
-        assert not isinstance(v.ty, DPi), f"neutral embedded at a function type: {v!r}"
-        _audit_ne(v.ne)
-    elif isinstance(v, VSucc):
-        _audit_no_vne_at_function_type(v.pred)
-    elif isinstance(v, VLam) and isinstance(v.clo, ReflectClosure):
-        _audit_ne(v.clo.ne)
-
-
-def _audit_ne(ne):
-    if isinstance(ne, NApp):
-        _audit_ne(ne.fn)
-        _audit_no_vne_at_function_type(ne.arg)
-    elif isinstance(ne, NNatInd):
-        _audit_ne(ne.scrut)
-        _audit_no_vne_at_function_type(ne.zcase)
-    elif isinstance(ne, NConst):
-        for a in ne.args:
-            _audit_no_vne_at_function_type(a)
-
-
-def test_no_neutral_value_at_function_type(sig_abf):
-    for ctx, ty, t in gen_cases(sig_abf, 3, 100, 8, ty_size=5):
-        env = id_env(sig_abf, ctx)
-        _audit_no_vne_at_function_type(eval_tm(sig_abf, env, t))
 
 
 # -- deep numerals

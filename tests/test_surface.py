@@ -7,6 +7,8 @@ from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, NeNat, AppNe, VarNe, SuccNf, ZeroNf, erase
 from ttkernel.signature import Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
+    SNum,
+    SSucc,
     elab_tm,
     elab_ty,
     elaborate,
@@ -48,6 +50,10 @@ def test_parse_free_model_postulates():
 def test_parse_numeral_sugar():
     sig = elaborate(parse("def two : Nat := 2"))
     assert sig.lookup("two") == Define("two", Nat(), Succ(Succ(Zero())))
+    # a numeral, zero included, is one surface node
+    assert parse_expression("1000") == SNum(1000, (1, 1))
+    assert parse_expression("succ zero") == SSucc(SNum(0, (1, 6)), (1, 1))
+    assert elab_tm(sig, (), parse_expression("succ 2")) == Succ(Succ(Succ(Zero())))
 
 
 def test_parse_add_definition():
