@@ -106,19 +106,32 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
 
 def _spine_heads(sig, ctx, ty):
     """Heads whose result type can be made to match ``ty``, each with its
-    telescope and the match's binds and open positions."""
+    telescope and the match's binds and open positions.
+
+    A match needs the result's former (and a constant type's name) to be the
+    target's, and weakening keeps both, so a context entry is tested before
+    it is weakened and a head that fails the test is never matched."""
     heads = []
-    for i in range(len(ctx)):
+    n = len(ctx)
+    for i in range(n):
+        if not _same_former(split_pi(ctx.entries[n - 1 - i])[1], ty):
+            continue
         tele, result = split_pi(ctx.var_type(i))
         found = _match_result(result, ty, len(tele))
         if found is not None:
             heads.append((Var(i), tele, *found))
     for d in sig.decls:
-        if isinstance(d, PostulateTm):
+        if isinstance(d, PostulateTm) and _same_former(d.result, ty):
             found = _match_result(d.result, ty, len(d.params))
             if found is not None:
                 heads.append((d.name, d.params, *found))
     return heads
+
+
+def _same_former(result: Ty, target: Ty) -> bool:
+    return result.__class__ is target.__class__ and (
+        result.__class__ is not TyConst or result.name == target.name
+    )
 
 
 def _gen_spine(sig, ctx, head, size, rng) -> Term:

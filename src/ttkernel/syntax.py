@@ -4,7 +4,12 @@ Terms and types are well-scoped de Bruijn trees: ``Var(0)`` is the
 innermost binder. A context is a telescope ordered outermost-first, so
 ``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. Every node is a
 slotted dataclass on the ``Node`` base, which the kernel never mutates;
-structural equality is alpha-equivalence for free.
+structural equality is alpha-equivalence for free. Because nothing is
+mutated, trees share subtrees: the variable traversals (shift,
+substitution, renaming) return every subtree they do not change as it is,
+so a closed term comes back as the very same object. Code may use ``is``
+as a shortcut for ``==``, never as meaning: equal trees need not be the
+same object.
 """
 
 from __future__ import annotations
@@ -219,42 +224,67 @@ def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
 # ---------------------------------------------------------------------------
 # Variable traversals.  All index manipulation funnels through one generic
 # walk so scoping stays consistent across the binders of Lam, Pi and NatInd.
+# ``on_var(v, depth)`` gets each ``Var`` node under ``depth`` binders and
+# returns its replacement, ``v`` itself when the index stays. The walk
+# returns every subtree in which nothing changed as it is, so a closed term
+# comes back as the same object and a changed one shares its unchanged
+# parts; ``is`` is only ever a shortcut here, never meaning.
 
 
 def _map_term(t: Term, depth: int, on_var) -> Term:
+    cls = t.__class__
+    if cls is Var:
+        return on_var(t, depth)
+    if cls is App:
+        f = _map_term(t.fn, depth, on_var)
+        a = _map_term(t.arg, depth, on_var)
+        return t if f is t.fn and a is t.arg else App(f, a)
+    if cls is Lam:
+        b = _map_term(t.body, depth + 1, on_var)
+        return t if b is t.body else Lam(b)
+    if cls is Zero:
+        return t
+    if cls is Succ:
+        n, base = peel(t, Succ)
+        new = _map_term(base, depth, on_var)
+        return t if new is base else rebuild(Succ, n, new)
+    if cls is TmConst:
+        args = _map_args(t.args, depth, on_var)
+        return t if args is t.args else TmConst(t.name, args)
     match t:
-        case Var(i):
-            return on_var(i, depth)
-        case Lam(b):
-            return Lam(_map_term(b, depth + 1, on_var))
-        case App(f, a):
-            return App(_map_term(f, depth, on_var), _map_term(a, depth, on_var))
-        case Zero():
-            return t
-        case Succ():
-            n, base = peel(t, Succ)
-            return rebuild(Succ, n, _map_term(base, depth, on_var))
         case NatInd(n, motive, z, s):
-            return NatInd(
-                _map_term(n, depth, on_var),
-                _map_ty(motive, depth + 1, on_var),
-                _map_term(z, depth, on_var),
-                _map_term(s, depth + 2, on_var),
-            )
-        case TmConst(c, args):
-            return TmConst(c, tuple(_map_term(a, depth, on_var) for a in args))
+            n2 = _map_term(n, depth, on_var)
+            motive2 = _map_ty(motive, depth + 1, on_var)
+            z2 = _map_term(z, depth, on_var)
+            s2 = _map_term(s, depth + 2, on_var)
+            if n2 is n and motive2 is motive and z2 is z and s2 is s:
+                return t
+            return NatInd(n2, motive2, z2, s2)
     raise AssertionError(f"not a term: {t!r}")
 
 
 def _map_ty(ty: Ty, depth: int, on_var) -> Ty:
     match ty:
-        case Pi(dom, cod):
-            return Pi(_map_ty(dom, depth, on_var), _map_ty(cod, depth + 1, on_var))
         case Nat():
             return ty
+        case Pi(dom, cod):
+            d = _map_ty(dom, depth, on_var)
+            c = _map_ty(cod, depth + 1, on_var)
+            return ty if d is dom and c is cod else Pi(d, c)
         case TyConst(c, args):
-            return TyConst(c, tuple(_map_term(a, depth, on_var) for a in args))
+            new = _map_args(args, depth, on_var)
+            return ty if new is args else TyConst(c, new)
     raise AssertionError(f"not a type: {ty!r}")
+
+
+def _map_args(args: tuple[Term, ...], depth: int, on_var) -> tuple[Term, ...]:
+    """A constant's arguments mapped: ``args`` itself when none changes,
+    otherwise a copy made from the first changed argument on."""
+    for i, a in enumerate(args):
+        b = _map_term(a, depth, on_var)
+        if b is not a:
+            return args[:i] + (b,) + tuple(_map_term(x, depth, on_var) for x in args[i + 1 :])
+    return args
 
 
 def _map(t, on_var):
@@ -268,8 +298,8 @@ def shift(t, by: int, cutoff: int = 0):
     if by == 0:
         return t
 
-    def on_var(i, d):
-        return Var(i + by) if i >= cutoff + d else Var(i)
+    def on_var(v, d):
+        return Var(v.index + by) if v.index >= cutoff + d else v
 
     return _map(t, on_var)
 
@@ -277,10 +307,13 @@ def shift(t, by: int, cutoff: int = 0):
 def subst_many(t, sigma: tuple[Term, ...]):
     """Simultaneously replace ``Var(j)`` by ``sigma[j]``; higher indices drop."""
     k = len(sigma)
+    if k == 0:
+        return t
 
-    def on_var(i, d):
+    def on_var(v, d):
+        i = v.index
         if i < d:
-            return Var(i)
+            return v
         j = i - d
         if j < k:
             return shift(sigma[j], d)
@@ -312,11 +345,11 @@ def uses_index(t, i: int) -> bool:
     """Does the free variable ``i`` occur in ``t``?"""
     found = False
 
-    def on_var(j, d):
+    def on_var(v, d):
         nonlocal found
-        if j == i + d:
+        if v.index == i + d:
             found = True
-        return Var(j)
+        return v
 
     _map(t, on_var)
     return found
@@ -339,10 +372,12 @@ def alpha_eq(a, b) -> bool:
 def rename_with(mapping: tuple[int, ...], t):
     """Apply a raw variable map (index i goes to mapping[i])."""
 
-    def on_var(i, d):
+    def on_var(v, d):
+        i = v.index
         if i < d:
-            return Var(i)
-        return Var(mapping[i - d] + d)
+            return v
+        j = mapping[i - d] + d
+        return v if j == i else Var(j)
 
     return _map(t, on_var)
 

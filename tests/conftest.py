@@ -27,6 +27,18 @@ def twice : Nat -> Nat := \n. add n n
 """
 
 
+# Constants whose result applies a parameter: generating at C (v0 zero)
+# matches q's argument as v0, which is generated eta-long, as \x. v0 x (it
+# can land in a type argument of d); m's arguments, matched from an
+# application in the target, are checked against A -> Nat and A.
+HIGHER_ORDER_SOURCES = [
+    "postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)\n",
+    "postulate C (n : Nat)\npostulate D (n : Nat) (c : C n)\n"
+    "postulate q : (u : Nat -> Nat) -> C (u zero)\npostulate d : (n : Nat) -> (c : C n) -> D n c\n",
+    "postulate A\npostulate C (n : Nat)\npostulate m : (u : A -> Nat) -> (a : A) -> C (u a)\n",
+]
+
+
 @pytest.fixture(scope="session")
 def sig_empty():
     return Signature()

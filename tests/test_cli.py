@@ -7,6 +7,8 @@ import pytest
 from ttkernel import gen
 from ttkernel.cli import main
 
+from conftest import CROSSVAL, HIGHER_ORDER_SOURCES
+
 GOOD = """
 postulate A
 postulate B (x : A)
@@ -101,6 +103,14 @@ def test_equal_eta(good):
 def test_fuzz(good, capsys):
     assert main(["fuzz", good, "--count", "25", "--seed", "11", "--size", "7"]) == 0
     assert "0 failure(s)" in capsys.readouterr().out
+
+
+def test_fuzz_crossval_as_benchmarked(tmp_path, capsys):
+    # the tt command the benchmark's oracle workload times, with its output
+    (tmp_path / "crossval.tt").write_text(CROSSVAL)
+    argv = ["fuzz", str(tmp_path / "crossval.tt"), "--count", "100", "--seed", "0", "--size", "9"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("100 case(s), 0 failure(s)\n", "")
 
 
 @pytest.mark.parametrize("option", ["--count", "--size"])
@@ -228,20 +238,8 @@ def test_deep_input_is_resource_exhausted(good, capsys, case):
     assert out == "" and err.startswith("error[resource_exhausted]: ") and "Traceback" not in err
 
 
-# Constants whose result applies a parameter: generating at C (v0 zero)
-# matches q's argument as v0, which is generated eta-long, as \x. v0 x (it
-# can land in a type argument of d); m's arguments, matched from an
-# application in the target, are checked against A -> Nat and A.
-HIGHER_ORDER = [
-    "postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)\n",
-    "postulate C (n : Nat)\npostulate D (n : Nat) (c : C n)\n"
-    "postulate q : (u : Nat -> Nat) -> C (u zero)\npostulate d : (n : Nat) -> (c : C n) -> D n c\n",
-    "postulate A\npostulate C (n : Nat)\npostulate m : (u : A -> Nat) -> (a : A) -> C (u a)\n",
-]
-
-
 def test_fuzz_higher_order_postulate(tmp_path, capsys):
-    for source in HIGHER_ORDER:
+    for source in HIGHER_ORDER_SOURCES:
         (tmp_path / "ho.tt").write_text(source)
         argv = ["fuzz", str(tmp_path / "ho.tt"), "--count", "200", "--seed", "0", "--size", "9"]
         assert main(argv) == 0, source

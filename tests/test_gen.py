@@ -13,12 +13,15 @@ from ttkernel.gen import (
     enum_terms,
     enum_types,
     gen_cases,
+    gen_context,
     gen_renaming,
     gen_term,
+    gen_type,
     ty_abstractions,
     typable,
 )
 from ttkernel.normal import ZeroNf
+from ttkernel.signature import PostulateTm
 from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
     App,
@@ -33,9 +36,11 @@ from ttkernel.syntax import (
     Zero,
     node_count,
     numeral,
+    split_pi,
     subst1,
 )
 
+from conftest import HIGHER_ORDER_SOURCES
 from enum_reference import PARTITION_TARGETS, reference_terms, reference_types
 
 
@@ -104,6 +109,46 @@ def test_gen_reaches_eliminators_and_spines(sig_abf):
         t = gen_term(sig_abf, ctx, Nat(), 10, rng)
         shapes.add(type(t).__name__)
     assert {"NatInd", "App", "Succ"} <= shapes
+
+
+def reference_spine_heads(sig, ctx, ty):
+    """The unfiltered loop: every context entry weakened, every head matched."""
+    heads = []
+    for i in range(len(ctx)):
+        tele, result = split_pi(ctx.var_type(i))
+        found = gen._match_result(result, ty, len(tele))
+        if found is not None:
+            heads.append((Var(i), tele, *found))
+    for d in sig.decls:
+        if isinstance(d, PostulateTm):
+            found = gen._match_result(d.result, ty, len(d.params))
+            if found is not None:
+                heads.append((d.name, d.params, *found))
+    return heads
+
+
+def test_spine_heads_is_the_reference_list(sig_crossval, sig_dep, sig_abf, monkeypatch):
+    spine_heads = gen._spine_heads
+    seen = []
+
+    def checked(sig, ctx, ty):
+        heads = spine_heads(sig, ctx, ty)
+        assert heads == reference_spine_heads(sig, ctx, ty), (ctx, ty)
+        seen.append((ctx, heads))
+        return heads
+
+    monkeypatch.setattr(gen, "_spine_heads", checked)
+    sigs = [sig_crossval, sig_dep, sig_abf] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
+    for sig in sigs:
+        for seed in range(50):
+            rng = random.Random(seed)
+            ctx = gen_context(sig, rng)
+            ty = gen_type(sig, ctx, rng)
+            checked(sig, ctx, ty)
+            for _ in gen_cases(sig, seed, 5, 9):
+                pass
+    # a Pi-typed context entry was a head, with its telescope
+    assert any(isinstance(h[0], Var) and h[1] for _, heads in seen for h in heads)
 
 
 def test_enum_nat_size2(sig_empty):

@@ -1,6 +1,7 @@
 """Core syntax: renamings, substitution, alpha-equivalence, the node base."""
 
 import dataclasses
+from copy import deepcopy
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ttkernel import domain, normal, signature, surface, syntax
 from ttkernel.domain import VSucc, VZero
-from ttkernel.gen import gen_cases
+from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import SuccNf, VarNe, ZeroNf
 from ttkernel.signature import Signature
@@ -33,11 +34,15 @@ from ttkernel.syntax import (
     numeral,
     rebuild,
     rename,
+    rename_with,
     shift,
     subst1,
     subst_many,
     uses_index,
 )
+
+import subst_reference
+from enum_reference import PARTITION_TARGETS
 
 NN = Pi(Nat(), Nat())
 
@@ -218,6 +223,72 @@ def test_shift_then_subst_cancels(data):
     assert subst1(shift(t, 1), Zero()) == t
 
 
+
+# -- the sharing traversals against the rebuild-everything reference
+
+
+@pytest.fixture(scope="module")
+def scoped_corpus(sig_crossval, sig_dep, sig_abf):
+    """``(n, x)``: a term or type ``x`` scoped over ``n`` variables, from
+    ``gen_cases`` over three signatures and the size-5 enumeration."""
+    out = []
+    for sig in (sig_crossval, sig_dep, sig_abf):
+        for ctx, ty, t in gen_cases(sig, 3, 60, 9):
+            out += [(j, e) for j, e in enumerate(ctx.entries)]
+            out += [(len(ctx), ty), (len(ctx), t)]
+    for ctx, ty in PARTITION_TARGETS:
+        out += [(len(ctx), t) for t in enum_terms(sig_crossval, ctx, ty, 5)]
+    return out
+
+
+SIGMAS = ((Zero(),), (Var(2), Succ(Var(0))), (Lam(Var(1)), numeral(2), TmConst("c0")))
+
+
+def test_traversals_agree_with_the_reference(scoped_corpus):
+    for n, x in scoped_corpus:
+        for by, cutoff in ((1, 0), (2, 1), (3, 2), (1, 4)):
+            assert shift(x, by, cutoff) == subst_reference.shift(x, by, cutoff), x
+        for sigma in SIGMAS:
+            assert subst_many(x, sigma) == subst_reference.subst_many(x, sigma), x
+        for mapping in (tuple(reversed(range(n))), tuple(i + 1 for i in range(n)), (0,) * n):
+            assert rename_with(mapping, x) == subst_reference.rename_with(mapping, x), x
+        for i in range(n + 1):
+            assert uses_index(x, i) == subst_reference.uses_index(x, i), x
+        if isinstance(x, syntax.Ty):
+            assert motive_succ_case(x) == subst_reference.motive_succ_case(x), x
+
+
+def test_unchanged_trees_come_back_as_they_are(scoped_corpus):
+    for n, x in scoped_corpus:
+        # no free index reaches the cutoff, and the identity map moves none
+        assert shift(x, 3, cutoff=n) is x
+        assert rename_with(tuple(range(n)), x) is x
+        assert subst_many(x, ()) is x
+        if n == 0:  # closed
+            assert shift(x, 1) is x and subst1(x, Zero()) is x and rename_with((), x) is x
+            assert not any(uses_index(x, i) for i in range(3))
+
+
+def test_deep_closed_numeral_is_shared():
+    big = numeral(10**5)
+    assert shift(big, 3) is big and subst1(big, Zero()) is big
+
+
+def test_changed_trees_share_their_unchanged_parts():
+    n = numeral(3)
+    assert subst1(App(Var(0), n), Zero()).arg is n
+    assert shift(TmConst("h", (Var(0), n, Var(1))), 1).args[1] is n
+    motive = TyConst("C", (Var(0),))
+    t = shift(NatInd(Var(2), motive, n, Lam(Var(0))), 1)
+    assert t == NatInd(Var(3), motive, n, Lam(Var(0)))
+    assert t.motive is motive and t.zcase is n
+    # only the motive changes
+    t = NatInd(Zero(), TyConst("C", (Var(1),)), n, Var(1))
+    assert shift(t, 1) == NatInd(Zero(), TyConst("C", (Var(2),)), n, Var(1)) == subst_reference.shift(t, 1)
+    ty = Pi(Nat(), TyConst("B", (Var(1),)))
+    assert shift(ty, 1).dom is ty.dom
+
+
 # -- the node base: structural ==, hash and repr without recursion
 
 DEEP = 10**5
@@ -270,9 +341,7 @@ def test_hash_is_the_hash_of_the_walk_shape():
 
 def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
     for _, _, t in gen_cases(sig_walkthrough, 0, 200, 9):
-        if isinstance(t, Zero):
-            continue  # substitution returns a bare Zero() itself
-        copy = subst_many(t, ())
+        copy = deepcopy(t)  # every node rebuilt
         assert copy is not t and copy == t and hash(copy) == hash(t)
 
 
