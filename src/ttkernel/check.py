@@ -29,7 +29,6 @@ from .syntax import (
     Zero,
     inst_params,
     motive_succ_case,
-    peel,
     subst1,
 )
 
@@ -82,9 +81,8 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             return subst1(fn_ty.cod, a)
         case Zero():
             return Nat()
-        case Succ():
-            # only the chain's base can be ill-typed
-            check(sig, ctx, peel(t, Succ)[1], Nat())
+        case Succ(_, base):
+            check(sig, ctx, base, Nat())
             return Nat()
         case NatInd(scrut, motive, zcase, scase):
             check(sig, ctx, scrut, Nat())

@@ -24,7 +24,6 @@ import json
 import os
 import sys
 
-from . import gen
 from .check import check, check_ty, conv_tm, infer
 from .errors import BadFuel, KernelError, ParseError, ResourceExhausted
 from .nbe import normalize_tm
@@ -135,6 +134,8 @@ def _cmd_equal(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import gen  # only fuzzing needs the generators: keep them out of start-up
+
     sig = _load(args.file)
     fuel = _fuel()
     ran, failures = 0, []

@@ -69,7 +69,10 @@ class VZero(Value):
 
 @node
 class VSucc(Value):
-    pred: Value
+    """``k`` successors over ``base``; built by ``syntax.succ``."""
+
+    k: int
+    base: Value
 
 
 @node

@@ -46,6 +46,7 @@ from .syntax import (
     shift,
     split_pi,
     subst1,
+    succ,
     uses_index,
 )
 
@@ -93,7 +94,7 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
             if pick == "zero":
                 return Zero()
             if pick == "succ":
-                return Succ(_gen_term(sig, ctx, ty, size - 1, rng))
+                return succ(Succ, 1, _gen_term(sig, ctx, ty, size - 1, rng))
             if pick == "spine":
                 return _gen_spine(sig, ctx, rng.choice(heads), size, rng)
             return _gen_ind(sig, ctx, ty, size, rng)
@@ -201,8 +202,12 @@ def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
             return tgt == Var(j - k)
         case Zero():
             return tgt == Zero()
-        case Succ(p):
-            return isinstance(tgt, Succ) and _match_tm(p, tgt.pred, k, binds, opened, under)
+        case Succ(j, p):  # j successors of the target's, then p against the rest
+            return (
+                isinstance(tgt, Succ)
+                and tgt.k >= j
+                and _match_tm(p, succ(Succ, tgt.k - j, tgt.base), k, binds, opened, under)
+            )
         case App(f, a):
             head = f
             while isinstance(head, App):
@@ -381,8 +386,8 @@ def _abs_tm(t, u, d) -> list:
             out.append(Var(i + 1) if i >= d else Var(i))
         case Zero():
             out.append(Zero())
-        case Succ(p):
-            out += [Succ(q) for q in _abs_tm(p, u, d)]
+        case Succ(k, b):  # one successor per level: the list and order of a nested chain
+            out += [succ(Succ, 1, q) for q in _abs_tm(succ(Succ, k - 1, b), u, d)]
         case Lam(b):
             out += [Lam(q) for q in _abs_tm(b, u, d + 1)]
         case App(f, a):
@@ -492,7 +497,7 @@ class _TypedEnum:
                     yield (2, j), TmConst(d.name), inst_params(d.result, ())
             return
         for k, p in self.checkable(ctx, Nat(), s - 1):
-            yield (0, k), Succ(p), Nat()
+            yield (0, k), succ(Succ, 1, p), Nat()
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
             for kf, f, f_ty in self.inferable(ctx, s1):

@@ -59,8 +59,7 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    peel,
-    rebuild,
+    succ,
 )
 
 
@@ -85,8 +84,7 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
     if cls is Lam:
         return VLam(Closure(env, t.body))
     if cls is Succ:
-        n, base = peel(t, Succ)
-        return rebuild(VSucc, n, eval_tm(sig, env, base))
+        return succ(VSucc, t.k, eval_tm(sig, env, t.base))
     match t:
         case Zero():
             return VZero()
@@ -103,22 +101,19 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
 
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
-    the bottom of its successor chain, then the successor case folded
-    upward, innermost predecessor first."""
-    preds = []
-    while scrut.__class__ is VSucc:
-        scrut = scrut.pred
-        preds.append(scrut)
-    match scrut:
+    the base of its successor chain, then the successor case once per
+    predecessor, innermost first."""
+    k, base = (scrut.k, scrut.base) if scrut.__class__ is VSucc else (0, scrut)
+    match base:
         case VZero():
             rec = eval_tm(sig, env, zcase)
         case VNe(_, ne):
             blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-            rec = reflect(eval_ty(sig, env + (scrut,), motive), blocked)
+            rec = reflect(eval_ty(sig, env + (base,), motive), blocked)
         case _:
-            raise AssertionError(f"eliminating a non-Nat value: {scrut!r}")
-    for p in reversed(preds):
-        rec = eval_tm(sig, env + (p, rec), scase)
+            raise AssertionError(f"eliminating a non-Nat value: {base!r}")
+    for j in range(k):
+        rec = eval_tm(sig, env + (succ(VSucc, j, base), rec), scase)
     return rec
 
 
@@ -152,13 +147,14 @@ def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
             body_ty = eval_ty(sig, cod.env + (fresh,), cod.body)
             return LamNf(reify(sig, depth + 1, body_ty, body))
         case DNat():
-            n, base = peel(v, VSucc)
-            match base:
+            match v:
+                case VSucc(k, base):
+                    return succ(SuccNf, k, reify(sig, depth, ty, base))
                 case VZero():
-                    return rebuild(SuccNf, n, ZeroNf())
+                    return ZeroNf()
                 case VNe(_, ne):
-                    return rebuild(SuccNf, n, NeNat(reify_ne(sig, depth, ne)))
-            raise AssertionError(f"not a Nat value: {base!r}")
+                    return NeNat(reify_ne(sig, depth, ne))
+            raise AssertionError(f"not a Nat value: {v!r}")
         case DConst(name, args):
             assert isinstance(v, VNe), f"not a neutral at a constant type: {v!r}"
             return NeConst(name, _reify_const_args(sig, depth, name, args), reify_ne(sig, depth, v.ne))
@@ -180,7 +176,7 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
             zcase_nf = reify(sig, depth, eval_ty(sig, motive.env + (VZero(),), motive.body), zcase)
             fresh_ih = var_value(motive_n, depth + 1)
             body = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
-            body_ty = eval_ty(sig, motive.env + (VSucc(fresh_n),), motive.body)
+            body_ty = eval_ty(sig, motive.env + (succ(VSucc, 1, fresh_n),), motive.body)
             scase_nf = reify(sig, depth + 2, body_ty, body)
             return NatIndNe(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
         case NConst(name, args):

@@ -32,8 +32,6 @@ from .syntax import (
     inst_params,
     motive_succ_case,
     node,
-    peel,
-    rebuild,
     subst1,
 )
 
@@ -82,7 +80,10 @@ class ZeroNf(NfTm):
 
 @node
 class SuccNf(NfTm):
-    pred: NfTm
+    """``k`` successors over ``base``; built by ``syntax.succ``."""
+
+    k: int
+    base: NfTm
 
 
 @node
@@ -142,9 +143,8 @@ def erase(n):
             return Lam(erase(b))
         case ZeroNf():
             return Zero()
-        case SuccNf():
-            k, base = peel(n, SuccNf)
-            return rebuild(Succ, k, erase(base))
+        case SuccNf(k, base):
+            return Succ(k, erase(base))
         case NeNat(e):
             return erase(e)
         case NeConst(_, _, e):
@@ -170,9 +170,8 @@ def _map_nf(n, depth: int, on_var):
             return TyConstNf(c, tuple(_map_nf(a, depth, on_var) for a in args))
         case LamNf(b):
             return LamNf(_map_nf(b, depth + 1, on_var))
-        case SuccNf():
-            k, base = peel(n, SuccNf)
-            return rebuild(SuccNf, k, _map_nf(base, depth, on_var))
+        case SuccNf(k, base):
+            return SuccNf(k, _map_nf(base, depth, on_var))
         case NeNat(e):
             return NeNat(_map_nf(e, depth, on_var))
         case NeConst(c, idx, e):
@@ -230,10 +229,9 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
             match t:
                 case Zero():
                     return ZeroNf()
-                case Succ():
-                    k, base = peel(t, Succ)
+                case Succ(k, base):
                     nf = to_nf(sig, ctx, ty, base)
-                    return None if nf is None else rebuild(SuccNf, k, nf)
+                    return None if nf is None else SuccNf(k, nf)
                 case _:
                     spine = _to_ne(sig, ctx, t)
                     if spine is None or not isinstance(spine[1], Nat):
@@ -327,7 +325,3 @@ def _reduced(sig: Signature, ty: Ty) -> Ty:
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
     """Is ``t`` the erasure of a well-typed normal-form tree at ``ty``?"""
     return to_nf(sig, ctx, ty, t) is not None
-
-
-def is_normal_ty(sig: Signature, ctx: Context, ty: Ty) -> bool:
-    return to_nf_ty(sig, ctx, ty) is not None

@@ -37,11 +37,10 @@ from .syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
-    peel,
-    rebuild,
     shift,
     subst1,
     subst_many,
+    succ,
 )
 
 DEFAULT_FUEL = 100_000
@@ -54,18 +53,18 @@ def step(sig: Signature, t: Term) -> Term | None:
             return subst1(body, arg)
         case NatInd(Zero(), _, zcase, _):
             return zcase
-        case NatInd(Succ(n), motive, zcase, scase):
-            rec = NatInd(n, motive, zcase, scase)
-            return subst_many(scase, (rec, n))
+        case NatInd(Succ(k, base), motive, zcase, scase):
+            n = succ(Succ, k - 1, base)
+            return subst_many(scase, (NatInd(n, motive, zcase, scase), n))
     match t:
         case Var(_) | Zero():
             return None
         case Lam(body):
             b = step(sig, body)
             return None if b is None else Lam(b)
-        case Succ(p):
-            p2 = step(sig, p)
-            return None if p2 is None else Succ(p2)
+        case Succ(k, base):
+            b2 = step(sig, base)
+            return None if b2 is None else succ(Succ, k, b2)
         case App(f, a):
             f2 = step(sig, f)
             if f2 is not None:
@@ -137,15 +136,13 @@ def _reduce(sig, t: Term, fuel: _Fuel) -> Term:
         case TmConst(name, args):
             args2 = _reduce_args(sig, args, fuel)
             return t if args2 is args else TmConst(name, args2)
-    # a successor chain is walked in a loop, so long numerals cost no stack
-    succs = []
-    while isinstance(t := _head(sig, t, fuel), Succ):
-        succs.append(t)
-        t = t.pred
-    nf = _reduce_hnf(sig, t, fuel)
-    for s in reversed(succs):
-        nf = s if nf is s.pred else Succ(nf)
-    return nf
+    # a base can head-reduce to a new successor (``succ (ind(...))`` does once
+    # per iota step), so successor heads are summed in a loop, not recursed into
+    k, h = 0, t
+    while (h := _head(sig, h, fuel)).__class__ is Succ:
+        k, h = k + h.k, h.base
+    nf = _reduce_hnf(sig, h, fuel)
+    return t if t.__class__ is Succ and nf is t.base else succ(Succ, k, nf)
 
 
 def _head(sig, t: Term, fuel: _Fuel) -> Term:
@@ -166,8 +163,9 @@ def _head(sig, t: Term, fuel: _Fuel) -> Term:
                     case Zero():
                         fuel.spend()
                         t = zcase
-                    case Succ(n):
+                    case Succ(k, base):
                         fuel.spend()
+                        n = succ(Succ, k - 1, base)
                         t = subst_many(scase, (NatInd(n, motive, zcase, scase), n))
                     case _:
                         return t if s2 is scrut else NatInd(s2, motive, zcase, scase)
@@ -239,9 +237,8 @@ def _eta_tm(sig, ctx: Context, ty: Ty, t: Term, fuel: _Fuel) -> Term:
             match t:
                 case Zero():
                     return t
-                case Succ():
-                    k, base = peel(t, Succ)
-                    return rebuild(Succ, k, _eta_tm(sig, ctx, ty, base, fuel))
+                case Succ(k, base):
+                    return Succ(k, _eta_tm(sig, ctx, ty, base, fuel))
                 case _:
                     return _eta_ne(sig, ctx, t, fuel)[0]
         case TyConst(_, _):

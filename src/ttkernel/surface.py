@@ -16,9 +16,9 @@ The concrete grammar:
     tmAtom  := IDENT | "zero" | "succ" tmAtom | NUMERAL | "(" tm ")"
 
 NUMERAL is a run of decimal digits (Unicode category Nd) and desugars to
-iterated successors. IDENT starts with a letter or "_" and continues with
-letters, numeric characters (such as "2" or "²"), "_" and "'"; keywords
-are reserved. Blanks are space, tab and carriage return; "--" comments run to
+one successor node over zero. IDENT starts with a letter or "_" and
+continues with letters, numeric characters (such as "2" or "²"), "_" and
+"'"; keywords are reserved. Blanks are space, tab and carriage return; "--" comments run to
 the end of the line. Any other character is an error.
 """
 
@@ -52,11 +52,10 @@ from .syntax import (
     Zero,
     node,
     numeral,
-    peel,
-    rebuild,
     shift,
     split_pi,
     subst1,
+    succ,
     uses_index,
 )
 from .normal import NfTy, erase
@@ -413,8 +412,10 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
         case SNum(value, _):
             return numeral(value)
         case SSucc(_, _):
-            n, base = peel(stm, SSucc)
-            return rebuild(Succ, n, elab_tm(sig, names, base))
+            k = 0
+            while stm.__class__ is SSucc:
+                k, stm = k + 1, stm.pred
+            return succ(Succ, k, elab_tm(sig, names, stm))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):
@@ -497,13 +498,10 @@ def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             return names[len(names) - 1 - i] if 0 <= i < len(names) else f"?v{i}"
         case Zero():
             return "zero"
-        case Succ(_):
-            depth, inner = peel(t, Succ)
-            if isinstance(inner, Zero):
-                return str(depth)
-            s = print_tm(inner, names, 2)
-            for _ in range(depth - 1):
-                s = f"(succ {s})"
+        case Succ(k, base):
+            if isinstance(base, Zero):
+                return str(k)
+            s = "(succ " * (k - 1) + print_tm(base, names, 2) + ")" * (k - 1)
             return _wrap(f"succ {s}", prec > 1)
         case Lam(body):
             x = _fresh(names)

@@ -21,8 +21,9 @@ node = dataclass(slots=True, eq=False, repr=False)  # Node supplies ==, hash and
 
 class Node:
     """Base of every tree class: structural ``==``, ``hash`` and dataclass-style
-    ``repr``. Trees are as deep as their numerals, so all three walk them with an
-    explicit stack over each class's fields (``__match_args__``), never recursing."""
+    ``repr``. A numeral is one node, but source nesting can make trees deep, so all
+    three walk them with an explicit stack over each class's fields
+    (``__match_args__``), never recursing."""
 
     __slots__ = ()
 
@@ -93,25 +94,17 @@ def walk(t):
 
 
 # ---------------------------------------------------------------------------
-# Successor chains.  Numerals are chains of thousands of successor nodes, so
-# every layer walks them in a loop: peel the chain, handle its base once,
-# rebuild it bottom-up. ``cls`` is the successor class of the layer (Succ,
-# SuccNf, VSucc); each has one field, ``pred``.
+# Successor chains.  A chain of successors is one node in every layer: ``cls``
+# is the layer's successor class (Succ, SuccNf, VSucc), whose fields are
+# ``k >= 1`` and ``base``, and a base is never of the same class.
 
 
-def peel(t, cls):
-    """``(n, base)``: ``t`` is ``n`` successors of class ``cls`` over ``base``."""
-    n = 0
-    while t.__class__ is cls:
-        n, t = n + 1, t.pred
-    return n, t
-
-
-def rebuild(cls, n: int, base):
-    """``n`` successors of class ``cls`` over ``base``."""
-    for _ in range(n):
-        base = cls(base)
-    return base
+def succ(cls, k: int, base):
+    """``k`` successors of class ``cls`` over ``base``, as one node: ``base``
+    itself when ``k`` is 0, its count raised when it is already a chain."""
+    if base.__class__ is cls:
+        return cls(base.k + k, base.base)
+    return cls(k, base) if k else base
 
 
 class Ty(Node):
@@ -164,7 +157,10 @@ class Zero(Term):
 
 @node
 class Succ(Term):
-    pred: Term
+    """``k`` successors over ``base``; built by ``succ``."""
+
+    k: int
+    base: Term
 
 
 @node
@@ -209,7 +205,7 @@ class Context(Node):
 
 
 def numeral(n: int) -> Term:
-    return rebuild(Succ, n, Zero())
+    return succ(Succ, n, Zero())
 
 
 def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
@@ -245,9 +241,8 @@ def _map_term(t: Term, depth: int, on_var) -> Term:
     if cls is Zero:
         return t
     if cls is Succ:
-        n, base = peel(t, Succ)
-        new = _map_term(base, depth, on_var)
-        return t if new is base else rebuild(Succ, n, new)
+        new = _map_term(t.base, depth, on_var)
+        return t if new is t.base else succ(Succ, t.k, new)
     if cls is TmConst:
         args = _map_args(t.args, depth, on_var)
         return t if args is t.args else TmConst(t.name, args)
@@ -338,7 +333,7 @@ def inst_params(t, args: tuple[Term, ...]):
 
 def motive_succ_case(motive: Ty) -> Ty:
     """Expected type of a NatInd successor case, scoped over (n, ih)."""
-    return subst1(shift(motive, 2, cutoff=1), Succ(Var(1)))
+    return subst1(shift(motive, 2, cutoff=1), succ(Succ, 1, Var(1)))
 
 
 def uses_index(t, i: int) -> bool:
@@ -356,8 +351,9 @@ def uses_index(t, i: int) -> bool:
 
 
 def node_count(t) -> int:
-    """Size of a term or type: nodes including binders."""
-    return sum(isinstance(x, Node) for x in walk(t))
+    """Size of a term or type: nodes including binders, where a chain of
+    ``k`` successors counts ``k``."""
+    return sum(x.k if x.__class__ is Succ else 1 for x in walk(t) if isinstance(x, Node))
 
 
 def alpha_eq(a, b) -> bool:

@@ -3,7 +3,7 @@ before they shared unchanged subtrees, rebuilding every node they visit.
 ``syntax.shift``, ``subst_many``, ``rename_with``, ``uses_index`` and
 ``motive_succ_case`` must return results ``==`` to these."""
 
-from ttkernel.syntax import App, Lam, Nat, NatInd, Pi, Succ, TmConst, Ty, TyConst, Var, Zero, peel, rebuild
+from ttkernel.syntax import App, Lam, Nat, NatInd, Pi, Succ, TmConst, Ty, TyConst, Var, Zero, succ
 
 
 def _map_term(t, depth, on_var):
@@ -16,9 +16,8 @@ def _map_term(t, depth, on_var):
             return App(_map_term(f, depth, on_var), _map_term(a, depth, on_var))
         case Zero():
             return t
-        case Succ():
-            n, base = peel(t, Succ)
-            return rebuild(Succ, n, _map_term(base, depth, on_var))
+        case Succ(k, base):
+            return succ(Succ, k, _map_term(base, depth, on_var))
         case NatInd(n, motive, z, s):
             return NatInd(
                 _map_term(n, depth, on_var),
@@ -77,7 +76,7 @@ def subst1(body, arg):
 
 
 def motive_succ_case(motive):
-    return subst1(shift(motive, 2, cutoff=1), Succ(Var(1)))
+    return subst1(shift(motive, 2, cutoff=1), Succ(1, Var(1)))
 
 
 def uses_index(t, i):

@@ -77,6 +77,7 @@ from ttkernel.syntax import (
     alpha_eq,
     numeral,
     rename,
+    succ,
 )
 
 from enum_reference import PARTITION_TARGETS
@@ -99,29 +100,29 @@ def test_criterion_1_beta_golden_suite(sig_empty, sig_abf):
     cases = [
         # eliminator on zero returns the zero case
         (sig_empty, Context(), Nat(),
-         NatInd(Zero(), Nat(), numeral(1), Succ(Var(0))),
-         SuccNf(ZeroNf())),
+         NatInd(Zero(), Nat(), numeral(1), Succ(1, Var(0))),
+         SuccNf(1, ZeroNf())),
         # eliminator on a successor steps through the successor case
         (sig_empty, Context(), Nat(),
-         NatInd(numeral(1), Nat(), Zero(), Succ(Var(0))),
-         SuccNf(ZeroNf())),
+         NatInd(numeral(1), Nat(), Zero(), Succ(1, Var(0))),
+         SuccNf(1, ZeroNf())),
         # 2 + 1 by iterated successor steps
         (sig_empty, Context(), Nat(),
-         NatInd(numeral(2), Nat(), numeral(1), Succ(Var(0))),
-         SuccNf(SuccNf(SuccNf(ZeroNf())))),
+         NatInd(numeral(2), Nat(), numeral(1), Succ(1, Var(0))),
+         SuccNf(3, ZeroNf())),
         # the successor case sees the predecessor
         (sig_empty, Context(), Nat(),
          NatInd(numeral(3), Nat(), Zero(), Var(1)),
-         SuccNf(SuccNf(ZeroNf()))),
+         SuccNf(2, ZeroNf())),
         # function beta
         (sig_empty, Context(), Nat(), App(Lam(Var(0)), Zero()), ZeroNf()),
         (sig_empty, Context(), Nat(),
-         App(Lam(Succ(Var(0))), numeral(2)),
-         SuccNf(SuccNf(SuccNf(ZeroNf())))),
+         App(Lam(Succ(1, Var(0))), numeral(2)),
+         SuccNf(3, ZeroNf())),
         # two nested betas (the K combinator)
         (sig_empty, Context(), Nat(),
          App(App(Lam(Lam(Var(1))), numeral(1)), Zero()),
-         SuccNf(ZeroNf())),
+         SuccNf(1, ZeroNf())),
         # beta under a binder
         (sig_empty, Context(), NN,
          Lam(App(Lam(Var(0)), Var(0))),
@@ -143,15 +144,15 @@ def test_criterion_1_beta_golden_suite(sig_empty, sig_abf):
         # a blocked application spine
         (sig_empty, Context((NN,)), Nat(),
          App(Var(0), numeral(1)),
-         NeNat(AppNe(VarNe(0), SuccNf(ZeroNf())))),
+         NeNat(AppNe(VarNe(0), SuccNf(1, ZeroNf())))),
         # a blocked eliminator
         (sig_empty, Context((Nat(),)), Nat(),
          NatInd(Var(0), Nat(), Zero(), Var(0)),
          NeNat(NatIndNe(VarNe(0), NatNf(), ZeroNf(), NeNat(VarNe(0))))),
         # iterating at a function-typed motive
         (sig_empty, Context(), NN,
-         NatInd(numeral(1), NN, Lam(Var(0)), Lam(Succ(App(Var(1), Var(0))))),
-         LamNf(SuccNf(NeNat(VarNe(0))))),
+         NatInd(numeral(1), NN, Lam(Var(0)), Lam(Succ(1, App(Var(1), Var(0))))),
+         LamNf(SuccNf(1, NeNat(VarNe(0))))),
     ]
     assert len(cases) == 15
     for sig, ctx, ty, t, expected in cases:
@@ -313,7 +314,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         t = gen_term(sig, ctx, Nat(), 6, rng)
         v = eval_tm(sig, id_env(sig, ctx), t)
         d = len(ctx)
-        assert reify(sig, d, DNat(), VSucc(v)) == SuccNf(reify(sig, d, DNat(), v))
+        assert reify(sig, d, DNat(), succ(VSucc, 1, v)) == succ(SuccNf, 1, reify(sig, d, DNat(), v))
 
     # reify . reflect at Nat is the neutral coercion
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):

@@ -30,6 +30,7 @@ from ttkernel.syntax import (
     TyConst,
     Var,
     Zero,
+    succ,
 )
 
 NN = Pi(Nat(), Nat())
@@ -70,7 +71,7 @@ def test_infer_zero(sig_empty):
 
 
 def test_infer_eliminator(sig_empty):
-    t = NatInd(Var(0), Nat(), Zero(), Succ(Var(0)))
+    t = NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0)))
     assert infer(sig_empty, Context((Nat(),)), t) == Nat()
 
 
@@ -115,7 +116,7 @@ def test_check_lambda(sig_empty):
 
 def test_check_mismatch(sig_empty):
     with pytest.raises(Mismatch):
-        check(sig_empty, Context(), Succ(Zero()), NN)
+        check(sig_empty, Context(), Succ(1, Zero()), NN)
     with pytest.raises(Mismatch):
         check(sig_empty, Context(), Lam(Var(0)), Nat())
 
@@ -135,7 +136,7 @@ def test_conv_eta(sig_empty):
 
 
 def test_conv_distinguishes_numerals(sig_empty):
-    assert not conv_tm(sig_empty, Context(), Nat(), Zero(), Succ(Zero()))
+    assert not conv_tm(sig_empty, Context(), Nat(), Zero(), Succ(1, Zero()))
 
 
 def test_conv_ty_through_index_redex(sig_abf):
@@ -168,7 +169,7 @@ def test_conv_is_equivalence_and_congruence(sig_abf):
         # congruence under the successor and under abstraction
         if ty == Nat():
             assert conv_tm(sig_abf, ctx, ty, t, u) == conv_tm(
-                sig_abf, ctx, ty, Succ(t), Succ(u)
+                sig_abf, ctx, ty, succ(Succ, 1, t), succ(Succ, 1, u)
             )
 
 
@@ -184,7 +185,7 @@ def test_subject_reduction_through_normal_form(sig_abf):
 
 def test_checker_error_carries_normal_forms(sig_empty):
     try:
-        check(sig_empty, Context(), Succ(Zero()), NN)
+        check(sig_empty, Context(), Succ(1, Zero()), NN)
     except Mismatch as e:
         assert e.expected_nf is not None and e.actual_nf is not None
         assert "Nat -> Nat" in str(e)

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes and the JSON record shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ttkernel
 from ttkernel import gen
 from ttkernel.cli import main
 
@@ -215,7 +220,7 @@ DEEP = {
 
 @pytest.mark.parametrize("case", DEEP)
 def test_deep_input_works(good, tmp_path, capsys, case):
-    # successor chains are walked in loops, so these fit the default recursion limit
+    # a numeral is one node, so these fit the default recursion limit
     (command, *rest), want = DEEP[case]
     (tmp_path / "chain.tt").write_text(CHAIN)
     argv = [command, str(tmp_path / "chain.tt") if command == "check" else good, *rest]
@@ -269,3 +274,25 @@ def test_odd_characters_are_a_kernel_error(good, tmp_path, capsys, where, text):
     assert main(argv + ["--json"]) == code
     record = _json_of(capsys)
     assert record["status"] in ("parse-error", "type-error") and record["error"]["code"]
+
+
+def _tt_process(*argv, after="", timeout=120):
+    """Run ``tt`` in a fresh interpreter; ``after`` runs once it has returned."""
+    src = str(Path(ttkernel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = f"import sys\nfrom ttkernel.cli import main\ncode = main(sys.argv[1:])\n{after}\nsys.exit(code)"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def test_huge_numeral_through_tt(good):
+    done = _tt_process("normalize", good, "-e", "1000000000", "--oracle", "--json")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout) == {"status": "ok", "output": "1000000000", "error": None}
+
+
+def test_normalize_leaves_the_generators_unimported(good):
+    # only tt fuzz needs gen, so the other commands start without it
+    done = _tt_process("normalize", good, "-e", "mul 3 4", after="print('ttkernel.gen' in sys.modules)")
+    assert done.returncode == 0 and done.stdout.splitlines() == ["12", "False"]

@@ -50,7 +50,7 @@ def test_gen_minimal_nat(sig_empty):
 
 def test_gen_small_terms_stay_in_grammar(sig_empty):
     ctx = Context((Nat(),))
-    allowed = {Succ(Zero()), Var(0), Zero(), Succ(Var(0))}
+    allowed = {Succ(1, Zero()), Var(0), Zero(), Succ(1, Var(0))}
     for seed in range(30):
         assert gen_term(sig_empty, ctx, Nat(), 2, seed) in allowed
 
@@ -82,7 +82,7 @@ def test_generated_terms_check(sig_abf, sig_dep):
 
 def test_case_problem_names_each_property(sig_empty, monkeypatch):
     ctx, ty = Context((Nat(),)), Nat()
-    t = App(Lam(Succ(Var(0))), Var(0))  # normal form: succ v0
+    t = App(Lam(Succ(1, Var(0))), Var(0))  # normal form: succ v0
     assert case_problem(sig_empty, ctx, ty, t) is None
 
     def problem_with(name, fake):
@@ -152,7 +152,7 @@ def test_spine_heads_is_the_reference_list(sig_crossval, sig_dep, sig_abf, monke
 
 
 def test_enum_nat_size2(sig_empty):
-    assert set(enum_terms(sig_empty, Context(), Nat(), 2)) == {Zero(), Succ(Zero())}
+    assert set(enum_terms(sig_empty, Context(), Nat(), 2)) == {Zero(), Succ(1, Zero())}
 
 
 def test_enum_nat_in_context_size1(sig_empty):
@@ -171,10 +171,10 @@ def test_enum_matches_hand_list_at_size3(sig_abf):
     hand = {
         Zero(),
         Var(0),
-        Succ(Zero()),
-        Succ(Var(0)),
-        Succ(Succ(Zero())),
-        Succ(Succ(Var(0))),
+        Succ(1, Zero()),
+        Succ(1, Var(0)),
+        Succ(2, Zero()),
+        Succ(2, Var(0)),
     }
     assert set(enum_terms(sig_abf, ctx, Nat(), 3)) == hand
 
@@ -278,3 +278,16 @@ def test_ty_abstractions(sig_dep):
     assert TyConst("C", (Var(0),)) in families  # the dependent family
     for fam in families:
         assert subst1(fam, u) == ty
+    # the scrutinee can be a part of a numeral: each successor is a level
+    assert ty_abstractions(TyConst("C", (numeral(3),)), numeral(1)) == [
+        TyConst("C", (Succ(2, Var(0)),)),
+        TyConst("C", (numeral(3),)),
+    ]
+
+
+def test_match_result_through_successors():
+    # a head returning C (succ (succ n)) matches C 5 with n := 3, and no numeral below 2
+    pattern = TyConst("C", (Succ(2, Var(0)),))
+    assert gen._match_result(pattern, TyConst("C", (numeral(5),)), 1) == ({0: numeral(3)}, set())
+    assert gen._match_result(pattern, TyConst("C", (numeral(2),)), 1) == ({0: Zero()}, set())
+    assert gen._match_result(pattern, TyConst("C", (numeral(1),)), 1) is None

@@ -70,6 +70,7 @@ from ttkernel.syntax import (
     Var,
     Zero,
     numeral,
+    succ,
 )
 
 NN = Pi(Nat(), Nat())
@@ -106,8 +107,8 @@ def test_eval_ty_basics(sig_empty, sig_abf):
 
 
 def test_eval_ind_zero_case(sig_empty):
-    t = NatInd(Zero(), Nat(), Succ(Zero()), Succ(Var(0)))
-    assert eval_tm(sig_empty, (), t) == VSucc(VZero())
+    t = NatInd(Zero(), Nat(), Succ(1, Zero()), Succ(1, Var(0)))
+    assert eval_tm(sig_empty, (), t) == VSucc(1, VZero())
 
 
 def test_eval_beta(sig_empty):
@@ -146,8 +147,8 @@ def test_apply_non_function_is_invariant_breach(sig_empty):
 
 
 def test_apply_closure_with_body(sig_empty):
-    fn = VLam(Closure((), Succ(Var(0))))
-    assert apply(sig_empty, fn, VSucc(VZero())) == VSucc(VSucc(VZero()))
+    fn = VLam(Closure((), Succ(1, Var(0))))
+    assert apply(sig_empty, fn, VSucc(1, VZero())) == VSucc(2, VZero())
 
 
 # -- reflect
@@ -170,7 +171,7 @@ def test_reflect_then_apply(sig_empty):
 
 
 def test_reify_numeral(sig_empty):
-    assert reify(sig_empty, 0, DNat(), VSucc(VSucc(VZero()))) == SuccNf(SuccNf(ZeroNf()))
+    assert reify(sig_empty, 0, DNat(), VSucc(2, VZero())) == SuccNf(2, ZeroNf())
 
 
 def test_reify_neutral_at_nat(sig_empty):
@@ -224,8 +225,8 @@ def test_id_env_levels_match_positions(sig_empty):
 
 
 def test_normalize_arithmetic(sig_empty):
-    t = NatInd(numeral(2), Nat(), numeral(1), Succ(Var(0)))
-    assert normalize_tm(sig_empty, Context(), Nat(), t) == SuccNf(SuccNf(SuccNf(ZeroNf())))
+    t = NatInd(numeral(2), Nat(), numeral(1), Succ(1, Var(0)))
+    assert normalize_tm(sig_empty, Context(), Nat(), t) == SuccNf(3, ZeroNf())
 
 
 def test_normalize_eta_expands_variable(sig_empty):
@@ -255,11 +256,11 @@ def test_normalize_ty_dependent(sig_abf):
 def test_dependent_eliminator_with_indexed_motive(sig_dep):
     # motive C n: the eliminator computes on numerals and blocks on variables
     C = TyConst("C", (Var(0),))
-    t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(Var(1)),)))
+    t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got = normalize_tm(sig_dep, Context(), TyConst("C", (numeral(2),)), t)
     assert erase(got) == TmConst("h", (numeral(2),))
     ctx = Context((Nat(),))
-    blocked = NatInd(Var(0), C, TmConst("c0"), TmConst("h", (Succ(Var(1)),)))
+    blocked = NatInd(Var(0), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got2 = normalize_tm(sig_dep, ctx, TyConst("C", (Var(0),)), blocked)
     assert isinstance(got2, NeConst) and isinstance(got2.ne, NatIndNe)
 
@@ -280,7 +281,7 @@ def test_equation_nfty_fun(sig_empty):
 
 def test_equation_reify_abs(sig_empty):
     ty = DPi(DNat(), NAT_CLO)
-    v = VLam(Closure((), Succ(Var(0))))
+    v = VLam(Closure((), Succ(1, Var(0))))
     lhs = reify(sig_empty, 0, ty, v)
     fresh = var_value(DNat(), 0)
     rhs = LamNf(reify(sig_empty, 1, DNat(), apply(sig_empty, v, fresh)))
@@ -306,8 +307,9 @@ def test_equation_reify_zero(sig_empty):
 
 
 def test_equation_reify_succ(sig_empty):
-    n0 = VSucc(VZero())
-    assert reify(sig_empty, 0, DNat(), VSucc(n0)) == SuccNf(reify(sig_empty, 0, DNat(), n0))
+    n0 = VSucc(1, VZero())
+    want = succ(SuccNf, 1, reify(sig_empty, 0, DNat(), n0))
+    assert reify(sig_empty, 0, DNat(), succ(VSucc, 1, n0)) == want
 
 
 def test_equation_reify_reflect_nat(sig_empty):
@@ -321,12 +323,12 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     # blocked neutral reflected at the instantiated motive
     env = id_env(sig_empty, Context((Nat(),)))
     scrut_ne = NVar(0)
-    lhs = eval_tm(sig_empty, env, NatInd(Var(0), Nat(), Zero(), Succ(Var(0))))
+    lhs = eval_tm(sig_empty, env, NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0))))
     blocked = NNatInd(
         scrut_ne,
         Closure(env, Nat()),
         eval_tm(sig_empty, env, Zero()),
-        Closure(env, Succ(Var(0))),
+        Closure(env, Succ(1, Var(0))),
     )
     rhs = reflect(DNat(), blocked)
     assert lhs == rhs
@@ -334,7 +336,7 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     # under the right number of fresh variables
     got = reify(sig_empty, 1, DNat(), lhs)
     assert got == NeNat(
-        NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(NeNat(VarNe(0))))
+        NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(1, NeNat(VarNe(0))))
     )
 
 
@@ -408,18 +410,14 @@ LAYERS = [
 @pytest.mark.parametrize("src, n", DEEP_NUMERALS)
 @pytest.mark.parametrize("layer", LAYERS)
 def test_deep_numeral_stack_follows_nesting(sig_walkthrough, layer, src, n):
-    # every layer walks a successor chain in a loop, so the stack a numeral
-    # needs does not grow with its value
+    # a numeral is one node in every layer, so the stack a numeral needs does
+    # not grow with its value
     sig, ctx = sig_walkthrough, Context()
     stm = parse_expression(src)
     t = elab_tm(sig, (), stm)
-    nf = ZeroNf()
-    for _ in range(n):
-        nf = SuccNf(nf)
+    nf = SuccNf(n, ZeroNf())
     assert normalize_tm(sig, ctx, Nat(), t) == nf
-    open_t = Var(0)  # n successors over a variable print as nested succ
-    for _ in range(n):
-        open_t = Succ(open_t)
+    open_t = Succ(n, Var(0))  # n successors over a variable print as nested succ
     calls = {
         "elab_tm": (lambda: elab_tm(sig, (), stm), t),
         "infer": (lambda: infer(sig, ctx, t), Nat()),

@@ -13,7 +13,6 @@ from ttkernel.normal import (
     ZeroNf,
     erase,
     is_normal,
-    is_normal_ty,
     rename_nf,
     to_nf,
     to_nf_ty,
@@ -40,7 +39,7 @@ NN = Pi(Nat(), Nat())
 
 
 def test_erase_homomorphic():
-    assert erase(SuccNf(ZeroNf())) == Succ(Zero())
+    assert erase(SuccNf(1, ZeroNf())) == Succ(1, Zero())
 
 
 def test_erase_forgets_coercions():
@@ -90,7 +89,7 @@ def test_rename_nf_commutes_with_erase(sig_abf):
 
 
 def test_is_normal_numeral(sig_empty):
-    assert is_normal(sig_empty, Context(), Nat(), Succ(Zero()))
+    assert is_normal(sig_empty, Context(), Nat(), Succ(1, Zero()))
 
 
 def test_is_normal_rejects_beta_redex(sig_empty):
@@ -115,10 +114,8 @@ def test_is_normal_ty(sig_abf):
     from ttkernel.syntax import TyConst
 
     ctx = Context((TyConst("A"),))
-    assert is_normal_ty(sig_abf, ctx, TyConst("B", (Var(0),)))
-    assert not is_normal_ty(
-        sig_abf, ctx, TyConst("B", (App(Lam(Var(0)), Var(0)),))
-    )
+    assert to_nf_ty(sig_abf, ctx, TyConst("B", (Var(0),))) is not None
+    assert to_nf_ty(sig_abf, ctx, TyConst("B", (App(Lam(Var(0)), Var(0)),))) is None
 
 
 def test_roundtrip_unique_reconstruction(sig_abf):
@@ -144,7 +141,7 @@ def test_erase_injective_small(sig_empty):
 
 def test_numeral_roundtrip(sig_empty):
     n = normalize_tm(sig_empty, Context(), Nat(), numeral(4))
-    assert n == SuccNf(SuccNf(SuccNf(SuccNf(ZeroNf()))))
+    assert n == SuccNf(4, ZeroNf())
     assert to_nf(sig_empty, Context(), Nat(), numeral(4)) == n
 
 

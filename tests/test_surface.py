@@ -49,11 +49,11 @@ def test_parse_free_model_postulates():
 
 def test_parse_numeral_sugar():
     sig = elaborate(parse("def two : Nat := 2"))
-    assert sig.lookup("two") == Define("two", Nat(), Succ(Succ(Zero())))
+    assert sig.lookup("two") == Define("two", Nat(), Succ(2, Zero()))
     # a numeral, zero included, is one surface node
     assert parse_expression("1000") == SNum(1000, (1, 1))
     assert parse_expression("succ zero") == SSucc(SNum(0, (1, 6)), (1, 1))
-    assert elab_tm(sig, (), parse_expression("succ 2")) == Succ(Succ(Succ(Zero())))
+    assert elab_tm(sig, (), parse_expression("succ 2")) == Succ(3, Zero())
 
 
 def test_parse_add_definition():
@@ -61,7 +61,7 @@ def test_parse_add_definition():
     sig = elaborate(parse(src))
     add = sig.lookup("add")
     assert isinstance(add, Define)
-    assert add.body == Lam(Lam(NatInd(Var(1), Nat(), Var(0), Succ(Var(0)))))
+    assert add.body == Lam(Lam(NatInd(Var(1), Nat(), Var(0), Succ(1, Var(0)))))
 
 
 def test_parse_fun_arrow_lambda():
@@ -122,13 +122,11 @@ def test_under_applied_constant_eta_expands(sig_abf):
 
 def test_definition_expansion_is_transparent(sig_walkthrough):
     t = elab_tm(sig_walkthrough, (), parse_expression("add 2 3"))
-    assert normalize_tm(sig_walkthrough, Context(), Nat(), t) == SuccNf(
-        SuccNf(SuccNf(SuccNf(SuccNf(ZeroNf()))))
-    )
+    assert normalize_tm(sig_walkthrough, Context(), Nat(), t) == SuccNf(5, ZeroNf())
 
 
 def test_print_numeral():
-    assert print_nf(SuccNf(SuccNf(ZeroNf()))) == "2"
+    assert print_nf(SuccNf(2, ZeroNf())) == "2"
 
 
 def test_print_eta_long_variable():
@@ -173,7 +171,7 @@ def test_print_parse_roundtrip_types(sig_abf):
 
 
 def test_print_eliminator_roundtrip(sig_empty):
-    t = NatInd(Var(0), Nat(), Zero(), Succ(Var(0)))
+    t = NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0)))
     text = print_tm(t, ("n",))
     back = elab_tm(sig_empty, ("n",), parse_expression(text))
     assert back == t
@@ -193,7 +191,7 @@ def test_no_type_sort():
 def test_succ_argument_is_an_atom(sig_empty):
     # "g succ x" applies g to (succ x): succ grabs exactly one atom
     t = elab_tm(sig_empty, ("x", "g"), parse_expression("g succ x"))
-    assert t == App(Var(0), Succ(Var(1)))
+    assert t == App(Var(0), Succ(1, Var(1)))
 
 
 def test_print_nf_type(sig_abf):
@@ -207,7 +205,7 @@ def test_zero_parameter_term_constant():
     sig = elaborate(parse("postulate c : Nat\ndef d : Nat := succ c"))
     c = sig.lookup("c")
     assert isinstance(c, PostulateTm) and c.params == ()
-    assert sig.lookup("d").body == Succ(TmConst("c"))
+    assert sig.lookup("d").body == Succ(1, TmConst("c"))
 
 
 # The benchmark's preludes and a chain of definitions d0..d3.

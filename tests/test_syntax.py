@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkernel import domain, normal, signature, surface, syntax
-from ttkernel.domain import VSucc, VZero
+from ttkernel.domain import DNat, NApp, NVar, VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import SuccNf, VarNe, ZeroNf
+from ttkernel.normal import LamNf, NeNat, SuccNf, VarNe, ZeroNf
 from ttkernel.signature import Signature
 from ttkernel.syntax import (
     App,
@@ -32,12 +32,12 @@ from ttkernel.syntax import (
     motive_succ_case,
     node_count,
     numeral,
-    rebuild,
     rename,
     rename_with,
     shift,
     subst1,
     subst_many,
+    succ,
     uses_index,
 )
 
@@ -64,7 +64,7 @@ def test_weakening_shifts_past_new_binder():
 def test_swap_renaming():
     # (x:Nat, y:Nat) -> (y:Nat, x:Nat); checked by listing the index map by hand
     r = Renaming(nat_ctx(2), nat_ctx(2), (1, 0))
-    assert rename(r, Succ(Var(0))) == Succ(Var(1))
+    assert rename(r, Succ(1, Var(0))) == Succ(1, Var(1))
 
 
 def test_contraction_renaming():
@@ -88,7 +88,7 @@ def test_subst1_identity():
 
 
 def test_subst1_homomorphic():
-    assert subst1(Succ(Var(0)), Succ(Zero())) == Succ(Succ(Zero()))
+    assert subst1(Succ(1, Var(0)), Succ(1, Zero())) == Succ(2, Zero())
 
 
 def test_subst1_under_binder_shifts():
@@ -102,8 +102,8 @@ def test_subst1_drops_higher_indices():
 
 def test_alpha_eq_trivials():
     assert alpha_eq(Lam(Var(0)), Lam(Var(0)))
-    assert not alpha_eq(Lam(Var(0)), Lam(Succ(Var(0))))
-    t = NatInd(Var(0), Nat(), Zero(), Succ(Var(0)))
+    assert not alpha_eq(Lam(Var(0)), Lam(Succ(1, Var(0))))
+    t = NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0)))
     assert alpha_eq(t, t)
 
 
@@ -118,7 +118,7 @@ def test_var_type_weakens():
 def test_inst_params_order():
     # a telescope (x : Nat, y : Nat) instantiated outermost-first
     body = App(Var(1), Var(0))  # x y
-    assert inst_params(body, (Zero(), Succ(Zero()))) == App(Zero(), Succ(Zero()))
+    assert inst_params(body, (Zero(), Succ(1, Zero()))) == App(Zero(), Succ(1, Zero()))
 
 
 def test_motive_succ_case():
@@ -161,7 +161,7 @@ def scoped_terms(draw, depth, fuel=4):
     if pick == "var":
         return Var(draw(st.integers(0, depth - 1)))
     if pick == "succ":
-        return Succ(draw(scoped_terms(depth, fuel - 1)))
+        return succ(Succ, 1, draw(scoped_terms(depth, fuel - 1)))
     if pick == "lam":
         return Lam(draw(scoped_terms(depth + 1, fuel - 1)))
     if pick == "app":
@@ -241,7 +241,7 @@ def scoped_corpus(sig_crossval, sig_dep, sig_abf):
     return out
 
 
-SIGMAS = ((Zero(),), (Var(2), Succ(Var(0))), (Lam(Var(1)), numeral(2), TmConst("c0")))
+SIGMAS = ((Zero(),), (Var(2), Succ(1, Var(0))), (Lam(Var(1)), numeral(2), TmConst("c0")))
 
 
 def test_traversals_agree_with_the_reference(scoped_corpus):
@@ -291,21 +291,48 @@ def test_changed_trees_share_their_unchanged_parts():
 
 # -- the node base: structural ==, hash and repr without recursion
 
-DEEP = 10**5
-DEEP_CHAINS = {
-    "numeral": lambda: numeral(DEEP),
-    "SuccNf normal form": lambda: normalize_tm(Signature(), Context(), Nat(), numeral(DEEP)),
-    "VSucc chain": lambda: rebuild(VSucc, DEEP, VZero()),
+
+def _nest(make, leaf, n):
+    for _ in range(n):
+        leaf = make(leaf)
+    return leaf
+
+
+# case -> (build a tree of size n, its repr, n). A numeral is one node at any
+# value; source nesting makes trees as deep as it is.
+DEEP_TREES = {
+    "numeral": (numeral, "Succ(k={}, base=Zero())".format, 10**9),
+    "SuccNf normal form": (
+        lambda n: normalize_tm(Signature(), Context(), Nat(), numeral(n)),
+        "SuccNf(k={}, base=ZeroNf())".format,
+        10**9,
+    ),
+    "VSucc chain": (lambda n: succ(VSucc, n, VZero()), "VSucc(k={}, base=VZero())".format, 10**9),
+    "Lam nest": (
+        lambda n: _nest(Lam, Var(0), n),
+        lambda n: "Lam(body=" * n + "Var(index=0)" + ")" * n,
+        10**5,
+    ),
+    "LamNf nest": (
+        lambda n: _nest(LamNf, NeNat(VarNe(0)), n),
+        lambda n: "LamNf(body=" * n + "NeNat(ne=VarNe(index=0))" + ")" * n,
+        10**5,
+    ),
+    "NApp spine": (
+        lambda n: _nest(lambda ne: NApp(ne, VZero(), DNat()), NVar(0), n),
+        lambda n: "NApp(fn=" * n + "NVar(level=0)" + ", arg=VZero(), arg_ty=DNat())" * n,
+        10**5,
+    ),
 }
 
 
-@pytest.mark.parametrize("case", DEEP_CHAINS)
+@pytest.mark.parametrize("case", DEEP_TREES)
 def test_deep_chain_eq_hash_repr(case):
-    a, b = DEEP_CHAINS[case](), DEEP_CHAINS[case]()
+    build, shown, n = DEEP_TREES[case]
+    a, b, smaller = build(n), build(n), build(n - 1)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != a.pred and a.pred != a
-    name, base = a.__class__.__name__, {"Succ": "Zero()", "SuccNf": "ZeroNf()", "VSucc": "VZero()"}
-    assert repr(a) == f"{name}(pred=" * DEEP + base[name] + ")" * DEEP
+    assert a != smaller and smaller != a
+    assert repr(a) == shown(n)
 
 
 def test_repr_is_the_dataclass_format():
@@ -321,7 +348,7 @@ def test_repr_is_the_dataclass_format():
 
 def test_eq_compares_classes_lengths_and_leaves():
     assert Var(0) != VarNe(0) and VarNe(0) != Var(0)
-    assert Succ(Zero()) != SuccNf(ZeroNf())
+    assert Succ(1, Zero()) != SuccNf(1, ZeroNf())
     assert Context((Nat(),)) != Context((Nat(), Nat()))
     assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
     assert Var(0) != 0 and Context() != ()
