@@ -30,7 +30,7 @@ from .signature import Define, PostulateTm, PostulateTy, Signature, declare
 from .normal import NeTm, NfTm, NfTy, erase, is_normal, rename_nf
 from .nbe import normalize_tm, normalize_ty
 from .check import check_ty, conv_tm, conv_ty, infer
-from .rewrite import oracle_equal, rw_normalize, step
+from .rewrite import oracle_equal, rw_normalize
 from .surface import elaborate, parse, print_nf
 
 __all__ = [
@@ -74,6 +74,5 @@ __all__ = [
     "rename_nf",
     "rw_normalize",
     "shift",
-    "step",
     "subst1",
 ]

@@ -106,7 +106,8 @@ class UnknownName(KernelError):
 
 
 class FuelExhausted(KernelError):
-    """The rewriting oracle ran out of fuel: a kernel bug, not a user error."""
+    """The rewriting oracle used up its budget of beta/iota steps (100,000
+    unless ``TT_FUEL`` raises it), as large arithmetic can on well-typed input."""
 
     code = "fuel_exhausted"
 

@@ -7,9 +7,9 @@ instantiated) result type matches the target. Enumeration is typed too:
 it builds, size by size, only the terms and types the kernel checker
 accepts, by the checker's own rules (conversion included, so a term that
 fits the target only up to conversion is kept). The tests hold it to a
-reference that filters every well-scoped tree through the checker: the
-same lists, in the same order. The checker types beta-redexes, so the
-corpus has them.
+reference that filters every well-scoped tree through the checker: at
+each size, the same terms, in whatever order. The checker types
+beta-redexes, so the corpus has them.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
             return _gen_ind(sig, ctx, ty, size, rng)
         except GenerationStuck:
             options = [o for o in options if o != pick]
-    if isinstance(ty, Nat):
-        return Zero()
     raise GenerationStuck("no inhabitant found")
 
 
@@ -183,8 +181,6 @@ def _match_ty(pat, tgt, k, binds, opened) -> bool:
             return True
         case (TyConst(c1, pas), TyConst(c2, tas)) if c1 == c2 and len(pas) == len(tas):
             return all(_match_tm(p, t, k, binds, opened) for p, t in zip(pas, tas))
-        case (Pi(_, _), Pi(_, _)):
-            return _param_free_eq(pat, tgt, k)
     return False
 
 
@@ -454,64 +450,59 @@ def case_problem(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
 
 class _TypedEnum:
     """Well-typed terms and well-formed types of an exact node count, built by
-    ``check``'s rules one for one and memoized for one enumeration.
-
-    Every entry carries a key: its position in the order of the reference
-    enumeration over all well-scoped trees (constructor block, then the sizes
-    of the parts, then the parts' keys). Each memo list is sorted by key, so
-    the output is the reference's filtered list, in its order.
-    """
+    ``check``'s rules one for one and memoized for one enumeration. Each list
+    keeps the order its builder produced it in."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
         self.tm_consts = [d for d in sig.decls if isinstance(d, PostulateTm)]
         self.ty_consts = [d for d in sig.decls if isinstance(d, PostulateTy)]
-        self._lists: dict = {}  # (builder name, arguments) -> its entries, sorted by key
+        self._lists: dict = {}  # (builder name, arguments) -> its entries
         self._fits: dict = {}  # (ctx, ty) -> {inferred type: whether check accepts it at ty}
 
     def inferable(self, ctx: Context, s: int) -> list:
-        """``(key, term, type)`` for every term of size ``s`` that infers ``type``."""
+        """``(term, type)`` for every term of size ``s`` that infers ``type``."""
         return self._memo(self._infer_new, ctx, s)
 
     def checkable(self, ctx: Context, ty: Ty, s: int) -> list:
-        """``(key, term)`` for every term of size ``s`` that checks at ``ty``."""
+        """Every term of size ``s`` that checks at ``ty``."""
         return self._memo(self._check_new, ctx, ty, s)
 
     def types(self, ctx: Context, s: int) -> list:
-        """``(key, type)`` for every well-formed type of size ``s``."""
+        """Every well-formed type of size ``s``."""
         return self._memo(self._types_new, ctx, s)
 
     def _memo(self, build, *args):
         memo = (build.__name__, *args)
         got = self._lists.get(memo)
         if got is None:
-            got = self._lists[memo] = sorted(build(*args), key=_key)
+            got = self._lists[memo] = list(build(*args))
         return got
 
     def _infer_new(self, ctx, s):
         if s == 1:
-            yield from (((0, i), Var(i), ctx.var_type(i)) for i in range(len(ctx)))
-            yield (1,), Zero(), Nat()
-            for j, d in enumerate(self.tm_consts):
+            yield from ((Var(i), ctx.var_type(i)) for i in range(len(ctx)))
+            yield Zero(), Nat()
+            for d in self.tm_consts:
                 if not d.params:
-                    yield (2, j), TmConst(d.name), inst_params(d.result, ())
+                    yield TmConst(d.name), inst_params(d.result, ())
             return
-        for k, p in self.checkable(ctx, Nat(), s - 1):
-            yield (0, k), succ(Succ, 1, p), Nat()
+        for p in self.checkable(ctx, Nat(), s - 1):
+            yield succ(Succ, 1, p), Nat()
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
-            for kf, f, f_ty in self.inferable(ctx, s1):
+            for f, f_ty in self.inferable(ctx, s1):
                 if isinstance(f_ty, Pi):
-                    for ka, a in self.checkable(ctx, f_ty.dom, s2):
-                        yield (2, s1, kf, ka), App(f, a), subst1(f_ty.cod, a)
+                    for a in self.checkable(ctx, f_ty.dom, s2):
+                        yield App(f, a), subst1(f_ty.cod, a)
             if s1 >= 2:  # beta-redexes: the argument's type is the binder's type
-                for ka, a, a_ty in self.inferable(ctx, s2):
-                    for kb, body, b_ty in self.inferable(ctx.extend(a_ty), s1 - 1):
-                        yield (2, s1, (1, kb), ka), App(Lam(body), a), subst1(b_ty, a)
-        for j, d in enumerate(self.tm_consts):
+                for a, a_ty in self.inferable(ctx, s2):
+                    for body, b_ty in self.inferable(ctx.extend(a_ty), s1 - 1):
+                        yield App(Lam(body), a), subst1(b_ty, a)
+        for d in self.tm_consts:
             if d.params:
-                for k, args in self._parts(self._arg_slots(ctx, d.params), s - 1):
-                    yield (3, j) + k, TmConst(d.name, args), inst_params(d.result, args)
+                for args in self._parts(self._arg_slots(ctx, d.params), s - 1):
+                    yield TmConst(d.name, args), inst_params(d.result, args)
         ind_slots = (
             lambda done, sz: self.checkable(ctx, Nat(), sz),
             lambda done, sz: self.types(ctx.extend(Nat()), sz),
@@ -520,36 +511,36 @@ class _TypedEnum:
                 ctx.extend(Nat()).extend(done[1]), motive_succ_case(done[1]), sz
             ),
         )
-        for k, (scrut, motive, zcase, scase) in self._parts(ind_slots, s - 1):
-            yield (4,) + k, NatInd(scrut, motive, zcase, scase), subst1(motive, scrut)
+        for scrut, motive, zcase, scase in self._parts(ind_slots, s - 1):
+            yield NatInd(scrut, motive, zcase, scase), subst1(motive, scrut)
 
     def _check_new(self, ctx, ty, s):
         if isinstance(ty, Pi) and s >= 2:
-            for k, body in self.checkable(ctx.extend(ty.dom), ty.cod, s - 1):
-                yield (1, k), Lam(body)
+            for body in self.checkable(ctx.extend(ty.dom), ty.cod, s - 1):
+                yield Lam(body)
         fits = self._fits.setdefault((ctx, ty), {})
-        for k, t, actual in self.inferable(ctx, s):
+        for t, actual in self.inferable(ctx, s):
             ok = fits.get(actual)
             if ok is None:  # check's last step, once per inferred type
                 ok = fits[actual] = actual == ty or conv_ty(self.sig, ctx, ty, actual)
             if ok:
-                yield k, t
+                yield t
 
     def _types_new(self, ctx, s):
         if s == 1:
-            yield (0,), Nat()
-            for j, d in enumerate(self.ty_consts):
+            yield Nat()
+            for d in self.ty_consts:
                 if not d.params:
-                    yield (1, j), TyConst(d.name)
+                    yield TyConst(d.name)
             return
-        for j, d in enumerate(self.ty_consts):
+        for d in self.ty_consts:
             if d.params:
-                for k, args in self._parts(self._arg_slots(ctx, d.params), s - 1):
-                    yield (0, j) + k, TyConst(d.name, args)
+                for args in self._parts(self._arg_slots(ctx, d.params), s - 1):
+                    yield TyConst(d.name, args)
         for s1 in range(1, s - 1):
-            for kd, dom in self.types(ctx, s1):
-                for kc, cod in self.types(ctx.extend(dom), s - 1 - s1):
-                    yield (1, s1, kd, kc), Pi(dom, cod)
+            for dom in self.types(ctx, s1):
+                for cod in self.types(ctx.extend(dom), s - 1 - s1):
+                    yield Pi(dom, cod)
 
     def _arg_slots(self, ctx, params):
         # argument i checks at its parameter instantiated by the arguments before it
@@ -557,34 +548,27 @@ class _TypedEnum:
             lambda done, sz, p=p: self.checkable(ctx, inst_params(p, done), sz) for p in params
         )
 
-    def _parts(self, slots, budget, done=(), sizes=(), keys=()):
-        """``(sizes + keys, parts)`` for every tuple of parts, one per slot, of
-        ``budget`` nodes in all; a slot maps the parts before it and a size to
-        the ``(key, part)`` list of that size."""
+    def _parts(self, slots, budget, done=()):
+        """Every tuple of parts, one per slot, of ``budget`` nodes in all; a
+        slot maps the parts before it and a size to the parts of that size."""
         i = len(done)
         if i == len(slots):
-            yield sizes + keys, done
+            yield done
             return
         last = i == len(slots) - 1
         for sz in range(budget if last else 1, budget - (len(slots) - 1 - i) + 1):
-            for k, part in slots[i](done, sz):
-                yield from self._parts(
-                    slots, budget - sz, done + (part,), sizes + (sz,), keys + (k,)
-                )
-
-
-def _key(entry):
-    return entry[0]
+            for part in slots[i](done, sz):
+                yield from self._parts(slots, budget - sz, done + (part,))
 
 
 def enum_terms(sig: Signature, ctx: Context, ty: Ty, max_size: int) -> list[Term]:
     """Every well-typed term at ``ty`` with node count <= ``max_size``, by
-    size and then in the reference enumeration's order."""
+    size and, within a size, in the enumerator's own deterministic order."""
     typed = _TypedEnum(sig)
-    return [t for s in range(1, max_size + 1) for _, t in typed.checkable(ctx, ty, s)]
+    return [t for s in range(1, max_size + 1) for t in typed.checkable(ctx, ty, s)]
 
 
 def enum_types(sig: Signature, ctx: Context, max_size: int) -> list[Ty]:
-    """Every well-formed type with node count <= ``max_size``, in the same order."""
+    """Every well-formed type with node count <= ``max_size``, ordered the same way."""
     typed = _TypedEnum(sig)
-    return [ty for s in range(1, max_size + 1) for _, ty in typed.types(ctx, s)]
+    return [ty for s in range(1, max_size + 1) for ty in typed.types(ctx, s)]

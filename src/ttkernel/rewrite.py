@@ -6,14 +6,14 @@ result is comparable with the eta-long output of the evaluator. The
 oracle never touches the semantic domain; it computes the types it
 needs by rewriting alone.
 
-``step`` contracts the leftmost-outermost redex and is the executable
-specification. ``_reduce`` reaches the same normal form in one pass, in
-normal order (Grégoire & Leroy, "A compiled implementation of strong
-reduction", ICFP 2002): it contracts head redexes in a loop until the
-head is a lambda, a numeral constructor or stuck, then reduces the
-remaining parts left to right. It contracts exactly the redexes
-iterated ``step`` would, in the same order, so results and fuel counts
-are identical; the tests check this on generated and enumerated terms.
+``_reduce`` reaches the normal form in one pass, in normal order
+(Grégoire & Leroy, "A compiled implementation of strong reduction", ICFP
+2002): it contracts head redexes in a loop until the head is a lambda, a
+numeral constructor or stuck, then reduces the remaining parts left to
+right. It contracts exactly the redexes that iterating the single-step
+rewriter ``step`` of ``tests/step_reference.py`` would, in the same order,
+so results and fuel counts are identical; the tests check this on
+generated and enumerated terms.
 """
 
 from __future__ import annotations
@@ -44,74 +44,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 100_000
-
-
-def step(sig: Signature, t: Term) -> Term | None:
-    """Contract the leftmost-outermost redex, or return None if reduced."""
-    match t:
-        case App(Lam(body), arg):
-            return subst1(body, arg)
-        case NatInd(Zero(), _, zcase, _):
-            return zcase
-        case NatInd(Succ(k, base), motive, zcase, scase):
-            n = succ(Succ, k - 1, base)
-            return subst_many(scase, (NatInd(n, motive, zcase, scase), n))
-    match t:
-        case Var(_) | Zero():
-            return None
-        case Lam(body):
-            b = step(sig, body)
-            return None if b is None else Lam(b)
-        case Succ(k, base):
-            b2 = step(sig, base)
-            return None if b2 is None else succ(Succ, k, b2)
-        case App(f, a):
-            f2 = step(sig, f)
-            if f2 is not None:
-                return App(f2, a)
-            a2 = step(sig, a)
-            return None if a2 is None else App(f, a2)
-        case NatInd(scrut, motive, zcase, scase):
-            s2 = step(sig, scrut)
-            if s2 is not None:
-                return NatInd(s2, motive, zcase, scase)
-            m2 = step_ty(sig, motive)
-            if m2 is not None:
-                return NatInd(scrut, m2, zcase, scase)
-            z2 = step(sig, zcase)
-            if z2 is not None:
-                return NatInd(scrut, motive, z2, scase)
-            sc2 = step(sig, scase)
-            return None if sc2 is None else NatInd(scrut, motive, zcase, sc2)
-        case TmConst(name, args):
-            args2 = _step_args(sig, args)
-            return None if args2 is None else TmConst(name, args2)
-    raise AssertionError(f"not a term: {t!r}")
-
-
-def step_ty(sig: Signature, ty: Ty) -> Ty | None:
-    """Contract the leftmost redex inside a type's term arguments."""
-    match ty:
-        case Nat():
-            return None
-        case Pi(dom, cod):
-            d2 = step_ty(sig, dom)
-            if d2 is not None:
-                return Pi(d2, cod)
-            c2 = step_ty(sig, cod)
-            return None if c2 is None else Pi(dom, c2)
-        case TyConst(name, args):
-            args2 = _step_args(sig, args)
-            return None if args2 is None else TyConst(name, args2)
-    raise AssertionError(f"not a type: {ty!r}")
-
-
-def _step_args(sig, args):
-    for i, a in enumerate(args):
-        a2 = step(sig, a)
-        if a2 is not None:
-            return args[:i] + (a2,) + args[i + 1 :]
-    return None
 
 
 class _Fuel:
@@ -219,8 +151,9 @@ def _reduce_args(sig, args, fuel):
 def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Normalize by rewriting: beta/iota to a reduced form, then eta-expand.
 
-    Raises FuelExhausted if the step budget runs out, which cannot happen
-    on well-typed input.
+    Raises FuelExhausted when more than ``fuel`` beta/iota steps are needed.
+    Well-typed input terminates, but large arithmetic can need more steps
+    than the default budget of 100,000.
     """
     tank = _Fuel(fuel)
     reduced = _reduce(sig, t, tank)

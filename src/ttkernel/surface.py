@@ -16,7 +16,8 @@ The concrete grammar:
     tmAtom  := IDENT | "zero" | "succ" tmAtom | NUMERAL | "(" tm ")"
 
 NUMERAL is a run of decimal digits (Unicode category Nd) and desugars to
-one successor node over zero. IDENT starts with a letter or "_" and
+one successor node over zero; a run of "succ" tokens is one node too, and
+the printer writes k successors over another base as such a run. IDENT starts with a letter or "_" and
 continues with letters, numeric characters (such as "2" or "²"), "_" and
 "'"; keywords are reserved. Blanks are space, tab and carriage return; "--" comments run to
 the end of the line. Any other character is an error.
@@ -119,6 +120,7 @@ class SNum(Node):
 
 @node
 class SSucc(Node):
+    k: int  # a run of k >= 1 "succ" tokens
     pred: object
     loc: tuple[int, int]
 
@@ -328,7 +330,10 @@ class _Parser:
         if self.accept("zero"):
             return SNum(0, loc)
         if self.accept("succ"):
-            return SSucc(self.atom(), loc)
+            k = 1
+            while self.accept("succ"):
+                k += 1
+            return SSucc(k, self.atom(), loc)
         if self.accept("("):
             tm = self.tm()
             self.expect(")")
@@ -411,11 +416,8 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
     match stm:
         case SNum(value, _):
             return numeral(value)
-        case SSucc(_, _):
-            k = 0
-            while stm.__class__ is SSucc:
-                k, stm = k + 1, stm.pred
-            return succ(Succ, k, elab_tm(sig, names, stm))
+        case SSucc(k, pred, _):
+            return succ(Succ, k, elab_tm(sig, names, pred))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):
@@ -501,8 +503,7 @@ def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
         case Succ(k, base):
             if isinstance(base, Zero):
                 return str(k)
-            s = "(succ " * (k - 1) + print_tm(base, names, 2) + ")" * (k - 1)
-            return _wrap(f"succ {s}", prec > 1)
+            return _wrap("succ " * k + print_tm(base, names, 2), prec > 1)
         case Lam(body):
             x = _fresh(names)
             return _wrap(f"\\{x}. {print_tm(body, names + (x,), 0)}", prec > 0)

@@ -1,6 +1,7 @@
 """The reference enumerator: every well-scoped tree, filtered through the
-kernel checker. Complete by construction and slow; ``gen.enum_terms`` and
-``gen.enum_types`` must return exactly its lists, in its order."""
+kernel checker. Complete by construction and slow; at each size,
+``gen.enum_terms`` and ``gen.enum_types`` must return the same terms and
+types, each once, in whatever order."""
 
 from itertools import product
 

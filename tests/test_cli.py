@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import ttkernel
-from ttkernel import gen
+from ttkernel import cli, gen
 from ttkernel.cli import main
+from ttkernel.syntax import Zero
 
 from conftest import CROSSVAL, HIGHER_ORDER_SOURCES
 
@@ -125,6 +126,30 @@ def test_fuzz_rejects_a_negative_count_or_size(good, option, capsys):
     assert exit_.value.code == 2
     assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
     assert main(["fuzz", good, option, "0"]) == 0
+
+
+def test_fuzz_rejects_a_non_integer_count(good, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["fuzz", good, "--count", "abc"])
+    assert exit_.value.code == 2
+    assert "argument --count: not an integer: 'abc'" in capsys.readouterr().err
+
+
+def test_normalize_reports_an_oracle_mismatch(good, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "rw_normalize", lambda *args: Zero())
+    assert main(["normalize", good, "-e", "add 2 3", "--oracle"]) == 3
+    assert capsys.readouterr() == ("nbe:    5\noracle: zero\n", "")
+    assert main(["normalize", good, "-e", "add 2 3", "--oracle", "--json"]) == 3
+    record = {"status": "oracle-mismatch", "output": "nbe:    5\noracle: zero", "error": None}
+    assert _json_of(capsys) == record
+
+
+def test_printed_normal_form_reparses_at_any_length(good, capsys):
+    # successors over a variable print as one run of succ, with no nesting
+    assert main(["normalize", good, "-e", "\\x. add 5000 x", "-t", "Nat -> Nat"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert text == "\\x0. " + "succ " * 5000 + "x0"
+    assert main(["equal", good, "-e", text, "-e", "\\x. add 5000 x", "-t", "Nat -> Nat"]) == 0
 
 
 def test_fuel_env(good, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from ttkernel.normal import (
     NatNf,
     NeNat,
     SuccNf,
+    TyConstNf,
     VarNe,
     ZeroNf,
     erase,
@@ -88,6 +89,15 @@ def test_rename_nf_commutes_with_erase(sig_abf):
         assert erase(rename_nf(r, n)) == rename(r, erase(n))
 
 
+def test_rename_nf_under_a_function_type_binder():
+    # (y : Nat) -> C y x0, weakened: the bound y stays, the free x0 moves
+    r = Renaming.weakening(Context((Nat(),)), Nat())
+    n = FunNf(NatNf(), TyConstNf("C", (NeNat(VarNe(0)), NeNat(VarNe(1)))))
+    got = rename_nf(r, n)
+    assert got == FunNf(NatNf(), TyConstNf("C", (NeNat(VarNe(0)), NeNat(VarNe(2)))))
+    assert erase(got) == rename(r, erase(n))
+
+
 def test_is_normal_numeral(sig_empty):
     assert is_normal(sig_empty, Context(), Nat(), Succ(1, Zero()))
 
@@ -108,6 +118,27 @@ def test_is_normal_rejects_reducible_eliminator(sig_empty):
 
     t = NatInd(Zero(), Nat(), Zero(), Var(0))
     assert not is_normal(sig_empty, Context(), Nat(), t)
+
+
+def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
+    # each rejected spine beside the normal spine it differs from
+    redex = App(Lam(Var(0)), Zero())
+    ctx = Context((NN, Nat()))  # u : Nat -> Nat, v : Nat
+    ind = NatInd(Var(0), Nat(), Zero(), Var(0))
+    cases = [
+        (Var(0), Var(2)),  # a variable out of range
+        (App(Var(1), Var(0)), App(Var(1), redex)),  # a spine argument
+        (ind, NatInd(Var(0), Nat(), redex, Var(0))),  # a zero case
+        (ind, NatInd(Var(0), Nat(), Zero(), App(Lam(Var(0)), Var(0)))),  # a successor case
+    ]
+    for normal, rejected in cases:
+        assert is_normal(sig_crossval, ctx, Nat(), normal), normal
+        assert not is_normal(sig_crossval, ctx, Nat(), rejected), rejected
+    # a constant's argument, and a constant that names a definition
+    c = TyConst("C", (Var(0),))
+    assert is_normal(sig_crossval, ctx, c, TmConst("h", (Var(0),)))
+    assert not is_normal(sig_crossval, ctx, c, TmConst("h", (App(Lam(Var(0)), Var(0)),)))
+    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("twice", (Var(0),)))
 
 
 def test_is_normal_ty(sig_abf):

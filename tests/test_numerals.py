@@ -9,7 +9,7 @@ from ttkernel.domain import VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import eval_tm, eval_ty, id_env, normalize_tm, reify
 from ttkernel.normal import SuccNf, ZeroNf, erase, is_normal
-from ttkernel.rewrite import DEFAULT_FUEL, _Fuel, _reduce, rw_normalize, step
+from ttkernel.rewrite import DEFAULT_FUEL, _Fuel, _reduce, rw_normalize
 from ttkernel.surface import context_names, elab_tm, parse_expression, print_nf, print_tm
 from ttkernel.signature import Signature
 from ttkernel.syntax import (
@@ -31,6 +31,7 @@ from ttkernel.syntax import (
 )
 
 from enum_reference import PARTITION_TARGETS
+from step_reference import step
 
 HUGE = 10**9
 

@@ -13,8 +13,9 @@ from ttkernel import normal, rewrite
 from ttkernel.check import check
 from ttkernel.errors import FuelExhausted
 from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, gen_term, gen_type
-from ttkernel.normal import is_normal
-from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize, step
+from ttkernel.nbe import normalize_tm
+from ttkernel.normal import erase, is_normal
+from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize
 from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
 from ttkernel.syntax import (
     App,
@@ -27,9 +28,12 @@ from ttkernel.syntax import (
     Var,
     Zero,
     numeral,
+    shift,
 )
 
+import step_reference
 from enum_reference import PARTITION_TARGETS
+from step_reference import step
 
 NN = Pi(Nat(), Nat())
 
@@ -75,12 +79,15 @@ def substitutions(run):
 
         return wrapper
 
-    saved = rewrite.subst1, rewrite.subst_many
-    rewrite.subst1, rewrite.subst_many = logged(saved[0]), logged(saved[1])
+    modules = (rewrite, step_reference)
+    saved = [(m.subst1, m.subst_many) for m in modules]
+    for m, (s1, sm) in zip(modules, saved):
+        m.subst1, m.subst_many = logged(s1), logged(sm)
     try:
         return run(), log
     finally:
-        rewrite.subst1, rewrite.subst_many = saved
+        for m, (s1, sm) in zip(modules, saved):
+            m.subst1, m.subst_many = s1, sm
 
 
 def assert_reduce_is_iterated_step(sig, t):
@@ -177,6 +184,18 @@ def test_dependent_eliminator_oracle(sig_dep):
     t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got = rw_normalize(sig_dep, Context(), TyConst("C", (numeral(2),)), t)
     assert got == TmConst("h", (numeral(2),))
+
+
+def test_eliminator_at_a_function_type(sig_empty):
+    # a neutral eliminator whose motive is a function type: the oracle
+    # eta-expands it and steps inside the motive, and agrees with NbE
+    ctx, ty = Context((Nat(),)), NN
+    t = elab_tm(sig_empty, ("v",), parse_expression("ind(v; _. Nat -> Nat; \\x. x; p r. \\x. succ (r x))"))
+    out = rw_normalize(sig_empty, ctx, ty, t)
+    assert out == Lam(App(shift(t, 1), Var(0)))
+    assert out == erase(normalize_tm(sig_empty, ctx, ty, t))
+    assert_reduce_is_iterated_step(sig_empty, t)
+    assert_reduce_is_iterated_step(sig_empty, App(t, App(Lam(Var(0)), Zero())))
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,8 +298,9 @@ def test_reduce_stack_follows_nesting_not_steps(sig_arith):
 
 
 def test_oracle_imports_no_evaluator():
-    # the oracle, and the normal-form recognizer that judges both engines
-    for module in (rewrite, normal):
+    # the oracle, its single-step specification, and the normal-form
+    # recognizer that judges both engines
+    for module in (rewrite, normal, step_reference):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         imported = set()
         for node in ast.walk(tree):

@@ -9,6 +9,7 @@ from ttkernel.signature import Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
     SNum,
     SSucc,
+    SVar,
     elab_tm,
     elab_ty,
     elaborate,
@@ -52,7 +53,9 @@ def test_parse_numeral_sugar():
     assert sig.lookup("two") == Define("two", Nat(), Succ(2, Zero()))
     # a numeral, zero included, is one surface node
     assert parse_expression("1000") == SNum(1000, (1, 1))
-    assert parse_expression("succ zero") == SSucc(SNum(0, (1, 6)), (1, 1))
+    assert parse_expression("succ zero") == SSucc(1, SNum(0, (1, 6)), (1, 1))
+    # so is a run of successors
+    assert parse_expression("succ succ (succ x)") == SSucc(2, SSucc(1, SVar("x", (1, 17)), (1, 12)), (1, 1))
     assert elab_tm(sig, (), parse_expression("succ 2")) == Succ(3, Zero())
 
 
