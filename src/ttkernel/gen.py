@@ -104,8 +104,9 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
 
 
 def _spine_heads(sig, ctx, ty):
-    """Heads whose result type can be made to match ``ty``, each with its
-    telescope and the match's binds and open positions.
+    """Heads whose result type can be made to match ``ty``: each a variable
+    or a term constant's declaration, with its telescope and the match's
+    binds and open positions.
 
     A match needs the result's former (and a constant type's name) to be the
     target's, and weakening keeps both, so a context entry is tested before
@@ -120,10 +121,14 @@ def _spine_heads(sig, ctx, ty):
         if found is not None:
             heads.append((Var(i), tele, *found))
     for d in sig.decls:
-        if isinstance(d, PostulateTm) and _same_former(d.result, ty):
-            found = _match_result(d.result, ty, len(d.params))
-            if found is not None:
-                heads.append((d.name, d.params, *found))
+        if isinstance(d, PostulateTm):
+            result, more = d.result, ()
+            if result.__class__ is Pi:  # a result declared through the library
+                more, result = split_pi(result)
+            if _same_former(result, ty):
+                found = _match_result(result, ty, len(d.params) + len(more))
+                if found is not None:
+                    heads.append((d, d.params + more, *found))
     return heads
 
 
@@ -134,7 +139,7 @@ def _same_former(result: Ty, target: Ty) -> bool:
 
 
 def _gen_spine(sig, ctx, head, size, rng) -> Term:
-    name_or_var, tele, binds, opened = head
+    var_or_decl, tele, binds, opened = head
     k = len(tele)
     committed = sum(node_count(a) for a in binds.values())
     free = max(k - len(binds), 1)
@@ -150,12 +155,14 @@ def _gen_spine(sig, ctx, head, size, rng) -> Term:
             args.append(rw_normalize(sig, ctx, param_ty, binds[j]))
         else:
             args.append(binds[j])
-    if isinstance(name_or_var, Var):
-        t: Term = name_or_var
-        for a in args:
-            t = App(t, a)
-        return t
-    return TmConst(name_or_var, tuple(args))
+    if isinstance(var_or_decl, Var):
+        t, rest = var_or_decl, args
+    else:  # the constant takes its parameters; the rest come from its result's Pi
+        n = len(var_or_decl.params)
+        t, rest = TmConst(var_or_decl.name, tuple(args[:n])), args[n:]
+    for a in rest:
+        t = App(t, a)
+    return t
 
 
 def _match_result(pattern: Ty, target: Ty, k: int):

@@ -144,7 +144,8 @@ def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
         case DPi(dom, cod):
             fresh = var_value(dom, depth)
             body = apply(sig, v, fresh)
-            body_ty = eval_ty(sig, cod.env + (fresh,), cod.body)
+            # a neutral carries its type: the codomain at ``fresh``, up to conversion
+            body_ty = body.ty if body.__class__ is VNe else eval_ty(sig, cod.env + (fresh,), cod.body)
             return LamNf(reify(sig, depth + 1, body_ty, body))
         case DNat():
             match v:

@@ -213,11 +213,13 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
     """The unique normal-form tree over ``t`` at ``ty``, or None if ``t`` is
     not in the grammar.
 
-    The type arguments in ``ctx`` and ``ty`` are assumed normal; with a
-    non-normal one the check is conservative. The types computed on the way
-    by substitution need not be normal even then (``q : (u : Nat -> Nat) ->
-    C (u zero)`` applied to ``\\x. v x`` has type ``C ((\\x. v x) zero)``),
-    so each is reduced before use.
+    Types never compute: the types in ``ctx`` and ``ty``, and those computed
+    on the way by substitution, are read as they stand, and are reduced
+    only where two are compared, at a type constant. So ``q (\\x. v x)``, of
+    type ``C ((\\x. v x) zero)`` for ``q : (u : Nat -> Nat) -> C (u zero)``, is
+    normal at ``C (v zero)``, and its ``NeConst`` records ``v zero``.
+    Reduction is beta/iota only: a type argument that is not eta-long, such
+    as ``v`` in ``E v``, still compares unequal to its expansion.
     """
     match ty:
         case Pi(dom, cod):
@@ -237,11 +239,14 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
                     if spine is None or not isinstance(spine[1], Nat):
                         return None
                     return NeNat(spine[0])
-        case TyConst(name, args):
+        case TyConst(name, _):
             spine = _to_ne(sig, ctx, t)
-            if spine is None or not alpha_eq(spine[1], ty):
+            if spine is None:
                 return None
-            idx = _const_arg_nfs(sig, ctx, name, args)
+            ty = _reduced(sig, ty)
+            if not alpha_eq(_reduced(sig, spine[1]), ty):
+                return None
+            idx = _const_arg_nfs(sig, ctx, name, ty.args)
             return None if idx is None else NeConst(name, idx, spine[0])
     raise AssertionError(f"not a type: {ty!r}")
 
@@ -271,7 +276,7 @@ def _arg_nfs(sig, ctx, params, args) -> tuple[NfTm, ...] | None:
         return None
     nfs = []
     for i, a in enumerate(args):
-        anf = to_nf(sig, ctx, _reduced(sig, inst_params(params[i], tuple(args[:i]))), a)
+        anf = to_nf(sig, ctx, inst_params(params[i], tuple(args[:i])), a)
         if anf is None:
             return None
         nfs.append(anf)
@@ -292,18 +297,18 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             anf = to_nf(sig, ctx, head[1].dom, a)
             if anf is None:
                 return None
-            return AppNe(head[0], anf), _reduced(sig, subst1(head[1].cod, a))
+            return AppNe(head[0], anf), subst1(head[1].cod, a)
         case NatInd(scrut, motive, z, s):
             head = _to_ne(sig, ctx, scrut)
             if head is None or not isinstance(head[1], Nat):
                 return None
             mnf = to_nf_ty(sig, ctx.extend(Nat()), motive)
-            znf = to_nf(sig, ctx, _reduced(sig, subst1(motive, Zero())), z)
+            znf = to_nf(sig, ctx, subst1(motive, Zero()), z)
             ctx2 = ctx.extend(Nat()).extend(motive)
-            snf = to_nf(sig, ctx2, _reduced(sig, motive_succ_case(motive)), s)
+            snf = to_nf(sig, ctx2, motive_succ_case(motive), s)
             if mnf is None or znf is None or snf is None:
                 return None
-            return NatIndNe(head[0], mnf, znf, snf), _reduced(sig, subst1(motive, scrut))
+            return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
         case TmConst(name, args):
             decl = sig.get(name)
             if not isinstance(decl, PostulateTm):
@@ -311,7 +316,7 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             nfs = _arg_nfs(sig, ctx, decl.params, args)
             if nfs is None:
                 return None
-            return TmConstNe(name, nfs), _reduced(sig, inst_params(decl.result, args))
+            return TmConstNe(name, nfs), inst_params(decl.result, args)
         case _:
             return None
 

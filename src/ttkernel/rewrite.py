@@ -3,8 +3,9 @@
 Normalization here is leftmost-outermost beta/iota rewriting to a
 reduced form, followed by a type-directed eta-expansion pass, so the
 result is comparable with the eta-long output of the evaluator. The
-oracle never touches the semantic domain; it computes the types it
-needs by rewriting alone.
+oracle never touches the semantic domain. The eta pass reads the types
+of variables, constants and motives as declared, for their Pi nesting
+alone, so fuel counts only the beta/iota contractions of the term.
 
 ``_reduce`` reaches the normal form in one pass, in normal order
 (Grégoire & Leroy, "A compiled implementation of strong reduction", ICFP
@@ -35,8 +36,6 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
-    inst_params,
-    motive_succ_case,
     shift,
     subst1,
     subst_many,
@@ -155,77 +154,64 @@ def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
     Well-typed input terminates, but large arithmetic can need more steps
     than the default budget of 100,000.
     """
-    tank = _Fuel(fuel)
-    reduced = _reduce(sig, t, tank)
-    return _eta_tm(sig, ctx, _reduce_ty(sig, ty, tank), reduced, tank)
+    return _eta_tm(sig, ctx.entries, ty, _reduce(sig, t, _Fuel(fuel)))
 
 
-def _eta_tm(sig, ctx: Context, ty: Ty, t: Term, fuel: _Fuel) -> Term:
-    # ty is beta/iota-reduced, t is beta/iota-reduced
-    match ty:
-        case Pi(dom, cod):
-            body = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
-            return Lam(_eta_tm(sig, ctx.extend(dom), cod, body, fuel))
-        case Nat():
-            match t:
-                case Zero():
-                    return t
-                case Succ(k, base):
-                    return Succ(k, _eta_tm(sig, ctx, ty, base, fuel))
-                case _:
-                    return _eta_ne(sig, ctx, t, fuel)[0]
-        case TyConst(_, _):
-            return _eta_ne(sig, ctx, t, fuel)[0]
-    raise AssertionError(f"not a type: {ty!r}")
+# Types never compute: no eliminator returns a type, so substitution and
+# reduction keep a type's Pi nesting, the one thing the eta pass reads of it.
+# So it reads each type as declared or written; ``ctx`` is the context's entries.
 
 
-def _eta_ne(sig, ctx: Context, t: Term, fuel: _Fuel) -> tuple[Term, Ty]:
+def _eta_tm(sig, ctx: tuple[Ty, ...], ty: Ty, t: Term) -> Term:
+    # t is beta/iota-reduced; at Nat or a type constant it is a numeral or a spine
+    if isinstance(ty, Pi):
+        body = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
+        return Lam(_eta_tm(sig, ctx + (ty.dom,), ty.cod, body))
+    match t:
+        case Zero():
+            return t
+        case Succ(k, base):
+            return Succ(k, _eta_tm(sig, ctx, ty, base))
+    return _eta_ne(sig, ctx, t)[0]
+
+
+def _eta_ne(sig, ctx: tuple[Ty, ...], t: Term) -> tuple[Term, Ty]:
     """Eta-expand the arguments of a neutral spine; returns its type too."""
     match t:
         case Var(i):
-            return t, _reduce_ty(sig, ctx.var_type(i), fuel)
+            return t, ctx[-1 - i]
         case App(f, a):
-            f2, f_ty = _eta_ne(sig, ctx, f, fuel)
+            f2, f_ty = _eta_ne(sig, ctx, f)
             assert isinstance(f_ty, Pi), f"spine head is not a function: {f_ty!r}"
-            a2 = _eta_tm(sig, ctx, f_ty.dom, a, fuel)
-            return App(f2, a2), _reduce_ty(sig, subst1(f_ty.cod, a2), fuel)
+            return App(f2, _eta_tm(sig, ctx, f_ty.dom, a)), f_ty.cod
         case NatInd(scrut, motive, zcase, scase):
-            scrut2, _ = _eta_ne(sig, ctx, scrut, fuel)
-            motive2 = _eta_ty(sig, ctx.extend(Nat()), motive, fuel)
-            zcase2 = _eta_tm(sig, ctx, _reduce_ty(sig, subst1(motive2, Zero()), fuel), zcase, fuel)
-            ctx2 = ctx.extend(Nat()).extend(motive2)
-            scase_ty = _reduce_ty(sig, motive_succ_case(motive2), fuel)
-            scase2 = _eta_tm(sig, ctx2, scase_ty, scase, fuel)
-            result = _reduce_ty(sig, subst1(motive2, scrut2), fuel)
-            return NatInd(scrut2, motive2, zcase2, scase2), result
+            scrut2 = _eta_ne(sig, ctx, scrut)[0]
+            motive2 = _eta_ty(sig, ctx + (Nat(),), motive)
+            zcase2 = _eta_tm(sig, ctx, motive, zcase)
+            scase2 = _eta_tm(sig, ctx + (Nat(), motive), motive, scase)
+            return NatInd(scrut2, motive2, zcase2, scase2), motive
         case TmConst(name, args):
             decl = sig.lookup(name)
             assert isinstance(decl, PostulateTm), f"'{name}' is not a term constant"
-            args2 = _eta_args(sig, ctx, decl.params, args, fuel)
-            return TmConst(name, args2), _reduce_ty(sig, inst_params(decl.result, args2), fuel)
+            return TmConst(name, _eta_args(sig, ctx, decl.params, args)), decl.result
     raise AssertionError(f"not a neutral spine: {t!r}")
 
 
-def _eta_ty(sig, ctx: Context, ty: Ty, fuel: _Fuel) -> Ty:
+def _eta_ty(sig, ctx: tuple[Ty, ...], ty: Ty) -> Ty:
     match ty:
         case Nat():
             return ty
         case Pi(dom, cod):
-            dom2 = _eta_ty(sig, ctx, dom, fuel)
-            return Pi(dom2, _eta_ty(sig, ctx.extend(dom2), cod, fuel))
+            return Pi(_eta_ty(sig, ctx, dom), _eta_ty(sig, ctx + (dom,), cod))
         case TyConst(name, args):
             decl = sig.lookup(name)
             assert isinstance(decl, PostulateTy)
-            return TyConst(name, _eta_args(sig, ctx, decl.params, args, fuel))
+            return TyConst(name, _eta_args(sig, ctx, decl.params, args))
     raise AssertionError(f"not a type: {ty!r}")
 
 
-def _eta_args(sig, ctx, params, args, fuel):
-    out = []
-    for i, a in enumerate(args):
-        param_ty = _reduce_ty(sig, inst_params(params[i], tuple(out)), fuel)
-        out.append(_eta_tm(sig, ctx, param_ty, a, fuel))
-    return tuple(out)
+def _eta_args(sig, ctx, params, args):
+    return tuple(_eta_tm(sig, ctx, p, a) for p, a in zip(params, args, strict=True))
 
 
 def oracle_equal(

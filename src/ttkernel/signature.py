@@ -54,9 +54,6 @@ class Signature(Node):
             raise UnknownName(f"unknown name '{name}'")
         return d
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.decls)
-
 
 def declare(sig: Signature, decl: Declaration) -> Signature:
     """Check ``decl`` against ``sig`` and append it."""

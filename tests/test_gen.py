@@ -22,7 +22,7 @@ from ttkernel.gen import (
     typable,
 )
 from ttkernel.normal import ZeroNf
-from ttkernel.signature import PostulateTm
+from ttkernel.signature import PostulateTm, Signature, declare
 from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
     App,
@@ -30,6 +30,7 @@ from ttkernel.syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
     TmConst,
@@ -113,6 +114,23 @@ def test_gen_reaches_eliminators_and_spines(sig_abf):
     assert {"NatInd", "App", "Succ"} <= shapes
 
 
+# a constant declared through the library with a function-typed result; the
+# surface splits ``postulate k : Nat -> Nat`` into a parameter instead
+SIG_K = declare(Signature(), PostulateTm("k", (), Pi(Nat(), Nat())))
+
+
+def test_gen_uses_a_constant_with_a_function_result():
+    def uses_k(t):
+        return t == TmConst("k") or any(
+            isinstance(c, Node) and uses_k(c) for c in (getattr(t, f) for f in t.__match_args__)
+        )
+
+    drawn = [gen_term(SIG_K, Context(), Nat(), 8, seed) for seed in range(500)]
+    for t in drawn:
+        check(SIG_K, Context(), t, Nat())
+    assert any(uses_k(t) for t in drawn)
+
+
 def reference_spine_heads(sig, ctx, ty):
     """The unfiltered loop: every context entry weakened, every head matched."""
     heads = []
@@ -123,9 +141,10 @@ def reference_spine_heads(sig, ctx, ty):
             heads.append((Var(i), tele, *found))
     for d in sig.decls:
         if isinstance(d, PostulateTm):
-            found = gen._match_result(d.result, ty, len(d.params))
+            more, result = split_pi(d.result)
+            found = gen._match_result(result, ty, len(d.params) + len(more))
             if found is not None:
-                heads.append((d.name, d.params, *found))
+                heads.append((d, d.params + more, *found))
     return heads
 
 
@@ -140,7 +159,7 @@ def test_spine_heads_is_the_reference_list(sig_crossval, sig_dep, sig_abf, monke
         return heads
 
     monkeypatch.setattr(gen, "_spine_heads", checked)
-    sigs = [sig_crossval, sig_dep, sig_abf] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
+    sigs = [sig_crossval, sig_dep, sig_abf, SIG_K] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
     for sig in sigs:
         for seed in range(50):
             rng = random.Random(seed)

@@ -1,6 +1,8 @@
 """Normal-form trees: erasure, renaming, the recognition predicate."""
 
-from ttkernel.gen import gen_cases, gen_renaming, gen_term, GenerationStuck
+import pytest
+
+from ttkernel.gen import GenerationStuck, case_problem, gen_cases, gen_renaming, gen_term
 from ttkernel.nbe import normalize_tm, normalize_ty
 from ttkernel.normal import (
     AppNe,
@@ -197,3 +199,23 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
     ty = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
     assert erase(normalize_tm(sig, ctx, ty, t)) == t
     assert is_normal(sig, ctx, ty, t)
+
+
+# ind(zero; _. Nat; zero; p r. r): an iota-redex, reducing to zero
+I = NatInd(Zero(), Nat(), Zero(), Var(0))
+
+
+@pytest.mark.parametrize(
+    ("ctx", "ty", "t"),
+    [
+        (Context(), TyConst("C", (I,)), TmConst("h", (I,))),
+        (Context((TyConst("C", (I,)),)), TyConst("C", (I,)), Var(0)),
+    ],
+    ids=["h I at C I", "v : C I"],
+)
+def test_normal_at_a_type_with_a_redex(sig_crossval, ctx, ty, t):
+    # the recognizer reduces the given type where it compares it with the
+    # spine's, so a redex in the context or the target type is no fault
+    assert case_problem(sig_crossval, ctx, ty, t) is None
+    n = normalize_tm(sig_crossval, ctx, ty, t)
+    assert to_nf(sig_crossval, ctx, ty, erase(n)) == n

@@ -25,6 +25,7 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
+    TyConst,
     Var,
     Zero,
     numeral,
@@ -175,6 +176,15 @@ def test_output_is_normal_and_well_typed(sig_abf):
 def test_fuel_exhaustion_signals(sig_empty):
     with pytest.raises(FuelExhausted):
         rw_normalize(sig_empty, Context(), Nat(), NatInd(numeral(9), Nat(), Zero(), Var(0)), fuel=2)
+
+
+def test_eta_pass_spends_no_fuel_on_types():
+    # w's type C (v zero), and q's second parameter at u := \x. v x, which is
+    # C ((\x. v x) zero), hold redexes; the eta pass reads neither argument
+    sig = elaborate(parse("postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero) -> Nat\n"))
+    ctx = Context((NN, TyConst("C", (App(Var(0), Zero()),))))
+    t = elab_tm(sig, ("v", "w"), parse_expression("q (\\x. v x) w"))
+    assert rw_normalize(sig, ctx, Nat(), t, fuel=0) == t
 
 
 def test_dependent_eliminator_oracle(sig_dep):

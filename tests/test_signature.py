@@ -16,11 +16,11 @@ from ttkernel.syntax import Lam, Nat, TyConst, Var, Zero, numeral
 
 def test_declare_free_model_constants():
     sig = declare(Signature(), PostulateTy("A"))
-    assert sig.names() == ("A",)
+    assert [d.name for d in sig.decls] == ["A"]
     sig = declare(sig, PostulateTy("B", (TyConst("A"),)))
-    assert sig.names() == ("A", "B")
+    assert [d.name for d in sig.decls] == ["A", "B"]
     sig = declare(sig, PostulateTm("f", (TyConst("A"),), TyConst("B", (Var(0),))))
-    assert sig.names() == ("A", "B", "f")
+    assert [d.name for d in sig.decls] == ["A", "B", "f"]
 
 
 def test_declare_rejects_duplicates(sig_abf):
