@@ -12,10 +12,11 @@
                                   signature by gen.case_problem
 
 Any command exits 4 (code resource_exhausted) on input too deep or too
-large for the recursion limit or memory, accepts --json and emits
-{status, output, error{code, line, col}}. The oracle's budget is
-100,000 beta/iota steps; large arithmetic can exhaust it (code
-fuel_exhausted, exit 1), and the environment variable TT_FUEL raises it.
+large for the recursion limit, memory or int() (a numeral of more than
+4,300 digits), accepts --json and emits {status, output, error{code,
+line, col}}. The oracle's budget is 100,000 beta/iota steps; large
+arithmetic can exhaust it (code fuel_exhausted, exit 1), and the
+environment variable TT_FUEL raises it.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Renaming,
     Succ,
@@ -39,6 +40,7 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
+    binders,
     inst_params,
     motive_succ_case,
     node_count,
@@ -366,49 +368,26 @@ def ty_abstractions(ty: Ty, u: Term) -> list[Ty]:
     occurrences it skips carry a dependency, so callers who need a
     well-formed family must re-check the candidates.
     """
-    return list(dict.fromkeys(_abs_ty(ty, u, 0)))  # without duplicates, in order
+    return list(dict.fromkeys(_abs(ty, u, 0)))  # without duplicates, in order
 
 
-def _abs_ty(ty, u, d) -> list:
-    match ty:
-        case Nat():
-            return [Nat()]
-        case Pi(dom, cod):
-            return [Pi(a, b) for a in _abs_ty(dom, u, d) for b in _abs_ty(cod, u, d + 1)]
-        case TyConst(c, args):
-            return [TyConst(c, t) for t in _abs_args(args, u, d)]
-    raise AssertionError(f"not a type: {ty!r}")
-
-
-def _abs_tm(t, u, d) -> list:
-    out = []
-    if t == shift(u, d):
-        out.append(Var(d))
-    match t:
-        case Var(i):
-            out.append(Var(i + 1) if i >= d else Var(i))
-        case Zero():
-            out.append(Zero())
-        case Succ(k, b):  # one successor per level: the list and order of a nested chain
-            out += [succ(Succ, 1, q) for q in _abs_tm(succ(Succ, k - 1, b), u, d)]
-        case Lam(b):
-            out += [Lam(q) for q in _abs_tm(b, u, d + 1)]
-        case App(f, a):
-            out += [App(g, b) for g in _abs_tm(f, u, d) for b in _abs_tm(a, u, d)]
-        case NatInd(n, m, z, s):
-            out += [
-                NatInd(*combo)
-                for combo in product(
-                    _abs_tm(n, u, d), _abs_ty(m, u, d + 1), _abs_tm(z, u, d), _abs_tm(s, u, d + 2)
-                )
-            ]
-        case TmConst(c, args):
-            out += [TmConst(c, t) for t in _abs_args(args, u, d)]
+def _abs(x, u, d) -> list:
+    """Every way to abstract occurrences of ``u`` in ``x`` under ``d`` binders,
+    each field's choices in field order, the first field varying slowest."""
+    cls = x.__class__
+    if cls is tuple:
+        return list(product(*(_abs(a, u, d) for a in x)))
+    if not isinstance(x, Node):  # a name or a successor count
+        return [x]
+    out = [Var(d)] if isinstance(x, Term) and x == shift(u, d) else []
+    if cls is Var:
+        out.append(Var(x.index + 1) if x.index >= d else x)
+    elif cls is Succ:  # one successor per level: the list and order of a nested chain
+        out += [succ(Succ, 1, q) for q in _abs(succ(Succ, x.k - 1, x.base), u, d)]
+    else:
+        fields = zip(cls.__match_args__, binders(cls))
+        out += [cls(*combo) for combo in product(*(_abs(getattr(x, f), u, d + b) for f, b in fields))]
     return out
-
-
-def _abs_args(args, u, d) -> list:
-    return [tuple(combo) for combo in product(*(_abs_tm(a, u, d) for a in args))] if args else [()]
 
 
 # ---------------------------------------------------------------------------

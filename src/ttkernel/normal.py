@@ -6,11 +6,15 @@ only normal inhabitants are lambdas, and a blocked elimination (a spine
 headed by a variable or a term constant) is coerced into normal form
 only at Nat or at a type constant. ``NeConst`` records the normal forms
 of the type constant's arguments alongside the neutral itself.
+
+Each grammar class but the two coercions erases to the syntax class with
+the same fields in the same order, and binds as that class does
+(``syntax.BINDERS``), so erasure and renaming are each one walk.
 """
 
 from __future__ import annotations
 
-from .rewrite import DEFAULT_FUEL, _Fuel, _reduce_ty
+from .rewrite import DEFAULT_FUEL, _eta_ty, _Fuel, _reduce_ty
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -29,6 +33,7 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
+    binders,
     inst_params,
     motive_succ_case,
     node,
@@ -54,7 +59,7 @@ class NeTm(Node):
 @node
 class FunNf(NfTy):
     dom: NfTy
-    cod: NfTy  # binds 1
+    cod: NfTy
 
 
 @node
@@ -70,7 +75,7 @@ class TyConstNf(NfTy):
 
 @node
 class LamNf(NfTm):
-    body: NfTm  # binds 1
+    body: NfTm
 
 
 @node
@@ -119,9 +124,9 @@ class AppNe(NeTm):
 @node
 class NatIndNe(NeTm):
     scrut: NeTm
-    motive: NfTy  # binds 1
+    motive: NfTy
     zcase: NfTm
-    scase: NfTm  # binds 2
+    scase: NfTm
 
 
 @node
@@ -130,79 +135,41 @@ class TmConstNe(NeTm):
     args: tuple[NfTm, ...] = ()
 
 
+# The syntax class each grammar class erases to; the coercions ``NeNat`` and
+# ``NeConst`` bind nothing and erase to their neutral.
+_ERASES_TO = {
+    FunNf: Pi, NatNf: Nat, TyConstNf: TyConst, LamNf: Lam, ZeroNf: Zero, SuccNf: Succ,
+    VarNe: Var, AppNe: App, NatIndNe: NatInd, TmConstNe: TmConst,
+}
+
+
 def erase(n):
     """Forget normality structure; coercions erase to their payloads."""
-    match n:
-        case FunNf(d, c):
-            return Pi(erase(d), erase(c))
-        case NatNf():
-            return Nat()
-        case TyConstNf(c, args):
-            return TyConst(c, tuple(erase(a) for a in args))
-        case LamNf(b):
-            return Lam(erase(b))
-        case ZeroNf():
-            return Zero()
-        case SuccNf(k, base):
-            return Succ(k, erase(base))
-        case NeNat(e):
-            return erase(e)
-        case NeConst(_, _, e):
-            return erase(e)
-        case VarNe(i):
-            return Var(i)
-        case AppNe(f, a):
-            return App(erase(f), erase(a))
-        case NatIndNe(s, m, z, sc):
-            return NatInd(erase(s), erase(m), erase(z), erase(sc))
-        case TmConstNe(c, args):
-            return TmConst(c, tuple(erase(a) for a in args))
-    raise AssertionError(f"not a normal form: {n!r}")
-
-
-def _map_nf(n, depth: int, on_var):
-    match n:
-        case FunNf(d, c):
-            return FunNf(_map_nf(d, depth, on_var), _map_nf(c, depth + 1, on_var))
-        case NatNf() | ZeroNf():
-            return n
-        case TyConstNf(c, args):
-            return TyConstNf(c, tuple(_map_nf(a, depth, on_var) for a in args))
-        case LamNf(b):
-            return LamNf(_map_nf(b, depth + 1, on_var))
-        case SuccNf(k, base):
-            return SuccNf(k, _map_nf(base, depth, on_var))
-        case NeNat(e):
-            return NeNat(_map_nf(e, depth, on_var))
-        case NeConst(c, idx, e):
-            return NeConst(
-                c,
-                tuple(_map_nf(a, depth, on_var) for a in idx),
-                _map_nf(e, depth, on_var),
-            )
-        case VarNe(i):
-            return VarNe(on_var(i, depth))
-        case AppNe(f, a):
-            return AppNe(_map_nf(f, depth, on_var), _map_nf(a, depth, on_var))
-        case NatIndNe(s, m, z, sc):
-            return NatIndNe(
-                _map_nf(s, depth, on_var),
-                _map_nf(m, depth + 1, on_var),
-                _map_nf(z, depth, on_var),
-                _map_nf(sc, depth + 2, on_var),
-            )
-        case TmConstNe(c, args):
-            return TmConstNe(c, tuple(_map_nf(a, depth, on_var) for a in args))
-    raise AssertionError(f"not a normal form: {n!r}")
+    cls = n.__class__
+    if cls is tuple:
+        return tuple(map(erase, n))
+    if not isinstance(n, Node):  # a name, an index or a successor count
+        return n
+    if cls is NeNat or cls is NeConst:
+        return erase(n.ne)
+    return _ERASES_TO[cls](*[erase(getattr(n, f)) for f in cls.__match_args__])
 
 
 def rename_nf(r: Renaming, n):
     """Apply a renaming to a normal-form tree; commutes with erase."""
 
-    def on_var(i, d):
-        return i if i < d else r.map[i - d] + d
+    def go(x, d):
+        cls = x.__class__
+        if cls is VarNe:
+            return x if x.index < d else VarNe(r.map[x.index - d] + d)
+        if cls is tuple:
+            return tuple(go(y, d) for y in x)
+        if not isinstance(x, Node):
+            return x
+        bound = binders(_ERASES_TO.get(cls, cls))
+        return cls(*[go(getattr(x, f), d + b) for f, b in zip(cls.__match_args__, bound)])
 
-    return _map_nf(n, 0, on_var)
+    return go(n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +181,13 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
     not in the grammar.
 
     Types never compute: the types in ``ctx`` and ``ty``, and those computed
-    on the way by substitution, are read as they stand, and are reduced
-    only where two are compared, at a type constant. So ``q (\\x. v x)``, of
-    type ``C ((\\x. v x) zero)`` for ``q : (u : Nat -> Nat) -> C (u zero)``, is
-    normal at ``C (v zero)``, and its ``NeConst`` records ``v zero``.
-    Reduction is beta/iota only: a type argument that is not eta-long, such
-    as ``v`` in ``E v``, still compares unequal to its expansion.
+    on the way by substitution, are read as they stand, and are normalized
+    by the oracle only where two are compared, at a type constant. So for
+    ``q : (u : Nat -> Nat) -> C (u zero)``, ``q (\\x. v x)`` of type
+    ``C ((\\x. v x) zero)`` is normal at ``C (v zero)``, and its ``NeConst``
+    records ``v zero``; for ``e : (w : Nat -> Nat) -> E w``, ``e (\\x. v x)``
+    is normal at ``E v``. As for ``rw_normalize``, ``ctx`` and ``ty`` must be
+    well formed: the oracle's eta pass asserts on an ill-formed spine.
     """
     match ty:
         case Pi(dom, cod):
@@ -243,10 +211,10 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
             spine = _to_ne(sig, ctx, t)
             if spine is None:
                 return None
-            ty = _reduced(sig, ty)
-            if not alpha_eq(_reduced(sig, spine[1]), ty):
+            want = _reduced(sig, ctx, ty)
+            if spine[1] != ty and not alpha_eq(_reduced(sig, ctx, spine[1]), want):
                 return None
-            idx = _const_arg_nfs(sig, ctx, name, ty.args)
+            idx = _const_arg_nfs(sig, ctx, name, want.args)
             return None if idx is None else NeConst(name, idx, spine[0])
     raise AssertionError(f"not a type: {ty!r}")
 
@@ -321,10 +289,10 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             return None
 
 
-def _reduced(sig: Signature, ty: Ty) -> Ty:
-    """``ty`` with its term arguments beta/iota-reduced by the oracle's
-    reducer, on a tank of its own: these are not oracle steps."""
-    return _reduce_ty(sig, ty, _Fuel(DEFAULT_FUEL))
+def _reduced(sig: Signature, ctx: Context, ty: Ty) -> Ty:
+    """``ty`` in the oracle's normal form: its term arguments beta/iota-reduced,
+    on a tank of its own (these are not oracle steps), then eta-expanded."""
+    return _eta_ty(sig, ctx.entries, _reduce_ty(sig, ty, _Fuel(DEFAULT_FUEL)))
 
 
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ArityMismatch, CheckError, ParseError, UnknownName
+from .errors import ArityMismatch, CheckError, ParseError, ResourceExhausted, UnknownName
 from .signature import (
     Declaration,
     Define,
@@ -326,7 +326,10 @@ class _Parser:
         if t := self.accept("ident"):
             return SVar(t.text, loc)
         if t := self.accept("num"):
-            return SNum(int(t.text), loc)
+            try:
+                return SNum(int(t.text), loc)
+            except ValueError:  # more digits than int() converts
+                raise ResourceExhausted(f"numeral of {len(t.text)} digits is too long", *loc) from None
         if self.accept("zero"):
             return SNum(0, loc)
         if self.accept("succ"):

@@ -2,9 +2,10 @@
 
 Terms and types are well-scoped de Bruijn trees: ``Var(0)`` is the
 innermost binder. A context is a telescope ordered outermost-first, so
-``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. Every node is a
-slotted dataclass on the ``Node`` base, which the kernel never mutates;
-structural equality is alpha-equivalence for free. Because nothing is
+``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. ``BINDERS``
+declares, once, which fields are under binders. Every node is a slotted
+dataclass on the ``Node`` base, which the kernel never mutates;
+structural equality is alpha-equivalence for free. As nothing is
 mutated, trees share subtrees: the variable traversals (shift,
 substitution, renaming) return every subtree they do not change as it is,
 so a closed term comes back as the very same object. Code may use ``is``
@@ -120,7 +121,7 @@ class Term(Node):
 @node
 class Pi(Ty):
     dom: Ty
-    cod: Ty  # binds 1
+    cod: Ty
 
 
 @node
@@ -141,7 +142,7 @@ class Var(Term):
 
 @node
 class Lam(Term):
-    body: Term  # binds 1
+    body: Term
 
 
 @node
@@ -165,23 +166,30 @@ class Succ(Term):
 
 @node
 class NatInd(Term):
-    """Fully annotated eliminator for Nat.
-
-    ``motive`` binds the scrutinee variable. ``scase`` binds two
-    variables: the predecessor (index 1) and the recursive result
-    (index 0).
-    """
+    """Fully annotated eliminator for Nat. ``motive`` binds the scrutinee;
+    ``scase`` binds the predecessor (index 1) and the recursive result (index 0)."""
 
     scrut: Term
-    motive: Ty  # binds 1
+    motive: Ty
     zcase: Term
-    scase: Term  # binds 2
+    scase: Term
 
 
 @node
 class TmConst(Term):
     name: str
     args: tuple[Term, ...] = ()
+
+
+# The binders, declared once: how many each field of a class is under, in
+# field order; every other class binds nothing. Substitution below restates
+# them by hand, for speed, and the tests check that the two agree.
+BINDERS = {Pi: (0, 1), Lam: (1,), NatInd: (0, 1, 0, 2)}
+
+
+def binders(cls) -> tuple[int, ...]:
+    """The number of binders over each field of ``cls``, in field order."""
+    return BINDERS.get(cls) or (0,) * len(cls.__match_args__)
 
 
 @node
@@ -218,8 +226,8 @@ def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
 
 
 # ---------------------------------------------------------------------------
-# Variable traversals.  All index manipulation funnels through one generic
-# walk so scoping stays consistent across the binders of Lam, Pi and NatInd.
+# Variable traversals.  All index manipulation funnels through one walk,
+# written out by hand for speed, over the binders that ``BINDERS`` declares.
 # ``on_var(v, depth)`` gets each ``Var`` node under ``depth`` binders and
 # returns its replacement, ``v`` itself when the index stays. The walk
 # returns every subtree in which nothing changed as it is, so a closed term

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes and the JSON record shape."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ttkernel
 from ttkernel import cli, gen
@@ -266,6 +270,53 @@ def test_deep_input_is_resource_exhausted(good, capsys, case):
     assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error[resource_exhausted]: ") and "Traceback" not in err
+
+
+LONG = "7" * 4301  # one digit more than int() converts
+
+
+@pytest.mark.parametrize("where", ["-e", "FILE"])
+def test_long_numeral_is_resource_exhausted(good, tmp_path, capsys, where):
+    if where == "-e":
+        argv, line, col = ["normalize", good, "-e", "add 1 " + LONG], 1, 7
+    else:
+        (tmp_path / "long.tt").write_text(f"postulate A\ndef n : Nat := {LONG}\n")
+        argv, line, col = ["check", str(tmp_path / "long.tt")], 2, 16
+    assert main(argv + ["--json"]) == 4
+    record = {"code": "resource_exhausted", "line": line, "col": col}
+    assert _json_of(capsys) == {"status": "error", "output": None, "error": record}
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error[resource_exhausted]: {line}:{col}: numeral of 4301 digits is too long\n"
+
+
+# Random token strings through tt, as a file and as -e text over postulates
+# only, so that no drawn term computes for long; LONG is past int()'s limit.
+TOKENS = [
+    "postulate", "def", "Nat", "zero", "succ", "ind", "fun", ":=", "->", "=>", "(", ")", ":", ";",
+    ".", "\\", "_", "A", "B", "f", "C", "h", "x", "y", "0", "7", LONG, "\n",
+]
+POSTULATES = "postulate A\npostulate B (x : A)\npostulate f : (x : A) -> B x\npostulate C (n : Nat)\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=24), st.booleans())
+@example(["def", "n", ":", "Nat", ":=", LONG], True)
+@example(["succ", LONG], False)
+def test_token_strings_give_one_json_record(tmp_path_factory, tokens, as_file):
+    text = " ".join(tokens)
+    path = tmp_path_factory.getbasetemp() / "tokens.tt"
+    path.write_text(text if as_file else POSTULATES)
+    argv = ["check", str(path)] if as_file else ["normalize", str(path), "--expr=" + text]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    record = json.loads(out.getvalue())
+    assert set(record) == {"status", "output", "error"} and code in (0, 1, 2, 3, 4)
+    assert (record["error"] is None) == (code == 0)
+    if code:
+        assert set(record["error"]) == {"code", "line", "col"}
 
 
 def test_fuzz_higher_order_postulate(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Generators and enumerators: soundness, completeness, determinism."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -312,6 +313,17 @@ def test_ty_abstractions(sig_dep):
         TyConst("C", (Succ(2, Var(0)),)),
         TyConst("C", (numeral(3),)),
     ]
+
+
+def test_generated_cases_are_pinned(sig_crossval):
+    # the cases tt fuzz judges, as it prints them: a change to the RNG stream
+    # or to the motive families _gen_ind draws from shows here
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for size in (6, 9, 12):
+            for case in gen_cases(sig_crossval, seed, 40, size):
+                digest.update(print_case(*case).encode() + b"\n")
+    assert digest.hexdigest() == "377c63bd50b85b16f8c052513ae44fb1d10597f8fb808f31c9def84e24ccd907"
 
 
 def test_match_result_through_successors():

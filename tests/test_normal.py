@@ -1,5 +1,7 @@
 """Normal-form trees: erasure, renaming, the recognition predicate."""
 
+import dataclasses
+
 import pytest
 
 from ttkernel.gen import GenerationStuck, case_problem, gen_cases, gen_renaming, gen_term
@@ -14,6 +16,7 @@ from ttkernel.normal import (
     TyConstNf,
     VarNe,
     ZeroNf,
+    _ERASES_TO,
     erase,
     is_normal,
     rename_nf,
@@ -34,9 +37,13 @@ from ttkernel.syntax import (
     TyConst,
     Var,
     Zero,
+    binders,
     numeral,
     rename,
+    shift,
 )
+
+from conftest import CROSSVAL
 
 NN = Pi(Nat(), Nat())
 
@@ -205,17 +212,55 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
 I = NatInd(Zero(), Nat(), Zero(), Var(0))
 
 
+# a type argument at a function type: e v is normal as e (\x. v x) at E v
+ETA_SHORT = "postulate E (u : Nat -> Nat)\npostulate e : (w : Nat -> Nat) -> E w\n"
+
+
 @pytest.mark.parametrize(
-    ("ctx", "ty", "t"),
+    ("source", "ctx", "ty", "t"),
     [
-        (Context(), TyConst("C", (I,)), TmConst("h", (I,))),
-        (Context((TyConst("C", (I,)),)), TyConst("C", (I,)), Var(0)),
+        (CROSSVAL, Context(), TyConst("C", (I,)), TmConst("h", (I,))),
+        (CROSSVAL, Context((TyConst("C", (I,)),)), TyConst("C", (I,)), Var(0)),
+        (ETA_SHORT, Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Var(0),))),
     ],
-    ids=["h I at C I", "v : C I"],
+    ids=["h I at C I", "v : C I", "e v at E v"],
 )
-def test_normal_at_a_type_with_a_redex(sig_crossval, ctx, ty, t):
-    # the recognizer reduces the given type where it compares it with the
-    # spine's, so a redex in the context or the target type is no fault
-    assert case_problem(sig_crossval, ctx, ty, t) is None
-    n = normalize_tm(sig_crossval, ctx, ty, t)
-    assert to_nf(sig_crossval, ctx, ty, erase(n)) == n
+def test_normal_at_a_type_with_a_redex(source, ctx, ty, t):
+    # the recognizer normalizes the given type where it compares it with the
+    # spine's, so a redex or an eta-short argument in the context or the
+    # target type is no fault
+    sig = elaborate(parse(source))
+    assert case_problem(sig, ctx, ty, t) is None
+    n = normalize_tm(sig, ctx, ty, t)
+    assert to_nf(sig, ctx, ty, erase(n)) == n
+
+
+# Each syntax class, and each grammar class through the class it erases to,
+# with a variable in every term or type field: the hand-written shift must
+# move exactly the fields that BINDERS leaves it free in.
+_FILL = {
+    "Term": lambda j: Var(j),
+    "Ty": lambda j: TyConst("C", (Var(j),)),
+    "tuple[Term, ...]": lambda j: (Var(j),),
+    "NeTm": lambda j: VarNe(j),
+    "NfTm": lambda j: NeNat(VarNe(j)),
+    "NfTy": lambda j: TyConstNf("C", (NeNat(VarNe(j)),)),
+    "tuple[NfTm, ...]": lambda j: (NeNat(VarNe(j)),),
+}
+_BINDING_CLASSES = [Pi, Nat, TyConst, Lam, App, Zero, Succ, NatInd, TmConst] + [
+    cls for cls in _ERASES_TO if cls is not VarNe
+]
+
+
+@pytest.mark.parametrize("cls", _BINDING_CLASSES, ids=lambda cls: cls.__name__)
+def test_binder_table_agrees_with_substitution(cls):
+    syntax_cls = _ERASES_TO.get(cls, cls)
+    fields = dataclasses.fields(cls)
+    holds_var = [f.type in _FILL for f in fields]
+    for j in range(3):  # Var(j) under b binders is free exactly when j >= b
+        node = cls(*(_FILL[f.type](j) if f.type in _FILL else {"int": 1, "str": "C"}[f.type] for f in fields))
+        t = erase(node) if syntax_cls is not cls else node
+        assert t.__class__ is syntax_cls
+        moved = shift(t, 1)
+        got = [getattr(moved, name) != getattr(t, name) for name in syntax_cls.__match_args__]
+        assert got == [var and j >= b for var, b in zip(holds_var, binders(syntax_cls))]
