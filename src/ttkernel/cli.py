@@ -13,8 +13,9 @@
 
 Any command exits 4 (code resource_exhausted) on input too deep or too
 large for the recursion limit, memory or int() (a numeral of more than
-4,300 digits), accepts --json and emits {status, output, error{code,
-line, col}}. The oracle's budget is 100,000 beta/iota steps; large
+4,300 digits), and 2 (code usage_error) on a command line it cannot
+parse; it accepts --json and emits {status, output, error{code, line,
+col}}. The oracle's budget is 100,000 beta/iota steps; large
 arithmetic can exhaust it (code fuel_exhausted, exit 1), and the
 environment variable TT_FUEL raises it.
 """
@@ -27,7 +28,7 @@ import os
 import sys
 
 from .check import check, check_ty, conv_tm, infer
-from .errors import BadFuel, KernelError, ParseError, ResourceExhausted
+from .errors import BadFuel, KernelError, ParseError, ResourceExhausted, UsageError
 from .nbe import normalize_tm
 from .normal import erase
 from .rewrite import DEFAULT_FUEL, rw_normalize
@@ -64,6 +65,14 @@ def _non_negative(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {n}")
     return n
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error instead of exiting, so that ``main`` reports it
+    as it does every other error, as a ``--json`` record too."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _emit(args, status: str, output: str | None, error: KernelError | None, code: int) -> int:
@@ -154,7 +163,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="tt", description="tiny type theory kernel")
+    parser = _Parser(prog="tt", description="tiny type theory kernel")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="typecheck a file")
@@ -180,14 +189,16 @@ def main(argv=None) -> int:
     for p in (p_check, p_norm, p_eq, p_fuzz):
         p.add_argument("--json", action="store_true")
 
-    args = parser.parse_args(argv)
     commands = {
         "check": _cmd_check,
         "normalize": _cmd_normalize,
         "equal": _cmd_equal,
         "fuzz": _cmd_fuzz,
     }
+    argv = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(json="--json" in argv)  # until parsed: to report a usage error
     try:
+        args = parser.parse_args(argv)
         return commands[args.command](args)
     except KernelError as e:
         err = e

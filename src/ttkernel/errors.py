@@ -24,6 +24,12 @@ class ParseError(KernelError):
     exit_code = 2
 
 
+class UsageError(ParseError):
+    """A command line ``tt`` cannot parse: an option missing, unknown or malformed."""
+
+    code = "usage_error"
+
+
 class CheckError(KernelError):
     """Base of type-checking errors."""
 

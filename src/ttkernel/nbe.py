@@ -33,8 +33,6 @@ from .normal import (
     LamNf,
     NatIndNe,
     NatNf,
-    NeConst,
-    NeNat,
     NeTm,
     NfTm,
     NfTy,
@@ -139,7 +137,8 @@ def var_value(ty: SemTy, level: int) -> Value:
 
 
 def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
-    """Read a value back as an eta-long normal form under ``depth`` binders."""
+    """Read a value back as an eta-long normal form under ``depth`` binders;
+    a neutral at Nat or at a type constant is itself a normal term there."""
     match ty:
         case DPi(dom, cod):
             fresh = var_value(dom, depth)
@@ -154,11 +153,11 @@ def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
                 case VZero():
                     return ZeroNf()
                 case VNe(_, ne):
-                    return NeNat(reify_ne(sig, depth, ne))
+                    return reify_ne(sig, depth, ne)
             raise AssertionError(f"not a Nat value: {v!r}")
-        case DConst(name, args):
+        case DConst():
             assert isinstance(v, VNe), f"not a neutral at a constant type: {v!r}"
-            return NeConst(name, _reify_const_args(sig, depth, name, args), reify_ne(sig, depth, v.ne))
+            return reify_ne(sig, depth, v.ne)
     raise AssertionError(f"not a semantic type: {ty!r}")
 
 

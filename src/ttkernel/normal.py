@@ -3,13 +3,13 @@ terms and neutral terms, with erasure back to core syntax.
 
 A normal term is beta/iota-free and eta-long: at a function type the
 only normal inhabitants are lambdas, and a blocked elimination (a spine
-headed by a variable or a term constant) is coerced into normal form
-only at Nat or at a type constant. ``NeConst`` records the normal forms
-of the type constant's arguments alongside the neutral itself.
+headed by a variable or a term constant) is a normal term only at Nat or
+at a type constant. So a neutral is a normal term (``NeTm`` is an
+``NfTm``), and its type follows from its head and its arguments.
 
-Each grammar class but the two coercions erases to the syntax class with
-the same fields in the same order, and binds as that class does
-(``syntax.BINDERS``), so erasure and renaming are each one walk.
+Each grammar class erases to the syntax class with the same fields in the
+same order, and binds as that class does (``syntax.BINDERS``), so erasure
+and renaming are each one walk.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class NfTm(Node):
     __slots__ = ()
 
 
-class NeTm(Node):
-    """Neutral terms: blocked eliminations headed by a variable or constant."""
+class NeTm(NfTm):
+    """Neutral terms: blocked eliminations headed by a variable or constant,
+    normal at Nat and at type constants."""
     __slots__ = ()
 
 
@@ -92,25 +93,6 @@ class SuccNf(NfTm):
 
 
 @node
-class NeNat(NfTm):
-    """A neutral coerced to normal form at type Nat."""
-
-    ne: NeTm
-
-
-@node
-class NeConst(NfTm):
-    """A neutral coerced to normal form at a type constant.
-
-    ``index_nfs`` are the normal forms of the type's arguments.
-    """
-
-    name: str
-    index_nfs: tuple[NfTm, ...]
-    ne: NeTm
-
-
-@node
 class VarNe(NeTm):
     index: int
 
@@ -135,8 +117,7 @@ class TmConstNe(NeTm):
     args: tuple[NfTm, ...] = ()
 
 
-# The syntax class each grammar class erases to; the coercions ``NeNat`` and
-# ``NeConst`` bind nothing and erase to their neutral.
+# The syntax class each grammar class erases to.
 _ERASES_TO = {
     FunNf: Pi, NatNf: Nat, TyConstNf: TyConst, LamNf: Lam, ZeroNf: Zero, SuccNf: Succ,
     VarNe: Var, AppNe: App, NatIndNe: NatInd, TmConstNe: TmConst,
@@ -144,14 +125,12 @@ _ERASES_TO = {
 
 
 def erase(n):
-    """Forget normality structure; coercions erase to their payloads."""
+    """Forget normality structure."""
     cls = n.__class__
     if cls is tuple:
         return tuple(map(erase, n))
     if not isinstance(n, Node):  # a name, an index or a successor count
         return n
-    if cls is NeNat or cls is NeConst:
-        return erase(n.ne)
     return _ERASES_TO[cls](*[erase(getattr(n, f)) for f in cls.__match_args__])
 
 
@@ -166,7 +145,7 @@ def rename_nf(r: Renaming, n):
             return tuple(go(y, d) for y in x)
         if not isinstance(x, Node):
             return x
-        bound = binders(_ERASES_TO.get(cls, cls))
+        bound = binders(_ERASES_TO[cls])
         return cls(*[go(getattr(x, f), d + b) for f, b in zip(cls.__match_args__, bound)])
 
     return go(n, 0)
@@ -181,13 +160,14 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
     not in the grammar.
 
     Types never compute: the types in ``ctx`` and ``ty``, and those computed
-    on the way by substitution, are read as they stand, and are normalized
-    by the oracle only where two are compared, at a type constant. So for
-    ``q : (u : Nat -> Nat) -> C (u zero)``, ``q (\\x. v x)`` of type
-    ``C ((\\x. v x) zero)`` is normal at ``C (v zero)``, and its ``NeConst``
-    records ``v zero``; for ``e : (w : Nat -> Nat) -> E w``, ``e (\\x. v x)``
-    is normal at ``E v``. As for ``rw_normalize``, ``ctx`` and ``ty`` must be
-    well formed: the oracle's eta pass asserts on an ill-formed spine.
+    on the way by substitution, are read as they stand. A neutral is normal
+    at ``ty`` if its spine's type is ``ty``; only where the two differ are
+    both brought to the oracle's normal form and compared. So for ``q : (u :
+    Nat -> Nat) -> C (u zero)``, ``q (\\x. v x)`` of type ``C ((\\x. v x)
+    zero)`` is normal at ``C (v zero)``, and for ``e : (w : Nat -> Nat) -> E
+    w``, ``e (\\x. v x)`` is normal at ``E v``. As for ``rw_normalize``,
+    ``ctx`` and ``ty`` must be well formed: the oracle's eta pass asserts on
+    an ill-formed spine.
     """
     match ty:
         case Pi(dom, cod):
@@ -202,21 +182,15 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
                 case Succ(k, base):
                     nf = to_nf(sig, ctx, ty, base)
                     return None if nf is None else SuccNf(k, nf)
-                case _:
-                    spine = _to_ne(sig, ctx, t)
-                    if spine is None or not isinstance(spine[1], Nat):
-                        return None
-                    return NeNat(spine[0])
-        case TyConst(name, _):
-            spine = _to_ne(sig, ctx, t)
-            if spine is None:
-                return None
-            want = _reduced(sig, ctx, ty)
-            if spine[1] != ty and not alpha_eq(_reduced(sig, ctx, spine[1]), want):
-                return None
-            idx = _const_arg_nfs(sig, ctx, name, want.args)
-            return None if idx is None else NeConst(name, idx, spine[0])
-    raise AssertionError(f"not a type: {ty!r}")
+    spine = _to_ne(sig, ctx, t)
+    if spine is None:
+        return None
+    ne, have = spine
+    if have == ty:
+        return ne
+    if isinstance(ty, TyConst) and alpha_eq(_reduced(sig, ctx, have), _reduced(sig, ctx, ty)):
+        return ne
+    return None
 
 
 def to_nf_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy | None:
@@ -228,14 +202,10 @@ def to_nf_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy | None:
         case Nat():
             return NatNf()
         case TyConst(name, args):
-            idx = _const_arg_nfs(sig, ctx, name, args)
+            decl = sig.get(name)
+            idx = _arg_nfs(sig, ctx, decl.params, args) if isinstance(decl, PostulateTy) else None
             return None if idx is None else TyConstNf(name, idx)
     raise AssertionError(f"not a type: {ty!r}")
-
-
-def _const_arg_nfs(sig, ctx, name, args) -> tuple[NfTm, ...] | None:
-    decl = sig.get(name)
-    return _arg_nfs(sig, ctx, decl.params, args) if isinstance(decl, PostulateTy) else None
 
 
 def _arg_nfs(sig, ctx, params, args) -> tuple[NfTm, ...] | None:

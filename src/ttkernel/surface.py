@@ -505,7 +505,10 @@ def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
             return "zero"
         case Succ(k, base):
             if isinstance(base, Zero):
-                return str(k)
+                try:
+                    return str(k)
+                except ValueError:  # more digits than str() converts
+                    raise ResourceExhausted("numeral is too long to print") from None
             return _wrap("succ " * k + print_tm(base, names, 2), prec > 1)
         case Lam(body):
             x = _fresh(names)

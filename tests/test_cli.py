@@ -125,18 +125,35 @@ def test_fuzz_crossval_as_benchmarked(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--count", "--size"])
 def test_fuzz_rejects_a_negative_count_or_size(good, option, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(["fuzz", good, option, "-1"])
-    assert exit_.value.code == 2
-    assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
+    assert main(["fuzz", good, option, "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error[usage_error]: argument {option}: must not be negative, got -1\n")
     assert main(["fuzz", good, option, "0"]) == 0
 
 
 def test_fuzz_rejects_a_non_integer_count(good, capsys):
+    assert main(["fuzz", good, "--count", "abc"]) == 2
+    assert "error[usage_error]: argument --count: not an integer: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["normalize", "FILE"], ["fuzz", "FILE", "--count", "-1"], ["normalize", "FILE", "-e", "-x"]],
+    ids=["missing -e", "negative count", "option as -e text"],
+)
+def test_usage_error_is_a_json_record(good, argv, capsys):
+    argv = [good if a == "FILE" else a for a in argv]
+    assert main(argv + ["--json"]) == 2
+    record = {"code": "usage_error", "line": None, "col": None}
+    assert _json_of(capsys) == {"status": "parse-error", "output": None, "error": record}
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_:
-        main(["fuzz", good, "--count", "abc"])
-    assert exit_.value.code == 2
-    assert "argument --count: not an integer: 'abc'" in capsys.readouterr().err
+        main(["fuzz", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tt fuzz")
 
 
 def test_normalize_reports_an_oracle_mismatch(good, monkeypatch, capsys):
@@ -300,14 +317,18 @@ POSTULATES = "postulate A\npostulate B (x : A)\npostulate f : (x : A) -> B x\npo
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(TOKENS), max_size=24), st.booleans())
-@example(["def", "n", ":", "Nat", ":=", LONG], True)
-@example(["succ", LONG], False)
-def test_token_strings_give_one_json_record(tmp_path_factory, tokens, as_file):
+@given(st.lists(st.sampled_from(TOKENS), max_size=24), st.sampled_from(["FILE", "--expr=", "-e"]))
+@example(["def", "n", ":", "Nat", ":=", LONG], "FILE")
+@example(["succ", LONG], "--expr=")
+@example(["->"], "-e")  # -e takes an option-like text for no argument: a usage error
+def test_token_strings_give_one_json_record(tmp_path_factory, tokens, where):
     text = " ".join(tokens)
     path = tmp_path_factory.getbasetemp() / "tokens.tt"
-    path.write_text(text if as_file else POSTULATES)
-    argv = ["check", str(path)] if as_file else ["normalize", str(path), "--expr=" + text]
+    path.write_text(text if where == "FILE" else POSTULATES)
+    if where == "FILE":
+        argv = ["check", str(path)]
+    else:
+        argv = ["normalize", str(path)] + ([where + text] if where == "--expr=" else [where, text])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--json"])

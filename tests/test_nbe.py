@@ -43,8 +43,6 @@ from ttkernel.normal import (
     LamNf,
     NatIndNe,
     NatNf,
-    NeConst,
-    NeNat,
     SuccNf,
     TmConstNe,
     TyConstNf,
@@ -94,7 +92,7 @@ def test_var_value_at_function_type_is_typed_neutral(sig_empty):
     ty = DPi(DNat(), NAT_CLO)
     v = var_value(ty, 0)
     assert v == VNe(ty, NVar(0))
-    assert reify(sig_empty, 1, ty, v) == LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
+    assert reify(sig_empty, 1, ty, v) == LamNf(AppNe(VarNe(1), VarNe(0)))
 
 
 # -- evaluation
@@ -175,13 +173,13 @@ def test_reify_numeral(sig_empty):
 
 
 def test_reify_neutral_at_nat(sig_empty):
-    assert reify(sig_empty, 1, DNat(), VNe(DNat(), NVar(0))) == NeNat(VarNe(0))
+    assert reify(sig_empty, 1, DNat(), VNe(DNat(), NVar(0))) == VarNe(0)
 
 
 def test_reify_at_function_type_is_eta_long(sig_empty):
     ty = DPi(DNat(), NAT_CLO)
     got = reify(sig_empty, 1, ty, var_value(ty, 0))
-    assert got == LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
+    assert got == LamNf(AppNe(VarNe(1), VarNe(0)))
 
 
 def test_reify_rejects_escaped_level(sig_empty):
@@ -202,7 +200,7 @@ def test_nfty_function(sig_empty):
 
 def test_nfty_indexed_constant(sig_abf):
     sem = DConst("B", (VNe(DConst("A"), NVar(0)),))
-    assert nfty(sig_abf, 1, sem) == TyConstNf("B", (NeConst("A", (), VarNe(0)),))
+    assert nfty(sig_abf, 1, sem) == TyConstNf("B", (VarNe(0),))
 
 
 # -- identity environments
@@ -232,25 +230,25 @@ def test_normalize_arithmetic(sig_empty):
 def test_normalize_eta_expands_variable(sig_empty):
     ctx = Context((NN,))
     got = normalize_tm(sig_empty, ctx, NN, Var(0))
-    assert got == LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
+    assert got == LamNf(AppNe(VarNe(1), VarNe(0)))
 
 
 def test_normalize_constant_spine(sig_abf):
     ctx = Context((A,))
     got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), TmConst("f", (Var(0),)))
-    a_nf = NeConst("A", (), VarNe(0))
-    assert got == NeConst("B", (a_nf,), TmConstNe("f", (a_nf,)))
+    a_nf = VarNe(0)
+    assert got == TmConstNe("f", (a_nf,))
 
 
 def test_normalize_variable_at_base_type_is_its_coercion(sig_abf):
     got = normalize_tm(sig_abf, Context((A,)), A, Var(0))
-    assert got == NeConst("A", (), VarNe(0))
+    assert got == VarNe(0)
 
 
 def test_normalize_ty_dependent(sig_abf):
     ctx = Context((A,))
     got = normalize_ty(sig_abf, ctx, B_OF(App(Lam(Var(0)), Var(0))))
-    assert got == TyConstNf("B", (NeConst("A", (), VarNe(0)),))
+    assert got == TyConstNf("B", (VarNe(0),))
 
 
 def test_dependent_eliminator_with_indexed_motive(sig_dep):
@@ -262,7 +260,7 @@ def test_dependent_eliminator_with_indexed_motive(sig_dep):
     ctx = Context((Nat(),))
     blocked = NatInd(Var(0), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got2 = normalize_tm(sig_dep, ctx, TyConst("C", (Var(0),)), blocked)
-    assert isinstance(got2, NeConst) and isinstance(got2.ne, NatIndNe)
+    assert isinstance(got2, NatIndNe)
 
 
 # -- the computation rules of the normalization structure, one test each
@@ -315,7 +313,7 @@ def test_equation_reify_succ(sig_empty):
 def test_equation_reify_reflect_nat(sig_empty):
     ne = NApp(NVar(0), VZero(), DNat())
     lhs = reify(sig_empty, 1, DNat(), reflect(DNat(), ne))
-    assert lhs == NeNat(reify_ne(sig_empty, 1, ne))
+    assert lhs == reify_ne(sig_empty, 1, ne)
 
 
 def test_equation_ind_on_reflected_neutral(sig_empty):
@@ -335,9 +333,7 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     # and its readback reifies the motive, zero case and successor case
     # under the right number of fresh variables
     got = reify(sig_empty, 1, DNat(), lhs)
-    assert got == NeNat(
-        NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(1, NeNat(VarNe(0))))
-    )
+    assert got == NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(1, VarNe(0)))
 
 
 def test_equation_nfty_const(sig_abf):
@@ -347,7 +343,7 @@ def test_equation_nfty_const(sig_abf):
 def test_equation_reify_reflect_const(sig_abf):
     ne = NVar(0)
     lhs = reify(sig_abf, 1, DConst("A"), reflect(DConst("A"), ne))
-    assert lhs == NeConst("A", (), reify_ne(sig_abf, 1, ne))
+    assert lhs == reify_ne(sig_abf, 1, ne)
 
 
 def test_equation_nfty_indexed_const(sig_abf):
@@ -361,9 +357,7 @@ def test_equation_reify_reflect_indexed_const(sig_abf):
     ty = DConst("B", (a0,))
     ne = NVar(0)
     lhs = reify(sig_abf, 1, ty, reflect(ty, ne))
-    assert lhs == NeConst(
-        "B", (reify(sig_abf, 1, DConst("A"), a0),), reify_ne(sig_abf, 1, ne)
-    )
+    assert lhs == reify_ne(sig_abf, 1, ne)
 
 
 def test_equation_term_constant(sig_abf):

@@ -11,7 +11,8 @@ from ttkernel.normal import (
     FunNf,
     LamNf,
     NatNf,
-    NeNat,
+    NfTm,
+    NfTy,
     SuccNf,
     TyConstNf,
     VarNe,
@@ -33,7 +34,9 @@ from ttkernel.syntax import (
     Pi,
     Renaming,
     Succ,
+    Term,
     TmConst,
+    Ty,
     TyConst,
     Var,
     Zero,
@@ -50,34 +53,44 @@ NN = Pi(Nat(), Nat())
 
 def test_erase_homomorphic():
     assert erase(SuccNf(1, ZeroNf())) == Succ(1, Zero())
+    assert erase(VarNe(0)) == Var(0)
 
 
-def test_erase_forgets_coercions():
-    assert erase(NeNat(VarNe(0))) == Var(0)
+def test_erasure_table_is_one_to_one_on_the_grammar():
+    # each grammar class erases to a syntax class of its own, types to types
+    # and terms to terms: no coercion node that erases to its payload
+    def below(base):
+        return {c for s in base.__subclasses__() for c in below(s) | {s}}
+
+    grammar = {c for c in below(NfTy) | below(NfTm) if dataclasses.is_dataclass(c)}
+    assert grammar == set(_ERASES_TO)
+    assert len(set(_ERASES_TO.values())) == len(_ERASES_TO)
+    for cls, syntax_cls in _ERASES_TO.items():
+        assert issubclass(syntax_cls, Ty if issubclass(cls, NfTy) else Term), cls
 
 
 def test_erase_layers():
-    n = LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
+    n = LamNf(AppNe(VarNe(1), VarNe(0)))
     assert erase(n) == Lam(App(Var(1), Var(0)))
 
 
 def test_rename_nf_identity():
     ctx = Context((Nat(),))
-    n = NeNat(VarNe(0))
+    n = VarNe(0)
     assert rename_nf(Renaming.identity(ctx), n) == n
 
 
 def test_rename_nf_weakening():
     r = Renaming.weakening(Context((Nat(),)), Nat())
-    assert rename_nf(r, NeNat(VarNe(0))) == NeNat(VarNe(1))
+    assert rename_nf(r, VarNe(0)) == VarNe(1)
 
 
 def test_rename_nf_swap():
     ctx = Context((NN, Nat()))  # f : Nat -> Nat, x : Nat
     swapped = Context((Nat(), NN))
     r = Renaming(ctx, swapped, (1, 0))
-    n = NeNat(AppNe(VarNe(1), NeNat(VarNe(0))))  # f x
-    assert rename_nf(r, n) == NeNat(AppNe(VarNe(0), NeNat(VarNe(1))))
+    n = AppNe(VarNe(1), VarNe(0))  # f x
+    assert rename_nf(r, n) == AppNe(VarNe(0), VarNe(1))
 
 
 def test_rename_nf_commutes_with_erase(sig_abf):
@@ -101,9 +114,9 @@ def test_rename_nf_commutes_with_erase(sig_abf):
 def test_rename_nf_under_a_function_type_binder():
     # (y : Nat) -> C y x0, weakened: the bound y stays, the free x0 moves
     r = Renaming.weakening(Context((Nat(),)), Nat())
-    n = FunNf(NatNf(), TyConstNf("C", (NeNat(VarNe(0)), NeNat(VarNe(1)))))
+    n = FunNf(NatNf(), TyConstNf("C", (VarNe(0), VarNe(1))))
     got = rename_nf(r, n)
-    assert got == FunNf(NatNf(), TyConstNf("C", (NeNat(VarNe(0)), NeNat(VarNe(2)))))
+    assert got == FunNf(NatNf(), TyConstNf("C", (VarNe(0), VarNe(2))))
     assert erase(got) == rename(r, erase(n))
 
 
@@ -148,6 +161,23 @@ def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
     assert is_normal(sig_crossval, ctx, c, TmConst("h", (Var(0),)))
     assert not is_normal(sig_crossval, ctx, c, TmConst("h", (App(Lam(Var(0)), Var(0)),)))
     assert not is_normal(sig_crossval, ctx, Nat(), TmConst("twice", (Var(0),)))
+    # a neutral at a base type: its spine's type against the given one, up to
+    # the oracle's normal form at a type constant
+    hv = TmConst("h", (Var(0),))
+    ctx_a = Context((TyConst("A"), TyConst("A")))  # a, a' : A
+    fa = TmConst("f", (Var(1),))
+    base_cases = [
+        (ctx, c, hv, True),
+        (ctx, TyConst("C", (App(Lam(Var(0)), Var(0)),)), hv, True),
+        (ctx, TyConst("C", (Zero(),)), hv, False),
+        (ctx, Nat(), hv, False),
+        (ctx, Nat(), Var(0), True),
+        (ctx, c, Var(0), False),
+        (ctx_a, TyConst("B", (Var(1),)), fa, True),
+        (ctx_a, TyConst("B", (Var(0),)), fa, False),
+    ]
+    for at, ty, t, normal in base_cases:
+        assert is_normal(sig_crossval, at, ty, t) is normal, (ty, t)
 
 
 def test_is_normal_ty(sig_abf):
@@ -243,9 +273,9 @@ _FILL = {
     "Ty": lambda j: TyConst("C", (Var(j),)),
     "tuple[Term, ...]": lambda j: (Var(j),),
     "NeTm": lambda j: VarNe(j),
-    "NfTm": lambda j: NeNat(VarNe(j)),
-    "NfTy": lambda j: TyConstNf("C", (NeNat(VarNe(j)),)),
-    "tuple[NfTm, ...]": lambda j: (NeNat(VarNe(j)),),
+    "NfTm": lambda j: VarNe(j),
+    "NfTy": lambda j: TyConstNf("C", (VarNe(j),)),
+    "tuple[NfTm, ...]": lambda j: (VarNe(j),),
 }
 _BINDING_CLASSES = [Pi, Nat, TyConst, Lam, App, Zero, Succ, NatInd, TmConst] + [
     cls for cls in _ERASES_TO if cls is not VarNe

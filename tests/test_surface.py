@@ -2,9 +2,9 @@
 
 import pytest
 
-from ttkernel.errors import ArityMismatch, ParseError, UnknownName
+from ttkernel.errors import ArityMismatch, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import LamNf, NeNat, AppNe, VarNe, SuccNf, ZeroNf, erase
+from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
 from ttkernel.signature import Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
     SNum,
@@ -16,6 +16,7 @@ from ttkernel.surface import (
     parse,
     parse_expression,
     parse_type,
+    print_case,
     print_nf,
     print_tm,
     print_ty,
@@ -33,6 +34,7 @@ from ttkernel.syntax import (
     TyConst,
     Var,
     Zero,
+    numeral,
 )
 
 
@@ -132,8 +134,20 @@ def test_print_numeral():
     assert print_nf(SuccNf(2, ZeroNf())) == "2"
 
 
+def test_print_numeral_past_str_limit_is_resource_exhausted():
+    # library-built: the parser rejects a literal this long already
+    big = numeral(10**4300)
+    printers = [lambda: print_tm(big), lambda: print_nf(SuccNf(big.k, ZeroNf())),
+                lambda: print_case(Context(), Nat(), big)]
+    for show in printers:
+        with pytest.raises(ResourceExhausted, match="numeral is too long to print") as err:
+            show()
+        assert err.value.exit_code == 4
+    assert print_tm(numeral(10**4299)) == "1" + "0" * 4299
+
+
 def test_print_eta_long_variable():
-    n = LamNf(NeNat(AppNe(VarNe(1), NeNat(VarNe(0)))))
+    n = LamNf(AppNe(VarNe(1), VarNe(0)))
     assert print_nf(n, ("g",)) == r"\x0. g x0"
 
 
@@ -198,9 +212,9 @@ def test_succ_argument_is_an_atom(sig_empty):
 
 
 def test_print_nf_type(sig_abf):
-    from ttkernel.normal import NeConst, TyConstNf, VarNe
+    from ttkernel.normal import TyConstNf, VarNe
 
-    n = TyConstNf("B", (NeConst("A", (), VarNe(0)),))
+    n = TyConstNf("B", (VarNe(0),))
     assert print_nf(n, ("a",)) == "B a"
 
 

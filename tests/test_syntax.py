@@ -11,7 +11,7 @@ from ttkernel import domain, normal, signature, surface, syntax
 from ttkernel.domain import DNat, NApp, NVar, VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import LamNf, NeNat, SuccNf, VarNe, ZeroNf
+from ttkernel.normal import LamNf, SuccNf, VarNe, ZeroNf
 from ttkernel.signature import Signature
 from ttkernel.syntax import (
     App,
@@ -314,8 +314,8 @@ DEEP_TREES = {
         10**5,
     ),
     "LamNf nest": (
-        lambda n: _nest(LamNf, NeNat(VarNe(0)), n),
-        lambda n: "LamNf(body=" * n + "NeNat(ne=VarNe(index=0))" + ")" * n,
+        lambda n: _nest(LamNf, VarNe(0), n),
+        lambda n: "LamNf(body=" * n + "VarNe(index=0)" + ")" * n,
         10**5,
     ),
     "NApp spine": (
@@ -395,7 +395,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c is not surface._Parser
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 53
+    assert len(concrete) == 51
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
