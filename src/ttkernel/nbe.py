@@ -100,7 +100,18 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
     the base of its successor chain, then the successor case once per
-    predecessor, innermost first."""
+    predecessor, innermost first, unless it has a closed form.
+
+    Closed form: at motive ``Nat`` over k >= 2 successors, the successor
+    case is evaluated once more, with fresh markers for ``p`` and ``r``. If
+    its value is ``r``'s marker, or ``j`` successors over it, then each
+    unrolling returns ``r``, or adds ``j`` successors to it, and the result
+    is ``rec`` or ``j * k`` successors over ``rec``. This is sound because a
+    value computed over fresh neutrals is the normal form of the open case
+    (``r`` or ``succ^j r``), and substituting values into it creates no
+    redex (Abel 2013). Markers are told apart by identity: ``==`` is
+    structural, so the markers of nested probes are equal. They never
+    escape, since only ``rec`` or successors over it are returned."""
     k, base = (scrut.k, scrut.base) if scrut.__class__ is VSucc else (0, scrut)
     match base:
         case VZero():
@@ -110,6 +121,14 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
             rec = reflect(eval_ty(sig, env + (base,), motive), blocked)
         case _:
             raise AssertionError(f"eliminating a non-Nat value: {base!r}")
+    if k >= 2 and motive.__class__ is Nat:
+        # level -1 is no variable's, so reify_ne asserts on a marker that escaped
+        r = VNe(DNat(), NVar(-1))
+        step = eval_tm(sig, env + (VNe(DNat(), NVar(-1)), r), scase)
+        if step is r:
+            return rec
+        if step.__class__ is VSucc and step.base is r:
+            return succ(VSucc, step.k * k, rec)
     for j in range(k):
         rec = eval_tm(sig, env + (succ(VSucc, j, base), rec), scase)
     return rec
@@ -165,7 +184,7 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
     """Read a neutral back, converting levels to indices."""
     match ne:
         case NVar(level):
-            assert level < depth, f"level {level} escapes depth {depth}"
+            assert 0 <= level < depth, f"level {level} escapes depth {depth}"
             return VarNe(depth - 1 - level)
         case NApp(fn, arg, arg_ty):
             return AppNe(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))

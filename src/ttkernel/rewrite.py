@@ -165,35 +165,43 @@ def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
 def _eta_tm(sig, ctx: tuple[Ty, ...], ty: Ty, t: Term) -> Term:
     # t is beta/iota-reduced; at Nat or a type constant it is a numeral or a spine
     if isinstance(ty, Pi):
-        body = t.body if isinstance(t, Lam) else App(shift(t, 1), Var(0))
-        return Lam(_eta_tm(sig, ctx + (ty.dom,), ty.cod, body))
+        if isinstance(t, Lam):
+            body = _eta_tm(sig, ctx + (ty.dom,), ty.cod, t.body)
+            return t if body is t.body else Lam(body)
+        return Lam(_eta_tm(sig, ctx + (ty.dom,), ty.cod, App(shift(t, 1), Var(0))))
     match t:
         case Zero():
             return t
         case Succ(k, base):
-            return Succ(k, _eta_tm(sig, ctx, ty, base))
+            b = _eta_tm(sig, ctx, ty, base)
+            return t if b is base else Succ(k, b)
     return _eta_ne(sig, ctx, t)[0]
 
 
 def _eta_ne(sig, ctx: tuple[Ty, ...], t: Term) -> tuple[Term, Ty]:
-    """Eta-expand the arguments of a neutral spine; returns its type too."""
+    """Eta-expand the arguments of a neutral spine; returns its type too.
+    A spine whose arguments are already eta-long comes back as it is."""
     match t:
         case Var(i):
             return t, ctx[-1 - i]
         case App(f, a):
             f2, f_ty = _eta_ne(sig, ctx, f)
             assert isinstance(f_ty, Pi), f"spine head is not a function: {f_ty!r}"
-            return App(f2, _eta_tm(sig, ctx, f_ty.dom, a)), f_ty.cod
+            a2 = _eta_tm(sig, ctx, f_ty.dom, a)
+            return t if f2 is f and a2 is a else App(f2, a2), f_ty.cod
         case NatInd(scrut, motive, zcase, scase):
-            scrut2 = _eta_ne(sig, ctx, scrut)[0]
-            motive2 = _eta_ty(sig, ctx + (Nat(),), motive)
-            zcase2 = _eta_tm(sig, ctx, motive, zcase)
-            scase2 = _eta_tm(sig, ctx + (Nat(), motive), motive, scase)
-            return NatInd(scrut2, motive2, zcase2, scase2), motive
+            s2 = _eta_ne(sig, ctx, scrut)[0]
+            m2 = _eta_ty(sig, ctx + (Nat(),), motive)
+            z2 = _eta_tm(sig, ctx, motive, zcase)
+            c2 = _eta_tm(sig, ctx + (Nat(), motive), motive, scase)
+            if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
+                return t, motive
+            return NatInd(s2, m2, z2, c2), motive
         case TmConst(name, args):
             decl = sig.lookup(name)
             assert isinstance(decl, PostulateTm), f"'{name}' is not a term constant"
-            return TmConst(name, _eta_args(sig, ctx, decl.params, args)), decl.result
+            args2 = _eta_args(sig, ctx, decl.params, args)
+            return t if args2 is args else TmConst(name, args2), decl.result
     raise AssertionError(f"not a neutral spine: {t!r}")
 
 
@@ -202,16 +210,24 @@ def _eta_ty(sig, ctx: tuple[Ty, ...], ty: Ty) -> Ty:
         case Nat():
             return ty
         case Pi(dom, cod):
-            return Pi(_eta_ty(sig, ctx, dom), _eta_ty(sig, ctx + (dom,), cod))
+            d2 = _eta_ty(sig, ctx, dom)
+            c2 = _eta_ty(sig, ctx + (dom,), cod)
+            return ty if d2 is dom and c2 is cod else Pi(d2, c2)
         case TyConst(name, args):
             decl = sig.lookup(name)
             assert isinstance(decl, PostulateTy)
-            return TyConst(name, _eta_args(sig, ctx, decl.params, args))
+            args2 = _eta_args(sig, ctx, decl.params, args)
+            return ty if args2 is args else TyConst(name, args2)
     raise AssertionError(f"not a type: {ty!r}")
 
 
 def _eta_args(sig, ctx, params, args):
-    return tuple(_eta_tm(sig, ctx, p, a) for p, a in zip(params, args, strict=True))
+    out = args
+    for i, (p, a) in enumerate(zip(params, args, strict=True)):
+        a2 = _eta_tm(sig, ctx, p, a)
+        if a2 is not a:
+            out = out[:i] + (a2,) + out[i + 1 :]
+    return out
 
 
 def oracle_equal(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,35 @@ def test_fuel_env(good, monkeypatch, capsys):
     assert rec["status"] == "error"
     monkeypatch.setenv("TT_FUEL", "100000")
     assert main(["normalize", good, "-e", "mul 4 5", "--oracle"]) == 0
+
+
+# README's arithmetic: add and mul as declared there, and exp over them
+ARITH = GOOD + "def exp : Nat -> Nat -> Nat := \\b. \\e. ind(e; _. Nat; 1; p r. mul b r)\n"
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        ("add 1000000000 1000000000", 2_000_000_000),
+        ("mul 123456789 987654321", 123456789 * 987654321),
+        ("exp 2 64", 2**64),
+    ],
+)
+def test_large_arithmetic_normalizes_at_once(tmp_path, capsys, expr, value):
+    # NbE iterates add's and mul's successor cases in closed form
+    p = tmp_path / "arith.tt"
+    p.write_text(ARITH)
+    start = time.perf_counter()
+    assert main(["normalize", str(p), "-e", expr]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out.strip() == str(value)
+
+
+def test_oracle_still_spends_fuel_on_large_arithmetic(good, capsys):
+    # the oracle counts every iota step, so 200,000 of them exceed its budget
+    assert main(["normalize", good, "-e", "add 200000 0", "--oracle", "--json"]) == 1
+    rec = _json_of(capsys)
+    assert rec["status"] == "error" and rec["error"]["code"] == "fuel_exhausted"
 
 
 def test_fuel_env_malformed(good, monkeypatch, capsys):

@@ -16,7 +16,7 @@ from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, ge
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import erase, is_normal
 from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize
-from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
+from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type
 from ttkernel.syntax import (
     App,
     Context,
@@ -288,6 +288,26 @@ def test_reduce_shares_what_does_not_reduce(sig_empty):
     assert got == App(App(Var(0), normal), Zero())
     assert got.fn.arg is normal
     assert tank.spent == 1
+
+
+def test_eta_pass_returns_eta_long_terms_as_they_are():
+    # an eta-long spine, eliminator and constant argument come back as the
+    # same objects, so comparing them afterwards stops at ``is``
+    sig = elaborate(parse("postulate C (n : Nat)\npostulate k : (u : Nat -> Nat) -> Nat\n"))
+    ctx = Context((Pi(NN, Nat()), Nat(), NN))
+    names = ("g", "x", "v")
+    text = "\\y. ind(x; _. Nat; g (\\z. succ z); p r. k (\\z. succ r))"
+    t = elab_tm(sig, names, parse_expression(text))
+    assert rw_normalize(sig, ctx, NN, t) is t
+    ty = elab_ty(sig, names, parse_type("C (g (\\z. k (\\w. z)))"))
+    assert rewrite._eta_ty(sig, ctx.entries, ty) is ty
+    # an eta-short argument is expanded; its eta-long sibling is kept as it is
+    short = elab_tm(sig, names, parse_expression("g (\\z. k v)"))
+    long = elab_tm(sig, names, parse_expression("g (\\z. k (\\w. v w))"))
+    assert rw_normalize(sig, ctx, Nat(), short) == long
+    pair = elab_ty(sig, names, parse_type("C (k v) -> C (g (\\z. z))"))
+    got = rewrite._eta_ty(sig, ctx.entries, pair)
+    assert got.dom == elab_ty(sig, names, parse_type("C (k (\\w. v w))")) and got.cod is pair.cod
 
 
 def test_reduce_stack_follows_nesting_not_steps(sig_arith):
