@@ -26,10 +26,10 @@ from .syntax import (
     shift,
     subst1,
 )
-from .signature import Define, PostulateTm, PostulateTy, Signature, declare
+from .signature import Define, PostulateTm, PostulateTy, Signature
 from .normal import NeTm, NfTm, NfTy, erase, is_normal, rename_nf
 from .nbe import normalize_tm, normalize_ty
-from .check import check_ty, conv_tm, conv_ty, infer
+from .check import check_ty, conv_tm, conv_ty, declare, infer
 from .rewrite import oracle_equal, rw_normalize
 from .surface import elaborate, parse, print_nf
 

@@ -1,10 +1,11 @@
-"""Bidirectional typechecker with conversion by normal-form comparison."""
+"""Bidirectional typechecker, conversion by normal-form comparison, and ``declare``."""
 
 from __future__ import annotations
 
 from .errors import (
     ArityMismatch,
     CannotInfer,
+    DuplicateName,
     Mismatch,
     MotiveMismatch,
     NotAFunction,
@@ -12,7 +13,7 @@ from .errors import (
     UnknownConstant,
 )
 from .nbe import eval_tm, eval_ty, id_env, nfty, reify
-from .signature import PostulateTm, PostulateTy, Signature
+from .signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
@@ -42,8 +43,8 @@ def check_ty(sig: Signature, ctx: Context, ty: Ty) -> None:
         case Nat():
             pass
         case TyConst(name, args):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTy):
+            decl = sig.find(PostulateTy, name)
+            if decl is None:
                 raise UnknownConstant(f"'{name}' is not a type constant")
             _check_args(sig, ctx, name, decl.params, args)
         case _:
@@ -98,8 +99,8 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
                 raise MotiveMismatch("successor", e) from e
             return subst1(motive, scrut)
         case TmConst(name, args):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTm):
+            decl = sig.find(PostulateTm, name)
+            if decl is None:
                 raise UnknownConstant(f"'{name}' is not a term constant")
             _check_args(sig, ctx, name, decl.params, args)
             return inst_params(decl.result, args)
@@ -133,3 +134,29 @@ def conv_tm(sig: Signature, ctx: Context, ty: Ty, t: Term, u: Term) -> bool:
     nf_t, nf_u = (reify(sig, depth, sem_ty, eval_tm(sig, env, x)) for x in (t, u))
     return nf_t == nf_u
 
+
+def declare(sig: Signature, decl: Declaration) -> Signature:
+    """Check ``decl`` against ``sig`` and append it."""
+    if sig.find(Declaration, decl.name) is not None:
+        raise DuplicateName(f"duplicate name '{decl.name}'")
+    match decl:
+        case PostulateTy(_, params) | PostulateTm(_, params, _):
+            ctx = Context()
+            for ty in params:
+                check_ty(sig, ctx, ty)
+                ctx = ctx.extend(ty)
+            if isinstance(decl, PostulateTm):
+                check_ty(sig, ctx, decl.result)
+        case Define(_, declared_type, body):
+            check_ty(sig, Context(), declared_type)
+            check(sig, Context(), body, declared_type)
+        case _:
+            raise AssertionError(f"not a declaration: {decl!r}")
+    return sig.extend(decl)
+
+
+def validate(sig: Signature) -> None:
+    """Re-check prefix-closed well-formedness from scratch."""
+    rebuilt = Signature()
+    for d in sig.of_kind(Declaration):
+        rebuilt = declare(rebuilt, d)

@@ -53,7 +53,10 @@ def _fuel() -> int:
         return DEFAULT_FUEL
     if not text.strip().isdecimal():
         raise BadFuel(f"TT_FUEL must be a non-negative integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # int() reads at most 4,300 digits
+        raise BadFuel(f"TT_FUEL has {len(text.strip()):,} digits, more than 4,300") from None
 
 
 def _non_negative(text: str) -> int:
@@ -135,7 +138,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_equal(args) -> int:
     sig = _load(args.file)
     if len(args.expr) != 2:
-        raise ParseError("equal needs exactly two -e expressions")
+        raise UsageError("equal needs exactly two -e expressions")
     t, ty = _expr_at(sig, args.expr[0], args.type)
     u = elab_tm(sig, (), parse_expression(args.expr[1]))
     check(sig, Context(), u, ty)

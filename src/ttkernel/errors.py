@@ -119,7 +119,7 @@ class FuelExhausted(KernelError):
 
 
 class BadFuel(KernelError):
-    """``TT_FUEL`` is not a non-negative integer."""
+    """``TT_FUEL`` is not a non-negative integer of at most 4,300 digits."""
 
     code = "bad_fuel"
 
@@ -132,6 +132,6 @@ class ResourceExhausted(KernelError):
 
 
 def _normalize(sig, ctx, ty):
-    from .nbe import normalize_ty  # late: nbe imports this module through signature
+    from .nbe import normalize_ty  # late: nbe imports this module through rewrite
 
     return normalize_ty(sig, ctx, ty)

@@ -122,15 +122,12 @@ def _spine_heads(sig, ctx, ty):
         found = _match_result(result, ty, len(tele))
         if found is not None:
             heads.append((Var(i), tele, *found))
-    for d in sig.decls:
-        if isinstance(d, PostulateTm):
-            result, more = d.result, ()
-            if result.__class__ is Pi:  # a result declared through the library
-                more, result = split_pi(result)
-            if _same_former(result, ty):
-                found = _match_result(result, ty, len(d.params) + len(more))
-                if found is not None:
-                    heads.append((d, d.params + more, *found))
+    for d in sig.of_kind(PostulateTm):
+        more, result = split_pi(d.result)  # a Pi result only if declared through the library
+        if _same_former(result, ty):
+            found = _match_result(result, ty, len(d.params) + len(more))
+            if found is not None:
+                heads.append((d, d.params + more, *found))
     return heads
 
 
@@ -266,7 +263,7 @@ def gen_type(sig: Signature, ctx: Context, rng=None, size: int = 4) -> Ty:
     """A random well-formed type; Pi nesting is bounded by ``size``."""
     rng = _rng(rng if rng is not None else 0)
     choices = ["nat", "nat"]
-    ty_consts = [d for d in sig.decls if isinstance(d, PostulateTy)]
+    ty_consts = sig.of_kind(PostulateTy)
     if ty_consts:
         choices += ["const", "const"]
     if size >= 3:
@@ -441,8 +438,6 @@ class _TypedEnum:
 
     def __init__(self, sig: Signature):
         self.sig = sig
-        self.tm_consts = [d for d in sig.decls if isinstance(d, PostulateTm)]
-        self.ty_consts = [d for d in sig.decls if isinstance(d, PostulateTy)]
         self._lists: dict = {}  # (builder name, arguments) -> its entries
         self._fits: dict = {}  # (ctx, ty) -> {inferred type: whether check accepts it at ty}
 
@@ -469,7 +464,7 @@ class _TypedEnum:
         if s == 1:
             yield from ((Var(i), ctx.var_type(i)) for i in range(len(ctx)))
             yield Zero(), Nat()
-            for d in self.tm_consts:
+            for d in self.sig.of_kind(PostulateTm):
                 if not d.params:
                     yield TmConst(d.name), inst_params(d.result, ())
             return
@@ -485,7 +480,7 @@ class _TypedEnum:
                 for a, a_ty in self.inferable(ctx, s2):
                     for body, b_ty in self.inferable(ctx.extend(a_ty), s1 - 1):
                         yield App(Lam(body), a), subst1(b_ty, a)
-        for d in self.tm_consts:
+        for d in self.sig.of_kind(PostulateTm):
             if d.params:
                 for args in self._parts(self._arg_slots(ctx, d.params), s - 1):
                     yield TmConst(d.name, args), inst_params(d.result, args)
@@ -515,11 +510,11 @@ class _TypedEnum:
     def _types_new(self, ctx, s):
         if s == 1:
             yield Nat()
-            for d in self.ty_consts:
+            for d in self.sig.of_kind(PostulateTy):
                 if not d.params:
                     yield TyConst(d.name)
             return
-        for d in self.ty_consts:
+        for d in self.sig.of_kind(PostulateTy):
             if d.params:
                 for args in self._parts(self._arg_slots(ctx, d.params), s - 1):
                     yield TyConst(d.name, args)

@@ -42,7 +42,7 @@ from .normal import (
     VarNe,
     ZeroNf,
 )
-from .signature import PostulateTm, Signature
+from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
@@ -89,8 +89,8 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
         case NatInd(scrut, motive, z, s):
             return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
         case TmConst(name, args):
-            decl = sig.lookup(name)
-            assert isinstance(decl, PostulateTm), f"'{name}' is not a term constant"
+            decl = sig.find(PostulateTm, name)
+            assert decl is not None, f"'{name}' is not a term constant"
             values = tuple(eval_tm(sig, env, a) for a in args)
             result_ty = eval_ty(sig, values, decl.result)
             return reflect(result_ty, NConst(name, values))
@@ -199,12 +199,12 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
             scase_nf = reify(sig, depth + 2, body_ty, body)
             return NatIndNe(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
         case NConst(name, args):
-            return TmConstNe(name, _reify_const_args(sig, depth, name, args))
+            return TmConstNe(name, _reify_const_args(sig, depth, PostulateTm, name, args))
     raise AssertionError(f"not a neutral: {ne!r}")
 
 
-def _reify_const_args(sig, depth, name, args) -> tuple[NfTm, ...]:
-    params = sig.lookup(name).params
+def _reify_const_args(sig, depth, kind, name, args) -> tuple[NfTm, ...]:
+    params = sig.find(kind, name).params
     nfs = []
     for i, v in enumerate(args):
         param_ty = eval_ty(sig, tuple(args[:i]), params[i])
@@ -218,7 +218,7 @@ def nfty(sig: Signature, depth: int, ty: SemTy) -> NfTy:
         case DNat():
             return NatNf()
         case DConst(name, args):
-            return TyConstNf(name, _reify_const_args(sig, depth, name, args))
+            return TyConstNf(name, _reify_const_args(sig, depth, PostulateTy, name, args))
         case DPi(dom, cod):
             fresh = var_value(dom, depth)
             cod_sem = eval_ty(sig, cod.env + (fresh,), cod.body)

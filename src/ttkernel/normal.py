@@ -202,8 +202,8 @@ def to_nf_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy | None:
         case Nat():
             return NatNf()
         case TyConst(name, args):
-            decl = sig.get(name)
-            idx = _arg_nfs(sig, ctx, decl.params, args) if isinstance(decl, PostulateTy) else None
+            decl = sig.find(PostulateTy, name)
+            idx = None if decl is None else _arg_nfs(sig, ctx, decl.params, args)
             return None if idx is None else TyConstNf(name, idx)
     raise AssertionError(f"not a type: {ty!r}")
 
@@ -248,8 +248,8 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
                 return None
             return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
         case TmConst(name, args):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTm):
+            decl = sig.find(PostulateTm, name)
+            if decl is None:
                 return None
             nfs = _arg_nfs(sig, ctx, decl.params, args)
             if nfs is None:

@@ -198,8 +198,8 @@ def _eta_ne(sig, ctx: tuple[Ty, ...], t: Term) -> tuple[Term, Ty]:
                 return t, motive
             return NatInd(s2, m2, z2, c2), motive
         case TmConst(name, args):
-            decl = sig.lookup(name)
-            assert isinstance(decl, PostulateTm), f"'{name}' is not a term constant"
+            decl = sig.find(PostulateTm, name)
+            assert decl is not None, f"'{name}' is not a term constant"
             args2 = _eta_args(sig, ctx, decl.params, args)
             return t if args2 is args else TmConst(name, args2), decl.result
     raise AssertionError(f"not a neutral spine: {t!r}")
@@ -214,8 +214,8 @@ def _eta_ty(sig, ctx: tuple[Ty, ...], ty: Ty) -> Ty:
             c2 = _eta_ty(sig, ctx + (dom,), cod)
             return ty if d2 is dom and c2 is cod else Pi(d2, c2)
         case TyConst(name, args):
-            decl = sig.lookup(name)
-            assert isinstance(decl, PostulateTy)
+            decl = sig.find(PostulateTy, name)
+            assert decl is not None, f"'{name}' is not a type constant"
             args2 = _eta_args(sig, ctx, decl.params, args)
             return ty if args2 is args else TyConst(name, args2)
     raise AssertionError(f"not a type: {ty!r}")

@@ -1,15 +1,17 @@
-"""Signatures: ordered, checked collections of postulated constants.
+"""Signatures: declared constants in order, with a name index.
 
 A signature realizes the free-model setting: type constants with term
 telescopes, term constants with a telescope and a result type, and
 transparent definitions (expanded during elaboration, so checked bodies
-never mention other definitions).
+never mention other definitions). It answers lookups by kind, the
+declaration's class; ``check.declare`` checks a declaration and appends it.
 """
 
 from __future__ import annotations
 
-from .errors import DuplicateName, UnknownName
-from .syntax import Context, Node, Term, Ty, node
+from dataclasses import field
+
+from .syntax import Node, Term, Ty, node
 
 
 class Declaration(Node):
@@ -41,44 +43,24 @@ class Define(Declaration):
 @node
 class Signature(Node):
     decls: tuple[Declaration, ...] = ()
+    # name -> declaration; not in __match_args__, so ==, hash and repr see decls only
+    _names: dict[str, Declaration] = field(init=False)
 
-    def get(self, name: str) -> Declaration | None:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        return None
+    def __post_init__(self):
+        self._names = {d.name: d for d in self.decls}
 
-    def lookup(self, name: str) -> Declaration:
-        d = self.get(name)
-        if d is None:
-            raise UnknownName(f"unknown name '{name}'")
-        return d
+    def find(self, kind: type[Declaration], name: str) -> Declaration | None:
+        """The declaration named ``name`` if it is a ``kind`` (any: ``Declaration``), else None."""
+        d = self._names.get(name)
+        return d if isinstance(d, kind) else None
 
+    def of_kind(self, kind: type[Declaration]) -> list[Declaration]:
+        """The declarations that are a ``kind``, in declaration order."""
+        return [d for d in self.decls if isinstance(d, kind)]
 
-def declare(sig: Signature, decl: Declaration) -> Signature:
-    """Check ``decl`` against ``sig`` and append it."""
-    from .check import check, check_ty  # late import: the checker depends on signatures
-
-    if sig.get(decl.name) is not None:
-        raise DuplicateName(f"duplicate name '{decl.name}'")
-    match decl:
-        case PostulateTy(_, params) | PostulateTm(_, params, _):
-            ctx = Context()
-            for ty in params:
-                check_ty(sig, ctx, ty)
-                ctx = ctx.extend(ty)
-            if isinstance(decl, PostulateTm):
-                check_ty(sig, ctx, decl.result)
-        case Define(_, declared_type, body):
-            check_ty(sig, Context(), declared_type)
-            check(sig, Context(), body, declared_type)
-        case _:
-            raise AssertionError(f"not a declaration: {decl!r}")
-    return Signature(sig.decls + (decl,))
-
-
-def validate(sig: Signature) -> None:
-    """Re-check prefix-closed well-formedness from scratch."""
-    rebuilt = Signature()
-    for d in sig.decls:
-        rebuilt = declare(rebuilt, d)
+    def extend(self, decl: Declaration) -> Signature:
+        """``decl`` appended, unchecked: the parent's index is copied, not rebuilt."""
+        sig = object.__new__(Signature)
+        sig.decls = self.decls + (decl,)
+        sig._names = {**self._names, decl.name: decl}
+        return sig

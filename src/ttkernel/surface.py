@@ -27,15 +27,9 @@ from __future__ import annotations
 
 import re
 
+from .check import declare
 from .errors import ArityMismatch, CheckError, ParseError, ResourceExhausted, UnknownName
-from .signature import (
-    Declaration,
-    Define,
-    PostulateTm,
-    PostulateTy,
-    Signature,
-    declare,
-)
+from .signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
@@ -404,8 +398,8 @@ def elab_ty(sig: Signature, names: tuple[str, ...], sty) -> Ty:
         case STyPi(param, dom, cod, _):
             return Pi(elab_ty(sig, names, dom), elab_ty(sig, names + (param or "_",), cod))
         case STyName(name, sargs, loc):
-            decl = sig.get(name)
-            if not isinstance(decl, PostulateTy):
+            decl = sig.find(PostulateTy, name)
+            if decl is None:
                 raise UnknownName(f"'{name}' is not a type constant", *loc)
             if len(sargs) != len(decl.params):
                 raise ArityMismatch(
@@ -458,8 +452,7 @@ def _elab_head(sig, names, head, args) -> Term:
     for i in range(len(names)):
         if names[len(names) - 1 - i] == name:
             return _apps(Var(i), args)
-    decl = sig.get(name)
-    match decl:
+    match sig.find(Declaration, name):
         case PostulateTm(_, params, _):
             k = len(params)
             if len(args) >= k:

@@ -1,6 +1,7 @@
 import pytest
 
-from ttkernel.signature import PostulateTm, PostulateTy, Signature, declare
+from ttkernel.check import declare
+from ttkernel.signature import PostulateTm, PostulateTy, Signature
 from ttkernel.surface import elaborate, parse
 from ttkernel.syntax import Nat, TyConst, Var, Zero
 

@@ -59,6 +59,7 @@ from ttkernel.normal import (
     is_normal,
 )
 from ttkernel.rewrite import oracle_equal, rw_normalize
+from ttkernel.signature import Define
 from ttkernel.surface import print_case
 from ttkernel.syntax import (
     App,
@@ -166,8 +167,8 @@ def test_criterion_1_beta_golden_suite(sig_empty, sig_abf):
 def test_criterion_2_arithmetic(sig_walkthrough):
     started = time.time()
     sig = sig_walkthrough
-    add = sig.lookup("add").body
-    mul = sig.lookup("mul").body
+    add = sig.find(Define, "add").body
+    mul = sig.find(Define, "mul").body
     for m in range(9):
         for n in range(9):
             s = App(App(add, numeral(m)), numeral(n))

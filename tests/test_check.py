@@ -61,9 +61,23 @@ def test_check_ty_arity(sig_abf):
         check_ty(sig_abf, Context(), TyConst("B", ()))
 
 
-def test_check_ty_unknown(sig_empty):
+def test_check_ty_unknown(sig_empty, sig_walkthrough):
     with pytest.raises(UnknownConstant):
         check_ty(sig_empty, Context(), TyConst("A"))
+    # a term constant, a definition and an unknown name, where a type constant belongs
+    for name in ("f", "add", "nope"):
+        with pytest.raises(UnknownConstant, match=f"^'{name}' is not a type constant$") as e:
+            check_ty(sig_walkthrough, Context(), TyConst(name))
+        assert (e.value.line, e.value.col) == (None, None)
+
+
+def test_infer_names_no_term_constant(sig_walkthrough):
+    # a type constant, a definition (inlined by elaboration, never a core
+    # constant) and an unknown name, where a term constant belongs
+    for name in ("A", "add", "nope"):
+        with pytest.raises(UnknownConstant, match=f"^'{name}' is not a term constant$") as e:
+            infer(sig_walkthrough, Context(), TmConst(name))
+        assert (e.value.line, e.value.col) == (None, None)
 
 
 def test_infer_zero(sig_empty):

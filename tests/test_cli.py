@@ -216,12 +216,15 @@ def test_oracle_still_spends_fuel_on_large_arithmetic(good, capsys):
 
 
 def test_fuel_env_malformed(good, monkeypatch, capsys):
-    for bad in ("abc", "-3", ""):
+    # more digits than int() reads is malformed too, not a traceback
+    for bad in ("abc", "-3", "", "9" * 5000):
         monkeypatch.setenv("TT_FUEL", bad)
         assert main(["normalize", good, "-e", "add 1 2", "--oracle", "--json"]) == 1
         rec = _json_of(capsys)
         assert rec["status"] == "error"
         assert rec["error"]["code"] == "bad_fuel"
+    assert main(["normalize", good, "-e", "add 1 2", "--oracle"]) == 1
+    assert capsys.readouterr().err == "error[bad_fuel]: TT_FUEL has 5,000 digits, more than 4,300\n"
 
 
 def test_normalize_infers_beta_redex(good, capsys):
@@ -229,8 +232,15 @@ def test_normalize_infers_beta_redex(good, capsys):
     assert capsys.readouterr().out.strip() == "zero"
 
 
-def test_equal_requires_two_expressions(good):
+def test_equal_requires_two_expressions(good, capsys):
     assert main(["equal", good, "-e", "zero"]) == 2
+    # a missing or extra -e is a usage error, as every malformed command line is
+    for exprs in (["zero"], ["zero"] * 3):
+        argv = ["equal", good, *(a for e in exprs for a in ("-e", e)), "--json"]
+        assert main(argv) == 2
+        rec = _json_of(capsys)
+        assert rec["status"] == "parse-error"
+        assert rec["error"]["code"] == "usage_error"
 
 
 def test_normalize_parse_error_in_expression(good):

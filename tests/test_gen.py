@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from ttkernel import gen
-from ttkernel.check import check
+from ttkernel.check import check, declare
 from ttkernel.errors import CheckError
 from ttkernel.gen import (
     GenerationStuck,
@@ -23,7 +23,7 @@ from ttkernel.gen import (
     typable,
 )
 from ttkernel.normal import ZeroNf
-from ttkernel.signature import PostulateTm, Signature, declare
+from ttkernel.signature import PostulateTm, Signature
 from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
     App,

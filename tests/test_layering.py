@@ -1,0 +1,75 @@
+"""Layering rules over the kernel's source, read from its syntax trees.
+
+Imports happen at module level, so the import graph is what the module
+headers say; the few late imports left break real cycles or keep ``gen``
+out of start-up. Declarations are reached through the signature's
+lookups by kind, never by scanning ``Signature.decls``.
+"""
+
+import ast
+from pathlib import Path
+
+import ttkernel
+
+SRC = Path(ttkernel.__file__).parent
+
+# (module, function) pairs allowed to import inside a function body
+LATE_IMPORTS = {
+    ("errors", "Mismatch.__str__"),  # rendering a mismatch prints through surface
+    ("errors", "_normalize"),  # and normalizes through nbe; both import errors
+    ("cli", "_cmd_fuzz"),  # only fuzzing needs gen: keep it out of start-up
+}
+# (module, function) pairs outside signature.py allowed to read ``decls``
+DECLS_READERS = {("cli", "_cmd_check")}  # the declaration count
+
+
+def _scoped(module: str):
+    """Every node of ``module`` with the qualified name of its enclosing
+    function, or None at module level."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    stack = [(tree, None, "")]
+    while stack:
+        node, func, prefix = stack.pop()
+        yield node, func
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                inner = func if isinstance(child, ast.ClassDef) else name
+                stack.append((child, inner, name + "."))
+            else:
+                stack.append((child, func, prefix))
+
+
+def _modules():
+    return sorted(p.stem for p in SRC.glob("*.py"))
+
+
+def test_imports_only_at_module_level_but_the_cycle_breakers():
+    late = {
+        (m, func)
+        for m in _modules()
+        for node, func in _scoped(m)
+        if func is not None and isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert late <= LATE_IMPORTS, late - LATE_IMPORTS
+
+
+def test_only_the_signature_reads_its_declarations():
+    readers = {
+        (m, func)
+        for m in _modules()
+        if m != "signature"
+        for node, func in _scoped(m)
+        if isinstance(node, ast.Attribute) and node.attr == "decls"
+    }
+    assert readers <= DECLS_READERS, readers - DECLS_READERS
+
+
+def test_signature_is_a_data_module():
+    # it imports the syntax it is made of, and nothing that checks or computes
+    imported = {
+        node.module
+        for node, _ in _scoped("signature")
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert imported == {"syntax"}

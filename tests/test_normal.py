@@ -161,6 +161,9 @@ def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
     assert is_normal(sig_crossval, ctx, c, TmConst("h", (Var(0),)))
     assert not is_normal(sig_crossval, ctx, c, TmConst("h", (App(Lam(Var(0)), Var(0)),)))
     assert not is_normal(sig_crossval, ctx, Nat(), TmConst("twice", (Var(0),)))
+    # a type constant's name and an unknown name are no term constants either
+    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("A"))
+    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("nope", (Var(0),)))
     # a neutral at a base type: its spine's type against the given one, up to
     # the oracle's normal form at a type constant
     hv = TmConst("h", (Var(0),))
@@ -180,12 +183,15 @@ def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
         assert is_normal(sig_crossval, at, ty, t) is normal, (ty, t)
 
 
-def test_is_normal_ty(sig_abf):
+def test_is_normal_ty(sig_abf, sig_crossval):
     from ttkernel.syntax import TyConst
 
     ctx = Context((TyConst("A"),))
     assert to_nf_ty(sig_abf, ctx, TyConst("B", (Var(0),))) is not None
     assert to_nf_ty(sig_abf, ctx, TyConst("B", (App(Lam(Var(0)), Var(0)),))) is None
+    # a term constant, a definition and an unknown name are no type constants
+    for name in ("c0", "twice", "nope"):
+        assert to_nf_ty(sig_crossval, ctx, TyConst(name)) is None
 
 
 def test_roundtrip_unique_reconstruction(sig_abf):

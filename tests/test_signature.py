@@ -2,15 +2,9 @@
 
 import pytest
 
-from ttkernel.errors import CheckError, DuplicateName, UnknownName
-from ttkernel.signature import (
-    Define,
-    PostulateTm,
-    PostulateTy,
-    Signature,
-    declare,
-    validate,
-)
+from ttkernel.check import declare, validate
+from ttkernel.errors import CheckError, DuplicateName
+from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from ttkernel.syntax import Lam, Nat, TyConst, Var, Zero, numeral
 
 
@@ -41,19 +35,26 @@ def test_declare_rejects_ill_formed():
 
 
 def test_lookup(sig_abf):
-    f = sig_abf.lookup("f")
+    f = sig_abf.find(PostulateTm, "f")
     assert isinstance(f, PostulateTm)
-    b = sig_abf.lookup("B")
+    b = sig_abf.find(Declaration, "B")
     assert isinstance(b, PostulateTy) and len(b.params) == 1
-    with pytest.raises(UnknownName):
-        sig_abf.lookup("g")
-    assert sig_abf.get("g") is None
+    # a name of another kind, and an unknown name, find nothing
+    assert sig_abf.find(PostulateTy, "f") is None and sig_abf.find(Define, "B") is None
+    assert sig_abf.find(Declaration, "g") is None
+    assert sig_abf.of_kind(PostulateTy) == [sig_abf.find(PostulateTy, "A"), b]
+    # the index is no tree field: built from the declarations alone, a
+    # signature is equal, hashes and prints alike, and finds the same
+    rebuilt = Signature(sig_abf.decls)
+    assert rebuilt == sig_abf and hash(rebuilt) == hash(sig_abf) and repr(rebuilt) == repr(sig_abf)
+    assert repr(rebuilt).startswith("Signature(decls=(PostulateTy(")
+    assert rebuilt.find(PostulateTm, "f") is f
 
 
 def test_declare_checks_definitions():
     d = Define("two", Nat(), numeral(2))
     sig = declare(Signature(), d)
-    assert sig.lookup("two") is d
+    assert sig.find(Define, "two") is d
     with pytest.raises(CheckError):
         declare(Signature(), Define("bad", Nat(), Lam(Var(0))))
 
@@ -89,4 +90,4 @@ def test_definition_bodies_are_definition_free(sig_walkthrough):
         if isinstance(d, Define):
             used = const_names(d.body, set())
             for name in used:
-                assert not isinstance(sig_walkthrough.lookup(name), Define)
+                assert sig_walkthrough.find(PostulateTm, name) is not None

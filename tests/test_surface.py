@@ -5,7 +5,7 @@ import pytest
 from ttkernel.errors import ArityMismatch, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
-from ttkernel.signature import Define, PostulateTm, PostulateTy
+from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
     SNum,
     SSucc,
@@ -42,17 +42,17 @@ def test_parse_free_model_postulates():
     decls = parse("postulate A\npostulate B (x : A)\npostulate f : (x : A) -> B x")
     assert len(decls) == 3
     sig = elaborate(decls)
-    assert isinstance(sig.lookup("A"), PostulateTy)
-    b = sig.lookup("B")
+    assert isinstance(sig.find(Declaration, "A"), PostulateTy)
+    b = sig.find(Declaration, "B")
     assert isinstance(b, PostulateTy) and b.params == (TyConst("A"),)
-    f = sig.lookup("f")
+    f = sig.find(Declaration, "f")
     assert isinstance(f, PostulateTm)
     assert f.params == (TyConst("A"),) and f.result == TyConst("B", (Var(0),))
 
 
 def test_parse_numeral_sugar():
     sig = elaborate(parse("def two : Nat := 2"))
-    assert sig.lookup("two") == Define("two", Nat(), Succ(2, Zero()))
+    assert sig.find(Declaration, "two") == Define("two", Nat(), Succ(2, Zero()))
     # a numeral, zero included, is one surface node
     assert parse_expression("1000") == SNum(1000, (1, 1))
     assert parse_expression("succ zero") == SSucc(1, SNum(0, (1, 6)), (1, 1))
@@ -64,7 +64,7 @@ def test_parse_numeral_sugar():
 def test_parse_add_definition():
     src = r"def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; _ r. succ r)"
     sig = elaborate(parse(src))
-    add = sig.lookup("add")
+    add = sig.find(Declaration, "add")
     assert isinstance(add, Define)
     assert add.body == Lam(Lam(NatInd(Var(1), Nat(), Var(0), Succ(1, Var(0)))))
 
@@ -105,9 +105,20 @@ def test_elaborate_unknown_name_carries_span():
     assert e.value.line == 1
 
 
-def test_elaborate_type_constant_in_term_position(sig_abf):
+def test_elaborate_type_constant_in_term_position(sig_abf, sig_walkthrough):
     with pytest.raises(UnknownName):
         elab_tm(sig_abf, (), parse_expression("A"))
+    # each error names the identifier and points at it
+    term_errors = {"A": "'A' is a type constant, not a term", "nope": "unknown identifier 'nope'"}
+    for name, message in term_errors.items():
+        with pytest.raises(UnknownName, match=f"^{message}$") as e:
+            elab_tm(sig_walkthrough, ("x",), parse_expression(f"x {name}"))
+        assert (e.value.code, e.value.line, e.value.col) == ("unknown_name", 1, 3)
+    # a term constant, a definition and an unknown name in type position
+    for name in ("f", "add", "nope"):
+        with pytest.raises(UnknownName, match=f"^'{name}' is not a type constant$") as e:
+            elab_ty(sig_walkthrough, (), parse_type(f"Nat -> {name}"))
+        assert (e.value.code, e.value.line, e.value.col) == ("unknown_name", 1, 8)
 
 
 def test_elaborate_arity_error(sig_abf):
@@ -220,9 +231,9 @@ def test_print_nf_type(sig_abf):
 
 def test_zero_parameter_term_constant():
     sig = elaborate(parse("postulate c : Nat\ndef d : Nat := succ c"))
-    c = sig.lookup("c")
+    c = sig.find(Declaration, "c")
     assert isinstance(c, PostulateTm) and c.params == ()
-    assert sig.lookup("d").body == Succ(1, TmConst("c"))
+    assert sig.find(Declaration, "d").body == Succ(1, TmConst("c"))
 
 
 # The benchmark's preludes and a chain of definitions d0..d3.
