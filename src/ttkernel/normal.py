@@ -241,10 +241,12 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             if head is None or not isinstance(head[1], Nat):
                 return None
             mnf = to_nf_ty(sig, ctx.extend(Nat()), motive)
+            if mnf is None:  # without a motive, the cases have no types to check at
+                return None
             znf = to_nf(sig, ctx, subst1(motive, Zero()), z)
             ctx2 = ctx.extend(Nat()).extend(motive)
             snf = to_nf(sig, ctx2, motive_succ_case(motive), s)
-            if mnf is None or znf is None or snf is None:
+            if znf is None or snf is None:
                 return None
             return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
         case TmConst(name, args):

@@ -17,10 +17,13 @@ The concrete grammar:
 
 NUMERAL is a run of decimal digits (Unicode category Nd) and desugars to
 one successor node over zero; a run of "succ" tokens is one node too, and
-the printer writes k successors over another base as such a run. IDENT starts with a letter or "_" and
-continues with letters, numeric characters (such as "2" or "²"), "_" and
-"'"; keywords are reserved. Blanks are space, tab and carriage return; "--" comments run to
-the end of the line. Any other character is an error.
+the printer writes k successors over another base as such a run. IDENT
+starts with a letter or "_" and continues with letters, numeric characters
+(such as "2" or "²"), "_" and "'"; keywords are reserved. Blanks are space,
+tab and carriage return; "--" comments run to the end of the line. Any
+other character is an error. The tokenizer matches each line once per
+token and returns parallel lists of kinds, texts, lines and columns, which
+the parser reads by index.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .syntax import (
     numeral,
     shift,
     split_pi,
-    subst1,
+    subst_many,
     succ,
     uses_index,
 )
@@ -57,43 +60,42 @@ from .normal import NfTy, erase
 
 KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
 
-# One alternative per token class; blanks and comments match no group.
-_TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|--[^\n]*"
-    r"|(?P<punct>:=|->|=>|[():;.\\])"
-    r"|(?P<num>\d+)"
-    r"|(?P<word>[^\W\d][\w']*)"
-    r"|(?P<bad>.)"
-)
+# Matched within a line: the blanks and comment before a token, then the
+# token, which is empty at the end of the line. A character that starts no
+# token matches alone.
+_TOKEN = re.compile(r"([ \t\r]*(?:--.*)?)(:=|->|=>|[():;.\\]|\d+|[^\W\d][\w']*|.?)")
+_INTERNED = {k: k for k in (*KEYWORDS, ":=", "->", "=>", "(", ")", ":", ";", ".", "\\")}
 
 
-@node
-class Token(Node):
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(source: str) -> list[Token]:
-    toks = []
-    line, bol = 1, 0  # bol: the offset where the current line begins
-    for m in _TOKEN.finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "newline":
-            line, bol = line + 1, m.end()
-        elif kind is not None:
-            col = m.start() - bol + 1
-            # \w also holds numeric characters such as '²', which start no word
-            if kind == "bad" or kind == "word" and not (text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}", line, col)
-            if kind == "punct" or text in KEYWORDS:
-                kind = text
-            elif kind == "word":
+def tokenize(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The kinds, texts, lines and columns of the tokens of ``source``, as
+    four parallel lists that end with an ``eof`` token."""
+    kinds, texts, lines, cols = [], [], [], []
+    for line, text in enumerate(source.split("\n"), 1):
+        col = 1
+        for blank, tok in _TOKEN.findall(text):
+            col += len(blank)
+            if not tok:
+                break
+            kind = _INTERNED.get(tok)
+            if kind is not None:
+                tok = kind
+            elif tok[0].isalpha() or tok[0] == "_":
                 kind = "ident"
-            toks.append(Token(kind, text, line, col))
-    toks.append(Token("eof", "", line, len(source) - bol + 1))
-    return toks
+            elif tok[0].isdecimal():
+                kind = "num"
+            else:  # \w also holds numeric characters such as '²', which start no word
+                raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+            kinds.append(kind)
+            texts.append(tok)
+            lines.append(line)
+            cols.append(col)
+            col += len(tok)
+    kinds.append("eof")
+    texts.append("")
+    lines.append(line)
+    cols.append(len(text) + 1)
+    return kinds, texts, lines, cols
 
 
 # ---------------------------------------------------------------------------
@@ -191,61 +193,59 @@ _ATOM_START = {"ident", "num", "zero", "succ", "("}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Recursive descent over ``tokenize``'s lists; ``pos`` indexes the next token."""
+
+    def __init__(self, source: str):
+        self.kinds, self.texts, self.lines, self.cols = tokenize(source)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]  # pos never passes the eof token
-
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
-
-    def accept(self, kind: str) -> Token | None:
-        """Consume and return the next token if it is of ``kind``."""
-        return self.advance() if self.toks[self.pos].kind == kind else None
-
-    def expect(self, kind: str) -> Token:
-        return self.accept(kind) or self.fail(f"'{kind}'")
+    def expect(self, kind: str) -> str:
+        """Consume a token of ``kind`` and return its text."""
+        i = self.pos
+        if self.kinds[i] != kind:
+            self.fail(f"'{kind}'")
+        self.pos = i + 1
+        return self.texts[i]
 
     def fail(self, expected: str):
-        t = self.peek()
-        raise ParseError(f"expected {expected}, found '{t.text or 'end of input'}'", t.line, t.col)
+        i = self.pos
+        found = self.texts[i] or "end of input"
+        raise ParseError(f"expected {expected}, found '{found}'", self.lines[i], self.cols[i])
 
-    def loc(self) -> tuple[int, int]:
-        t = self.peek()
-        return (t.line, t.col)
-
-    def at_binder(self) -> bool:
-        """At ``( IDENT :``, the domain of a dependent arrow."""
-        return [t.kind for t in self.toks[self.pos : self.pos + 3]] == ["(", "ident", ":"]
+    def starts_atom(self) -> bool:
+        """At a term atom, but not at ``( IDENT :``, the domain of a dependent arrow."""
+        kinds, i = self.kinds, self.pos
+        kind = kinds[i]
+        return kind in _ATOM_START and not (kind == "(" and kinds[i + 1] == "ident" and kinds[i + 2] == ":")
 
     # declarations
 
     def file(self) -> list:
         decls = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             decls.append(self.decl())
         return decls
 
     def decl(self):
-        loc = self.loc()
-        if self.accept("postulate"):
-            name = self.expect("ident").text
-            if self.accept(":"):
+        i = self.pos
+        kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        if kind == "postulate":
+            self.pos = i + 1
+            name = self.expect("ident")
+            if self.kinds[self.pos] == ":":
+                self.pos += 1
                 return SPostulateTm(name, self.ty(), loc)
             params = []
-            while self.accept("("):
-                pname = self.expect("ident").text
+            while self.kinds[self.pos] == "(":
+                self.pos += 1
+                pname = self.expect("ident")
                 self.expect(":")
                 params.append((pname, self.ty()))
                 self.expect(")")
             return SPostulateTy(name, tuple(params), loc)
-        if self.accept("def"):
-            name = self.expect("ident").text
+        if kind == "def":
+            self.pos = i + 1
+            name = self.expect("ident")
             self.expect(":")
             ty = self.ty()
             self.expect(":=")
@@ -255,92 +255,99 @@ class _Parser:
     # types
 
     def ty(self):
-        loc = self.loc()
-        if self.at_binder():
-            self.advance()
-            pname = self.expect("ident").text
-            self.expect(":")
+        kinds, i = self.kinds, self.pos
+        loc = (self.lines[i], self.cols[i])
+        if kinds[i] == "(" and kinds[i + 1] == "ident" and kinds[i + 2] == ":":
+            pname = self.texts[i + 1]
+            self.pos = i + 3
             dom = self.ty()
             self.expect(")")
             self.expect("->")
             return STyPi(pname, dom, self.ty(), loc)
         left = self.ty1()
-        return STyPi(None, left, self.ty(), loc) if self.accept("->") else left
+        if kinds[self.pos] != "->":
+            return left
+        self.pos += 1
+        return STyPi(None, left, self.ty(), loc)
 
     def ty1(self):
-        loc = self.loc()
-        if self.accept("Nat"):
+        i = self.pos
+        kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        self.pos = i + 1
+        if kind == "Nat":
             return STyNat(loc)
-        if t := self.accept("ident"):
+        if kind == "ident":
             args = []
-            while self._starts_atom():
+            while self.starts_atom():
                 args.append(self.atom())
-            return STyName(t.text, tuple(args), loc)
-        if self.accept("("):
+            return STyName(self.texts[i], tuple(args), loc)
+        if kind == "(":
             ty = self.ty()
             self.expect(")")
             return ty
+        self.pos = i
         self.fail("a type")
 
     # terms
 
     def tm(self):
-        loc = self.loc()
-        if t := self.accept("\\") or self.accept("fun"):
-            name = self.expect("ident").text
-            self.expect("." if t.kind == "\\" else "=>")
+        i = self.pos
+        kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        if kind == "\\" or kind == "fun":
+            self.pos = i + 1
+            name = self.expect("ident")
+            self.expect("." if kind == "\\" else "=>")
             return SLam(name, self.tm(), loc)
-        if self.accept("ind"):
+        if kind == "ind":
+            self.pos = i + 1
             self.expect("(")
             scrut = self.tm()
             self.expect(";")
-            mvar = self.expect("ident").text
+            mvar = self.expect("ident")
             self.expect(".")
             motive = self.ty()
             self.expect(";")
             zcase = self.tm()
             self.expect(";")
-            pvar = self.expect("ident").text
-            rvar = self.expect("ident").text
+            pvar = self.expect("ident")
+            rvar = self.expect("ident")
             self.expect(".")
             scase = self.tm()
             self.expect(")")
             return SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, loc)
         t = self.atom()
-        while self._starts_atom():
+        while self.starts_atom():
             t = SApp(t, self.atom(), t.loc)
         return t
 
-    def _starts_atom(self) -> bool:
-        kind = self.peek().kind
-        return kind in _ATOM_START and not (kind == "(" and self.at_binder())
-
     def atom(self):
-        loc = self.loc()
-        if t := self.accept("ident"):
-            return SVar(t.text, loc)
-        if t := self.accept("num"):
+        kinds, i = self.kinds, self.pos
+        kind, loc = kinds[i], (self.lines[i], self.cols[i])
+        self.pos = i + 1
+        if kind == "ident":
+            return SVar(self.texts[i], loc)
+        if kind == "num":
             try:
-                return SNum(int(t.text), loc)
+                return SNum(int(self.texts[i]), loc)
             except ValueError:  # more digits than int() converts
-                raise ResourceExhausted(f"numeral of {len(t.text)} digits is too long", *loc) from None
-        if self.accept("zero"):
+                raise ResourceExhausted(f"numeral of {len(self.texts[i])} digits is too long", *loc) from None
+        if kind == "zero":
             return SNum(0, loc)
-        if self.accept("succ"):
-            k = 1
-            while self.accept("succ"):
-                k += 1
-            return SSucc(k, self.atom(), loc)
-        if self.accept("("):
+        if kind == "succ":
+            while kinds[self.pos] == "succ":
+                self.pos += 1
+            return SSucc(self.pos - i, self.atom(), loc)
+        if kind == "(":
             tm = self.tm()
             self.expect(")")
             return tm
+        self.pos = i
         self.fail("a term")
 
 
 def _parse_whole(source: str, rule):
     """Run ``rule`` on the tokens of ``source``, which it must consume."""
-    p = _Parser(tokenize(source))
+    p = _Parser(source)
     out = rule(p)
     p.expect("eof")
     return out
@@ -469,11 +476,15 @@ def _elab_head(sig, names, head, args) -> Term:
             return t
         case Define(_, _, body):
             # bodies are closed and pre-expanded; contract the
-            # administrative redexes so the result stays inferable
+            # administrative redexes so the result stays inferable: one
+            # substitution per run of leading lambdas, as many as arguments
             t = body
-            for a in args:
-                t = subst1(t.body, a) if isinstance(t, Lam) else App(t, a)
-            return t
+            while args and t.__class__ is Lam:
+                k = 0
+                while k < len(args) and t.__class__ is Lam:
+                    t, k = t.body, k + 1
+                t, args = subst_many(t, tuple(args[k - 1 :: -1])), args[k:]
+            return _apps(t, args)
         case PostulateTy(_, _):
             raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
     raise UnknownName(f"unknown identifier '{name}'", *loc)

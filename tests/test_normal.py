@@ -142,6 +142,16 @@ def test_is_normal_rejects_reducible_eliminator(sig_empty):
     assert not is_normal(sig_empty, Context(), Nat(), t)
 
 
+def test_is_normal_rejects_an_eliminator_whose_motive_is_no_type():
+    # the zero and successor cases are not looked at without a motive
+    sig = elaborate(parse("postulate A\npostulate B (x : A)\npostulate f : (x : A) -> B x\ndef two : Nat := 2"))
+    a = TyConst("A")
+    ctx = Context((a, Nat()))  # v0 : A, v1 : Nat
+    assert is_normal(sig, ctx, a, NatInd(Var(0), a, Var(1), Var(0)))
+    for name in ("f", "two", "nope"):  # a term constant, a definition, no constant
+        assert not is_normal(sig, ctx, a, NatInd(Var(0), TyConst(name), Var(1), Var(0))), name
+
+
 def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
     # each rejected spine beside the normal spine it differs from
     redex = App(Lam(Var(0)), Zero())

@@ -1,8 +1,11 @@
 """Parser, elaborator, printer."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ttkernel.errors import ArityMismatch, ParseError, ResourceExhausted, UnknownName
+import parser_reference
+from ttkernel.errors import ArityMismatch, KernelError, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
@@ -10,6 +13,7 @@ from ttkernel.surface import (
     SNum,
     SSucc,
     SVar,
+    _spine_of,
     elab_tm,
     elab_ty,
     elaborate,
@@ -35,6 +39,7 @@ from ttkernel.syntax import (
     Var,
     Zero,
     numeral,
+    subst1,
 )
 
 
@@ -331,7 +336,7 @@ PINNED_TOKENS = {
 
 def _render(tokens) -> str:
     return " ".join(
-        (t.text if t.kind == t.text else f"{t.kind}:{t.text}") + f"@{t.line}:{t.col}" for t in tokens
+        (text if kind == text else f"{kind}:{text}") + f"@{line}:{col}" for kind, text, line, col in zip(*tokens)
     )
 
 
@@ -351,3 +356,99 @@ def test_tokenize_rejects_a_character_that_starts_no_token(source, col):
     with pytest.raises(ParseError, match="unexpected character") as e:
         tokenize(source)
     assert (e.value.line, e.value.col) == (1, col)
+
+
+# The differential test of the parser against tests/parser_reference.py:
+# token soups, and the preludes and a chain with a few spans replaced.
+LONG = "9" * 4301  # past int()'s limit
+SOUP = [
+    "postulate", "def", "Nat", "zero", "succ", "ind", "fun", ":=", "->", "=>", "(", ")", ":", ";",
+    ".", "\\", "_", "A", "B", "x", "x'", "f2", "0", "12", LONG, "\u00b2", "\u00bd", "\f", "\ufeff",
+    "\x85", "'", "-->", "-", ">", "=", "\r", "-- note", " ", " ", "\t", "\n", "\n",
+]
+CHAIN_8 = "".join(
+    ["def d0 : Nat -> Nat := \\n. succ n\n"]
+    + [f"def d{j} : Nat -> Nat := \\n. d{j - 1} (d{j - 1} n)\n" for j in range(1, 9)]
+)
+
+
+@st.composite
+def _mutated(draw):
+    source = draw(st.sampled_from([ARITH_SOURCE, CROSSVAL_SOURCE, CHAIN_8]))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(source)))
+        j = draw(st.integers(i, min(len(source), i + 6)))
+        source = source[:i] + draw(st.sampled_from(SOUP + [""])) + source[j:]
+    return source
+
+
+def _outcome(parse_fn, source):
+    try:
+        return parse_fn(source)
+    except KernelError as e:
+        return type(e), str(e), e.line, e.col
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(st.lists(st.sampled_from(SOUP), max_size=30).map("".join), _mutated()))
+@example("(f) x (y) z")  # an application's place is its head's, inside parentheses
+@example("fun x => ind(x; n. B (n) -> (y : A) -> C y; zero; p r. succ succ (succ r)) -- c\r\n")
+@example("postulate B (x : A) (y : B x)\ndef d : (x : Nat) -> Nat := \\y. y")
+def test_parser_agrees_with_the_reference(source):
+    for ours, ref in [
+        (parse, parser_reference.parse),
+        (parse_expression, parser_reference.parse_expression),
+        (parse_type, parser_reference.parse_type),
+    ]:
+        assert _outcome(ours, source) == _outcome(ref, source)
+
+
+INLINED = r"""
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def two : Nat := 2
+def app : (Nat -> Nat) -> Nat -> Nat := \f. \x. f x
+def id2 : (Nat -> Nat) -> Nat -> Nat := \f. f
+def k : Nat -> (Nat -> Nat) -> Nat -> Nat := \a. \f. f
+"""
+
+
+def _inline_sequential(sig, names, source):
+    """A definition applied to its arguments, one ``subst1`` per argument."""
+    head, sargs = _spine_of(parse_expression(source))
+    t = sig.find(Define, head.name).body
+    for a in (elab_tm(sig, names, a) for a in sargs):
+        t = subst1(t.body, a) if isinstance(t, Lam) else App(t, a)
+    return t
+
+
+@pytest.mark.parametrize(
+    ("names", "source", "expected"),
+    [
+        ((), r"app (\y. succ y) 3", App(Lam(Succ(1, Var(0))), numeral(3))),  # stays a redex
+        ((), r"id2 (\y. succ y) 3", numeral(4)),  # contracts through the lambda argument
+        ((), "add 2", None),  # under-applied
+        ((), "two", numeral(2)),  # a body that is no lambda
+        ((), "two 3", App(numeral(2), numeral(3))),
+        (("z",), r"k z (\y. add y z) 3", None),  # arguments with free variables
+        (("q",), "id2 (add q) q", None),
+    ],
+)
+def test_definition_inlining_matches_the_sequential_rule(names, source, expected):
+    sig = elaborate(parse(INLINED))
+    t = elab_tm(sig, names, parse_expression(source))
+    assert t == _inline_sequential(sig, names, source)
+    assert expected is None or t == expected
+    if names:  # and under the binder written out
+        (z,) = names
+        assert elab_tm(sig, (), parse_expression(f"\\{z}. {source}")) == Lam(t)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["succ (" * 300 + "zero" + ")" * 300, "(\\x. " * 300 + "x" + ")" * 300, "\\x. " * 900 + "x"],
+    ids=["300 nested succ", "300 nested lambdas in parentheses", "900 lambdas"],
+)
+def test_deeply_nested_source_parses_and_elaborates(source):
+    # the recursive descent's limits at the default recursion limit are
+    # about 330, 330 and 990 levels
+    assert elab_tm(elaborate([]), (), parse_expression(source)) is not None
