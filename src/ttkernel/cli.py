@@ -98,7 +98,7 @@ def _emit(args, status: str, output: str | None, error: KernelError | None, code
 
 
 def _load(path: str) -> Signature:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no token
         try:
             source = fh.read()
         except UnicodeDecodeError as e:

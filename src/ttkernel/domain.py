@@ -1,20 +1,18 @@
 """Semantic domain for normalization by evaluation.
 
-Values are weak-head: codomains and case arms live in closures that
-capture an environment and a piece of syntax. A neutral carries its type
-at every type and keeps semantic payloads (values, closures); reify reads
-it back, eta-expanding it at function types. Environments are ordered
-outermost-first, so ``Var(i)`` evaluates to ``env[len(env) - 1 - i]``.
+Values are weak-head: lambda bodies and case arms live in closures that
+capture an environment and a piece of syntax. Types never compute, so a
+type is not evaluated either: its semantic form is a closure too, the
+syntactic type under the environment it was met in. A neutral carries
+such a type at every type and keeps semantic payloads (values,
+closures); reify reads it back, eta-expanding it at function types.
+Environments are ordered outermost-first, so ``Var(i)`` evaluates to
+``env[len(env) - 1 - i]``.
 """
 
 from __future__ import annotations
 
 from .syntax import Node, Term, Ty, node
-
-
-class SemTy(Node):
-    """Semantic types."""
-    __slots__ = ()
 
 
 class Value(Node):
@@ -33,28 +31,11 @@ Env = tuple  # of Value, outermost binder first
 @node
 class Closure(Node):
     """A body under a captured environment: a term or a type binding one
-    variable (a lambda, a codomain, a motive) or a term binding two (the
-    successor case of the eliminator)."""
+    variable (a lambda, a motive), a term binding two (the successor case
+    of the eliminator), or a type binding none (a semantic type)."""
 
     env: Env
     body: Term | Ty
-
-
-@node
-class DPi(SemTy):
-    dom: SemTy
-    cod: Closure
-
-
-@node
-class DNat(SemTy):
-    pass
-
-
-@node
-class DConst(SemTy):
-    name: str
-    args: tuple[Value, ...] = ()
 
 
 @node
@@ -77,9 +58,9 @@ class VSucc(Value):
 
 @node
 class VNe(Value):
-    """A neutral at its semantic type, function types included."""
+    """A neutral at its type under an environment, function types included."""
 
-    ty: SemTy
+    ty: Closure
     ne: Neutral
 
 
@@ -92,7 +73,7 @@ class NVar(Neutral):
 class NApp(Neutral):
     fn: Neutral
     arg: Value
-    arg_ty: SemTy
+    arg_ty: Closure
 
 
 @node

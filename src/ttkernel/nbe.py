@@ -4,23 +4,22 @@ Evaluation sends well-typed syntax into the semantic domain, computing
 the beta rules of application and the Nat eliminator on the way; reify
 reads values back as eta-long normal forms, minting fresh variables as
 de Bruijn levels from the current depth. ``normalize_tm`` composes the
-two over the identity environment of a context.
+two over the identity environment of a context. Types never compute, so
+a semantic type is the syntactic type in a closure over its environment:
+reify dispatches on its former, and only ``nfty`` evaluates a type's
+parts, the arguments of a type constant, when it reads them back.
 """
 
 from __future__ import annotations
 
 from .domain import (
     Closure,
-    DConst,
-    DNat,
-    DPi,
     Env,
     NApp,
     NConst,
     NNatInd,
     NVar,
     Neutral,
-    SemTy,
     Value,
     VLam,
     VNe,
@@ -61,15 +60,12 @@ from .syntax import (
 )
 
 
-def eval_ty(sig: Signature, env: Env, ty: Ty) -> SemTy:
-    match ty:
-        case Pi(dom, cod):
-            return DPi(eval_ty(sig, env, dom), Closure(env, cod))
-        case Nat():
-            return DNat()
-        case TyConst(name, args):
-            return DConst(name, tuple(eval_tm(sig, env, a) for a in args))
-    raise AssertionError(f"not a type: {ty!r}")
+NAT = Closure((), Nat())
+
+
+def eval_ty(sig: Signature, env: Env, ty: Ty) -> Closure:
+    """The semantic type: ``ty`` as it stands, under ``env``."""
+    return Closure(env, ty)
 
 
 def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
@@ -92,8 +88,7 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
             decl = sig.find(PostulateTm, name)
             assert decl is not None, f"'{name}' is not a term constant"
             values = tuple(eval_tm(sig, env, a) for a in args)
-            result_ty = eval_ty(sig, values, decl.result)
-            return reflect(result_ty, NConst(name, values))
+            return reflect(Closure(values, decl.result), NConst(name, values))
     raise AssertionError(f"not a term: {t!r}")
 
 
@@ -118,13 +113,13 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
             rec = eval_tm(sig, env, zcase)
         case VNe(_, ne):
             blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-            rec = reflect(eval_ty(sig, env + (base,), motive), blocked)
+            rec = reflect(Closure(env + (base,), motive), blocked)
         case _:
             raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     if k >= 2 and motive.__class__ is Nat:
         # level -1 is no variable's, so reify_ne asserts on a marker that escaped
-        r = VNe(DNat(), NVar(-1))
-        step = eval_tm(sig, env + (VNe(DNat(), NVar(-1)), r), scase)
+        r = VNe(NAT, NVar(-1))
+        step = eval_tm(sig, env + (VNe(NAT, NVar(-1)), r), scase)
         if step is r:
             return rec
         if step.__class__ is VSucc and step.base is r:
@@ -140,32 +135,30 @@ def apply(sig: Signature, fn: Value, arg: Value) -> Value:
         clo = fn.clo
         return eval_tm(sig, clo.env + (arg,), clo.body)
     match fn:
-        case VNe(DPi(dom, cod), ne):
-            return VNe(eval_ty(sig, cod.env + (arg,), cod.body), NApp(ne, arg, dom))
+        case VNe(Closure(env, Pi(dom, cod)), ne):
+            return VNe(Closure(env + (arg,), cod), NApp(ne, arg, Closure(env, dom)))
     raise AssertionError(f"applying a non-function: {fn!r}")
 
 
-def reflect(ty: SemTy, ne: Neutral) -> Value:
+def reflect(ty: Closure, ne: Neutral) -> Value:
     """Embed a neutral at a semantic type, function types included."""
     return VNe(ty, ne)
 
 
-def var_value(ty: SemTy, level: int) -> Value:
+def var_value(ty: Closure, level: int) -> Value:
     """The value of a fresh variable: the reflection of its level."""
     return reflect(ty, NVar(level))
 
 
-def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
+def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> NfTm:
     """Read a value back as an eta-long normal form under ``depth`` binders;
     a neutral at Nat or at a type constant is itself a normal term there."""
-    match ty:
-        case DPi(dom, cod):
-            fresh = var_value(dom, depth)
-            body = apply(sig, v, fresh)
-            # a neutral carries its type: the codomain at ``fresh``, up to conversion
-            body_ty = body.ty if body.__class__ is VNe else eval_ty(sig, cod.env + (fresh,), cod.body)
-            return LamNf(reify(sig, depth + 1, body_ty, body))
-        case DNat():
+    env = ty.env
+    match ty.body:
+        case Pi(dom, cod):
+            fresh = var_value(Closure(env, dom), depth)
+            return LamNf(reify(sig, depth + 1, Closure(env + (fresh,), cod), apply(sig, v, fresh)))
+        case Nat():
             match v:
                 case VSucc(k, base):
                     return succ(SuccNf, k, reify(sig, depth, ty, base))
@@ -174,10 +167,10 @@ def reify(sig: Signature, depth: int, ty: SemTy, v: Value) -> NfTm:
                 case VNe(_, ne):
                     return reify_ne(sig, depth, ne)
             raise AssertionError(f"not a Nat value: {v!r}")
-        case DConst():
+        case TyConst():
             assert isinstance(v, VNe), f"not a neutral at a constant type: {v!r}"
             return reify_ne(sig, depth, v.ne)
-    raise AssertionError(f"not a semantic type: {ty!r}")
+    raise AssertionError(f"not a type: {ty.body!r}")
 
 
 def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
@@ -189,14 +182,14 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
         case NApp(fn, arg, arg_ty):
             return AppNe(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))
         case NNatInd(scrut, motive, zcase, scase):
-            fresh_n = var_value(DNat(), depth)
-            motive_n = eval_ty(sig, motive.env + (fresh_n,), motive.body)
+            env, body = motive.env, motive.body
+            fresh_n = var_value(NAT, depth)
+            motive_n = Closure(env + (fresh_n,), body)
             motive_nf = nfty(sig, depth + 1, motive_n)
-            zcase_nf = reify(sig, depth, eval_ty(sig, motive.env + (VZero(),), motive.body), zcase)
+            zcase_nf = reify(sig, depth, Closure(env + (VZero(),), body), zcase)
             fresh_ih = var_value(motive_n, depth + 1)
-            body = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
-            body_ty = eval_ty(sig, motive.env + (succ(VSucc, 1, fresh_n),), motive.body)
-            scase_nf = reify(sig, depth + 2, body_ty, body)
+            step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
+            scase_nf = reify(sig, depth + 2, Closure(env + (succ(VSucc, 1, fresh_n),), body), step)
             return NatIndNe(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
         case NConst(name, args):
             return TmConstNe(name, _reify_const_args(sig, depth, PostulateTm, name, args))
@@ -207,37 +200,39 @@ def _reify_const_args(sig, depth, kind, name, args) -> tuple[NfTm, ...]:
     params = sig.find(kind, name).params
     nfs = []
     for i, v in enumerate(args):
-        param_ty = eval_ty(sig, tuple(args[:i]), params[i])
-        nfs.append(reify(sig, depth, param_ty, v))
+        nfs.append(reify(sig, depth, Closure(args[:i], params[i]), v))
     return tuple(nfs)
 
 
-def nfty(sig: Signature, depth: int, ty: SemTy) -> NfTy:
-    """Read a semantic type back as a normal type."""
-    match ty:
-        case DNat():
+def nfty(sig: Signature, depth: int, ty: Closure) -> NfTy:
+    """Read a semantic type back as a normal type, evaluating a type
+    constant's arguments on the way."""
+    env = ty.env
+    match ty.body:
+        case Nat():
             return NatNf()
-        case DConst(name, args):
-            return TyConstNf(name, _reify_const_args(sig, depth, PostulateTy, name, args))
-        case DPi(dom, cod):
-            fresh = var_value(dom, depth)
-            cod_sem = eval_ty(sig, cod.env + (fresh,), cod.body)
-            return FunNf(nfty(sig, depth, dom), nfty(sig, depth + 1, cod_sem))
-    raise AssertionError(f"not a semantic type: {ty!r}")
+        case TyConst(name, args):
+            values = tuple(eval_tm(sig, env, a) for a in args)
+            return TyConstNf(name, _reify_const_args(sig, depth, PostulateTy, name, values))
+        case Pi(dom, cod):
+            dom_ty = Closure(env, dom)
+            fresh = var_value(dom_ty, depth)
+            return FunNf(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), cod)))
+    raise AssertionError(f"not a type: {ty.body!r}")
 
 
 def id_env(sig: Signature, ctx: Context) -> Env:
     """Environment sending each context variable to its own reflection."""
     env: Env = ()
     for level, entry in enumerate(ctx.entries):
-        env += (var_value(eval_ty(sig, env, entry), level),)
+        env += (var_value(Closure(env, entry), level),)
     return env
 
 
 def normalize_tm(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm:
     env = id_env(sig, ctx)
-    return reify(sig, len(ctx), eval_ty(sig, env, ty), eval_tm(sig, env, t))
+    return reify(sig, len(ctx), Closure(env, ty), eval_tm(sig, env, t))
 
 
 def normalize_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy:
-    return nfty(sig, len(ctx), eval_ty(sig, id_env(sig, ctx), ty))
+    return nfty(sig, len(ctx), Closure(id_env(sig, ctx), ty))

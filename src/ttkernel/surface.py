@@ -19,11 +19,11 @@ NUMERAL is a run of decimal digits (Unicode category Nd) and desugars to
 one successor node over zero; a run of "succ" tokens is one node too, and
 the printer writes k successors over another base as such a run. IDENT
 starts with a letter or "_" and continues with letters, numeric characters
-(such as "2" or "²"), "_" and "'"; keywords are reserved. Blanks are space,
-tab and carriage return; "--" comments run to the end of the line. Any
-other character is an error. The tokenizer matches each line once per
-token and returns parallel lists of kinds, texts, lines and columns, which
-the parser reads by index.
+(such as "2" or "²"), "_" and "'"; keywords are reserved. Blanks are space
+and tab; a line ends at "\r\n", "\r" or "\n", and "--" comments run to the
+end of the line. Any other character is an error. The tokenizer matches
+each line once per token and returns parallel lists of kinds, texts, lines
+and columns, which the parser reads by index.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
 # Matched within a line: the blanks and comment before a token, then the
 # token, which is empty at the end of the line. A character that starts no
 # token matches alone.
-_TOKEN = re.compile(r"([ \t\r]*(?:--.*)?)(:=|->|=>|[():;.\\]|\d+|[^\W\d][\w']*|.?)")
+_TOKEN = re.compile(r"([ \t]*(?:--.*)?)(:=|->|=>|[():;.\\]|\d+|[^\W\d][\w']*|.?)")
+_LINE_END = re.compile(r"\r\n?|\n")  # not str.splitlines, which also ends lines at \f and \x85
 _INTERNED = {k: k for k in (*KEYWORDS, ":=", "->", "=>", "(", ")", ":", ";", ".", "\\")}
 
 
@@ -71,7 +72,7 @@ def tokenize(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
     """The kinds, texts, lines and columns of the tokens of ``source``, as
     four parallel lists that end with an ``eof`` token."""
     kinds, texts, lines, cols = [], [], [], []
-    for line, text in enumerate(source.split("\n"), 1):
+    for line, text in enumerate(_LINE_END.split(source), 1):
         col = 1
         for blank, tok in _TOKEN.findall(text):
             col += len(blank)

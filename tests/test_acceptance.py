@@ -12,9 +12,6 @@ import time
 from ttkernel.cli import main
 from ttkernel.domain import (
     Closure,
-    DConst,
-    DNat,
-    DPi,
     NApp,
     NConst,
     NNatInd,
@@ -83,6 +80,8 @@ from enum_reference import PARTITION_TARGETS
 
 NN = Pi(Nat(), Nat())
 A = TyConst("A")
+NAT = Closure((), Nat())
+A_CLO = Closure((), A)
 
 
 def _report(n, label, started):
@@ -304,8 +303,8 @@ def test_criterion_6_computation_rule_instances(sig_abf):
 
     # nfty at Nat and reify of zero, across depths
     for depth in range(20):
-        assert nfty(sig, depth, DNat()) == NatNf()
-        assert reify(sig, depth, DNat(), VZero()) == ZeroNf()
+        assert nfty(sig, depth, NAT) == NatNf()
+        assert reify(sig, depth, NAT, VZero()) == ZeroNf()
 
     # reify of successor values
     for i in range(20):
@@ -313,11 +312,11 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         t = gen_term(sig, ctx, Nat(), 6, rng)
         v = eval_tm(sig, id_env(sig, ctx), t)
         d = len(ctx)
-        assert reify(sig, d, DNat(), succ(VSucc, 1, v)) == succ(SuccNf, 1, reify(sig, d, DNat(), v))
+        assert reify(sig, d, NAT, succ(VSucc, 1, v)) == succ(SuccNf, 1, reify(sig, d, NAT, v))
 
     # reify . reflect at Nat is the neutral read back
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
-        got = reify(sig, depth, DNat(), reflect(DNat(), ne))
+        got = reify(sig, depth, NAT, reflect(NAT, ne))
         assert got == reify_ne(sig, depth, ne)
 
     # nfty at function types splits into domain and fresh-variable codomain
@@ -327,13 +326,12 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         cod = gen_type(sig, ctx.extend(dom), rng, size=3)
         env = id_env(sig, ctx)
         d = len(ctx)
-        sem = eval_ty(sig, env, Pi(dom, cod))
-        fresh = var_value(sem.dom, d)
+        fresh = var_value(Closure(env, dom), d)
         rhs = FunNf(
-            nfty(sig, d, sem.dom),
-            nfty(sig, d + 1, eval_ty(sig, sem.cod.env + (fresh,), sem.cod.body)),
+            nfty(sig, d, Closure(env, dom)),
+            nfty(sig, d + 1, Closure(env + (fresh,), cod)),
         )
-        assert nfty(sig, d, sem) == rhs
+        assert nfty(sig, d, eval_ty(sig, env, Pi(dom, cod))) == rhs
 
     # reify of an abstraction applies it to a fresh variable
     for i in range(20):
@@ -342,18 +340,19 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         env = id_env(sig, ctx)
         d = len(ctx)
         v = eval_tm(sig, env, Lam(body))
-        fresh = var_value(DNat(), d)
-        lhs = reify(sig, d, DPi(DNat(), Closure(env, Nat())), v)
-        assert lhs == LamNf(reify(sig, d + 1, DNat(), apply(sig, v, fresh)))
+        fresh = var_value(Closure(env, Nat()), d)
+        lhs = reify(sig, d, Closure(env, Pi(Nat(), Nat())), v)
+        assert lhs == LamNf(reify(sig, d + 1, Closure(env + (fresh,), Nat()), apply(sig, v, fresh)))
 
     # applying a reflected neutral extends the spine and re-reflects
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
-        pi = DPi(DNat(), Closure(env, Nat()))
+        pi = Closure(env, Pi(Nat(), Nat()))
         arg = eval_tm(sig, env, gen_term(sig, ctx, Nat(), 4, rng))
-        napp = NApp(NVar(0), arg, DNat())  # level 0 is the function variable
+        napp = NApp(NVar(0), arg, Closure(env, Nat()))  # level 0 is the function variable
         lhs = apply(sig, reflect(pi, NVar(0)), arg)
-        rhs = reflect(DNat(), napp)
-        assert reify(sig, depth, DNat(), lhs) == reify(sig, depth, DNat(), rhs)
+        rhs = reflect(Closure(env + (arg,), Nat()), napp)
+        assert lhs == rhs
+        assert reify(sig, depth, NAT, lhs) == reify(sig, depth, NAT, rhs)
 
     # the eliminator on a reflected neutral reflects the blocked eliminator
     for i, (ctx, env, depth, ne) in enumerate(_nat_neutrals(sig, rng)):
@@ -366,7 +365,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         scrut = erase(reify_ne(sig, depth, ne))
         lhs = eval_tm(sig, env, NatInd(scrut, motive, zcase, scase))
         blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-        sem_motive = eval_ty(sig, env + (reflect(DNat(), ne),), motive)
+        sem_motive = Closure(env + (reflect(NAT, ne),), motive)
         rhs = reflect(sem_motive, blocked)
         assert reify(sig, depth, sem_motive, lhs) == reify(sig, depth, sem_motive, rhs)
 
@@ -376,12 +375,12 @@ def test_criterion_6_computation_rule_instances(sig_abf):
     depth = len(ctx)
     a0 = env[0]
     for lvl in range(20):
-        assert nfty(sig, depth + lvl, DConst("A")) == TyConstNf("A", ())
+        assert nfty(sig, depth + lvl, A_CLO) == TyConstNf("A", ())
         ne = NVar(0)
-        got = reify(sig, depth, DConst("A"), reflect(DConst("A"), ne))
+        got = reify(sig, depth, A_CLO, reflect(A_CLO, ne))
         assert got == reify_ne(sig, depth, ne)
-        bty = DConst("B", (a0,))
-        assert nfty(sig, depth, bty) == TyConstNf("B", (reify(sig, depth, DConst("A"), a0),))
+        bty = Closure((a0,), TyConst("B", (Var(0),)))
+        assert nfty(sig, depth, bty) == TyConstNf("B", (reify(sig, depth, A_CLO, a0),))
         got2 = reify(sig, depth, bty, reflect(bty, NVar(1)))
         assert got2 == reify_ne(sig, depth, NVar(1))
 
@@ -391,7 +390,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         env2 = id_env(sig, extra)
         arg = env2[i % len(env2)]
         lhs = eval_tm(sig, env2, TmConst("f", (Var(len(env2) - 1 - (i % len(env2))),)))
-        rhs = reflect(DConst("B", (arg,)), NConst("f", (arg,)))
+        rhs = reflect(Closure((arg,), TyConst("B", (Var(0),))), NConst("f", (arg,)))
         assert lhs == rhs
 
     _report(6, "computation rules hold on 20+ instantiations each", started)

@@ -101,6 +101,20 @@ def test_normalize_json(good, capsys):
     assert rec == {"status": "ok", "output": "20", "error": None}
 
 
+def test_a_comment_in_an_expression_ends_at_a_bare_cr(good, capsys):
+    assert main(["normalize", good, "-e", "add 1 -- one\r 2"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+def test_check_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    p = tmp_path / "bom.tt"
+    p.write_text("\ufeff" + GOOD, encoding="utf-8")
+    assert main(["check", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == "ok: 5 declaration(s)"
+    assert main(["check", str(p), "--json"]) == 0
+    assert _json_of(capsys) == {"status": "ok", "output": "ok: 5 declaration(s)", "error": None}
+
+
 def test_equal(good):
     assert main(["equal", good, "-e", "add 1 1", "-e", "2"]) == 0
     assert main(["equal", good, "-e", "add 1 1", "-e", "3"]) == 3

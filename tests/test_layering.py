@@ -65,11 +65,19 @@ def test_only_the_signature_reads_its_declarations():
     assert readers <= DECLS_READERS, readers - DECLS_READERS
 
 
-def test_signature_is_a_data_module():
-    # it imports the syntax it is made of, and nothing that checks or computes
-    imported = {
+def _kernel_imports(module: str) -> set[str]:
+    return {
         node.module
-        for node, _ in _scoped("signature")
+        for node, _ in _scoped(module)
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
-    assert imported == {"syntax"}
+
+
+def test_signature_is_a_data_module():
+    # it imports the syntax it is made of, and nothing that checks or computes
+    assert _kernel_imports("signature") == {"syntax"}
+
+
+def test_domain_is_a_data_module():
+    # values hold syntax in closures; evaluating them is nbe's business
+    assert _kernel_imports("domain") == {"syntax"}

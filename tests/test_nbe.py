@@ -9,12 +9,10 @@ import sys
 
 import pytest
 
+from ttkernel import nbe
 from ttkernel.check import conv_tm, infer
 from ttkernel.domain import (
     Closure,
-    DConst,
-    DNat,
-    DPi,
     NApp,
     NConst,
     NNatInd,
@@ -53,7 +51,7 @@ from ttkernel.normal import (
     rename_nf,
 )
 from ttkernel.rewrite import rw_normalize
-from ttkernel.surface import elab_tm, parse_expression, print_nf, print_tm
+from ttkernel.surface import elab_tm, elab_ty, parse_expression, parse_type, print_nf, print_tm
 from ttkernel.syntax import (
     App,
     Context,
@@ -73,7 +71,9 @@ from ttkernel.syntax import (
 
 NN = Pi(Nat(), Nat())
 NAT_CLO = Closure((), Nat())
+NN_CLO = Closure((), NN)
 A = TyConst("A")
+A_CLO = Closure((), A)
 B_OF = lambda t: TyConst("B", (t,))
 
 
@@ -81,15 +81,15 @@ B_OF = lambda t: TyConst("B", (t,))
 
 
 def test_var_value_at_nat():
-    assert var_value(DNat(), 0) == VNe(DNat(), NVar(0))
+    assert var_value(NAT_CLO, 0) == VNe(NAT_CLO, NVar(0))
 
 
 def test_var_value_at_constant():
-    assert var_value(DConst("A"), 0) == VNe(DConst("A"), NVar(0))
+    assert var_value(A_CLO, 0) == VNe(A_CLO, NVar(0))
 
 
 def test_var_value_at_function_type_is_typed_neutral(sig_empty):
-    ty = DPi(DNat(), NAT_CLO)
+    ty = NN_CLO
     v = var_value(ty, 0)
     assert v == VNe(ty, NVar(0))
     assert reify(sig_empty, 1, ty, v) == LamNf(AppNe(VarNe(1), VarNe(0)))
@@ -99,9 +99,17 @@ def test_var_value_at_function_type_is_typed_neutral(sig_empty):
 
 
 def test_eval_ty_basics(sig_empty, sig_abf):
-    assert eval_ty(sig_empty, (), Nat()) == DNat()
-    assert eval_ty(sig_abf, (), A) == DConst("A", ())
-    assert eval_ty(sig_empty, (), NN) == DPi(DNat(), Closure((), Nat()))
+    assert eval_ty(sig_empty, (), Nat()) == NAT_CLO
+    assert eval_ty(sig_abf, (), A) == A_CLO
+    assert eval_ty(sig_empty, (), NN) == NN_CLO
+
+
+def test_eval_ty_keeps_the_type_as_written(sig_abf):
+    # types never compute: a redex in a type argument waits for nfty
+    a = var_value(A_CLO, 0)
+    ty = B_OF(App(Lam(Var(0)), Var(0)))
+    assert eval_ty(sig_abf, (a,), ty) == Closure((a,), ty)
+    assert nfty(sig_abf, 1, eval_ty(sig_abf, (a,), ty)) == TyConstNf("B", (VarNe(0),))
 
 
 def test_eval_ind_zero_case(sig_empty):
@@ -114,9 +122,9 @@ def test_eval_beta(sig_empty):
 
 
 def test_eval_term_constant_is_neutral(sig_abf):
-    a = var_value(DConst("A"), 0)
+    a = var_value(A_CLO, 0)
     v = eval_tm(sig_abf, (a,), TmConst("f", (Var(0),)))
-    assert v == VNe(DConst("B", (a,)), NConst("f", (a,)))
+    assert v == VNe(Closure((a,), B_OF(Var(0))), NConst("f", (a,)))
 
 
 def test_eval_ind_succ_uses_predecessor_and_recursion(sig_empty):
@@ -133,9 +141,9 @@ def test_apply_closure(sig_empty):
 
 
 def test_apply_reflected_variable(sig_empty):
-    fn = var_value(DPi(DNat(), NAT_CLO), 0)
+    fn = var_value(NN_CLO, 0)
     assert apply(sig_empty, fn, VZero()) == VNe(
-        DNat(), NApp(NVar(0), VZero(), DNat())
+        Closure((VZero(),), Nat()), NApp(NVar(0), VZero(), NAT_CLO)
     )
 
 
@@ -153,31 +161,32 @@ def test_apply_closure_with_body(sig_empty):
 
 
 def test_reflect_at_nat():
-    assert reflect(DNat(), NVar(3)) == VNe(DNat(), NVar(3))
+    assert reflect(NAT_CLO, NVar(3)) == VNe(NAT_CLO, NVar(3))
 
 
 def test_reflect_at_constant():
-    assert reflect(DConst("A"), NConst("g")) == VNe(DConst("A"), NConst("g"))
+    assert reflect(A_CLO, NConst("g")) == VNe(A_CLO, NConst("g"))
 
 
 def test_reflect_then_apply(sig_empty):
-    v = reflect(DPi(DNat(), NAT_CLO), NVar(0))
-    assert apply(sig_empty, v, VZero()) == VNe(DNat(), NApp(NVar(0), VZero(), DNat()))
+    v = reflect(NN_CLO, NVar(0))
+    want = VNe(Closure((VZero(),), Nat()), NApp(NVar(0), VZero(), NAT_CLO))
+    assert apply(sig_empty, v, VZero()) == want
 
 
 # -- reify
 
 
 def test_reify_numeral(sig_empty):
-    assert reify(sig_empty, 0, DNat(), VSucc(2, VZero())) == SuccNf(2, ZeroNf())
+    assert reify(sig_empty, 0, NAT_CLO, VSucc(2, VZero())) == SuccNf(2, ZeroNf())
 
 
 def test_reify_neutral_at_nat(sig_empty):
-    assert reify(sig_empty, 1, DNat(), VNe(DNat(), NVar(0))) == VarNe(0)
+    assert reify(sig_empty, 1, NAT_CLO, VNe(NAT_CLO, NVar(0))) == VarNe(0)
 
 
 def test_reify_at_function_type_is_eta_long(sig_empty):
-    ty = DPi(DNat(), NAT_CLO)
+    ty = NN_CLO
     got = reify(sig_empty, 1, ty, var_value(ty, 0))
     assert got == LamNf(AppNe(VarNe(1), VarNe(0)))
 
@@ -191,15 +200,15 @@ def test_reify_rejects_escaped_level(sig_empty):
 
 
 def test_nfty_nat(sig_empty):
-    assert nfty(sig_empty, 0, DNat()) == NatNf()
+    assert nfty(sig_empty, 0, NAT_CLO) == NatNf()
 
 
 def test_nfty_function(sig_empty):
-    assert nfty(sig_empty, 0, DPi(DNat(), NAT_CLO)) == FunNf(NatNf(), NatNf())
+    assert nfty(sig_empty, 0, NN_CLO) == FunNf(NatNf(), NatNf())
 
 
 def test_nfty_indexed_constant(sig_abf):
-    sem = DConst("B", (VNe(DConst("A"), NVar(0)),))
+    sem = Closure((VNe(A_CLO, NVar(0)),), B_OF(Var(0)))
     assert nfty(sig_abf, 1, sem) == TyConstNf("B", (VarNe(0),))
 
 
@@ -211,12 +220,13 @@ def test_id_env_empty(sig_empty):
 
 
 def test_id_env_singleton(sig_empty):
-    assert id_env(sig_empty, Context((Nat(),))) == (VNe(DNat(), NVar(0)),)
+    assert id_env(sig_empty, Context((Nat(),))) == (VNe(NAT_CLO, NVar(0)),)
 
 
 def test_id_env_levels_match_positions(sig_empty):
     env = id_env(sig_empty, Context((Nat(), Nat())))
-    assert env == (VNe(DNat(), NVar(0)), VNe(DNat(), NVar(1)))
+    v0 = VNe(NAT_CLO, NVar(0))
+    assert env == (v0, VNe(Closure((v0,), Nat()), NVar(1)))
 
 
 # -- normalization functions
@@ -263,56 +273,70 @@ def test_dependent_eliminator_with_indexed_motive(sig_dep):
     assert isinstance(got2, NatIndNe)
 
 
+def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeypatch):
+    # v : (n : Nat) -> C (add n n); the inlined add is an eliminator that
+    # waits in v 3's type until readback, which does not read it at C
+    sig = sig_crossval
+    ctx = Context((elab_ty(sig, (), parse_type("(n : Nat) -> C (add n n)")),))
+    t = App(Var(0), numeral(3))
+    env = id_env(sig, ctx)
+    calls = []
+    nat_ind = nbe._nat_ind
+    monkeypatch.setattr(nbe, "_nat_ind", lambda *a: calls.append(a) or nat_ind(*a))
+    eval_tm(sig, env, t)
+    assert calls == []
+    monkeypatch.undo()
+    ty = infer(sig, ctx, t)
+    assert normalize_tm(sig, ctx, ty, t) == AppNe(VarNe(0), SuccNf(3, ZeroNf()))
+
+
 # -- the computation rules of the normalization structure, one test each
 
 
 def test_equation_nfty_fun(sig_empty):
-    dom, cod = DNat(), NAT_CLO
-    lhs = nfty(sig_empty, 0, DPi(dom, cod))
-    fresh = var_value(dom, 0)
+    env, dom, cod = (), Nat(), Nat()
+    lhs = nfty(sig_empty, 0, Closure(env, Pi(dom, cod)))
+    fresh = var_value(Closure(env, dom), 0)
     rhs = FunNf(
-        nfty(sig_empty, 0, dom),
-        nfty(sig_empty, 1, eval_ty(sig_empty, cod.env + (fresh,), cod.body)),
+        nfty(sig_empty, 0, Closure(env, dom)),
+        nfty(sig_empty, 1, Closure(env + (fresh,), cod)),
     )
     assert lhs == rhs
 
 
 def test_equation_reify_abs(sig_empty):
-    ty = DPi(DNat(), NAT_CLO)
     v = VLam(Closure((), Succ(1, Var(0))))
-    lhs = reify(sig_empty, 0, ty, v)
-    fresh = var_value(DNat(), 0)
-    rhs = LamNf(reify(sig_empty, 1, DNat(), apply(sig_empty, v, fresh)))
+    lhs = reify(sig_empty, 0, NN_CLO, v)
+    fresh = var_value(NAT_CLO, 0)
+    rhs = LamNf(reify(sig_empty, 1, Closure((fresh,), Nat()), apply(sig_empty, v, fresh)))
     assert lhs == rhs
 
 
 def test_equation_apply_reflected(sig_empty):
-    dom, cod = DNat(), NAT_CLO
+    env, dom, cod = (), Nat(), Nat()
     ne = NVar(0)
-    lhs = apply(sig_empty, reflect(DPi(dom, cod), ne), VZero())
-    rhs = reflect(
-        eval_ty(sig_empty, cod.env + (VZero(),), cod.body), NApp(ne, VZero(), dom)
-    )
+    lhs = apply(sig_empty, reflect(Closure(env, Pi(dom, cod)), ne), VZero())
+    rhs = reflect(Closure(env + (VZero(),), cod), NApp(ne, VZero(), Closure(env, dom)))
     assert lhs == rhs
 
 
 def test_equation_nfty_nat(sig_empty):
-    assert nfty(sig_empty, 0, DNat()) == NatNf()
+    assert nfty(sig_empty, 0, NAT_CLO) == NatNf()
 
 
 def test_equation_reify_zero(sig_empty):
-    assert reify(sig_empty, 0, DNat(), VZero()) == ZeroNf()
+    assert reify(sig_empty, 0, NAT_CLO, VZero()) == ZeroNf()
 
 
 def test_equation_reify_succ(sig_empty):
     n0 = VSucc(1, VZero())
-    want = succ(SuccNf, 1, reify(sig_empty, 0, DNat(), n0))
-    assert reify(sig_empty, 0, DNat(), succ(VSucc, 1, n0)) == want
+    want = succ(SuccNf, 1, reify(sig_empty, 0, NAT_CLO, n0))
+    assert reify(sig_empty, 0, NAT_CLO, succ(VSucc, 1, n0)) == want
 
 
 def test_equation_reify_reflect_nat(sig_empty):
-    ne = NApp(NVar(0), VZero(), DNat())
-    lhs = reify(sig_empty, 1, DNat(), reflect(DNat(), ne))
+    ne = NApp(NVar(0), VZero(), NAT_CLO)
+    lhs = reify(sig_empty, 1, NAT_CLO, reflect(NAT_CLO, ne))
     assert lhs == reify_ne(sig_empty, 1, ne)
 
 
@@ -328,33 +352,33 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
         eval_tm(sig_empty, env, Zero()),
         Closure(env, Succ(1, Var(0))),
     )
-    rhs = reflect(DNat(), blocked)
+    rhs = reflect(Closure(env + (env[0],), Nat()), blocked)
     assert lhs == rhs
     # and its readback reifies the motive, zero case and successor case
     # under the right number of fresh variables
-    got = reify(sig_empty, 1, DNat(), lhs)
+    got = reify(sig_empty, 1, NAT_CLO, lhs)
     assert got == NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(1, VarNe(0)))
 
 
 def test_equation_nfty_const(sig_abf):
-    assert nfty(sig_abf, 0, DConst("A")) == TyConstNf("A", ())
+    assert nfty(sig_abf, 0, A_CLO) == TyConstNf("A", ())
 
 
 def test_equation_reify_reflect_const(sig_abf):
     ne = NVar(0)
-    lhs = reify(sig_abf, 1, DConst("A"), reflect(DConst("A"), ne))
+    lhs = reify(sig_abf, 1, A_CLO, reflect(A_CLO, ne))
     assert lhs == reify_ne(sig_abf, 1, ne)
 
 
 def test_equation_nfty_indexed_const(sig_abf):
-    a0 = var_value(DConst("A"), 0)
-    lhs = nfty(sig_abf, 1, DConst("B", (a0,)))
-    assert lhs == TyConstNf("B", (reify(sig_abf, 1, DConst("A"), a0),))
+    a0 = var_value(A_CLO, 0)
+    lhs = nfty(sig_abf, 1, Closure((a0,), B_OF(Var(0))))
+    assert lhs == TyConstNf("B", (reify(sig_abf, 1, A_CLO, a0),))
 
 
 def test_equation_reify_reflect_indexed_const(sig_abf):
-    a0 = var_value(DConst("A"), 0)
-    ty = DConst("B", (a0,))
+    a0 = var_value(A_CLO, 0)
+    ty = Closure((a0,), B_OF(Var(0)))
     ne = NVar(0)
     lhs = reify(sig_abf, 1, ty, reflect(ty, ne))
     assert lhs == reify_ne(sig_abf, 1, ne)
@@ -364,7 +388,7 @@ def test_equation_term_constant(sig_abf):
     env = id_env(sig_abf, Context((A,)))
     a0 = env[0]
     lhs = eval_tm(sig_abf, env, TmConst("f", (Var(0),)))
-    rhs = reflect(DConst("B", (a0,)), NConst("f", (a0,)))
+    rhs = reflect(Closure((a0,), B_OF(Var(0))), NConst("f", (a0,)))
     assert lhs == rhs
 
 

@@ -1,5 +1,7 @@
 """Parser, elaborator, printer."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,19 @@ def test_parse_fun_arrow_lambda():
 def test_parse_comments_and_whitespace():
     decls = parse("-- nothing here\n\npostulate A -- trailing\n")
     assert len(decls) == 1
+
+
+@pytest.mark.parametrize(
+    ("source", "lines"),
+    [
+        ("-- note\rpostulate A\rpostulate B", [2, 3]),
+        ("postulate A -- note\rpostulate B", [1, 2]),
+        ("postulate A\r\npostulate B", [1, 2]),
+    ],
+)
+def test_a_line_ends_at_cr_lf_or_crlf(source, lines):
+    # a comment ends at a bare carriage return too
+    assert [(d.name, d.loc[0]) for d in parse(source)] == list(zip("AB", lines))
 
 
 def test_parse_error_has_position():
@@ -359,7 +374,9 @@ def test_tokenize_rejects_a_character_that_starts_no_token(source, col):
 
 
 # The differential test of the parser against tests/parser_reference.py:
-# token soups, and the preludes and a chain with a few spans replaced.
+# token soups, and the preludes and a chain with a few spans replaced. The
+# reference ends lines at "\n" only, so it reads the source with "\r\n" and
+# "\r" rewritten to "\n".
 LONG = "9" * 4301  # past int()'s limit
 SOUP = [
     "postulate", "def", "Nat", "zero", "succ", "ind", "fun", ":=", "->", "=>", "(", ")", ":", ";",
@@ -400,7 +417,7 @@ def test_parser_agrees_with_the_reference(source):
         (parse_expression, parser_reference.parse_expression),
         (parse_type, parser_reference.parse_type),
     ]:
-        assert _outcome(ours, source) == _outcome(ref, source)
+        assert _outcome(ours, source) == _outcome(ref, re.sub(r"\r\n?", "\n", source))
 
 
 INLINED = r"""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkernel import domain, normal, signature, surface, syntax
-from ttkernel.domain import DNat, NApp, NVar, VSucc, VZero
+from ttkernel.domain import Closure, NApp, NVar, VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, SuccNf, VarNe, ZeroNf
@@ -319,8 +319,8 @@ DEEP_TREES = {
         10**5,
     ),
     "NApp spine": (
-        lambda n: _nest(lambda ne: NApp(ne, VZero(), DNat()), NVar(0), n),
-        lambda n: "NApp(fn=" * n + "NVar(level=0)" + ", arg=VZero(), arg_ty=DNat())" * n,
+        lambda n: _nest(lambda ne: NApp(ne, VZero(), Closure((), Nat())), NVar(0), n),
+        lambda n: "NApp(fn=" * n + "NVar(level=0)" + ", arg=VZero(), arg_ty=Closure(env=(), body=Nat()))" * n,
         10**5,
     ),
 }
@@ -380,7 +380,6 @@ ABSTRACT_NODES = {
     normal.NfTy,
     normal.NfTm,
     normal.NeTm,
-    domain.SemTy,
     domain.Value,
     domain.Neutral,
     signature.Declaration,
@@ -395,7 +394,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c is not surface._Parser
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 50
+    assert len(concrete) == 47
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
