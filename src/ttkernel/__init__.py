@@ -8,6 +8,7 @@ evaluation, cross-validated against an independent rewriting oracle.
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -36,6 +37,7 @@ from .surface import elaborate, parse, print_nf
 __all__ = [
     "App",
     "Context",
+    "Const",
     "Define",
     "Lam",
     "Nat",

@@ -17,6 +17,7 @@ from .signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -30,6 +31,7 @@ from .syntax import (
     Zero,
     inst_params,
     motive_succ_case,
+    pi_over,
     subst1,
 )
 
@@ -62,28 +64,39 @@ def _check_args(sig, ctx, name, params, args):
 
 def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
     """Synthesize a type, or fail; lambdas are check-only unless applied."""
-    match t:
-        case Var(i):
-            if not 0 <= i < len(ctx):
-                raise UnboundVariable(f"unbound variable {i}")
-            return ctx.var_type(i)
-        case Lam(_):
-            raise CannotInfer("cannot infer the type of a lambda; annotate it")
-        case App(Lam(body), a):
+    # the frequent classes are tested by identity before the rare ones
+    cls = t.__class__
+    if cls is App:
+        f, a = t.fn, t.arg
+        if f.__class__ is Lam:
             # a beta-redex: the argument's type is the binder's type
             a_ty = infer(sig, ctx, a)
-            return subst1(infer(sig, ctx.extend(a_ty), body), a)
-        case App(f, a):
-            # a type's head (Pi, Nat or a constant) is stable under normalization
-            fn_ty = infer(sig, ctx, f)
-            if not isinstance(fn_ty, Pi):
-                raise NotAFunction("application head is not a function")
-            check(sig, ctx, a, fn_ty.dom)
-            return subst1(fn_ty.cod, a)
+            return subst1(infer(sig, ctx.extend(a_ty), f.body), a)
+        # a type's head (Pi, Nat or a constant) is stable under normalization
+        fn_ty = infer(sig, ctx, f)
+        if fn_ty.__class__ is not Pi:
+            raise NotAFunction("application head is not a function")
+        check(sig, ctx, a, fn_ty.dom)
+        return subst1(fn_ty.cod, a)
+    if cls is Var:
+        i = t.index
+        if not 0 <= i < len(ctx):
+            raise UnboundVariable(f"unbound variable {i}")
+        return ctx.var_type(i)
+    if cls is Const:
+        decl = sig.find(Declaration, t.name)
+        if decl.__class__ is Define:
+            return decl.declared_type
+        if decl.__class__ is PostulateTm:
+            return pi_over(decl.params, decl.result)
+        raise UnknownConstant(f"'{t.name}' is neither a definition nor a term constant")
+    if cls is Succ:
+        check(sig, ctx, t.base, Nat())
+        return Nat()
+    match t:
+        case Lam(_):
+            raise CannotInfer("cannot infer the type of a lambda; annotate it")
         case Zero():
-            return Nat()
-        case Succ(_, base):
-            check(sig, ctx, base, Nat())
             return Nat()
         case NatInd(scrut, motive, zcase, scase):
             check(sig, ctx, scrut, Nat())
@@ -109,8 +122,8 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
 
 def check(sig: Signature, ctx: Context, t: Term, ty: Ty) -> None:
     """Check ``t`` against ``ty``; conversion sees through beta/iota/eta."""
-    if isinstance(t, Lam):
-        if not isinstance(ty, Pi):
+    if t.__class__ is Lam:
+        if ty.__class__ is not Pi:
             raise Mismatch(sig, ctx, ty)
         check(sig, ctx.extend(ty.dom), t.body, ty.cod)
         return

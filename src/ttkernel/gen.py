@@ -26,6 +26,7 @@ from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -40,6 +41,7 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
+    apps,
     binders,
     inst_params,
     motive_succ_case,
@@ -115,26 +117,35 @@ def _spine_heads(sig, ctx, ty):
     it is weakened and a head that fails the test is never matched."""
     heads = []
     n = len(ctx)
+    former = _former(ty)
     for i in range(n):
-        if not _same_former(split_pi(ctx.entries[n - 1 - i])[1], ty):
+        if _former(split_pi(ctx.entries[n - 1 - i])[1]) != former:
             continue
         tele, result = split_pi(ctx.var_type(i))
         found = _match_result(result, ty, len(tele))
         if found is not None:
             heads.append((Var(i), tele, *found))
-    for d in sig.of_kind(PostulateTm):
-        more, result = split_pi(d.result)  # a Pi result only if declared through the library
-        if _same_former(result, ty):
-            found = _match_result(result, ty, len(d.params) + len(more))
-            if found is not None:
-                heads.append((d, d.params + more, *found))
+    for d, tele, result in sig.derived(_constants)[0].get(former, ()):
+        found = _match_result(result, ty, len(tele))
+        if found is not None:
+            heads.append((d, tele, *found))
     return heads
 
 
-def _same_former(result: Ty, target: Ty) -> bool:
-    return result.__class__ is target.__class__ and (
-        result.__class__ is not TyConst or result.name == target.name
-    )
+def _constants(sig):
+    """Built once per signature: the term constants by their result's former,
+    each with its telescope and result split, and the type constants, both
+    in declaration order."""
+    by_former = {}
+    for d in sig.of_kind(PostulateTm):
+        more, result = split_pi(d.result)  # a Pi result only if declared through the library
+        by_former.setdefault(_former(result), []).append((d, d.params + more, result))
+    return by_former, sig.of_kind(PostulateTy)
+
+
+def _former(ty: Ty):
+    """A type's former: its class, or a constant type's name."""
+    return ty.name if ty.__class__ is TyConst else ty.__class__
 
 
 def _gen_spine(sig, ctx, head, size, rng) -> Term:
@@ -159,9 +170,7 @@ def _gen_spine(sig, ctx, head, size, rng) -> Term:
     else:  # the constant takes its parameters; the rest come from its result's Pi
         n = len(var_or_decl.params)
         t, rest = TmConst(var_or_decl.name, tuple(args[:n])), args[n:]
-    for a in rest:
-        t = App(t, a)
-    return t
+    return apps(t, rest)
 
 
 def _match_result(pattern: Ty, target: Ty, k: int):
@@ -229,6 +238,8 @@ def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
             )
         case Lam(_) | NatInd(_, _, _, _):
             return _param_free_eq(pat, tgt, k)
+        case Const(_):
+            return tgt == pat
     return False
 
 
@@ -263,7 +274,7 @@ def gen_type(sig: Signature, ctx: Context, rng=None, size: int = 4) -> Ty:
     """A random well-formed type; Pi nesting is bounded by ``size``."""
     rng = _rng(rng if rng is not None else 0)
     choices = ["nat", "nat"]
-    ty_consts = sig.of_kind(PostulateTy)
+    ty_consts = sig.derived(_constants)[1]
     if ty_consts:
         choices += ["const", "const"]
     if size >= 3:

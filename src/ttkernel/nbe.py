@@ -4,10 +4,12 @@ Evaluation sends well-typed syntax into the semantic domain, computing
 the beta rules of application and the Nat eliminator on the way; reify
 reads values back as eta-long normal forms, minting fresh variables as
 de Bruijn levels from the current depth. ``normalize_tm`` composes the
-two over the identity environment of a context. Types never compute, so
-a semantic type is the syntactic type in a closure over its environment:
-reify dispatches on its former, and only ``nfty`` evaluates a type's
-parts, the arguments of a type constant, when it reads them back.
+two over the identity environment of a context. A definition evaluates
+to its entry in the signature's table of values, filled on first use.
+Types never compute, so a semantic type is the syntactic type in a
+closure over its environment: reify dispatches on its former, and only
+``nfty`` evaluates a type's parts, the arguments of a type constant,
+when it reads them back.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ from .normal import (
     TyConstNf,
     VarNe,
     ZeroNf,
+    erase,
 )
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -56,6 +60,7 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
+    eta_constant,
     succ,
 )
 
@@ -79,6 +84,9 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
         return VLam(Closure(env, t.body))
     if cls is Succ:
         return succ(VSucc, t.k, eval_tm(sig, env, t.base))
+    if cls is Const:
+        value = sig.table("nbe").get(t.name)
+        return _constant_value(sig, t.name) if value is None else value
     match t:
         case Zero():
             return VZero()
@@ -90,6 +98,23 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
             values = tuple(eval_tm(sig, env, a) for a in args)
             return reflect(Closure(values, decl.result), NConst(name, values))
     raise AssertionError(f"not a term: {t!r}")
+
+
+def _constant_value(sig, name: str) -> Value:
+    """The value of the constant ``name`` as a function, kept in the
+    signature's table from its first use on. A term constant's is that of
+    its eta-expansion. A definition's is that of its body's normal form, so
+    that an application evaluates the unfolded body once, whatever the
+    definitions the body names; entries are filled in ``unfolding_order``,
+    so filling one never recurses into another."""
+    values = sig.table("nbe")
+    decl = sig.find(PostulateTm, name)
+    if decl is not None:
+        values[name] = eval_tm(sig, (), eta_constant(name, len(decl.params)))
+    for d in sig.unfolding_order(name, values):
+        nf = reify(sig, 0, Closure((), d.declared_type), eval_tm(sig, (), d.body))
+        values[d.name] = eval_tm(sig, (), erase(nf))
+    return values[name]
 
 
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
@@ -153,24 +178,24 @@ def var_value(ty: Closure, level: int) -> Value:
 def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> NfTm:
     """Read a value back as an eta-long normal form under ``depth`` binders;
     a neutral at Nat or at a type constant is itself a normal term there."""
-    env = ty.env
-    match ty.body:
-        case Pi(dom, cod):
-            fresh = var_value(Closure(env, dom), depth)
-            return LamNf(reify(sig, depth + 1, Closure(env + (fresh,), cod), apply(sig, v, fresh)))
-        case Nat():
-            match v:
-                case VSucc(k, base):
-                    return succ(SuccNf, k, reify(sig, depth, ty, base))
-                case VZero():
-                    return ZeroNf()
-                case VNe(_, ne):
-                    return reify_ne(sig, depth, ne)
-            raise AssertionError(f"not a Nat value: {v!r}")
-        case TyConst():
-            assert isinstance(v, VNe), f"not a neutral at a constant type: {v!r}"
+    # the type's former and the value's class are tested by identity
+    env, body = ty.env, ty.body
+    former, cls = body.__class__, v.__class__
+    if former is Nat:
+        if cls is VSucc:
+            return succ(SuccNf, v.k, reify(sig, depth, ty, v.base))
+        if cls is VZero:
+            return ZeroNf()
+        if cls is VNe:
             return reify_ne(sig, depth, v.ne)
-    raise AssertionError(f"not a type: {ty.body!r}")
+        raise AssertionError(f"not a Nat value: {v!r}")
+    if former is Pi:
+        fresh = var_value(Closure(env, body.dom), depth)
+        return LamNf(reify(sig, depth + 1, Closure(env + (fresh,), body.cod), apply(sig, v, fresh)))
+    if former is TyConst:
+        assert cls is VNe, f"not a neutral at a constant type: {v!r}"
+        return reify_ne(sig, depth, v.ne)
+    raise AssertionError(f"not a type: {body!r}")
 
 
 def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:

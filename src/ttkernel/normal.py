@@ -14,7 +14,7 @@ and renaming are each one walk.
 
 from __future__ import annotations
 
-from .rewrite import DEFAULT_FUEL, _eta_ty, _Fuel, _reduce_ty
+from .rewrite import DEFAULT_FUEL, _eta_ty, _Fuel, _reduce_ty, unfold
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -262,9 +262,10 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
 
 
 def _reduced(sig: Signature, ctx: Context, ty: Ty) -> Ty:
-    """``ty`` in the oracle's normal form: its term arguments beta/iota-reduced,
-    on a tank of its own (these are not oracle steps), then eta-expanded."""
-    return _eta_ty(sig, ctx.entries, _reduce_ty(sig, ty, _Fuel(DEFAULT_FUEL)))
+    """``ty`` in the oracle's normal form: its definitions unfolded, its term
+    arguments beta/iota-reduced, on a tank of its own (these are not oracle
+    steps), then eta-expanded."""
+    return _eta_ty(sig, ctx.entries, _reduce_ty(sig, unfold(sig, ty), _Fuel(DEFAULT_FUEL)))
 
 
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:

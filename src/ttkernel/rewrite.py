@@ -15,6 +15,13 @@ right. It contracts exactly the redexes that iterating the single-step
 rewriter ``step`` of ``tests/step_reference.py`` would, in the same order,
 so results and fuel counts are identical; the tests check this on
 generated and enumerated terms.
+
+Constant heads are unfolded before that, in a pass of their own that
+spends no fuel (``unfold``): a definition and the arguments it is applied
+to become its unfolded body with the arguments substituted in, as
+elaboration once inlined definitions, so the oracle reduces the same
+terms, with the same step counts, as it did then. A term constant given
+fewer arguments than it takes unfolds to its eta-expansion alike.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -36,6 +44,8 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
+    apps,
+    eta_constant,
     shift,
     subst1,
     subst_many,
@@ -55,9 +65,109 @@ class _Fuel:
             raise FuelExhausted("rewriting did not terminate within the fuel limit")
 
 
+def unfold(sig: Signature, t):
+    """``t``, a term or a type, with every constant head unfolded: ``d a_1
+    ... a_n`` becomes the unfolded body of ``d`` (a term constant's
+    eta-expansion), whose leading lambdas take the unfolded arguments, one
+    ``subst_many`` per run of lambdas; arguments left over stay applied.
+    Returns ``t`` itself when it has no ``Const``. The unfolded bodies are
+    kept in the signature's table."""
+    bodies = sig.table("rewrite")
+    if isinstance(t, Ty):
+        return _unfold_ty(sig, bodies, t)
+    return _unfold_tm(sig, bodies, t)
+
+
+def _unfold_tm(sig, bodies, t: Term) -> Term:
+    cls = t.__class__
+    if cls is Var or cls is Zero:
+        return t
+    if cls is App or cls is Const:
+        head, args = t, []
+        while head.__class__ is App:
+            args.append(head.arg)
+            head = head.fn
+        args.reverse()
+        new = [_unfold_tm(sig, bodies, a) for a in args]
+        if head.__class__ is Const:
+            return _contract(_unfolded_body(sig, bodies, head.name), new)
+        h = _unfold_tm(sig, bodies, head)
+        if h is head and all(a is b for a, b in zip(new, args)):
+            return t
+        return apps(h, new)
+    if cls is Lam:
+        b = _unfold_tm(sig, bodies, t.body)
+        return t if b is t.body else Lam(b)
+    if cls is Succ:
+        b = _unfold_tm(sig, bodies, t.base)
+        return t if b is t.base else succ(Succ, t.k, b)
+    if cls is TmConst:
+        args = _unfold_args(sig, bodies, t.args)
+        return t if args is t.args else TmConst(t.name, args)
+    match t:
+        case NatInd(scrut, motive, zcase, scase):
+            parts = (
+                _unfold_tm(sig, bodies, scrut),
+                _unfold_ty(sig, bodies, motive),
+                _unfold_tm(sig, bodies, zcase),
+                _unfold_tm(sig, bodies, scase),
+            )
+            if all(a is b for a, b in zip(parts, (scrut, motive, zcase, scase))):
+                return t
+            return NatInd(*parts)
+    raise AssertionError(f"not a term: {t!r}")
+
+
+def _unfold_ty(sig, bodies, ty: Ty) -> Ty:
+    match ty:
+        case Nat():
+            return ty
+        case Pi(dom, cod):
+            d2 = _unfold_ty(sig, bodies, dom)
+            c2 = _unfold_ty(sig, bodies, cod)
+            return ty if d2 is dom and c2 is cod else Pi(d2, c2)
+        case TyConst(name, args):
+            args2 = _unfold_args(sig, bodies, args)
+            return ty if args2 is args else TyConst(name, args2)
+    raise AssertionError(f"not a type: {ty!r}")
+
+
+def _unfold_args(sig, bodies, args):
+    new = tuple(_unfold_tm(sig, bodies, a) for a in args)
+    return args if all(a is b for a, b in zip(new, args)) else new
+
+
+def _unfolded_body(sig, bodies, name: str) -> Term:
+    """The body of the constant ``name`` with the definitions in it unfolded:
+    a term constant's eta-expansion, or a definition's body, filled like
+    NbE's values, in ``unfolding_order``."""
+    body = bodies.get(name)
+    if body is None:
+        decl = sig.find(PostulateTm, name)
+        if decl is not None:
+            bodies[name] = eta_constant(name, len(decl.params))
+        for d in sig.unfolding_order(name, bodies):
+            bodies[d.name] = _unfold_tm(sig, bodies, d.body)
+        body = bodies[name]
+    return body
+
+
+def _contract(body: Term, args: list) -> Term:
+    """``body`` applied to ``args``, each run of its leading lambdas taking
+    as many arguments as it can in one ``subst_many``."""
+    t = body
+    while args and t.__class__ is Lam:
+        k = 0
+        while k < len(args) and t.__class__ is Lam:
+            t, k = t.body, k + 1
+        t, args = subst_many(t, tuple(args[k - 1 :: -1])), args[k:]
+    return apps(t, args)
+
+
 def _reduce(sig, t: Term, fuel: _Fuel) -> Term:
-    """Normal form of ``t``: the redexes iterated ``step`` contracts, in its
-    order. Returns ``t`` itself when nothing inside it reduces."""
+    """Normal form of ``t``, which names no definition: the redexes iterated
+    ``step`` contracts, in its order. Returns ``t`` itself when nothing
+    inside it reduces."""
     match t:
         case Var(_) | Zero():
             return t
@@ -120,6 +230,7 @@ def _reduce_hnf(sig, t: Term, fuel: _Fuel) -> Term:
             if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
                 return t
             return NatInd(s2, m2, z2, c2)
+    assert t.__class__ is not Const, "unfold definitions before reducing"
     return _reduce(sig, t, fuel)
 
 
@@ -148,13 +259,14 @@ def _reduce_args(sig, args, fuel):
 
 
 def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normalize by rewriting: beta/iota to a reduced form, then eta-expand.
+    """Normalize by rewriting: unfold definitions, beta/iota to a reduced
+    form, then eta-expand.
 
     Raises FuelExhausted when more than ``fuel`` beta/iota steps are needed.
     Well-typed input terminates, but large arithmetic can need more steps
     than the default budget of 100,000.
     """
-    return _eta_tm(sig, ctx.entries, ty, _reduce(sig, t, _Fuel(fuel)))
+    return _eta_tm(sig, ctx.entries, ty, _reduce(sig, unfold(sig, t), _Fuel(fuel)))
 
 
 # Types never compute: no eliminator returns a type, so substitution and

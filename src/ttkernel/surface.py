@@ -36,6 +36,7 @@ from .signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
+    Const,
     Lam,
     Nat,
     NatInd,
@@ -48,11 +49,10 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
+    apps,
     node,
     numeral,
-    shift,
     split_pi,
-    subst_many,
     succ,
     uses_index,
 )
@@ -368,7 +368,7 @@ def parse_type(source: str):
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: names to de Bruijn, definitions expanded, constants applied
+# Elaboration: names to de Bruijn, term constants applied, definitions named
 
 
 def elaborate(decls, sig: Signature = Signature()) -> Signature:
@@ -418,9 +418,13 @@ def elab_ty(sig: Signature, names: tuple[str, ...], sty) -> Ty:
 
 
 def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
+    cls = stm.__class__  # spines and numerals, the frequent ones, by identity
+    if cls is SApp or cls is SVar:
+        head, sargs = _spine_of(stm)
+        return _elab_head(sig, names, head, [elab_tm(sig, names, a) for a in sargs])
+    if cls is SNum:
+        return numeral(stm.value)
     match stm:
-        case SNum(value, _):
-            return numeral(value)
         case SSucc(k, pred, _):
             return succ(Succ, k, elab_tm(sig, names, pred))
         case SLam(param, body, _):
@@ -432,10 +436,6 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
                 elab_tm(sig, names, zcase),
                 elab_tm(sig, names + (pvar, rvar), scase),
             )
-        case SVar(_, _) | SApp(_, _, _):
-            head, sargs = _spine_of(stm)
-            args = [elab_tm(sig, names, a) for a in sargs]
-            return _elab_head(sig, names, head, args)
     raise AssertionError(f"not a surface term: {stm!r}")
 
 
@@ -447,45 +447,19 @@ def _spine_of(stm):
     return stm, list(reversed(sargs))
 
 
-def _apps(t: Term, args) -> Term:
-    for a in args:
-        t = App(t, a)
-    return t
-
-
 def _elab_head(sig, names, head, args) -> Term:
     if not isinstance(head, SVar):
-        return _apps(elab_tm(sig, names, head), args)
+        return apps(elab_tm(sig, names, head), args)
     name, loc = head.name, head.loc
     for i in range(len(names)):
         if names[len(names) - 1 - i] == name:
-            return _apps(Var(i), args)
+            return apps(Var(i), args)
     match sig.find(Declaration, name):
-        case PostulateTm(_, params, _):
+        case PostulateTm(_, params, _) if len(args) >= len(params):
             k = len(params)
-            if len(args) >= k:
-                return _apps(TmConst(name, tuple(args[:k])), args[k:])
-            # under-applied constant: eta-expand so the kernel only ever
-            # sees fully applied constants
-            missing = k - len(args)
-            spine = tuple(shift(a, missing) for a in args) + tuple(
-                Var(missing - 1 - i) for i in range(missing)
-            )
-            t: Term = TmConst(name, spine)
-            for _ in range(missing):
-                t = Lam(t)
-            return t
-        case Define(_, _, body):
-            # bodies are closed and pre-expanded; contract the
-            # administrative redexes so the result stays inferable: one
-            # substitution per run of leading lambdas, as many as arguments
-            t = body
-            while args and t.__class__ is Lam:
-                k = 0
-                while k < len(args) and t.__class__ is Lam:
-                    t, k = t.body, k + 1
-                t, args = subst_many(t, tuple(args[k - 1 :: -1])), args[k:]
-            return _apps(t, args)
+            return apps(TmConst(name, tuple(args[:k])), args[k:])
+        case PostulateTm() | Define():  # a constant as a function
+            return apps(Const(name), args)
         case PostulateTy(_, _):
             raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
     raise UnknownName(f"unknown identifier '{name}'", *loc)
@@ -536,6 +510,8 @@ def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
                 return c
             parts = " ".join(print_tm(a, names, 2) for a in args)
             return _wrap(f"{c} {parts}", prec > 1)
+        case Const(c):
+            return c
     raise AssertionError(f"not a term: {t!r}")
 
 

@@ -181,6 +181,17 @@ class TmConst(Term):
     args: tuple[Term, ...] = ()
 
 
+@node
+class Const(Term):
+    """A constant as a function: a definition, or a term constant given fewer
+    arguments than it takes, by name. It is a closed head, applied with
+    ``App``; the checker gives it its type as declared (a term constant's as
+    the Pi over its parameters), NbE the value of its body (a term
+    constant's eta-expansion, ``eta_constant``) and the oracle unfolds it."""
+
+    name: str
+
+
 # The binders, declared once: how many each field of a class is under, in
 # field order; every other class binds nothing. Substitution below restates
 # them by hand, for speed, and the tests check that the two agree.
@@ -225,6 +236,29 @@ def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
     return tuple(params), ty
 
 
+def apps(t: Term, args) -> Term:
+    """``t`` applied to ``args``, one ``App`` each, the first innermost."""
+    for a in args:
+        t = App(t, a)
+    return t
+
+
+def pi_over(params: tuple[Ty, ...], result: Ty) -> Ty:
+    """The Pi type over ``params`` returning ``result``; ``split_pi`` undone."""
+    for p in reversed(params):
+        result = Pi(p, result)
+    return result
+
+
+def eta_constant(name: str, arity: int) -> Term:
+    """``\\x_1 ... x_n. name x_1 ... x_n``: the term constant ``name`` of
+    ``arity`` parameters as a function."""
+    t: Term = TmConst(name, tuple(Var(arity - 1 - i) for i in range(arity)))
+    for _ in range(arity):
+        t = Lam(t)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Variable traversals.  All index manipulation funnels through one walk,
 # written out by hand for speed, over the binders that ``BINDERS`` declares.
@@ -246,7 +280,7 @@ def _map_term(t: Term, depth: int, on_var) -> Term:
     if cls is Lam:
         b = _map_term(t.body, depth + 1, on_var)
         return t if b is t.body else Lam(b)
-    if cls is Zero:
+    if cls is Zero or cls is Const:
         return t
     if cls is Succ:
         new = _map_term(t.base, depth, on_var)
@@ -298,7 +332,7 @@ def _map(t, on_var):
 
 def shift(t, by: int, cutoff: int = 0):
     """Add ``by`` to every free index >= ``cutoff``."""
-    if by == 0:
+    if by == 0 or t.__class__ is Nat:  # Nat, the most frequent type, has no variable
         return t
 
     def on_var(v, d):
@@ -310,7 +344,7 @@ def shift(t, by: int, cutoff: int = 0):
 def subst_many(t, sigma: tuple[Term, ...]):
     """Simultaneously replace ``Var(j)`` by ``sigma[j]``; higher indices drop."""
     k = len(sigma)
-    if k == 0:
+    if k == 0 or t.__class__ is Nat:
         return t
 
     def on_var(v, d):
@@ -356,6 +390,31 @@ def uses_index(t, i: int) -> bool:
 
     _map(t, on_var)
     return found
+
+
+def const_names(t) -> list[str]:
+    """The names of the ``Const`` heads in a term or type, one per occurrence.
+    Written out over the grammar, for speed; the tests hold it to ``walk``."""
+    names, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is App:
+            stack.append(x.fn)
+            stack.append(x.arg)
+        elif cls is Const:
+            names.append(x.name)
+        elif cls is Lam:
+            stack.append(x.body)
+        elif cls is Succ:
+            stack.append(x.base)
+        elif cls is NatInd:
+            stack += (x.scrut, x.motive, x.zcase, x.scase)
+        elif cls is TmConst or cls is TyConst:
+            stack += x.args
+        elif cls is Pi:
+            stack += (x.dom, x.cod)
+    return names
 
 
 def node_count(t) -> int:

@@ -15,7 +15,8 @@ def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
 """
 
 # Postulates, a type family over A, a Nat-indexed family and definitions
-# (inlined, so their uses are redexes): the cross-validation signature.
+# (constants, which the oracle unfolds into redexes): the cross-validation
+# signature.
 CROSSVAL = r"""
 postulate A
 postulate B (x : A)

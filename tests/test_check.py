@@ -20,6 +20,7 @@ from ttkernel.rewrite import oracle_equal
 from ttkernel.surface import print_case
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -72,12 +73,29 @@ def test_check_ty_unknown(sig_empty, sig_walkthrough):
 
 
 def test_infer_names_no_term_constant(sig_walkthrough):
-    # a type constant, a definition (inlined by elaboration, never a core
-    # constant) and an unknown name, where a term constant belongs
+    # a type constant, a definition (a Const head, never a TmConst) and an
+    # unknown name, where a term constant belongs
     for name in ("A", "add", "nope"):
         with pytest.raises(UnknownConstant, match=f"^'{name}' is not a term constant$") as e:
             infer(sig_walkthrough, Context(), TmConst(name))
         assert (e.value.line, e.value.col) == (None, None)
+
+
+def test_infer_a_constant_as_a_function(sig_walkthrough):
+    # a definition has its declared type, a term constant the Pi type over
+    # its parameters, and an application of either one the instance
+    sig = sig_walkthrough
+    nnn = Pi(Nat(), Pi(Nat(), Nat()))
+    assert infer(sig, Context(), Const("mul")) == nnn
+    assert infer(sig, Context(), App(Const("add"), Zero())) == Pi(Nat(), Nat())
+    assert infer(sig, Context(), Const("f")) == Pi(A, TyConst("B", (Var(0),)))
+    assert infer(sig, Context((A,)), App(Const("f"), Var(0))) == TyConst("B", (Var(0),))
+    with pytest.raises(Mismatch):  # its arguments are checked against its parameters
+        infer(sig, Context(), App(Const("f"), Zero()))
+    # a type constant and an unknown name are neither
+    for name in ("A", "nope"):
+        with pytest.raises(UnknownConstant, match=f"^'{name}' is neither a definition nor a term constant$"):
+            infer(sig, Context(), Const(name))
 
 
 def test_infer_zero(sig_empty):

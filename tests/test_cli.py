@@ -241,6 +241,52 @@ def test_fuel_env_malformed(good, monkeypatch, capsys):
     assert capsys.readouterr().err == "error[bad_fuel]: TT_FUEL has 5,000 digits, more than 4,300\n"
 
 
+@pytest.mark.parametrize(
+    ("expr", "want"),
+    [
+        ("add", "\\x0. \\x1. ind(x0; x2. Nat; x1; x2 x3. succ x3)"),
+        ("add 1", "\\x0. succ x0"),
+        ("f", "\\x0. f x0"),
+    ],
+)
+def test_a_constant_given_too_few_arguments_infers(good, capsys, expr, want):
+    # a definition or a term constant as a function has the Pi type of its
+    # missing parameters, and the oracle agrees with its normal form
+    assert main(["normalize", good, "-e", expr, "--oracle"]) == 0
+    assert capsys.readouterr() == (want + "\n", "")
+    assert main(["normalize", good, "-e", expr, "--json"]) == 0
+    assert _json_of(capsys) == {"status": "ok", "output": want, "error": None}
+
+
+def test_an_ill_typed_argument_is_blamed_where_it_is(good, capsys):
+    # the argument f (\y. y) is checked against add's parameter type, not
+    # inside add's body: the lambda given for f's parameter A is the fault
+    argv = ["normalize", good, "-e", "add zero (f (\\y. y))"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error[mismatch]: function literal checked against A\n")
+    assert main(argv + ["--json"]) == 1
+    error = {"code": "mismatch", "line": None, "col": None}
+    assert _json_of(capsys) == {"status": "type-error", "output": None, "error": error}
+
+
+# 20,000 definitions, each the successor of the one before: checking
+# them is linear, and neither engine recurses once per definition
+LONG_CHAIN = "def c0 : Nat := zero\n" + "".join(f"def c{k} : Nat := succ c{k - 1}\n" for k in range(1, 20000))
+LONG_CHAIN_RUNS = {
+    "check": (["check"], "ok: 20000 declaration(s)"),
+    "normalize": (["normalize", "-e", "c19999"], "19999"),
+    "normalize --oracle": (["normalize", "-e", "c19999", "--oracle"], "19999"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_CHAIN_RUNS)
+def test_a_long_chain_of_definitions(tmp_path, capsys, case):
+    (command, *rest), want = LONG_CHAIN_RUNS[case]
+    (tmp_path / "long.tt").write_text(LONG_CHAIN)
+    assert main([command, str(tmp_path / "long.tt"), *rest]) == 0
+    assert capsys.readouterr() == (want + "\n", "")
+
+
 def test_normalize_infers_beta_redex(good, capsys):
     assert main(["normalize", good, "-e", "(\\x. x) zero"]) == 0
     assert capsys.readouterr().out.strip() == "zero"

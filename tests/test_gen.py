@@ -64,6 +64,18 @@ def test_gen_stuck_at_uninhabited_constant(sig_abf):
         gen_term(sig_abf, Context(), TyConst("A"), 5, seed=0)
 
 
+def test_constant_heads_are_indexed_once_per_signature(sig_crossval):
+    # term constants by their result's former, type constants, each in
+    # declaration order; definitions are no generator heads
+    index = sig_crossval.derived(gen._constants)
+    by_former, ty_consts = index
+    assert {k: [d.name for d, _, _ in v] for k, v in by_former.items()} == {"B": ["f"], "C": ["c0", "h"]}
+    assert [d.name for d in ty_consts] == ["A", "B", "C"]
+    assert sig_crossval.derived(gen._constants) is index
+    longer = sig_crossval.extend(PostulateTm("n", (), Nat()))
+    assert [d.name for d, _, _ in longer.derived(gen._constants)[0][Nat]] == ["n"]
+
+
 def test_gen_deterministic_per_seed(sig_abf):
     ctx = Context((Nat(), TyConst("A")))
     for seed in range(20):

@@ -51,9 +51,10 @@ from ttkernel.normal import (
     rename_nf,
 )
 from ttkernel.rewrite import rw_normalize
-from ttkernel.surface import elab_tm, elab_ty, parse_expression, parse_type, print_nf, print_tm
+from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type, print_nf, print_tm
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -274,8 +275,8 @@ def test_dependent_eliminator_with_indexed_motive(sig_dep):
 
 
 def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeypatch):
-    # v : (n : Nat) -> C (add n n); the inlined add is an eliminator that
-    # waits in v 3's type until readback, which does not read it at C
+    # v : (n : Nat) -> C (add n n); add's application waits in v 3's type
+    # until readback, which does not read it at C
     sig = sig_crossval
     ctx = Context((elab_ty(sig, (), parse_type("(n : Nat) -> C (add n n)")),))
     t = App(Var(0), numeral(3))
@@ -288,6 +289,62 @@ def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeyp
     monkeypatch.undo()
     ty = infer(sig, ctx, t)
     assert normalize_tm(sig, ctx, ty, t) == AppNe(VarNe(0), SuccNf(3, ZeroNf()))
+
+
+# -- definitions as constants
+
+CHAIN_3 = "def d0 : Nat -> Nat := \\n. succ n\n" + "".join(
+    f"def d{j} : Nat -> Nat := \\n. d{j - 1} (d{j - 1} n)\n" for j in range(1, 4)
+)
+ARITH = r"""
+def add : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; n; p r. succ r)
+def mul : Nat -> Nat -> Nat := \m. \n. ind(m; _. Nat; zero; p r. add n r)
+def exp : Nat -> Nat -> Nat := \b. \e. ind(e; _. Nat; 1; p r. mul b r)
+"""
+
+
+def test_a_definition_evaluates_to_the_value_of_its_normal_form():
+    # d3's body applies d2 twice, but its entry is \n. succ^8 n: applying it
+    # evaluates one successor chain, however many definitions d3 names
+    sig = elaborate(parse(CHAIN_3))
+    assert sig.table("nbe") == {}  # checking the file evaluated no body
+    t = elab_tm(sig, (), parse_expression("d3 1"))
+    assert normalize_tm(sig, Context(), Nat(), t) == SuccNf(9, ZeroNf())
+    values = sig.table("nbe")
+    assert list(values) == ["d0", "d1", "d2", "d3"]  # filled in declaration order
+    assert values["d3"] == VLam(Closure((), Succ(8, Var(0))))
+
+
+def test_only_the_definitions_a_use_needs_are_evaluated():
+    sig = elaborate(parse(ARITH))
+    eval_tm(sig, (), elab_tm(sig, (), parse_expression("mul 2 3")))
+    assert set(sig.table("nbe")) == {"add", "mul"}
+
+
+def test_a_term_constant_as_a_function_evaluates_to_its_eta_expansion(sig_abf):
+    assert eval_tm(sig_abf, (), Const("f")) == VLam(Closure((), TmConst("f", (Var(0),))))
+    ctx = Context((A,))
+    got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), App(Const("f"), Var(0)))
+    assert got == TmConstNe("f", (VarNe(0),))
+
+
+def test_filling_a_long_chain_of_definitions_takes_no_frame_per_definition():
+    # 2,000 definitions, each the successor of the one before, evaluated
+    # under a recursion limit of a few hundred frames
+    source = "def c0 : Nat := zero\n" + "".join(f"def c{k} : Nat := succ c{k - 1}\n" for k in range(1, 2000))
+    sig = elaborate(parse(source))
+    t = elab_tm(sig, (), parse_expression("c1999"))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = normalize_tm(sig, Context(), Nat(), t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == SuccNf(1999, ZeroNf())
 
 
 # -- the computation rules of the normalization structure, one test each

@@ -15,7 +15,7 @@ from ttkernel.errors import FuelExhausted
 from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, gen_term, gen_type
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import erase, is_normal
-from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize
+from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize, unfold
 from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type
 from ttkernel.syntax import (
     App,
@@ -242,7 +242,8 @@ def test_reduce_is_iterated_step_on_enumerated_terms(sig_crossval):
     ],
 )
 def test_reduce_is_iterated_step_on_arithmetic(sig_arith, text):
-    assert_reduce_is_iterated_step(sig_arith, elab_tm(sig_arith, ("g",), parse_expression(text)))
+    t = elab_tm(sig_arith, ("g",), parse_expression(text))
+    assert_reduce_is_iterated_step(sig_arith, unfold(sig_arith, t))
 
 
 @pytest.fixture()
@@ -313,7 +314,7 @@ def test_eta_pass_returns_eta_long_terms_as_they_are():
 def test_reduce_stack_follows_nesting_not_steps(sig_arith):
     # 900 successors come out of 1,000+ contractions, each iota step heading
     # a new successor; recursing into those heads needs a frame per successor
-    t = elab_tm(sig_arith, (), parse_expression("mul 30 30"))
+    t = unfold(sig_arith, elab_tm(sig_arith, (), parse_expression("mul 30 30")))
     depth = 0
     frame = sys._getframe()
     while frame is not None:

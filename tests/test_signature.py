@@ -1,11 +1,15 @@
-"""Signatures: declaration checking, lookup, definition expansion."""
+"""Signatures: declaration checking, lookup, extension, definitions as constants."""
 
 import pytest
 
 from ttkernel.check import declare, validate
 from ttkernel.errors import CheckError, DuplicateName
+from ttkernel.nbe import normalize_tm
+from ttkernel.normal import erase
+from ttkernel.rewrite import rw_normalize
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
-from ttkernel.syntax import Lam, Nat, TyConst, Var, Zero, numeral
+from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
+from ttkernel.syntax import Const, Context, Lam, Nat, TmConst, TyConst, Var, Zero, numeral, walk
 
 
 def test_declare_free_model_constants():
@@ -64,30 +68,57 @@ def test_validate_rechecks_from_scratch(sig_walkthrough):
 
 
 def test_dropping_definitions_leaves_valid_signature(sig_walkthrough):
-    # definition bodies are pre-expanded, so postulates never mention them
+    # the postulates here mention no definition
     pruned = Signature(
         tuple(d for d in sig_walkthrough.decls if not isinstance(d, Define))
     )
     validate(pruned)
 
 
-def test_definition_bodies_are_definition_free(sig_walkthrough):
-    from ttkernel.syntax import TmConst
-
-    def const_names(t, acc):
-        if isinstance(t, TmConst):
-            acc.add(t.name)
-        for f in getattr(t, "__dataclass_fields__", ()):
-            v = getattr(t, f)
-            if isinstance(v, tuple):
-                for x in v:
-                    const_names(x, acc)
-            elif hasattr(v, "__dataclass_fields__"):
-                const_names(v, acc)
-        return acc
-
+def test_definition_bodies_name_only_earlier_constants(sig_walkthrough):
+    # a body names a definition as a Const head, and only one declared before it
+    earlier = set()
     for d in sig_walkthrough.decls:
         if isinstance(d, Define):
-            used = const_names(d.body, set())
-            for name in used:
-                assert sig_walkthrough.find(PostulateTm, name) is not None
+            for x in walk(d.body):
+                if isinstance(x, TmConst):
+                    assert sig_walkthrough.find(PostulateTm, x.name) is not None
+                if isinstance(x, Const):
+                    assert x.name in earlier
+        earlier.add(d.name)
+    mul = sig_walkthrough.find(Define, "mul").body
+    assert [x.name for x in walk(mul) if isinstance(x, Const)] == ["add"]
+
+
+def test_extending_the_longest_signature_appends_in_place():
+    # so extending costs the same at any length: no declaration is copied
+    sig = Signature()
+    for i in range(50):
+        longer = sig.extend(PostulateTy(f"T{i}"))
+        assert i == 0 or longer._decls is sig._decls
+        assert sig.find(PostulateTy, f"T{i}") is None and longer.find(PostulateTy, f"T{i}") is not None
+        sig = longer
+    assert [d.name for d in sig.decls] == [f"T{i}" for i in range(50)]
+
+
+def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
+    parent = elaborate(parse("def one : Nat := 1\n"))
+    left = elaborate(parse("def x : Nat := succ one\ndef y : Nat := succ x\n"), parent)
+    right = elaborate(parse("def x : Nat := succ (succ one)\ndef y : Nat := succ (succ x)\n"), parent)
+    assert parent.find(Declaration, "x") is None and [d.name for d in parent.decls] == ["one"]
+    assert left.find(Define, "x") != right.find(Define, "x")
+    # each child's values, NbE's and the oracle's, in turn: none leaks into the other
+    for sig, values in ((left, (2, 3)), (right, (3, 5)), (left, (2, 3))):
+        for name, want in zip(("x", "y"), values):
+            t = elab_tm(sig, (), parse_expression(name))
+            assert erase(normalize_tm(sig, Context(), Nat(), t)) == numeral(want)
+            assert rw_normalize(sig, Context(), Nat(), t) == numeral(want)
+    assert left.table("nbe")["y"] != right.table("nbe")["y"]
+    # a child declaring another name sees neither sibling's declaration
+    other = elaborate(parse("def z : Nat := 7\n"), parent)
+    assert [d.name for d in other.decls] == ["one", "z"] and other.find(Define, "x") is None
+    assert rw_normalize(other, Context(), Nat(), Const("z")) == numeral(7)
+    # a third child, extended after both were used, starts from the entries the parent sees
+    third = elaborate(parse("def x : Nat := zero\n"), parent)
+    assert rw_normalize(third, Context(), Nat(), Const("x")) == Zero()
+    assert set(third.table("rewrite")) == {"one", "x"} and set(third.table("nbe")) == {"one"}

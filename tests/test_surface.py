@@ -1,15 +1,18 @@
 """Parser, elaborator, printer."""
 
+import functools
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import inline_reference
 import parser_reference
 from ttkernel.errors import ArityMismatch, KernelError, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
+from ttkernel.rewrite import unfold
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
     SNum,
@@ -30,6 +33,7 @@ from ttkernel.surface import (
 )
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -152,8 +156,10 @@ def test_elaborate_shadowing():
 
 
 def test_under_applied_constant_eta_expands(sig_abf):
+    # a constant as a function is a head, which unfolds to its eta-expansion
     t = elab_tm(sig_abf, (), parse_expression("f"))
-    assert t == Lam(TmConst("f", (Var(0),)))
+    assert t == Const("f")
+    assert unfold(sig_abf, t) == Lam(TmConst("f", (Var(0),)))
 
 
 def test_definition_expansion_is_transparent(sig_walkthrough):
@@ -430,10 +436,11 @@ def k : Nat -> (Nat -> Nat) -> Nat -> Nat := \a. \f. f
 
 
 def _inline_sequential(sig, names, source):
-    """A definition applied to its arguments, one ``subst1`` per argument."""
+    """A definition's unfolded body applied to its unfolded arguments, one
+    ``subst1`` per argument."""
     head, sargs = _spine_of(parse_expression(source))
-    t = sig.find(Define, head.name).body
-    for a in (elab_tm(sig, names, a) for a in sargs):
+    t = unfold(sig, sig.find(Define, head.name).body)
+    for a in (unfold(sig, elab_tm(sig, names, a)) for a in sargs):
         t = subst1(t.body, a) if isinstance(t, Lam) else App(t, a)
     return t
 
@@ -451,13 +458,89 @@ def _inline_sequential(sig, names, source):
     ],
 )
 def test_definition_inlining_matches_the_sequential_rule(names, source, expected):
+    # the oracle unfolds a definition applied to arguments by the rule
+    # elaboration used to inline it with
     sig = elaborate(parse(INLINED))
-    t = elab_tm(sig, names, parse_expression(source))
+    t = unfold(sig, elab_tm(sig, names, parse_expression(source)))
     assert t == _inline_sequential(sig, names, source)
     assert expected is None or t == expected
     if names:  # and under the binder written out
         (z,) = names
-        assert elab_tm(sig, (), parse_expression(f"\\{z}. {source}")) == Lam(t)
+        assert unfold(sig, elab_tm(sig, (), parse_expression(f"\\{z}. {source}"))) == Lam(t)
+
+
+# The differential test of the oracle's unfolding against the inlining
+# elaborator of tests/inline_reference.py: the declarations of each source,
+# then random expressions over its names, well typed or not.
+UNFOLDED = {"arith": ARITH_SOURCE, "crossval": CROSSVAL_SOURCE, "inlined": INLINED, "chain 8": CHAIN_8}
+
+
+def _unfold_decl(sig, d):
+    match d:
+        case Define(name, ty, body):
+            return Define(name, unfold(sig, ty), unfold(sig, body))
+        case PostulateTm(name, params, result):
+            return PostulateTm(name, tuple(unfold(sig, p) for p in params), unfold(sig, result))
+    return PostulateTy(d.name, tuple(unfold(sig, p) for p in d.params))
+
+
+@pytest.mark.parametrize("name", UNFOLDED)
+def test_unfolded_declarations_are_the_inlined_ones(name):
+    decls = parse(UNFOLDED[name])
+    sig, inlined = elaborate(decls), inline_reference.elaborate(decls)
+    assert tuple(_unfold_decl(sig, d) for d in sig.decls) == inlined.decls
+
+
+@functools.cache
+def _terms(names: tuple, bound: tuple, depth: int):
+    """Surface terms over ``names`` and the variables ``bound``."""
+    atom = st.one_of(st.sampled_from(names + bound), st.integers(0, 3).map(str))
+    if depth == 0:
+        return atom
+    sub = _terms(names, bound, depth - 1)
+    under = lambda *more: _terms(names, bound + more, depth - 1)  # noqa: E731
+    motive = st.one_of(
+        st.sampled_from(["Nat", "Nat -> Nat"]),
+        under("m").map(lambda t: f"C ({t})" if "C" in names else "Nat"),
+    )
+    return st.one_of(
+        atom,
+        st.lists(sub, min_size=2, max_size=4).map(lambda ts: " ".join(f"({t})" for t in ts)),
+        st.tuples(sub, sub).map(lambda p: f"({p[0]} {p[1]})"),  # a head with its own arguments
+        under("x").map(lambda t: f"\\x. {t}"),
+        st.tuples(sub, motive, sub, under("p", "r")).map(lambda p: "ind({}; m. {}; {}; p r. {})".format(*p)),
+    )
+
+
+@st.composite
+def _unfolding_cases(draw):
+    source = draw(st.sampled_from(["arith", "crossval", "inlined"]))
+    names = tuple(d.name for d in parse(UNFOLDED[source]))
+    return source, draw(_terms(names, ("v", "w"), 3))
+
+
+def _elaborated(elab, sig, text):
+    try:
+        return elab(sig, ("v", "w"), parse_expression(text))
+    except KernelError as e:
+        return type(e), str(e), e.line, e.col
+
+
+_SIGS = {name: (elaborate(parse(src)), inline_reference.elaborate(parse(src))) for name, src in UNFOLDED.items()}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_unfolding_cases())
+@example(("arith", "(mul 2) ((add) v)"))
+@example(("crossval", "ind(twice v; m. C (twice m); c0; p r. h (add (succ p) 1))"))
+@example(("inlined", "k v (add w) (app (id2 (add 1)) two)"))
+def test_unfolding_matches_the_inlining_elaborator(case):
+    # a term naming definitions, unfolded, is what inlining elaborated;
+    # with the same error where elaboration fails
+    source, text = case
+    sig, inlined = _SIGS[source]
+    got = _elaborated(lambda *a: unfold(sig, elab_tm(*a)), sig, text)
+    assert got == _elaborated(inline_reference.elab_tm, inlined, text)
 
 
 @pytest.mark.parametrize(

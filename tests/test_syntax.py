@@ -13,8 +13,10 @@ from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, SuccNf, VarNe, ZeroNf
 from ttkernel.signature import Signature
+from ttkernel.surface import elab_tm, elab_ty, parse_expression, parse_type
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -28,6 +30,7 @@ from ttkernel.syntax import (
     Var,
     Zero,
     alpha_eq,
+    const_names,
     inst_params,
     motive_succ_case,
     node_count,
@@ -39,6 +42,7 @@ from ttkernel.syntax import (
     subst_many,
     succ,
     uses_index,
+    walk,
 )
 
 import subst_reference
@@ -372,6 +376,23 @@ def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
         assert copy is not t and copy == t and hash(copy) == hash(t)
 
 
+def test_const_names_are_the_walks(sig_crossval):
+    # the hand-written collector finds the Const heads the generic walk
+    # does, in terms, in types and in the motives and arguments inside them
+    sig, names = sig_crossval, ("v",)
+    trees = [elab_tm(sig, names, parse_expression(text)) for text in (
+        "ind(twice v; m. C (twice m); c0; p r. h (add (succ p) 1))",
+        "(\\x. add x (twice x)) (f v)",
+        "add",
+    )]
+    trees += [elab_ty(sig, names, parse_type("C (add 1 v) -> (n : Nat) -> C (twice n)"))]
+    trees += [d.body for d in sig.decls if hasattr(d, "body")]
+    trees += [t for _, _, t in gen_cases(sig, 0, 50, 9)]
+    assert sum(len(const_names(t)) for t in trees) >= 8
+    for t in trees:
+        assert sorted(const_names(t)) == sorted(x.name for x in walk(t) if isinstance(x, Const))
+
+
 NODE_MODULES = (syntax, normal, domain, signature, surface)
 ABSTRACT_NODES = {
     Node,
@@ -394,7 +415,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c is not surface._Parser
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 47
+    assert len(concrete) == 48
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
