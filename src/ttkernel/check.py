@@ -31,7 +31,6 @@ from .syntax import (
     Zero,
     inst_params,
     motive_succ_case,
-    pi_over,
     subst1,
 )
 
@@ -84,12 +83,10 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             raise UnboundVariable(f"unbound variable {i}")
         return ctx.var_type(i)
     if cls is Const:
-        decl = sig.find(Declaration, t.name)
-        if decl.__class__ is Define:
-            return decl.declared_type
-        if decl.__class__ is PostulateTm:
-            return pi_over(decl.params, decl.result)
-        raise UnknownConstant(f"'{t.name}' is neither a definition nor a term constant")
+        fn = sig.function(t.name)
+        if fn is None:
+            raise UnknownConstant(f"'{t.name}' is neither a definition nor a term constant")
+        return fn[0]
     if cls is Succ:
         check(sig, ctx, t.base, Nat())
         return Nat()

@@ -15,9 +15,10 @@ Any command exits 4 (code resource_exhausted) on input too deep or too
 large for the recursion limit, memory or int() (a numeral of more than
 4,300 digits), and 2 (code usage_error) on a command line it cannot
 parse; it accepts --json and emits {status, output, error{code, line,
-col}}. The oracle's budget is 100,000 beta/iota steps; large
-arithmetic can exhaust it (code fuel_exhausted, exit 1), and the
-environment variable TT_FUEL raises it.
+col}}. A reader that closes stdout's pipe early ends it quietly, with exit
+141 (what a shell reports for a process SIGPIPE ended). The oracle's
+budget is 100,000 beta/iota steps; large arithmetic can exhaust it (code
+fuel_exhausted, exit 1), and the environment variable TT_FUEL raises it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .surface import (
     print_tm,
 )
 from .syntax import Context, alpha_eq
+
+CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _fuel() -> int:
@@ -166,6 +169,20 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # no report can reach a reader that is gone; what is left goes to
+        # devnull, so the flush at exit is quiet too (Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE
+
+
+def _run(argv) -> int:
     parser = _Parser(prog="tt", description="tiny type theory kernel")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -198,13 +215,14 @@ def main(argv=None) -> int:
         "equal": _cmd_equal,
         "fuzz": _cmd_fuzz,
     }
-    argv = sys.argv[1:] if argv is None else argv
     args = argparse.Namespace(json="--json" in argv)  # until parsed: to report a usage error
     try:
         args = parser.parse_args(argv)
         return commands[args.command](args)
     except KernelError as e:
         err = e
+    except BrokenPipeError:
+        raise  # reporting it would fail alike: main's to handle
     except OSError as e:
         err = KernelError(str(e))
     except RecursionError:

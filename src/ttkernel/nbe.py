@@ -4,8 +4,9 @@ Evaluation sends well-typed syntax into the semantic domain, computing
 the beta rules of application and the Nat eliminator on the way; reify
 reads values back as eta-long normal forms, minting fresh variables as
 de Bruijn levels from the current depth. ``normalize_tm`` composes the
-two over the identity environment of a context. A definition evaluates
-to its entry in the signature's table of values, filled on first use.
+two over the identity environment of a context. A constant used as a
+function evaluates to its signature entry, the value of its body's
+normal form, filled on first use.
 Types never compute, so a semantic type is the syntactic type in a
 closure over its environment: reify dispatches on its former, and only
 ``nfty`` evaluates a type's parts, the arguments of a type constant,
@@ -60,7 +61,6 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    eta_constant,
     succ,
 )
 
@@ -85,8 +85,7 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
     if cls is Succ:
         return succ(VSucc, t.k, eval_tm(sig, env, t.base))
     if cls is Const:
-        value = sig.table("nbe").get(t.name)
-        return _constant_value(sig, t.name) if value is None else value
+        return sig.entry("nbe", t.name, _constant_value)
     match t:
         case Zero():
             return VZero()
@@ -100,21 +99,11 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
     raise AssertionError(f"not a term: {t!r}")
 
 
-def _constant_value(sig, name: str) -> Value:
-    """The value of the constant ``name`` as a function, kept in the
-    signature's table from its first use on. A term constant's is that of
-    its eta-expansion. A definition's is that of its body's normal form, so
-    that an application evaluates the unfolded body once, whatever the
-    definitions the body names; entries are filled in ``unfolding_order``,
-    so filling one never recurses into another."""
-    values = sig.table("nbe")
-    decl = sig.find(PostulateTm, name)
-    if decl is not None:
-        values[name] = eval_tm(sig, (), eta_constant(name, len(decl.params)))
-    for d in sig.unfolding_order(name, values):
-        nf = reify(sig, 0, Closure((), d.declared_type), eval_tm(sig, (), d.body))
-        values[d.name] = eval_tm(sig, (), erase(nf))
-    return values[name]
+def _constant_value(sig, ty: Ty, body: Term) -> Value:
+    """A constant's entry: the value of its body's normal form, so that an
+    application evaluates the unfolded body once, whatever the definitions
+    the body names."""
+    return eval_tm(sig, (), erase(reify(sig, 0, Closure((), ty), eval_tm(sig, (), body))))
 
 
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:

@@ -131,7 +131,10 @@ def erase(n):
         return tuple(map(erase, n))
     if not isinstance(n, Node):  # a name, an index or a successor count
         return n
-    return _ERASES_TO[cls](*[erase(getattr(n, f)) for f in cls.__match_args__])
+    parts = []  # a loop, not a comprehension: one frame per level
+    for f in cls.__match_args__:
+        parts.append(erase(getattr(n, f)))
+    return _ERASES_TO[cls](*parts)
 
 
 def rename_nf(r: Renaming, n):
@@ -265,7 +268,7 @@ def _reduced(sig: Signature, ctx: Context, ty: Ty) -> Ty:
     """``ty`` in the oracle's normal form: its definitions unfolded, its term
     arguments beta/iota-reduced, on a tank of its own (these are not oracle
     steps), then eta-expanded."""
-    return _eta_ty(sig, ctx.entries, _reduce_ty(sig, unfold(sig, ty), _Fuel(DEFAULT_FUEL)))
+    return _eta_ty(sig, ctx.entries, _reduce_ty(unfold(sig, ty), _Fuel(DEFAULT_FUEL)))
 
 
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:

@@ -21,7 +21,9 @@ spends no fuel (``unfold``): a definition and the arguments it is applied
 to become its unfolded body with the arguments substituted in, as
 elaboration once inlined definitions, so the oracle reduces the same
 terms, with the same step counts, as it did then. A term constant given
-fewer arguments than it takes unfolds to its eta-expansion alike.
+fewer arguments than it takes unfolds to its eta-expansion alike. The
+unfolded bodies are signature entries; the reducer, which sees no
+constant, takes no signature.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .syntax import (
     Zero,
     alpha_eq,
     apps,
-    eta_constant,
     shift,
     subst1,
     subst_many,
@@ -71,14 +72,11 @@ def unfold(sig: Signature, t):
     eta-expansion), whose leading lambdas take the unfolded arguments, one
     ``subst_many`` per run of lambdas; arguments left over stay applied.
     Returns ``t`` itself when it has no ``Const``. The unfolded bodies are
-    kept in the signature's table."""
-    bodies = sig.table("rewrite")
-    if isinstance(t, Ty):
-        return _unfold_ty(sig, bodies, t)
-    return _unfold_tm(sig, bodies, t)
+    the signature's entries."""
+    return _unfold_ty(sig, t) if isinstance(t, Ty) else _unfold_tm(sig, t)
 
 
-def _unfold_tm(sig, bodies, t: Term) -> Term:
+def _unfold_tm(sig, t: Term) -> Term:
     cls = t.__class__
     if cls is Var or cls is Zero:
         return t
@@ -88,29 +86,29 @@ def _unfold_tm(sig, bodies, t: Term) -> Term:
             args.append(head.arg)
             head = head.fn
         args.reverse()
-        new = [_unfold_tm(sig, bodies, a) for a in args]
+        new = [_unfold_tm(sig, a) for a in args]
         if head.__class__ is Const:
-            return _contract(_unfolded_body(sig, bodies, head.name), new)
-        h = _unfold_tm(sig, bodies, head)
+            return _contract(sig.entry("rewrite", head.name, _unfolded_body), new)
+        h = _unfold_tm(sig, head)
         if h is head and all(a is b for a, b in zip(new, args)):
             return t
         return apps(h, new)
     if cls is Lam:
-        b = _unfold_tm(sig, bodies, t.body)
+        b = _unfold_tm(sig, t.body)
         return t if b is t.body else Lam(b)
     if cls is Succ:
-        b = _unfold_tm(sig, bodies, t.base)
+        b = _unfold_tm(sig, t.base)
         return t if b is t.base else succ(Succ, t.k, b)
     if cls is TmConst:
-        args = _unfold_args(sig, bodies, t.args)
+        args = _unfold_args(sig, t.args)
         return t if args is t.args else TmConst(t.name, args)
     match t:
         case NatInd(scrut, motive, zcase, scase):
             parts = (
-                _unfold_tm(sig, bodies, scrut),
-                _unfold_ty(sig, bodies, motive),
-                _unfold_tm(sig, bodies, zcase),
-                _unfold_tm(sig, bodies, scase),
+                _unfold_tm(sig, scrut),
+                _unfold_ty(sig, motive),
+                _unfold_tm(sig, zcase),
+                _unfold_tm(sig, scase),
             )
             if all(a is b for a, b in zip(parts, (scrut, motive, zcase, scase))):
                 return t
@@ -118,38 +116,28 @@ def _unfold_tm(sig, bodies, t: Term) -> Term:
     raise AssertionError(f"not a term: {t!r}")
 
 
-def _unfold_ty(sig, bodies, ty: Ty) -> Ty:
+def _unfold_ty(sig, ty: Ty) -> Ty:
     match ty:
         case Nat():
             return ty
         case Pi(dom, cod):
-            d2 = _unfold_ty(sig, bodies, dom)
-            c2 = _unfold_ty(sig, bodies, cod)
+            d2 = _unfold_ty(sig, dom)
+            c2 = _unfold_ty(sig, cod)
             return ty if d2 is dom and c2 is cod else Pi(d2, c2)
         case TyConst(name, args):
-            args2 = _unfold_args(sig, bodies, args)
+            args2 = _unfold_args(sig, args)
             return ty if args2 is args else TyConst(name, args2)
     raise AssertionError(f"not a type: {ty!r}")
 
 
-def _unfold_args(sig, bodies, args):
-    new = tuple(_unfold_tm(sig, bodies, a) for a in args)
+def _unfold_args(sig, args):
+    new = tuple(_unfold_tm(sig, a) for a in args)
     return args if all(a is b for a, b in zip(new, args)) else new
 
 
-def _unfolded_body(sig, bodies, name: str) -> Term:
-    """The body of the constant ``name`` with the definitions in it unfolded:
-    a term constant's eta-expansion, or a definition's body, filled like
-    NbE's values, in ``unfolding_order``."""
-    body = bodies.get(name)
-    if body is None:
-        decl = sig.find(PostulateTm, name)
-        if decl is not None:
-            bodies[name] = eta_constant(name, len(decl.params))
-        for d in sig.unfolding_order(name, bodies):
-            bodies[d.name] = _unfold_tm(sig, bodies, d.body)
-        body = bodies[name]
-    return body
+def _unfolded_body(sig, ty: Ty, body: Term) -> Term:
+    """A constant's entry: its body with the definitions in it unfolded."""
+    return _unfold_tm(sig, body)
 
 
 def _contract(body: Term, args: list) -> Term:
@@ -164,7 +152,7 @@ def _contract(body: Term, args: list) -> Term:
     return apps(t, args)
 
 
-def _reduce(sig, t: Term, fuel: _Fuel) -> Term:
+def _reduce(t: Term, fuel: _Fuel) -> Term:
     """Normal form of ``t``, which names no definition: the redexes iterated
     ``step`` contracts, in its order. Returns ``t`` itself when nothing
     inside it reduces."""
@@ -172,34 +160,34 @@ def _reduce(sig, t: Term, fuel: _Fuel) -> Term:
         case Var(_) | Zero():
             return t
         case Lam(body):
-            b = _reduce(sig, body, fuel)
+            b = _reduce(body, fuel)
             return t if b is body else Lam(b)
         case TmConst(name, args):
-            args2 = _reduce_args(sig, args, fuel)
+            args2 = _reduce_args(args, fuel)
             return t if args2 is args else TmConst(name, args2)
     # a base can head-reduce to a new successor (``succ (ind(...))`` does once
     # per iota step), so successor heads are summed in a loop, not recursed into
     k, h = 0, t
-    while (h := _head(sig, h, fuel)).__class__ is Succ:
+    while (h := _head(h, fuel)).__class__ is Succ:
         k, h = k + h.k, h.base
-    nf = _reduce_hnf(sig, h, fuel)
+    nf = _reduce_hnf(h, fuel)
     return t if t.__class__ is Succ and nf is t.base else succ(Succ, k, nf)
 
 
-def _head(sig, t: Term, fuel: _Fuel) -> Term:
+def _head(t: Term, fuel: _Fuel) -> Term:
     """Contract head redexes until ``t`` is a lambda, zero, a successor or
     an application or eliminator that is stuck; ``t`` itself when none
     fires. The function position and the scrutinee reduce first."""
     while True:
         match t:
             case App(f, a):
-                f2 = _head(sig, f, fuel)
+                f2 = _head(f, fuel)
                 if not isinstance(f2, Lam):
                     return t if f2 is f else App(f2, a)
                 fuel.spend()
                 t = subst1(f2.body, a)
             case NatInd(scrut, motive, zcase, scase):
-                s2 = _head(sig, scrut, fuel)
+                s2 = _head(scrut, fuel)
                 match s2:
                     case Zero():
                         fuel.spend()
@@ -214,45 +202,45 @@ def _head(sig, t: Term, fuel: _Fuel) -> Term:
                 return t
 
 
-def _reduce_hnf(sig, t: Term, fuel: _Fuel) -> Term:
+def _reduce_hnf(t: Term, fuel: _Fuel) -> Term:
     """``_reduce`` for a term ``_head`` returned: a stuck application or
     eliminator never becomes a redex, so its parts reduce in step's order."""
     match t:
         case App(f, a):
-            f2 = _reduce_hnf(sig, f, fuel)
-            a2 = _reduce(sig, a, fuel)
+            f2 = _reduce_hnf(f, fuel)
+            a2 = _reduce(a, fuel)
             return t if f2 is f and a2 is a else App(f2, a2)
         case NatInd(scrut, motive, zcase, scase):
-            s2 = _reduce_hnf(sig, scrut, fuel)
-            m2 = _reduce_ty(sig, motive, fuel)
-            z2 = _reduce(sig, zcase, fuel)
-            c2 = _reduce(sig, scase, fuel)
+            s2 = _reduce_hnf(scrut, fuel)
+            m2 = _reduce_ty(motive, fuel)
+            z2 = _reduce(zcase, fuel)
+            c2 = _reduce(scase, fuel)
             if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
                 return t
             return NatInd(s2, m2, z2, c2)
     assert t.__class__ is not Const, "unfold definitions before reducing"
-    return _reduce(sig, t, fuel)
+    return _reduce(t, fuel)
 
 
-def _reduce_ty(sig, ty: Ty, fuel: _Fuel) -> Ty:
+def _reduce_ty(ty: Ty, fuel: _Fuel) -> Ty:
     """Normal form of a type's term arguments, in ``step_ty``'s order."""
     match ty:
         case Nat():
             return ty
         case Pi(dom, cod):
-            d2 = _reduce_ty(sig, dom, fuel)
-            c2 = _reduce_ty(sig, cod, fuel)
+            d2 = _reduce_ty(dom, fuel)
+            c2 = _reduce_ty(cod, fuel)
             return ty if d2 is dom and c2 is cod else Pi(d2, c2)
         case TyConst(name, args):
-            args2 = _reduce_args(sig, args, fuel)
+            args2 = _reduce_args(args, fuel)
             return ty if args2 is args else TyConst(name, args2)
     raise AssertionError(f"not a type: {ty!r}")
 
 
-def _reduce_args(sig, args, fuel):
+def _reduce_args(args, fuel):
     out = args
     for i, a in enumerate(args):
-        a2 = _reduce(sig, a, fuel)
+        a2 = _reduce(a, fuel)
         if a2 is not a:
             out = out[:i] + (a2,) + out[i + 1 :]
     return out
@@ -266,7 +254,7 @@ def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
     Well-typed input terminates, but large arithmetic can need more steps
     than the default budget of 100,000.
     """
-    return _eta_tm(sig, ctx.entries, ty, _reduce(sig, unfold(sig, t), _Fuel(fuel)))
+    return _eta_tm(sig, ctx.entries, ty, _reduce(unfold(sig, t), _Fuel(fuel)))
 
 
 # Types never compute: no eliminator returns a type, so substitution and

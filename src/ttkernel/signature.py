@@ -3,23 +3,26 @@
 A signature realizes the free-model setting: type constants with term
 telescopes, term constants with a telescope and a result type, and
 transparent definitions. A definition stays a constant: terms name it with
-``Const``, the checker gives it its declared type, NbE evaluates it
-through a table of values and the rewriting oracle unfolds it. Bodies are
-closed and mention only the definitions before them. A signature answers
-lookups by kind, the declaration's class; ``check.declare`` checks a
-declaration and appends it.
+``Const``. Bodies are closed and mention only the definitions before them.
+A signature answers lookups by kind, the declaration's class;
+``check.declare`` checks a declaration and appends it.
+
+A constant used as a function (a definition, or a term constant given
+fewer arguments than it takes) has a type, which the checker reads, and a
+body, from which each engine computes its ``entry`` for it, kept under a
+key of its own. Only ``function`` says what a term constant's are.
 
 Extending costs the same at any length. A signature and those extended
-from it share one list of declarations, one name index and the tables kept
-for its definitions, and each sees the prefix of its own length. A
-signature that is no longer the longest of that lineage, because it was
-extended already, copies its prefix when extended again, so two signatures
-extended from one parent never see each other's declarations or entries.
+from it share one list of declarations, one name index and the tables of
+entries, and each sees the prefix of its own length. A signature that is
+no longer the longest of that lineage, because it was extended already,
+copies its prefix when extended again, with empty tables: entries are
+caches, and siblings never see each other's declarations or entries.
 """
 
 from __future__ import annotations
 
-from .syntax import Node, Term, Ty, const_names, node
+from .syntax import Node, Term, Ty, const_names, eta_constant, node, pi_over
 
 
 class Declaration(Node):
@@ -55,7 +58,7 @@ class Signature(Node):
     _decls: list  # shared along the lineage; this signature sees the first _length
     _length: int
     _index: dict  # name -> position in _decls, shared likewise
-    _tables: dict  # table name -> {constant name: entry}, shared likewise
+    _tables: dict  # key -> {constant name: entry}, shared likewise
     _derived: dict  # what ``derived`` built for this signature alone
 
     def __init__(self, decls: tuple[Declaration, ...] = ()):
@@ -83,34 +86,19 @@ class Signature(Node):
 
     def extend(self, decl: Declaration) -> Signature:
         """``decl`` appended, unchecked. The longest signature of a lineage
-        appends in place; any other copies its prefix, and its tables'
-        entries for the names in it, first."""
+        appends in place; any other copies its prefix first, with empty
+        tables."""
         n = self._length
         if n and n == len(self._decls) and decl.name not in self._index:
             sig = object.__new__(Signature)
             sig._decls, sig._index, sig._tables = self._decls, self._index, self._tables
         else:
             sig = Signature(self._decls[:n])
-            for key, table in self._tables.items():
-                sig._tables[key] = {
-                    name: entry
-                    for name, entry in table.items()
-                    if name != decl.name and self.find(Declaration, name)
-                }
         sig._index[decl.name] = len(sig._decls)
         sig._decls.append(decl)
         sig._length = n + 1
         sig._derived = {}
         return sig
-
-    def table(self, key: str) -> dict:
-        """The entries kept under ``key`` for the constants used as functions,
-        by name, filled by their users: shared with the signatures extended
-        from this one."""
-        got = self._tables.get(key)
-        if got is None:
-            got = self._tables[key] = {}
-        return got
 
     def derived(self, build):
         """``build(self)``, computed once for this signature alone."""
@@ -119,21 +107,34 @@ class Signature(Node):
             got = self._derived[build] = build(self)
         return got
 
-    def unfolding_order(self, name: str, table: dict) -> list[Define]:
-        """The definition ``name`` and those its body reaches through others
-        that have no entry in ``table``, in declaration order. A body names
-        only definitions before it, so entries filled in this order are each
-        computed from entries already there, never by recursing into another
-        definition: a chain of any length costs no stack."""
-        decls, index = self._decls, self._index
-        todo, found = [name], {}  # name -> position
+    def function(self, name: str) -> tuple[Ty, Term] | None:
+        """The constant ``name`` used as a function, as ``(type, body)``: a
+        definition's declared type and body, or a term constant's Pi over
+        its parameters and eta-expansion; None for any other name."""
+        d = self.find(Declaration, name)
+        if d.__class__ is Define:
+            return d.declared_type, d.body
+        if d.__class__ is PostulateTm:
+            return pi_over(d.params, d.result), eta_constant(name, len(d.params))
+        return None
+
+    def entry(self, key: str, name: str, compute):
+        """The entry under ``key`` of the constant ``name`` used as a function.
+        A miss fills it, and each unfilled one its body reaches, in
+        declaration order, with ``compute(self, type, body)`` of ``function``.
+        A body names only the definitions before it, so ``compute`` finds
+        their entries filled and never recurses into another fill: a chain
+        of any length costs no stack."""
+        try:
+            return self._tables[key][name]
+        except KeyError:
+            table = self._tables.setdefault(key, {})
+        todo, found = [name], {}  # name -> (type, body)
         while todo:
             n = todo.pop()
-            if n in found or n in table:
-                continue
-            i = index[n]
-            d = decls[i]
-            if d.__class__ is Define:  # a term constant has no body
-                found[n] = i
-                todo += const_names(d.body)
-        return [decls[i] for i in sorted(found.values())]
+            if n not in found and n not in table:
+                found[n] = self.function(n)
+                todo += const_names(found[n][1])
+        for n in sorted(found, key=self._index.__getitem__):
+            table[n] = compute(self, *found[n])
+        return table[name]

@@ -473,13 +473,14 @@ def test_odd_characters_are_a_kernel_error(good, tmp_path, capsys, where, text):
     assert record["status"] in ("parse-error", "type-error") and record["error"]["code"]
 
 
-def _tt_process(*argv, after="", timeout=120):
+def _tt_process(*argv, after="", timeout=120, stdout=subprocess.PIPE):
     """Run ``tt`` in a fresh interpreter; ``after`` runs once it has returned."""
     src = str(Path(ttkernel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = f"import sys\nfrom ttkernel.cli import main\ncode = main(sys.argv[1:])\n{after}\nsys.exit(code)"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-c", code, *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
     )
 
 
@@ -493,3 +494,29 @@ def test_normalize_leaves_the_generators_unimported(good):
     # only tt fuzz needs gen, so the other commands start without it
     done = _tt_process("normalize", good, "-e", "mul 3 4", after="print('ttkernel.gen' in sys.modules)")
     assert done.returncode == 0 and done.stdout.splitlines() == ["12", "False"]
+
+
+def test_a_normal_form_under_900_binders_prints(tmp_path):
+    # erasing it takes one frame per binder, so it prints wherever it checks
+    n = 900
+    source = "def big : " + " -> ".join(["Nat"] * (n + 1)) + " := " + "\\x. " * n + "x\n"
+    (tmp_path / "big.tt").write_text(source)
+    want = "".join(f"\\x{i}. " for i in range(n)) + f"x{n - 1}"
+    done = _tt_process("check", str(tmp_path / "big.tt"))
+    assert done.returncode == 0 and done.stdout == "ok: 1 declaration(s)\n"
+    for oracle in ((), ("--oracle",)):
+        done = _tt_process("normalize", str(tmp_path / "big.tt"), "-e", "big", *oracle)
+        assert done.returncode == 0 and done.stderr == "" and done.stdout == want + "\n"
+
+
+@pytest.mark.parametrize("args", [["mul 3 4"], ["mul 3 4", "--json"], ["nosuch", "--json"]])
+def test_a_closed_pipe_ends_tt_quietly(good, args):
+    # the pipe's read end is closed before tt writes its output, or its
+    # error record, so the write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _tt_process("normalize", good, "-e", *args, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == cli.CLOSED_PIPE == 141 and done.stderr == ""

@@ -3,7 +3,8 @@
 Imports happen at module level, so the import graph is what the module
 headers say; the few late imports left break real cycles or keep ``gen``
 out of start-up. Declarations are reached through the signature's
-lookups by kind, never by scanning ``Signature.decls``.
+lookups by kind, never by scanning ``Signature.decls``, and a constant
+used as a function through ``Signature.function`` and ``entry``.
 """
 
 import ast
@@ -81,3 +82,30 @@ def test_signature_is_a_data_module():
 def test_domain_is_a_data_module():
     # values hold syntax in closures; evaluating them is nbe's business
     assert _kernel_imports("domain") == {"syntax"}
+
+
+def _names(module: str) -> set[str]:
+    """Every name ``module`` binds, imports, reads or reads as an attribute."""
+    found = set()
+    for node, _ in _scoped(module):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_only_the_signature_makes_a_term_constant_a_function():
+    # its type and body come from one place, Signature.function
+    makers = {m for m in _modules() if _names(m) & {"eta_constant", "pi_over"}}
+    assert makers <= {"signature", "syntax"}, makers
+
+
+def test_no_other_module_reads_the_signatures_private_attributes():
+    private = {"_tables", "_decls", "_index", "_length", "_derived"}
+    readers = {m: _names(m) & private for m in _modules() if m != "signature"}
+    assert {m: names for m, names in readers.items() if names} == {}

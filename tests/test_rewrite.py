@@ -93,7 +93,7 @@ def substitutions(run):
 
 def assert_reduce_is_iterated_step(sig, t):
     tank = CountingFuel(10**6)
-    got, order = substitutions(lambda: _reduce(sig, t, tank))
+    got, order = substitutions(lambda: _reduce(t, tank))
     (want, count), want_order = substitutions(lambda: iterate_step(sig, t))
     assert got == want
     assert tank.spent == count
@@ -280,12 +280,12 @@ def test_fuel_exhausted_exactly_below_needed_steps(sig_arith, tanks):
             rw_normalize(sig_arith, ctx, NN, t, fuel=k)
 
 
-def test_reduce_shares_what_does_not_reduce(sig_empty):
+def test_reduce_shares_what_does_not_reduce():
     tank = CountingFuel(100)
     normal = Lam(App(Var(0), NatInd(Var(1), Nat(), Zero(), Succ(1, Var(0)))))
-    assert _reduce(sig_empty, normal, tank) is normal
+    assert _reduce(normal, tank) is normal
     redex = App(Lam(Var(0)), Zero())
-    got = _reduce(sig_empty, App(App(Var(0), normal), redex), tank)
+    got = _reduce(App(App(Var(0), normal), redex), tank)
     assert got == App(App(Var(0), normal), Zero())
     assert got.fn.arg is normal
     assert tank.spent == 1
@@ -322,7 +322,7 @@ def test_reduce_stack_follows_nesting_not_steps(sig_arith):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        out = _reduce(sig_arith, t, CountingFuel(10**6))
+        out = _reduce(t, CountingFuel(10**6))
     finally:
         sys.setrecursionlimit(limit)
     assert out == Succ(900, Zero())

@@ -3,13 +3,14 @@
 import pytest
 
 from ttkernel.check import declare, validate
+from ttkernel.domain import Closure, VLam
 from ttkernel.errors import CheckError, DuplicateName
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import erase
 from ttkernel.rewrite import rw_normalize
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
-from ttkernel.syntax import Const, Context, Lam, Nat, TmConst, TyConst, Var, Zero, numeral, walk
+from ttkernel.syntax import App, Const, Context, Lam, Nat, Pi, TmConst, TyConst, Var, Zero, numeral, walk
 
 
 def test_declare_free_model_constants():
@@ -113,12 +114,45 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
             t = elab_tm(sig, (), parse_expression(name))
             assert erase(normalize_tm(sig, Context(), Nat(), t)) == numeral(want)
             assert rw_normalize(sig, Context(), Nat(), t) == numeral(want)
-    assert left.table("nbe")["y"] != right.table("nbe")["y"]
+    assert left._tables["nbe"]["y"] != right._tables["nbe"]["y"]
     # a child declaring another name sees neither sibling's declaration
     other = elaborate(parse("def z : Nat := 7\n"), parent)
     assert [d.name for d in other.decls] == ["one", "z"] and other.find(Define, "x") is None
     assert rw_normalize(other, Context(), Nat(), Const("z")) == numeral(7)
-    # a third child, extended after both were used, starts from the entries the parent sees
+    # a third child, extended after both were used, starts with empty tables
     third = elaborate(parse("def x : Nat := zero\n"), parent)
     assert rw_normalize(third, Context(), Nat(), Const("x")) == Zero()
-    assert set(third.table("rewrite")) == {"one", "x"} and set(third.table("nbe")) == {"one"}
+    assert third._tables == {"rewrite": {"x": Zero()}}
+
+
+def test_extending_a_signature_that_is_not_last_leaves_the_last_ones_entries():
+    parent = elaborate(parse("def one : Nat := 1\n"))
+    last = elaborate(parse("def two : Nat := succ one\n"), parent)
+    assert erase(normalize_tm(last, Context(), Nat(), Const("two"))) == numeral(2)
+    assert rw_normalize(last, Context(), Nat(), Const("two")) == numeral(2)
+    entries = {key: dict(table) for key, table in last._tables.items()}
+    assert set(entries["nbe"]) == set(entries["rewrite"]) == {"one", "two"}
+    other = declare(parent, Define("two", Nat(), numeral(5)))
+    assert other._tables == {} and other._decls is not last._decls
+    assert erase(normalize_tm(other, Context(), Nat(), Const("two"))) == numeral(5)
+    assert rw_normalize(other, Context(), Nat(), Const("two")) == numeral(5)
+    assert last._tables == entries and all(
+        last._tables[key][name] is entry for key, table in entries.items() for name, entry in table.items()
+    )
+
+
+def test_a_term_constant_as_a_function_reaches_both_engines_through_its_entry(sig_abf, monkeypatch):
+    asked, entry = [], Signature.entry
+
+    def spy(sig, key, name, compute):
+        asked.append((key, name))
+        return entry(sig, key, name, compute)
+
+    monkeypatch.setattr(Signature, "entry", spy)
+    ctx, t = Context((TyConst("A"),)), App(Const("f"), Var(0))
+    ty = TyConst("B", (Var(0),))
+    assert erase(normalize_tm(sig_abf, ctx, ty, t)) == rw_normalize(sig_abf, ctx, ty, t) == TmConst("f", (Var(0),))
+    assert asked == [("nbe", "f"), ("rewrite", "f")]
+    assert sig_abf.function("f") == (Pi(TyConst("A"), TyConst("B", (Var(0),))), Lam(TmConst("f", (Var(0),))))
+    assert sig_abf._tables["rewrite"] == {"f": Lam(TmConst("f", (Var(0),)))}
+    assert sig_abf._tables["nbe"]["f"] == VLam(Closure((), TmConst("f", (Var(0),))))
