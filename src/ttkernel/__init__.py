@@ -13,7 +13,6 @@ from .syntax import (
     Nat,
     NatInd,
     Pi,
-    Renaming,
     Succ,
     Term,
     TmConst,
@@ -23,12 +22,11 @@ from .syntax import (
     Zero,
     alpha_eq,
     numeral,
-    rename,
     shift,
     subst1,
 )
 from .signature import Define, PostulateTm, PostulateTy, Signature
-from .normal import NeTm, NfTm, NfTy, erase, is_normal, rename_nf
+from .normal import NeTm, NfTm, NfTy, erase, is_normal
 from .nbe import normalize_tm, normalize_ty
 from .check import check_ty, conv_tm, conv_ty, declare, infer
 from .rewrite import oracle_equal, rw_normalize
@@ -48,7 +46,6 @@ __all__ = [
     "Pi",
     "PostulateTm",
     "PostulateTy",
-    "Renaming",
     "Signature",
     "Succ",
     "Term",
@@ -72,8 +69,6 @@ __all__ = [
     "oracle_equal",
     "parse",
     "print_nf",
-    "rename",
-    "rename_nf",
     "rw_normalize",
     "shift",
     "subst1",

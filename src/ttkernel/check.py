@@ -163,10 +163,3 @@ def declare(sig: Signature, decl: Declaration) -> Signature:
         case _:
             raise AssertionError(f"not a declaration: {decl!r}")
     return sig.extend(decl)
-
-
-def validate(sig: Signature) -> None:
-    """Re-check prefix-closed well-formedness from scratch."""
-    rebuilt = Signature()
-    for d in sig.of_kind(Declaration):
-        rebuilt = declare(rebuilt, d)

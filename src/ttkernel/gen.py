@@ -32,7 +32,6 @@ from .syntax import (
     NatInd,
     Node,
     Pi,
-    Renaming,
     Succ,
     Term,
     TmConst,
@@ -46,7 +45,6 @@ from .syntax import (
     inst_params,
     motive_succ_case,
     node_count,
-    rename_with,
     shift,
     split_pi,
     subst1,
@@ -324,47 +322,6 @@ def gen_cases(sig: Signature, seed, count: int, size: int, ty_size: int = 4):
         yield ctx, ty, t
 
 
-def gen_renaming(sig: Signature, seed=0) -> tuple[Context, Context, Renaming]:
-    """A target telescope, an induced source, and a type-respecting map.
-
-    The construction walks source slots, picks a target variable whose
-    type's support already has preimages, and pulls the type back along
-    the map; repeats give contractions, skips give weakenings, and the
-    order gives exchanges.
-    """
-    rng = _rng(seed)
-    for _ in range(100):
-        tgt = gen_context(sig, rng, max_len=3, size=3)
-        n_t = len(tgt)
-        if n_t == 0:
-            continue
-        lvl_map: list[int] = []  # source level -> target level
-        entries: list[Ty] = []
-        for i in range(rng.randint(0, n_t + 1)):
-            candidates = []
-            for lvl in range(n_t):
-                entry = tgt.entries[lvl]
-                needed = [u for u in range(lvl) if uses_index(entry, u)]
-                if all(any(m == lvl - 1 - u for m in lvl_map) for u in needed):
-                    candidates.append(lvl)
-            if not candidates:
-                break
-            lvl = rng.choice(candidates)
-            entry = tgt.entries[lvl]
-            inverse = []
-            for u in range(lvl):
-                pre = [kk for kk, m in enumerate(lvl_map) if m == lvl - 1 - u]
-                k_src = rng.choice(pre) if pre else 0  # unused when u is not free
-                inverse.append(max(i - 1 - k_src, 0) if not pre else i - 1 - k_src)
-            entries.append(rename_with(tuple(inverse), entry))
-            lvl_map.append(lvl)
-        src = Context(tuple(entries))
-        n_s = len(entries)
-        idx_map = tuple(n_t - 1 - lvl_map[n_s - 1 - v] for v in range(n_s))
-        return src, tgt, Renaming(src, tgt, idx_map)
-    raise GenerationStuck("could not generate a renaming")
-
-
 # ---------------------------------------------------------------------------
 # Abstraction: every one-binder family whose instantiation gives back ``ty``
 
@@ -558,9 +515,3 @@ def enum_terms(sig: Signature, ctx: Context, ty: Ty, max_size: int) -> list[Term
     size and, within a size, in the enumerator's own deterministic order."""
     typed = _TypedEnum(sig)
     return [t for s in range(1, max_size + 1) for t in typed.checkable(ctx, ty, s)]
-
-
-def enum_types(sig: Signature, ctx: Context, max_size: int) -> list[Ty]:
-    """Every well-formed type with node count <= ``max_size``, ordered the same way."""
-    typed = _TypedEnum(sig)
-    return [ty for s in range(1, max_size + 1) for ty in typed.types(ctx, s)]

@@ -8,8 +8,8 @@ at a type constant. So a neutral is a normal term (``NeTm`` is an
 ``NfTm``), and its type follows from its head and its arguments.
 
 Each grammar class erases to the syntax class with the same fields in the
-same order, and binds as that class does (``syntax.BINDERS``), so erasure
-and renaming are each one walk.
+same order, so erasure is one walk, and two trees are equal exactly when
+their erasures are.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .syntax import (
     NatInd,
     Node,
     Pi,
-    Renaming,
     Succ,
     Term,
     TmConst,
@@ -33,7 +32,6 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
-    binders,
     inst_params,
     motive_succ_case,
     node,
@@ -135,23 +133,6 @@ def erase(n):
     for f in cls.__match_args__:
         parts.append(erase(getattr(n, f)))
     return _ERASES_TO[cls](*parts)
-
-
-def rename_nf(r: Renaming, n):
-    """Apply a renaming to a normal-form tree; commutes with erase."""
-
-    def go(x, d):
-        cls = x.__class__
-        if cls is VarNe:
-            return x if x.index < d else VarNe(r.map[x.index - d] + d)
-        if cls is tuple:
-            return tuple(go(y, d) for y in x)
-        if not isinstance(x, Node):
-            return x
-        bound = binders(_ERASES_TO[cls])
-        return cls(*[go(getattr(x, f), d + b) for f, b in zip(cls.__match_args__, bound)])
-
-    return go(n, 0)
 
 
 # ---------------------------------------------------------------------------

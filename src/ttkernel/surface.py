@@ -55,6 +55,7 @@ from .syntax import (
     split_pi,
     succ,
     uses_index,
+    walk,
 )
 from .normal import NfTy, erase
 
@@ -469,69 +470,88 @@ def _elab_head(sig, names, head, args) -> Term:
 # Pretty-printing: emits re-parseable surface text
 
 
-def _fresh(names: tuple[str, ...]) -> str:
-    k = 0
-    while f"x{k}" in names:
-        k += 1
-    return f"x{k}"
+class _Printer:
+    """Prints one tree, ``root``. A binder is named ``x<k>`` for the least
+    ``k`` that names no variable in scope and no constant ``root`` names,
+    which the binder would capture; those constants are collected at the
+    first binder, so a tree without one costs no walk."""
+
+    def __init__(self, root):
+        self.root, self.consts = root, None
+
+    def fresh(self, names: tuple[str, ...]) -> str:
+        if self.consts is None:
+            consts = (x for x in walk(self.root) if x.__class__ in (TmConst, TyConst, Const))
+            self.consts = {x.name for x in consts}
+        taken = self.consts.union(names)
+        k = 0
+        while f"x{k}" in taken:
+            k += 1
+        return f"x{k}"
+
+    def tm(self, t: Term, names: tuple[str, ...], prec: int) -> str:
+        match t:
+            case Var(i):
+                return names[len(names) - 1 - i] if 0 <= i < len(names) else f"?v{i}"
+            case Zero():
+                return "zero"
+            case Succ(k, base):
+                if isinstance(base, Zero):
+                    try:
+                        return str(k)
+                    except ValueError:  # more digits than str() converts
+                        raise ResourceExhausted("numeral is too long to print") from None
+                return _wrap("succ " * k + self.tm(base, names, 2), prec > 1)
+            case Lam(body):
+                x = self.fresh(names)
+                return _wrap(f"\\{x}. {self.tm(body, names + (x,), 0)}", prec > 0)
+            case App(f, a):
+                return _wrap(f"{self.tm(f, names, 1)} {self.tm(a, names, 2)}", prec > 1)
+            case NatInd(scrut, motive, zcase, scase):
+                x = self.fresh(names)
+                p = self.fresh(names)
+                r = self.fresh(names + (p,))
+                body = (
+                    f"ind({self.tm(scrut, names, 0)}; "
+                    f"{x}. {self.ty(motive, names + (x,), 0)}; "
+                    f"{self.tm(zcase, names, 0)}; "
+                    f"{p} {r}. {self.tm(scase, names + (p, r), 0)})"
+                )
+                return _wrap(body, prec > 0)
+            case TmConst(c, args):
+                if not args:
+                    return c
+                parts = " ".join(self.tm(a, names, 2) for a in args)
+                return _wrap(f"{c} {parts}", prec > 1)
+            case Const(c):
+                return c
+        raise AssertionError(f"not a term: {t!r}")
+
+    def ty(self, ty: Ty, names: tuple[str, ...], prec: int) -> str:
+        match ty:
+            case Nat():
+                return "Nat"
+            case TyConst(c, args):
+                if not args:
+                    return c
+                parts = " ".join(self.tm(a, names, 2) for a in args)
+                return _wrap(f"{c} {parts}", prec > 1)
+            case Pi(dom, cod):
+                if uses_index(cod, 0):
+                    x = self.fresh(names)
+                    s = f"({x} : {self.ty(dom, names, 0)}) -> {self.ty(cod, names + (x,), 0)}"
+                else:
+                    s = f"{self.ty(dom, names, 1)} -> {self.ty(cod, names + ('_',), 0)}"
+                return _wrap(s, prec > 0)
+        raise AssertionError(f"not a type: {ty!r}")
 
 
 def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    match t:
-        case Var(i):
-            return names[len(names) - 1 - i] if 0 <= i < len(names) else f"?v{i}"
-        case Zero():
-            return "zero"
-        case Succ(k, base):
-            if isinstance(base, Zero):
-                try:
-                    return str(k)
-                except ValueError:  # more digits than str() converts
-                    raise ResourceExhausted("numeral is too long to print") from None
-            return _wrap("succ " * k + print_tm(base, names, 2), prec > 1)
-        case Lam(body):
-            x = _fresh(names)
-            return _wrap(f"\\{x}. {print_tm(body, names + (x,), 0)}", prec > 0)
-        case App(f, a):
-            return _wrap(f"{print_tm(f, names, 1)} {print_tm(a, names, 2)}", prec > 1)
-        case NatInd(scrut, motive, zcase, scase):
-            x = _fresh(names)
-            p = _fresh(names)
-            r = _fresh(names + (p,))
-            body = (
-                f"ind({print_tm(scrut, names, 0)}; "
-                f"{x}. {print_ty(motive, names + (x,), 0)}; "
-                f"{print_tm(zcase, names, 0)}; "
-                f"{p} {r}. {print_tm(scase, names + (p, r), 0)})"
-            )
-            return _wrap(body, prec > 0)
-        case TmConst(c, args):
-            if not args:
-                return c
-            parts = " ".join(print_tm(a, names, 2) for a in args)
-            return _wrap(f"{c} {parts}", prec > 1)
-        case Const(c):
-            return c
-    raise AssertionError(f"not a term: {t!r}")
+    return _Printer(t).tm(t, names, prec)
 
 
 def print_ty(ty: Ty, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    match ty:
-        case Nat():
-            return "Nat"
-        case TyConst(c, args):
-            if not args:
-                return c
-            parts = " ".join(print_tm(a, names, 2) for a in args)
-            return _wrap(f"{c} {parts}", prec > 1)
-        case Pi(dom, cod):
-            if uses_index(cod, 0):
-                x = _fresh(names)
-                s = f"({x} : {print_ty(dom, names, 0)}) -> {print_ty(cod, names + (x,), 0)}"
-            else:
-                s = f"{print_ty(dom, names, 1)} -> {print_ty(cod, names + ('_',), 0)}"
-            return _wrap(s, prec > 0)
-    raise AssertionError(f"not a type: {ty!r}")
+    return _Printer(ty).ty(ty, names, prec)
 
 
 def _wrap(s: str, needed: bool) -> str:

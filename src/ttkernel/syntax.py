@@ -1,4 +1,4 @@
-"""Core syntax: terms, types, contexts, renamings, substitution.
+"""Core syntax: terms, types, contexts, shifting and substitution.
 
 Terms and types are well-scoped de Bruijn trees: ``Var(0)`` is the
 innermost binder. A context is a telescope ordered outermost-first, so
@@ -6,9 +6,9 @@ innermost binder. A context is a telescope ordered outermost-first, so
 declares, once, which fields are under binders. Every node is a slotted
 dataclass on the ``Node`` base, which the kernel never mutates;
 structural equality is alpha-equivalence for free. As nothing is
-mutated, trees share subtrees: the variable traversals (shift,
-substitution, renaming) return every subtree they do not change as it is,
-so a closed term comes back as the very same object. Code may use ``is``
+mutated, trees share subtrees: the variable traversals (shift and
+substitution) return every subtree they do not change as it is, so a
+closed term comes back as the very same object. Code may use ``is``
 as a shortcut for ``==``, never as meaning: equal trees need not be the
 same object.
 """
@@ -426,68 +426,3 @@ def node_count(t) -> int:
 def alpha_eq(a, b) -> bool:
     """Alpha-equivalence: plain structural equality of de Bruijn trees."""
     return a == b
-
-
-# ---------------------------------------------------------------------------
-# Renamings
-
-
-def rename_with(mapping: tuple[int, ...], t):
-    """Apply a raw variable map (index i goes to mapping[i])."""
-
-    def on_var(v, d):
-        i = v.index
-        if i < d:
-            return v
-        j = mapping[i - d] + d
-        return v if j == i else Var(j)
-
-    return _map(t, on_var)
-
-
-@node
-class Renaming(Node):
-    """A type-respecting variable map between contexts.
-
-    ``map[i]`` is the target index of source variable i. Weakening,
-    exchange and contraction are all representable.
-    """
-
-    source: Context
-    target: Context
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.map) == len(self.source), "map length must match source"
-        for i, j in enumerate(self.map):
-            assert 0 <= j < len(self.target), f"map[{i}]={j} escapes the target"
-            src_ty = rename_with(self.map, self.source.var_type(i))
-            assert src_ty == self.target.var_type(j), (
-                f"renaming does not respect the type of variable {i}"
-            )
-
-    @staticmethod
-    def identity(ctx: Context) -> Renaming:
-        return Renaming(ctx, ctx, tuple(range(len(ctx))))
-
-    @staticmethod
-    def weakening(ctx: Context, ty: Ty) -> Renaming:
-        return Renaming(ctx, ctx.extend(ty), tuple(i + 1 for i in range(len(ctx))))
-
-    def lift(self, dom: Ty) -> Renaming:
-        """Extend under one binder of type ``dom`` (scoped in the source)."""
-        return Renaming(
-            self.source.extend(dom),
-            self.target.extend(rename_with(self.map, dom)),
-            (0,) + tuple(j + 1 for j in self.map),
-        )
-
-    def compose(self, first: Renaming) -> Renaming:
-        """``self`` after ``first``."""
-        assert first.target == self.source
-        return Renaming(first.source, self.target, tuple(self.map[j] for j in first.map))
-
-
-def rename(r: Renaming, t):
-    """Apply a renaming to a term or type."""
-    return rename_with(r.map, t)

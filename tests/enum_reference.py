@@ -1,7 +1,8 @@
 """The reference enumerator: every well-scoped tree, filtered through the
 kernel checker. Complete by construction and slow; at each size,
-``gen.enum_terms`` and ``gen.enum_types`` must return the same terms and
-types, each once, in whatever order."""
+``gen.enum_terms`` and the enumerator's types (``enum_types`` in
+``test_gen.py``) must return the same terms and types, each once, in
+whatever order."""
 
 from itertools import product
 

@@ -1,7 +1,8 @@
 """The reference traversal: the variable walks of ``syntax`` as they were
 before they shared unchanged subtrees, rebuilding every node they visit.
-``syntax.shift``, ``subst_many``, ``rename_with``, ``uses_index`` and
-``motive_succ_case`` must return results ``==`` to these."""
+``syntax.shift``, ``subst_many``, ``uses_index`` and ``motive_succ_case``
+must return results ``==`` to these. ``rename_with`` has no kernel
+counterpart: it is how ``renamings`` maps variables."""
 
 from ttkernel.syntax import App, Lam, Nat, NatInd, Pi, Succ, TmConst, Ty, TyConst, Var, Zero, succ
 

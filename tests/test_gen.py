@@ -13,10 +13,8 @@ from ttkernel.gen import (
     GenerationStuck,
     case_problem,
     enum_terms,
-    enum_types,
     gen_cases,
     gen_context,
-    gen_renaming,
     gen_term,
     gen_type,
     ty_abstractions,
@@ -46,6 +44,7 @@ from ttkernel.syntax import (
 
 from conftest import HIGHER_ORDER_SOURCES
 from enum_reference import PARTITION_TARGETS, reference_terms, reference_types
+from renamings import gen_renaming
 
 
 def test_gen_minimal_nat(sig_empty):
@@ -264,6 +263,13 @@ def test_enum_terms_is_the_reference_list(request, sig_name, ctx, ty, size):
     assert by_size(got, size) == by_size(reference_terms(sig, ctx, ty, size), size)
     for s in range(1, size):  # both go size by size
         assert enum_terms(sig, ctx, ty, s) == [t for t in got if node_count(t) <= s]
+
+
+def enum_types(sig, ctx, max_size):
+    """Every well-formed type with node count <= ``max_size``, by size and,
+    within a size, in the enumerator's own order."""
+    typed = gen._TypedEnum(sig)
+    return [ty for s in range(1, max_size + 1) for ty in typed.types(ctx, s)]
 
 
 @pytest.mark.parametrize(

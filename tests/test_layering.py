@@ -86,16 +86,20 @@ def test_domain_is_a_data_module():
 
 def _names(module: str) -> set[str]:
     """Every name ``module`` binds, imports, reads or reads as an attribute."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return _named(tree) | {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _named(tree) -> set[str]:
+    """Every name ``tree`` imports, reads or reads as an attribute."""
     found = set()
-    for node, _ in _scoped(module):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.alias):
             found.add(node.name)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.add(node.name)
     return found
 
 
@@ -109,3 +113,23 @@ def test_no_other_module_reads_the_signatures_private_attributes():
     private = {"_tables", "_decls", "_index", "_length", "_derived"}
     readers = {m: _names(m) & private for m in _modules() if m != "signature"}
     assert {m: names for m, names in readers.items() if names} == {}
+
+
+def test_nothing_in_the_kernel_is_there_for_the_tests_alone():
+    # every module-level function and class is named by another part of the
+    # kernel, besides the package's re-exports, or by the benchmark; code
+    # that only the tests use lives with them
+    used = set()
+    for path in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"):
+        used |= _named(ast.parse(path.read_text(encoding="utf-8")))
+    defined = set()
+    for m in _modules():
+        if m == "__init__":
+            continue
+        for stmt in ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+                used |= _named(stmt) - {stmt.name}  # a definition does not use itself
+            else:
+                used |= _named(stmt)
+    assert defined <= used, sorted(defined - used)

@@ -48,7 +48,6 @@ from ttkernel.normal import (
     ZeroNf,
     erase,
     is_normal,
-    rename_nf,
 )
 from ttkernel.rewrite import rw_normalize
 from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type, print_nf, print_tm
@@ -60,7 +59,6 @@ from ttkernel.syntax import (
     Nat,
     NatInd,
     Pi,
-    Renaming,
     Succ,
     TmConst,
     TyConst,
@@ -478,7 +476,6 @@ LAYERS = [
     "conv_tm",
     "rw_normalize",
     "is_normal",
-    "rename_nf",
 ]
 
 
@@ -506,7 +503,6 @@ def test_deep_numeral_stack_follows_nesting(sig_walkthrough, layer, src, n):
         ),
         "rw_normalize": (lambda: rw_normalize(sig, ctx, Nat(), t), numeral(n)),
         "is_normal": (lambda: is_normal(sig, ctx, Nat(), numeral(n)), True),
-        "rename_nf": (lambda: rename_nf(Renaming.identity(ctx), nf), nf),
     }
     thunk, want = calls[layer]
     assert _with_frames_to_spare(100, thunk) == want

@@ -1,10 +1,10 @@
-"""Normal-form trees: erasure, renaming, the recognition predicate."""
+"""Normal-form trees: erasure, the recognition predicate."""
 
 import dataclasses
 
 import pytest
 
-from ttkernel.gen import GenerationStuck, case_problem, gen_cases, gen_renaming, gen_term
+from ttkernel.gen import case_problem, gen_cases
 from ttkernel.nbe import normalize_tm, normalize_ty
 from ttkernel.normal import (
     AppNe,
@@ -20,7 +20,6 @@ from ttkernel.normal import (
     _ERASES_TO,
     erase,
     is_normal,
-    rename_nf,
     to_nf,
     to_nf_ty,
 )
@@ -32,7 +31,6 @@ from ttkernel.syntax import (
     Nat,
     NatInd,
     Pi,
-    Renaming,
     Succ,
     Term,
     TmConst,
@@ -42,7 +40,6 @@ from ttkernel.syntax import (
     Zero,
     binders,
     numeral,
-    rename,
     shift,
 )
 
@@ -72,52 +69,6 @@ def test_erasure_table_is_one_to_one_on_the_grammar():
 def test_erase_layers():
     n = LamNf(AppNe(VarNe(1), VarNe(0)))
     assert erase(n) == Lam(App(Var(1), Var(0)))
-
-
-def test_rename_nf_identity():
-    ctx = Context((Nat(),))
-    n = VarNe(0)
-    assert rename_nf(Renaming.identity(ctx), n) == n
-
-
-def test_rename_nf_weakening():
-    r = Renaming.weakening(Context((Nat(),)), Nat())
-    assert rename_nf(r, VarNe(0)) == VarNe(1)
-
-
-def test_rename_nf_swap():
-    ctx = Context((NN, Nat()))  # f : Nat -> Nat, x : Nat
-    swapped = Context((Nat(), NN))
-    r = Renaming(ctx, swapped, (1, 0))
-    n = AppNe(VarNe(1), VarNe(0))  # f x
-    assert rename_nf(r, n) == AppNe(VarNe(0), VarNe(1))
-
-
-def test_rename_nf_commutes_with_erase(sig_abf):
-    import random
-
-    rng = random.Random(5)
-    done = 0
-    seed = 0
-    while done < 50:
-        seed += 1
-        src, tgt, r = gen_renaming(sig_abf, seed)
-        try:
-            t = gen_term(sig_abf, src, Nat(), 6, rng)
-        except GenerationStuck:
-            continue
-        done += 1
-        n = normalize_tm(sig_abf, src, Nat(), t)
-        assert erase(rename_nf(r, n)) == rename(r, erase(n))
-
-
-def test_rename_nf_under_a_function_type_binder():
-    # (y : Nat) -> C y x0, weakened: the bound y stays, the free x0 moves
-    r = Renaming.weakening(Context((Nat(),)), Nat())
-    n = FunNf(NatNf(), TyConstNf("C", (VarNe(0), VarNe(1))))
-    got = rename_nf(r, n)
-    assert got == FunNf(NatNf(), TyConstNf("C", (VarNe(0), VarNe(2))))
-    assert erase(got) == rename(r, erase(n))
 
 
 def test_is_normal_numeral(sig_empty):

@@ -1,8 +1,10 @@
 """Signatures: declaration checking, lookup, extension, definitions as constants."""
 
+import functools
+
 import pytest
 
-from ttkernel.check import declare, validate
+from ttkernel.check import declare
 from ttkernel.domain import Closure, VLam
 from ttkernel.errors import CheckError, DuplicateName
 from ttkernel.nbe import normalize_tm
@@ -62,6 +64,11 @@ def test_declare_checks_definitions():
     assert sig.find(Define, "two") is d
     with pytest.raises(CheckError):
         declare(Signature(), Define("bad", Nat(), Lam(Var(0))))
+
+
+def validate(sig):
+    """Re-check every declaration of ``sig`` in order, from an empty signature."""
+    functools.reduce(declare, sig.of_kind(Declaration), Signature())
 
 
 def test_validate_rechecks_from_scratch(sig_walkthrough):

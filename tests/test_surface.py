@@ -231,6 +231,27 @@ def test_print_eliminator_roundtrip(sig_empty):
     assert back == t
 
 
+@pytest.mark.parametrize(
+    "source, expr, ty",
+    [
+        ("postulate x0 : Nat", r"\y. x0", "Nat -> Nat"),
+        ("def x0 : Nat := zero", r"\y. x0", "Nat -> Nat"),
+        ("postulate x1 : Nat", r"\n. ind(n; m. Nat; x1; p r. x1)", "Nat -> Nat"),
+        ("postulate x0 : Nat\npostulate C (n : Nat) (m : Nat)\npostulate h : (n : Nat) -> C n x0",
+         r"\y. h y", "(y : Nat) -> C y x0"),
+    ],
+    ids=["term constant", "definition", "eliminator binders", "dependent Pi"],
+)
+def test_a_printed_binder_captures_no_constant(source, expr, ty):
+    # a binder is named x<k>, so it must skip a constant of that name in its scope
+    sig = elaborate(parse(source))
+    t, a = elab_tm(sig, (), parse_expression(expr)), elab_ty(sig, (), parse_type(ty))
+    nf = normalize_tm(sig, Context(), a, t)
+    assert elab_tm(sig, (), parse_expression(print_tm(t))) == t, print_tm(t)
+    assert elab_ty(sig, (), parse_type(print_ty(a))) == a, print_ty(a)
+    assert elab_tm(sig, (), parse_expression(print_nf(nf))) == erase(nf), print_nf(nf)
+
+
 def test_print_application_grouping(sig_empty):
     t = App(Lam(Var(0)), App(Lam(Var(0)), Zero()))
     text = print_tm(t)
