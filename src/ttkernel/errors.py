@@ -81,11 +81,11 @@ class Mismatch(CheckError):
     def __str__(self) -> str:
         from .surface import context_names, print_nf  # late: surface imports this module
 
-        names = context_names(len(self.ctx))
-        expected = print_nf(self.expected_nf, names)
-        if self.actual is None:
-            return f"function literal checked against {expected}"
-        return f"expected {expected}, got {print_nf(self.actual_nf, names)}"
+        expected, actual = self.expected_nf, self.actual_nf
+        names = context_names(len(self.ctx), expected, actual)  # actual may be None
+        if actual is None:
+            return f"function literal checked against {print_nf(expected, names)}"
+        return f"expected {print_nf(expected, names)}, got {print_nf(actual, names)}"
 
 
 class MotiveMismatch(CheckError):

@@ -16,17 +16,19 @@ rewriter ``step`` of ``tests/step_reference.py`` would, in the same order,
 so results and fuel counts are identical; the tests check this on
 generated and enumerated terms.
 
-Constant heads are unfolded before that, in a pass of their own that
-spends no fuel (``unfold``): a definition and the arguments it is applied
-to become its unfolded body with the arguments substituted in, as
-elaboration once inlined definitions, so the oracle reduces the same
-terms, with the same step counts, as it did then. A term constant given
-fewer arguments than it takes unfolds to its eta-expansion alike. The
-unfolded bodies are signature entries; the reducer, which sees no
-constant, takes no signature.
+Constant heads are unfolded before that, in a pass of its own that spends
+no fuel and passes a term naming no constant after one scan (``unfold``): a
+definition applied to arguments becomes its unfolded body with the
+arguments substituted in, as elaboration once inlined definitions, so the
+oracle reduces the same terms, with the same step counts, as it did then. A
+term constant given fewer arguments than it takes unfolds to its
+eta-expansion alike. The unfolded bodies are signature entries; the
+reducer, which sees no constant, takes no signature.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .errors import FuelExhausted
 from .signature import PostulateTm, PostulateTy, Signature
@@ -37,6 +39,7 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
     Term,
@@ -47,6 +50,7 @@ from .syntax import (
     Zero,
     alpha_eq,
     apps,
+    const_names,
     shift,
     subst1,
     subst_many,
@@ -71,73 +75,41 @@ def unfold(sig: Signature, t):
     ... a_n`` becomes the unfolded body of ``d`` (a term constant's
     eta-expansion), whose leading lambdas take the unfolded arguments, one
     ``subst_many`` per run of lambdas; arguments left over stay applied.
-    Returns ``t`` itself when it has no ``Const``. The unfolded bodies are
+    A tree that names no constant comes back as itself after one scan, as
+    does every subtree in which nothing unfolds. The unfolded bodies are
     the signature's entries."""
-    return _unfold_ty(sig, t) if isinstance(t, Ty) else _unfold_tm(sig, t)
+    return _unfold(sig, t) if const_names(t) else t
 
 
-def _unfold_tm(sig, t: Term) -> Term:
+def _unfold(sig, t):
+    """``unfold`` past the scan, on a node, a tuple or a field value: a
+    spine is read, any other node rebuilt from its fields, one frame per level."""
     cls = t.__class__
-    if cls is Var or cls is Zero:
-        return t
     if cls is App or cls is Const:
-        head, args = t, []
+        head, args, same = t, [], True
         while head.__class__ is App:
-            args.append(head.arg)
+            args.append(a := _unfold(sig, head.arg))
+            same = same and a is head.arg
             head = head.fn
         args.reverse()
-        new = [_unfold_tm(sig, a) for a in args]
-        if head.__class__ is Const:
-            return _contract(sig.entry("rewrite", head.name, _unfolded_body), new)
-        h = _unfold_tm(sig, head)
-        if h is head and all(a is b for a, b in zip(new, args)):
-            return t
-        return apps(h, new)
-    if cls is Lam:
-        b = _unfold_tm(sig, t.body)
-        return t if b is t.body else Lam(b)
-    if cls is Succ:
-        b = _unfold_tm(sig, t.base)
-        return t if b is t.base else succ(Succ, t.k, b)
-    if cls is TmConst:
-        args = _unfold_args(sig, t.args)
-        return t if args is t.args else TmConst(t.name, args)
-    match t:
-        case NatInd(scrut, motive, zcase, scase):
-            parts = (
-                _unfold_tm(sig, scrut),
-                _unfold_ty(sig, motive),
-                _unfold_tm(sig, zcase),
-                _unfold_tm(sig, scase),
-            )
-            if all(a is b for a, b in zip(parts, (scrut, motive, zcase, scase))):
-                return t
-            return NatInd(*parts)
-    raise AssertionError(f"not a term: {t!r}")
-
-
-def _unfold_ty(sig, ty: Ty) -> Ty:
-    match ty:
-        case Nat():
-            return ty
-        case Pi(dom, cod):
-            d2 = _unfold_ty(sig, dom)
-            c2 = _unfold_ty(sig, cod)
-            return ty if d2 is dom and c2 is cod else Pi(d2, c2)
-        case TyConst(name, args):
-            args2 = _unfold_args(sig, args)
-            return ty if args2 is args else TyConst(name, args2)
-    raise AssertionError(f"not a type: {ty!r}")
-
-
-def _unfold_args(sig, args):
-    new = tuple(_unfold_tm(sig, a) for a in args)
-    return args if all(a is b for a, b in zip(new, args)) else new
-
-
-def _unfolded_body(sig, ty: Ty, body: Term) -> Term:
-    """A constant's entry: its body with the definitions in it unfolded."""
-    return _unfold_tm(sig, body)
+        if head.__class__ is Const:  # its entry is its body, unfolded
+            entry = sig.entry("rewrite", head.name, lambda sig, ty, body: unfold(sig, body))
+            return _contract(entry, args)
+        h = _unfold(sig, head)
+        return t if same and h is head else apps(h, args)
+    if cls is tuple:
+        fields = t
+    elif isinstance(t, Node):
+        fields = map(getattr, repeat(t), cls.__match_args__)
+    else:  # a name, an index or a successor count
+        return t
+    parts, same = [], True
+    for x in fields:
+        parts.append(y := _unfold(sig, x))
+        same = same and y is x
+    if same:
+        return t
+    return tuple(parts) if cls is tuple else succ(Succ, *parts) if cls is Succ else cls(*parts)
 
 
 def _contract(body: Term, args: list) -> Term:

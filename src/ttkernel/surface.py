@@ -29,6 +29,7 @@ and columns, which the parser reads by index.
 from __future__ import annotations
 
 import re
+from itertools import count, islice
 
 from .check import declare
 from .errors import ArityMismatch, CheckError, ParseError, ResourceExhausted, UnknownName
@@ -57,7 +58,7 @@ from .syntax import (
     uses_index,
     walk,
 )
-from .normal import NfTy, erase
+from .normal import NfTy, TmConstNe, TyConstNf, erase
 
 KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
 
@@ -470,6 +471,12 @@ def _elab_head(sig, names, head, args) -> Term:
 # Pretty-printing: emits re-parseable surface text
 
 
+def _constant_names(*trees) -> set[str]:
+    """The names the constants in ``trees``, syntax or normal forms, use."""
+    constants = (TmConst, TyConst, Const, TmConstNe, TyConstNf)
+    return {x.name for t in trees for x in walk(t) if x.__class__ in constants}
+
+
 class _Printer:
     """Prints one tree, ``root``. A binder is named ``x<k>`` for the least
     ``k`` that names no variable in scope and no constant ``root`` names,
@@ -481,8 +488,7 @@ class _Printer:
 
     def fresh(self, names: tuple[str, ...]) -> str:
         if self.consts is None:
-            consts = (x for x in walk(self.root) if x.__class__ in (TmConst, TyConst, Const))
-            self.consts = {x.name for x in consts}
+            self.consts = _constant_names(self.root)
         taken = self.consts.union(names)
         k = 0
         while f"x{k}" in taken:
@@ -546,26 +552,29 @@ class _Printer:
         raise AssertionError(f"not a type: {ty!r}")
 
 
-def print_tm(t: Term, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    return _Printer(t).tm(t, names, prec)
+def print_tm(t: Term, names: tuple[str, ...] = ()) -> str:
+    return _Printer(t).tm(t, names, 0)
 
 
-def print_ty(ty: Ty, names: tuple[str, ...] = (), prec: int = 0) -> str:
-    return _Printer(ty).ty(ty, names, prec)
+def print_ty(ty: Ty, names: tuple[str, ...] = ()) -> str:
+    return _Printer(ty).ty(ty, names, 0)
 
 
 def _wrap(s: str, needed: bool) -> str:
     return f"({s})" if needed else s
 
 
-def context_names(depth: int) -> tuple[str, ...]:
-    """The names ``v0, v1, ...`` of a context's variables, outermost first."""
-    return tuple(f"v{i}" for i in range(depth))
+def context_names(depth: int, *trees) -> tuple[str, ...]:
+    """Names for a context's variables, outermost first, to print ``trees``
+    in: by the binders' rule, ``v<k>`` for each least ``k`` that names no
+    variable before it and no constant ``trees`` use."""
+    taken = _constant_names(*trees)
+    return tuple(islice((v for k in count() if (v := f"v{k}") not in taken), depth))
 
 
 def print_case(ctx: Context, ty: Ty, t: Term) -> str:
     """``v0 : T0, v1 : T1 |- t : ty`` in surface syntax."""
-    names = context_names(len(ctx))
+    names = context_names(len(ctx), ctx, ty, t)
     hyps = ", ".join(f"{names[i]} : {print_ty(a, names[:i])}" for i, a in enumerate(ctx.entries))
     judgement = f"|- {print_tm(t, names)} : {print_ty(ty, names)}"
     return f"{hyps} {judgement}" if hyps else judgement

@@ -402,6 +402,8 @@ def const_names(t) -> list[str]:
         if cls is App:
             stack.append(x.fn)
             stack.append(x.arg)
+        elif cls is Var or cls is Zero or cls is Nat:
+            pass
         elif cls is Const:
             names.append(x.name)
         elif cls is Lam:
@@ -414,6 +416,8 @@ def const_names(t) -> list[str]:
             stack += x.args
         elif cls is Pi:
             stack += (x.dom, x.cod)
+        else:
+            raise AssertionError(f"not a term or type: {x!r}")
     return names
 
 

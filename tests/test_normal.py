@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from ttkernel import normal, rewrite
 from ttkernel.gen import case_problem, gen_cases
 from ttkernel.nbe import normalize_tm, normalize_ty
 from ttkernel.normal import (
@@ -203,6 +204,28 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
     ty = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
     assert erase(normalize_tm(sig, ctx, ty, t)) == t
     assert is_normal(sig, ctx, ty, t)
+
+
+def test_the_recognizer_spends_no_oracle_steps(monkeypatch):
+    # is_normal reduces q's result type C ((\x. v0 x) zero) on its own tank,
+    # so a counter patched over the oracle's fuel, as the benchmark's tracer
+    # patches it, counts none of those steps
+    spent = {"oracle": 0, "recognizer": 0}
+
+    def counting(fuel, key):
+        class Counting(fuel):
+            def spend(self):
+                spent[key] += 1
+                super().spend()
+
+        return Counting
+
+    monkeypatch.setattr(rewrite, "_Fuel", counting(rewrite._Fuel, "oracle"))
+    monkeypatch.setattr(normal, "_Fuel", counting(normal._Fuel, "recognizer"))
+    sig = elaborate(parse("postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)"))
+    ctx, ty = Context((NN,)), TyConst("C", (App(Var(0), Zero()),))
+    assert is_normal(sig, ctx, ty, TmConst("q", (Lam(App(Var(1), Var(0))),)))
+    assert spent == {"oracle": 0, "recognizer": 1}
 
 
 # ind(zero; _. Nat; zero; p r. r): an iota-redex, reducing to zero

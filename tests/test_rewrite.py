@@ -14,20 +14,23 @@ from ttkernel.check import check
 from ttkernel.errors import FuelExhausted
 from ttkernel.gen import GenerationStuck, enum_terms, gen_cases, gen_context, gen_term, gen_type
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import erase, is_normal
+from ttkernel.normal import ZeroNf, erase, is_normal
 from ttkernel.rewrite import _reduce, oracle_equal, rw_normalize, unfold
 from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
     NatInd,
     Pi,
     Succ,
+    TmConst,
     TyConst,
     Var,
     Zero,
+    const_names,
     numeral,
     shift,
 )
@@ -326,6 +329,82 @@ def test_reduce_stack_follows_nesting_not_steps(sig_arith):
     finally:
         sys.setrecursionlimit(limit)
     assert out == Succ(900, Zero())
+
+
+# A definition whose body is a numeral, one that is a lambda, and a type
+# and a term constant to hold them as arguments.
+UNFOLDING = r"""
+def two : Nat := 2
+def idn : Nat -> Nat := \n. n
+postulate C (n : Nat)
+postulate h : (n : Nat) -> C n
+"""
+
+TWO, IDN = Const("two"), Const("idn")
+
+
+@pytest.fixture(scope="module")
+def sig_unfolding():
+    return elaborate(parse(UNFOLDING))
+
+
+@pytest.mark.parametrize(
+    ("t", "want"),
+    [
+        (Lam(TWO), Lam(numeral(2))),
+        (Succ(3, TWO), Succ(5, Zero())),  # the base unfolds to a numeral: one chain
+        (TmConst("h", (Var(0), TWO)), TmConst("h", (Var(0), numeral(2)))),
+        (
+            NatInd(
+                TWO,
+                Pi(TyConst("C", (TWO,)), TyConst("C", (App(IDN, Var(1)),))),
+                App(IDN, Zero()),
+                Lam(App(IDN, Var(0))),
+            ),
+            NatInd(numeral(2), Pi(TyConst("C", (numeral(2),)), TyConst("C", (Var(1),))), Zero(), Lam(Var(0))),
+        ),
+        (App(App(Var(0), TWO), Zero()), App(App(Var(0), numeral(2)), Zero())),  # a variable head
+        (App(Lam(Var(0)), App(IDN, TWO)), App(Lam(Var(0)), numeral(2))),  # a lambda head
+    ],
+    ids=["lambda body", "successor base", "constant arguments", "eliminator parts", "variable head", "lambda head"],
+)
+def test_unfold_reaches_a_constant_under_every_former(sig_unfolding, t, want):
+    got = unfold(sig_unfolding, t)
+    assert got == want
+    assert not const_names(got)
+    assert got.__class__ is not Succ or got.base.__class__ is not Succ
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Var(0),
+        Zero(),
+        Succ(2, Var(0)),
+        Lam(App(Var(0), Zero())),
+        TmConst("h", (Var(0),)),
+        NatInd(Var(0), Pi(TyConst("C", (Var(0),)), Nat()), Zero(), Var(1)),
+        Nat(),
+        TyConst("C", (Succ(1, Var(0)),)),
+    ],
+    ids=["Var", "Zero", "Succ", "Lam and App", "TmConst", "NatInd and Pi", "Nat", "TyConst"],
+)
+def test_unfold_returns_what_names_no_constant_as_it_is(sig_unfolding, t):
+    assert unfold(sig_unfolding, t) is t
+
+
+def test_unfold_keeps_the_subtrees_in_which_nothing_unfolds(sig_unfolding):
+    free = Lam(App(Var(0), TmConst("h", (Var(1),))))
+    got = unfold(sig_unfolding, App(App(free, TWO), free))
+    assert got == App(App(free, numeral(2)), free)
+    assert got.fn.fn is free and got.arg is free
+
+
+def test_unfold_rejects_what_is_no_term(sig_unfolding):
+    # a normal-form tree is no syntax: the scan rejects it wherever it sits
+    for t in (ZeroNf(), App(Var(0), ZeroNf()), App(TWO, ZeroNf())):
+        with pytest.raises(AssertionError):
+            unfold(sig_unfolding, t)
 
 
 def test_oracle_imports_no_evaluator():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import inline_reference
 import parser_reference
-from ttkernel.errors import ArityMismatch, KernelError, ParseError, ResourceExhausted, UnknownName
+from ttkernel.check import check
+from ttkernel.errors import ArityMismatch, KernelError, Mismatch, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
 from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
 from ttkernel.rewrite import unfold
@@ -44,6 +45,7 @@ from ttkernel.syntax import (
     TyConst,
     Var,
     Zero,
+    const_names,
     numeral,
     subst1,
 )
@@ -274,6 +276,20 @@ def test_print_nf_type(sig_abf):
 
     n = TyConstNf("B", (VarNe(0),))
     assert print_nf(n, ("a",)) == "B a"
+
+
+def test_context_variables_skip_the_names_of_constants():
+    # a constant named like a context variable keeps its name; the variable
+    # takes the next free one, as a binder would
+    ctx = Context((Nat(),))
+    constant = print_case(ctx, Nat(), App(Lam(Var(0)), TmConst("v0")))
+    variable = print_case(ctx, Nat(), App(Lam(Var(0)), Var(0)))
+    assert constant == r"v1 : Nat |- (\x0. x0) v0 : Nat"
+    assert variable == r"v0 : Nat |- (\x0. x0) v0 : Nat"
+    sig = elaborate(parse("postulate C (n : Nat)\npostulate v0 : Nat\npostulate c : C v0"))
+    with pytest.raises(Mismatch) as e:
+        check(sig, ctx, TmConst("c"), TyConst("C", (Var(0),)))
+    assert str(e.value) == "expected C v1, got C v0"
 
 
 def test_zero_parameter_term_constant():
@@ -562,6 +578,20 @@ def test_unfolding_matches_the_inlining_elaborator(case):
     sig, inlined = _SIGS[source]
     got = _elaborated(lambda *a: unfold(sig, elab_tm(*a)), sig, text)
     assert got == _elaborated(inline_reference.elab_tm, inlined, text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_unfolding_cases())
+@example(("arith", "(mul 2) ((add) v)"))
+@example(("crossval", "ind(twice v; m. C (twice m); c0; p r. h (add (succ p) 1))"))
+@example(("inlined", "k v (add w) (app (id2 (add 1)) two)"))
+def test_unfold_returns_the_term_itself_exactly_when_it_names_no_constant(case):
+    source, text = case
+    sig = _SIGS[source][0]
+    t = _elaborated(elab_tm, sig, text)
+    if isinstance(t, tuple):  # elaboration failed
+        return
+    assert (unfold(sig, t) is t) == (const_names(t) == [])
 
 
 @pytest.mark.parametrize(
