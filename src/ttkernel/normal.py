@@ -1,5 +1,6 @@
 """Normal forms: mutually inductive grammars of normal types, normal
-terms and neutral terms, with erasure back to core syntax.
+terms and neutral terms, with erasure back to core syntax, and the
+judgments that recognize their erasures.
 
 A normal term is beta/iota-free and eta-long: at a function type the
 only normal inhabitants are lambdas, and a blocked elimination (a spine
@@ -136,12 +137,12 @@ def erase(n):
 
 
 # ---------------------------------------------------------------------------
-# Type-directed recognition of normal forms.
+# Type-directed recognition of normal forms: the judgments the grammar
+# states, decided over syntax without building the tree.
 
 
-def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
-    """The unique normal-form tree over ``t`` at ``ty``, or None if ``t`` is
-    not in the grammar.
+def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
+    """Is ``t`` the erasure of a well-typed normal-form tree at ``ty``?
 
     Types never compute: the types in ``ctx`` and ``ty``, and those computed
     on the way by substitution, are read as they stand. A neutral is normal
@@ -155,94 +156,69 @@ def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:
     """
     match ty:
         case Pi(dom, cod):
-            if not isinstance(t, Lam):
-                return None  # eta-long: normal inhabitants of Pi are lambdas
-            body = to_nf(sig, ctx.extend(dom), cod, t.body)
-            return None if body is None else LamNf(body)
+            # eta-long: normal inhabitants of Pi are lambdas
+            return isinstance(t, Lam) and is_normal(sig, ctx.extend(dom), cod, t.body)
         case Nat():
             match t:
                 case Zero():
-                    return ZeroNf()
-                case Succ(k, base):
-                    nf = to_nf(sig, ctx, ty, base)
-                    return None if nf is None else SuccNf(k, nf)
-    spine = _to_ne(sig, ctx, t)
-    if spine is None:
-        return None
-    ne, have = spine
-    if have == ty:
-        return ne
-    if isinstance(ty, TyConst) and alpha_eq(_reduced(sig, ctx, have), _reduced(sig, ctx, ty)):
-        return ne
-    return None
+                    return True
+                case Succ(_, base):
+                    return is_normal(sig, ctx, ty, base)
+    have = _spine_type(sig, ctx, t)
+    if have is None:
+        return False
+    return have == ty or isinstance(ty, TyConst) and alpha_eq(_reduced(sig, ctx, have), _reduced(sig, ctx, ty))
 
 
-def to_nf_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy | None:
+def _is_normal_ty(sig: Signature, ctx: Context, ty: Ty) -> bool:
+    """Is ``ty`` the erasure of a well-formed normal type?"""
     match ty:
         case Pi(dom, cod):
-            dnf = to_nf_ty(sig, ctx, dom)
-            cnf = to_nf_ty(sig, ctx.extend(dom), cod)
-            return None if dnf is None or cnf is None else FunNf(dnf, cnf)
+            return _is_normal_ty(sig, ctx, dom) and _is_normal_ty(sig, ctx.extend(dom), cod)
         case Nat():
-            return NatNf()
+            return True
         case TyConst(name, args):
             decl = sig.find(PostulateTy, name)
-            idx = None if decl is None else _arg_nfs(sig, ctx, decl.params, args)
-            return None if idx is None else TyConstNf(name, idx)
+            return decl is not None and _normal_args(sig, ctx, decl.params, args)
     raise AssertionError(f"not a type: {ty!r}")
 
 
-def _arg_nfs(sig, ctx, params, args) -> tuple[NfTm, ...] | None:
-    """The normal-form trees of a constant's arguments, checked against its telescope."""
+def _normal_args(sig, ctx, params, args) -> bool:
+    """Are a constant's arguments normal, checked against its telescope?"""
     if len(params) != len(args):
-        return None
-    nfs = []
-    for i, a in enumerate(args):
-        anf = to_nf(sig, ctx, inst_params(params[i], tuple(args[:i])), a)
-        if anf is None:
-            return None
-        nfs.append(anf)
-    return tuple(nfs)
+        return False
+    for i, a in enumerate(args):  # a loop, not all(...): no generator frame per level
+        if not is_normal(sig, ctx, inst_params(params[i], args[:i]), a):
+            return False
+    return True
 
 
-def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
-    """Parse a neutral spine, returning its tree and its inferred type."""
+def _spine_type(sig: Signature, ctx: Context, t: Term) -> Ty | None:
+    """The type the neutral spine ``t`` synthesizes from its head, if all its
+    parts are normal; None otherwise."""
     match t:
         case Var(i):
-            if not 0 <= i < len(ctx):
-                return None
-            return VarNe(i), ctx.var_type(i)
+            if 0 <= i < len(ctx):
+                return ctx.var_type(i)
         case App(f, a):
-            head = _to_ne(sig, ctx, f)
-            if head is None or not isinstance(head[1], Pi):
-                return None
-            anf = to_nf(sig, ctx, head[1].dom, a)
-            if anf is None:
-                return None
-            return AppNe(head[0], anf), subst1(head[1].cod, a)
+            fty = _spine_type(sig, ctx, f)
+            if isinstance(fty, Pi) and is_normal(sig, ctx, fty.dom, a):
+                return subst1(fty.cod, a)
         case NatInd(scrut, motive, z, s):
-            head = _to_ne(sig, ctx, scrut)
-            if head is None or not isinstance(head[1], Nat):
-                return None
-            mnf = to_nf_ty(sig, ctx.extend(Nat()), motive)
-            if mnf is None:  # without a motive, the cases have no types to check at
-                return None
-            znf = to_nf(sig, ctx, subst1(motive, Zero()), z)
-            ctx2 = ctx.extend(Nat()).extend(motive)
-            snf = to_nf(sig, ctx2, motive_succ_case(motive), s)
-            if znf is None or snf is None:
-                return None
-            return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
+            ctx_n = ctx.extend(Nat())
+            # without a normal motive, the cases have no types to check at
+            if (
+                isinstance(_spine_type(sig, ctx, scrut), Nat)
+                and _is_normal_ty(sig, ctx_n, motive)
+                and is_normal(sig, ctx, subst1(motive, Zero()), z)
+                and is_normal(sig, ctx_n.extend(motive), motive_succ_case(motive), s)
+            ):
+                return subst1(motive, scrut)
         case TmConst(name, args):
             decl = sig.find(PostulateTm, name)
-            if decl is None:
-                return None
-            nfs = _arg_nfs(sig, ctx, decl.params, args)
-            if nfs is None:
-                return None
-            return TmConstNe(name, nfs), inst_params(decl.result, args)
-        case _:
-            return None
+            if decl is not None and _normal_args(sig, ctx, decl.params, args):
+                return inst_params(decl.result, args)
+    return None
 
 
 def _reduced(sig: Signature, ctx: Context, ty: Ty) -> Ty:
@@ -250,8 +226,3 @@ def _reduced(sig: Signature, ctx: Context, ty: Ty) -> Ty:
     arguments beta/iota-reduced, on a tank of its own (these are not oracle
     steps), then eta-expanded."""
     return _eta_ty(sig, ctx.entries, _reduce_ty(unfold(sig, ty), _Fuel(DEFAULT_FUEL)))
-
-
-def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
-    """Is ``t`` the erasure of a well-typed normal-form tree at ``ty``?"""
-    return to_nf(sig, ctx, ty, t) is not None

@@ -13,11 +13,12 @@ body, from which each engine computes its ``entry`` for it, kept under a
 key of its own. Only ``function`` says what a term constant's are.
 
 Extending costs the same at any length. A signature and those extended
-from it share one list of declarations, one name index and the tables of
-entries, and each sees the prefix of its own length. A signature that is
-no longer the longest of that lineage, because it was extended already,
-copies its prefix when extended again, with empty tables: entries are
-caches, and siblings never see each other's declarations or entries.
+from it share one list of declarations and one name index, and each sees
+the prefix of its own length. A signature that is no longer the longest of
+that lineage, because it was extended already, copies its prefix when
+extended again, so siblings never see each other's declarations. Entries
+and derived views are caches of one signature alone: an extended signature
+starts with none.
 """
 
 from __future__ import annotations
@@ -58,15 +59,13 @@ class Signature(Node):
     _decls: list  # shared along the lineage; this signature sees the first _length
     _length: int
     _index: dict  # name -> position in _decls, shared likewise
-    _tables: dict  # key -> {constant name: entry}, shared likewise
-    _derived: dict  # what ``derived`` built for this signature alone
+    _cache: dict  # key -> {constant name: entry}, and build -> view: this signature's alone
 
     def __init__(self, decls: tuple[Declaration, ...] = ()):
         self._decls = list(decls)
         self._length = len(self._decls)
         self._index = {d.name: i for i, d in enumerate(self._decls)}
-        self._tables = {}
-        self._derived = {}
+        self._cache = {}
 
     @property
     def decls(self) -> tuple[Declaration, ...]:
@@ -86,25 +85,23 @@ class Signature(Node):
 
     def extend(self, decl: Declaration) -> Signature:
         """``decl`` appended, unchecked. The longest signature of a lineage
-        appends in place; any other copies its prefix first, with empty
-        tables."""
+        appends in place; any other copies its prefix first."""
         n = self._length
         if n and n == len(self._decls) and decl.name not in self._index:
             sig = object.__new__(Signature)
-            sig._decls, sig._index, sig._tables = self._decls, self._index, self._tables
+            sig._decls, sig._index, sig._cache = self._decls, self._index, {}
         else:
             sig = Signature(self._decls[:n])
         sig._index[decl.name] = len(sig._decls)
         sig._decls.append(decl)
         sig._length = n + 1
-        sig._derived = {}
         return sig
 
     def derived(self, build):
         """``build(self)``, computed once for this signature alone."""
-        got = self._derived.get(build)
+        got = self._cache.get(build)
         if got is None:
-            got = self._derived[build] = build(self)
+            got = self._cache[build] = build(self)
         return got
 
     def function(self, name: str) -> tuple[Ty, Term] | None:
@@ -126,14 +123,15 @@ class Signature(Node):
         their entries filled and never recurses into another fill: a chain
         of any length costs no stack."""
         try:
-            return self._tables[key][name]
+            return self._cache[key][name]
         except KeyError:
-            table = self._tables.setdefault(key, {})
+            table = self._cache.setdefault(key, {})
         todo, found = [name], {}  # name -> (type, body)
         while todo:
             n = todo.pop()
             if n not in found and n not in table:
                 found[n] = self.function(n)
+                assert found[n] is not None, f"'{n}' is no constant used as a function"
                 todo += const_names(found[n][1])
         for n in sorted(found, key=self._index.__getitem__):
             table[n] = compute(self, *found[n])

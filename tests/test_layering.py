@@ -110,9 +110,22 @@ def test_only_the_signature_makes_a_term_constant_a_function():
 
 
 def test_no_other_module_reads_the_signatures_private_attributes():
-    private = {"_tables", "_decls", "_index", "_length", "_derived"}
+    private = {"_cache", "_decls", "_index", "_length"}
     readers = {m: _names(m) & private for m in _modules() if m != "signature"}
     assert {m: names for m, names in readers.items() if names} == {}
+
+
+def test_the_recognizer_builds_no_normal_form_tree():
+    # normal.py decides the normal judgments over syntax: its grammar classes
+    # are NbE's output and erasure's input, and only erase names them to call
+    tree = ast.parse((SRC / "normal.py").read_text(encoding="utf-8"))
+    grammar = {c.name for c in tree.body if isinstance(c, ast.ClassDef)}
+    callers = {
+        func
+        for node, func in _scoped("normal")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in grammar
+    }
+    assert callers <= {"erase"}, callers
 
 
 def test_nothing_in_the_kernel_is_there_for_the_tests_alone():

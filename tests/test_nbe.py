@@ -305,10 +305,10 @@ def test_a_definition_evaluates_to_the_value_of_its_normal_form():
     # d3's body applies d2 twice, but its entry is \n. succ^8 n: applying it
     # evaluates one successor chain, however many definitions d3 names
     sig = elaborate(parse(CHAIN_3))
-    assert sig._tables == {}  # checking the file evaluated no body
+    assert sig._cache == {}  # checking the file evaluated no body
     t = elab_tm(sig, (), parse_expression("d3 1"))
     assert normalize_tm(sig, Context(), Nat(), t) == SuccNf(9, ZeroNf())
-    values = sig._tables["nbe"]
+    values = sig._cache["nbe"]
     assert list(values) == ["d0", "d1", "d2", "d3"]  # filled in declaration order
     assert values["d3"] == VLam(Closure((), Succ(8, Var(0))))
 
@@ -316,7 +316,7 @@ def test_a_definition_evaluates_to_the_value_of_its_normal_form():
 def test_only_the_definitions_a_use_needs_are_evaluated():
     sig = elaborate(parse(ARITH))
     eval_tm(sig, (), elab_tm(sig, (), parse_expression("mul 2 3")))
-    assert set(sig._tables["nbe"]) == {"add", "mul"}
+    assert set(sig._cache["nbe"]) == {"add", "mul"}
 
 
 def test_a_term_constant_as_a_function_evaluates_to_its_eta_expansion(sig_abf):

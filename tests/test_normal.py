@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from ttkernel import normal, rewrite
-from ttkernel.gen import case_problem, gen_cases
+from ttkernel.gen import case_problem, enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm, normalize_ty
 from ttkernel.normal import (
     AppNe,
@@ -19,10 +19,9 @@ from ttkernel.normal import (
     VarNe,
     ZeroNf,
     _ERASES_TO,
+    _is_normal_ty,
     erase,
     is_normal,
-    to_nf,
-    to_nf_ty,
 )
 from ttkernel.surface import elaborate, parse
 from ttkernel.syntax import (
@@ -40,11 +39,15 @@ from ttkernel.syntax import (
     Var,
     Zero,
     binders,
+    inst_params,
     numeral,
     shift,
 )
 
-from conftest import CROSSVAL
+import normal_reference
+from conftest import CROSSVAL, HIGHER_ORDER_SOURCES
+from enum_reference import PARTITION_TARGETS
+from normal_reference import to_nf, to_nf_ty
 
 NN = Pi(Nat(), Nat())
 
@@ -149,11 +152,11 @@ def test_is_normal_ty(sig_abf, sig_crossval):
     from ttkernel.syntax import TyConst
 
     ctx = Context((TyConst("A"),))
-    assert to_nf_ty(sig_abf, ctx, TyConst("B", (Var(0),))) is not None
-    assert to_nf_ty(sig_abf, ctx, TyConst("B", (App(Lam(Var(0)), Var(0)),))) is None
+    assert _is_normal_ty(sig_abf, ctx, TyConst("B", (Var(0),)))
+    assert not _is_normal_ty(sig_abf, ctx, TyConst("B", (App(Lam(Var(0)), Var(0)),)))
     # a term constant, a definition and an unknown name are no type constants
     for name in ("c0", "twice", "nope"):
-        assert to_nf_ty(sig_crossval, ctx, TyConst(name)) is None
+        assert not _is_normal_ty(sig_crossval, ctx, TyConst(name))
 
 
 def test_roundtrip_unique_reconstruction(sig_abf):
@@ -284,3 +287,179 @@ def test_binder_table_agrees_with_substitution(cls):
         moved = shift(t, 1)
         got = [getattr(moved, name) != getattr(t, name) for name in syntax_cls.__match_args__]
         assert got == [var and j >= b for var, b in zip(holds_var, binders(syntax_cls))]
+
+
+# The differential test of the recognizer against tests/normal_reference.py:
+# ``is_normal`` answers ``to_nf(...) is not None`` and ``_is_normal_ty``
+# answers ``to_nf_ty(...) is not None`` on every case of a fixed corpus.
+
+_HANDWRITTEN_SOURCE = CROSSVAL + ETA_SHORT + "postulate q : (u : Nat -> Nat) -> C (u zero)\n"
+
+
+def _handwritten_cases(sig):
+    """Hand-written terms at their types: eta-short terms, wrong arities,
+    unknown constants and constants of the wrong kind, motives that are no
+    types, and neutrals whose type agrees with the target only once reduced."""
+    redex = App(Lam(Var(0)), Zero())
+    u_ctx = Context((NN, Nat()))  # u : Nat -> Nat, v : Nat
+    a_ctx = Context((TyConst("A"), Nat()))  # a : A, v : Nat
+    aa_ctx = Context((TyConst("A"), TyConst("A")))  # a, a' : A
+    n_ctx, ci = Context((Nat(),)), TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
+    hv, cv, fa = TmConst("h", (Var(0),)), TyConst("C", (Var(0),)), TmConst("f", (Var(1),))
+    cases = [
+        (u_ctx, NN, Var(1)),  # eta-short at a function type
+        (u_ctx, NN, Lam(App(Var(2), Var(0)))),
+        (u_ctx, Nat(), App(Var(1), Var(0))),
+        (u_ctx, Nat(), App(Var(1), redex)),
+        (u_ctx, Nat(), Var(2)),
+        (Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Var(0),))),  # an eta-short type argument
+        (Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Lam(App(Var(1), Var(0))),))),
+        (Context((NN,)), TyConst("C", (App(Var(0), Zero()),)), TmConst("q", (Lam(App(Var(1), Var(0))),))),
+        (Context((NN,)), TyConst("C", (Zero(),)), TmConst("q", (Lam(App(Var(1), Var(0))),))),
+        (u_ctx, cv, hv),
+        (u_ctx, TyConst("C", (redex,)), hv),  # agrees once reduced
+        (u_ctx, TyConst("C", (Zero(),)), hv),
+        (u_ctx, Nat(), hv),
+        (u_ctx, cv, Var(0)),
+        (u_ctx, cv, TmConst("h", (redex,))),
+        (u_ctx, cv, TmConst("h")),  # wrong arities
+        (u_ctx, cv, TmConst("h", (Var(0), Var(0)))),
+        (u_ctx, Nat(), TmConst("twice", (Var(0),))),  # a definition, a type constant, no constant
+        (u_ctx, Nat(), TmConst("A")),
+        (u_ctx, Nat(), TmConst("nope", (Var(0),))),
+        (aa_ctx, TyConst("B", (Var(1),)), fa),
+        (aa_ctx, TyConst("B", (Var(0),)), fa),
+        (u_ctx, Nat(), NatInd(Var(0), Nat(), Zero(), Var(0))),
+        (u_ctx, Nat(), NatInd(Var(0), Nat(), redex, Var(0))),
+        (u_ctx, Nat(), NatInd(Var(0), Nat(), Zero(), App(Lam(Var(0)), Var(0)))),
+        (u_ctx, Nat(), NatInd(Var(1), Nat(), Zero(), Var(0))),  # a scrutinee of function type
+        (u_ctx, Nat(), NatInd(Zero(), Nat(), Zero(), Var(0))),  # an iota-redex
+        (a_ctx, TyConst("A"), NatInd(Var(0), TyConst("A"), Var(1), Var(0))),
+        (n_ctx, cv, NatInd(Var(0), cv, TmConst("c0"), Var(0))),
+        (n_ctx, cv, NatInd(Var(0), cv, TmConst("c0"), Zero())),
+        (n_ctx, ci, NatInd(Var(0), ci, TmConst("c0"), Var(0))),  # a motive whose iota-redex reduces
+    ]
+    for name in ("f", "twice", "nope", "C"):  # motives that are no types, or of the wrong arity
+        cases.append((a_ctx, TyConst("A"), NatInd(Var(0), TyConst(name), Var(1), Var(0))))
+    return cases
+
+
+_HANDWRITTEN_TYPES = [
+    (Context((TyConst("A"),)), TyConst("B", (Var(0),))),
+    (Context((TyConst("A"),)), TyConst("B", (App(Lam(Var(0)), Var(0)),))),
+    (Context((TyConst("A"),)), TyConst("B")),
+    (Context(), Pi(TyConst("A"), TyConst("B", (Var(0),)))),
+    (Context(), Pi(TyConst("B"), Nat())),
+    (Context(), Pi(Nat(), TyConst("C", (App(Lam(Var(0)), Var(0)),)))),
+] + [(Context(), TyConst(name)) for name in ("c0", "twice", "nope", "A")]
+
+
+@pytest.fixture(scope="module")
+def verdict_corpus(sig_crossval, sig_dep, sig_abf):
+    """``(sig, ctx, ty, t)`` term cases and ``(sig, ctx, ty)`` type cases."""
+    terms, types = [], []
+    sigs = [sig_crossval, sig_dep, sig_abf] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
+    for i, sig in enumerate(sigs):
+        for ctx, ty, t in gen_cases(sig, i, 40, 8):
+            terms += [(sig, ctx, ty, t), (sig, ctx, ty, erase(normalize_tm(sig, ctx, ty, t)))]
+            types += [(sig, ctx, ty), (sig, ctx, erase(normalize_ty(sig, ctx, ty)))]
+    for ctx, ty in PARTITION_TARGETS:
+        terms += [(sig_crossval, ctx, ty, t) for t in enum_terms(sig_crossval, ctx, ty, 5)]
+        types.append((sig_crossval, ctx, ty))
+    sig = elaborate(parse(_HANDWRITTEN_SOURCE))
+    terms += [(sig, ctx, ty, t) for ctx, ty, t in _handwritten_cases(sig)]
+    types += [(sig, ctx, ty) for ctx, ty in _HANDWRITTEN_TYPES]
+    return terms, types
+
+
+def _disagreements(corpus):
+    terms, types = corpus
+    wrong = [c for c in terms if normal.is_normal(*c) != (normal_reference.to_nf(*c) is not None)]
+    return wrong + [c for c in types if normal._is_normal_ty(*c) != (normal_reference.to_nf_ty(*c) is not None)]
+
+
+def test_the_recognizer_agrees_with_the_reference(verdict_corpus):
+    terms, _ = verdict_corpus
+    assert _disagreements(verdict_corpus) == []
+    # both verdicts occur often enough to tell a mutant apart
+    accepted = sum(normal.is_normal(*c) for c in terms)
+    assert 100 < accepted < len(terms) - 100, (accepted, len(terms))
+
+
+def _ignores_last_argument(sig, ctx, params, args):
+    if len(params) != len(args):
+        return False
+    kept = zip(params[:-1], args)  # the last argument goes unchecked
+    return all(normal.is_normal(sig, ctx, inst_params(p, args[:i]), a) for i, (p, a) in enumerate(kept))
+
+
+def _accepts_a_non_lambda_at_a_pi(is_normal_):
+    def mutant(sig, ctx, ty, t):
+        if isinstance(ty, Pi) and not isinstance(t, Lam):
+            return normal._spine_type(sig, ctx, t) is not None
+        return is_normal_(sig, ctx, ty, t)
+
+    return mutant
+
+
+def _skips_the_type_comparison(is_normal_):
+    def mutant(sig, ctx, ty, t):
+        if isinstance(ty, Pi) or isinstance(ty, Nat) and isinstance(t, (Zero, Succ)):
+            return is_normal_(sig, ctx, ty, t)
+        return normal._spine_type(sig, ctx, t) is not None
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    ("name", "mutant"),
+    [
+        ("_normal_args", lambda _: _ignores_last_argument),
+        ("is_normal", _accepts_a_non_lambda_at_a_pi),
+        ("is_normal", _skips_the_type_comparison),
+    ],
+    ids=["ignores the last argument", "non-lambda at a Pi", "no type comparison"],
+)
+def test_the_verdict_corpus_tells_each_mutant_apart(verdict_corpus, monkeypatch, name, mutant):
+    monkeypatch.setattr(normal, name, mutant(getattr(normal, name)))
+    assert _disagreements(verdict_corpus)
+
+
+def _deepest(accepts, limit=2_000):
+    """The largest depth that ``accepts`` answers True at, rather than
+    running out of stack: a binary search."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            ok = accepts(mid)
+        except RecursionError:
+            ok = False
+        lo, hi = (mid, hi) if ok else (lo, mid - 1)
+    return lo
+
+
+def _nested(depth, leaf, wrap):
+    t = leaf
+    for _ in range(depth):
+        t = wrap(t)
+    return t
+
+
+@pytest.mark.parametrize(
+    ("source", "ctx", "case"),
+    [
+        ("postulate s : Nat -> Nat", Context(), lambda d: (Nat(), _nested(d, Zero(), lambda t: TmConst("s", (t,))))),
+        ("", Context((NN, Nat())), lambda d: (Nat(), _nested(d, Var(0), lambda t: App(Var(1), t)))),
+        ("", Context((Nat(),)), lambda d: (Nat(), _nested(d, Var(0), lambda t: NatInd(t, Nat(), Zero(), Var(0))))),
+        ("", Context(), lambda d: (_nested(d, Nat(), lambda c: Pi(Nat(), c)), _nested(d, Var(0), Lam))),
+    ],
+    ids=["constant arguments", "variable arguments", "eliminator scrutinees", "lambdas at a Pi"],
+)
+def test_the_recognizer_accepts_nesting_as_deep_as_the_reference(source, ctx, case):
+    # the predicates recurse with the reference's frames per level, so they
+    # run out of stack no earlier
+    sig = elaborate(parse(source))
+    reference = _deepest(lambda d: to_nf(sig, ctx, *case(d)) is not None)
+    assert reference > 150
+    assert _deepest(lambda d: is_normal(sig, ctx, *case(d))) >= reference

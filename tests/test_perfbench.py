@@ -15,9 +15,18 @@ def test_perfbench_self_check_counts():
         [sys.executable, "-B", str(RUN), "--self-check"], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    lines = [line for line in done.stdout.splitlines() if line.startswith("self-check oracle:")]
-    assert len(lines) == 1, done.stdout
-    counts = ast.literal_eval(lines[0][lines[0].index("{") :])
-    assert counts["rewrite.beta_iota_steps"] == 9_555
-    assert counts["gen.attempts"] == 1_107
-    assert counts["gen.cases"] == 960
+    counts = {}
+    for line in done.stdout.splitlines():
+        if line.startswith(("self-check user:", "self-check oracle:")):
+            counts[line.split()[1].rstrip(":")] = ast.literal_eval(line[line.index("{") :])
+    assert counts == {
+        "user": {"surface.core_nodes": 2_176, "nbe.nf_nodes": 314},
+        "oracle": {
+            "nbe.nf_nodes": 5_876,
+            "rewrite.beta_iota_steps": 9_555,
+            "gen.attempts": 1_107,
+            "gen.cases": 960,
+            "surface.core_nodes": 181,
+        },
+    }, done.stdout
+    assert "self-check mul 10 10 --oracle: 121 beta/iota steps" in done.stdout, done.stdout

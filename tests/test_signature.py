@@ -121,7 +121,7 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
             t = elab_tm(sig, (), parse_expression(name))
             assert erase(normalize_tm(sig, Context(), Nat(), t)) == numeral(want)
             assert rw_normalize(sig, Context(), Nat(), t) == numeral(want)
-    assert left._tables["nbe"]["y"] != right._tables["nbe"]["y"]
+    assert left._cache["nbe"]["y"] != right._cache["nbe"]["y"]
     # a child declaring another name sees neither sibling's declaration
     other = elaborate(parse("def z : Nat := 7\n"), parent)
     assert [d.name for d in other.decls] == ["one", "z"] and other.find(Define, "x") is None
@@ -129,7 +129,7 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
     # a third child, extended after both were used, starts with empty tables
     third = elaborate(parse("def x : Nat := zero\n"), parent)
     assert rw_normalize(third, Context(), Nat(), Const("x")) == Zero()
-    assert third._tables == {"rewrite": {"x": Zero()}}
+    assert third._cache == {"rewrite": {"x": Zero()}}
 
 
 def test_extending_a_signature_that_is_not_last_leaves_the_last_ones_entries():
@@ -137,14 +137,14 @@ def test_extending_a_signature_that_is_not_last_leaves_the_last_ones_entries():
     last = elaborate(parse("def two : Nat := succ one\n"), parent)
     assert erase(normalize_tm(last, Context(), Nat(), Const("two"))) == numeral(2)
     assert rw_normalize(last, Context(), Nat(), Const("two")) == numeral(2)
-    entries = {key: dict(table) for key, table in last._tables.items()}
+    entries = {key: dict(table) for key, table in last._cache.items()}
     assert set(entries["nbe"]) == set(entries["rewrite"]) == {"one", "two"}
     other = declare(parent, Define("two", Nat(), numeral(5)))
-    assert other._tables == {} and other._decls is not last._decls
+    assert other._cache == {} and other._decls is not last._decls
     assert erase(normalize_tm(other, Context(), Nat(), Const("two"))) == numeral(5)
     assert rw_normalize(other, Context(), Nat(), Const("two")) == numeral(5)
-    assert last._tables == entries and all(
-        last._tables[key][name] is entry for key, table in entries.items() for name, entry in table.items()
+    assert last._cache == entries and all(
+        last._cache[key][name] is entry for key, table in entries.items() for name, entry in table.items()
     )
 
 
@@ -161,5 +161,14 @@ def test_a_term_constant_as_a_function_reaches_both_engines_through_its_entry(si
     assert erase(normalize_tm(sig_abf, ctx, ty, t)) == rw_normalize(sig_abf, ctx, ty, t) == TmConst("f", (Var(0),))
     assert asked == [("nbe", "f"), ("rewrite", "f")]
     assert sig_abf.function("f") == (Pi(TyConst("A"), TyConst("B", (Var(0),))), Lam(TmConst("f", (Var(0),))))
-    assert sig_abf._tables["rewrite"] == {"f": Lam(TmConst("f", (Var(0),)))}
-    assert sig_abf._tables["nbe"]["f"] == VLam(Closure((), TmConst("f", (Var(0),))))
+    assert sig_abf._cache["rewrite"] == {"f": Lam(TmConst("f", (Var(0),)))}
+    assert sig_abf._cache["nbe"]["f"] == VLam(Closure((), TmConst("f", (Var(0),))))
+
+
+@pytest.mark.parametrize("name", ["nope", "A"], ids=["unknown", "a type constant"])
+def test_a_const_that_names_no_function_fails_in_both_engines(sig_crossval, name):
+    # as an unknown term constant does in either engine: an assertion that
+    # names it, not an error from inside the fill of its entry
+    for normalize in (normalize_tm, rw_normalize):
+        with pytest.raises(AssertionError, match=f"'{name}'"):
+            normalize(sig_crossval, Context(), Nat(), Const(name))
