@@ -26,7 +26,7 @@ from .syntax import (
     subst1,
 )
 from .signature import Define, PostulateTm, PostulateTy, Signature
-from .normal import NeTm, NfTm, NfTy, erase, is_normal
+from .normal import is_normal
 from .nbe import normalize_tm, normalize_ty
 from .check import check_ty, conv_tm, conv_ty, declare, infer
 from .rewrite import oracle_equal, rw_normalize
@@ -40,9 +40,6 @@ __all__ = [
     "Lam",
     "Nat",
     "NatInd",
-    "NeTm",
-    "NfTm",
-    "NfTy",
     "Pi",
     "PostulateTm",
     "PostulateTy",
@@ -60,7 +57,6 @@ __all__ = [
     "conv_ty",
     "declare",
     "elaborate",
-    "erase",
     "infer",
     "is_normal",
     "normalize_tm",

@@ -31,7 +31,6 @@ import sys
 from .check import check, check_ty, conv_tm, infer
 from .errors import BadFuel, KernelError, ParseError, ResourceExhausted, UsageError
 from .nbe import normalize_tm
-from .normal import erase
 from .rewrite import DEFAULT_FUEL, rw_normalize
 from .signature import Signature
 from .surface import (
@@ -42,7 +41,6 @@ from .surface import (
     parse_expression,
     parse_type,
     print_case,
-    print_nf,
     print_tm,
 )
 from .syntax import Context, alpha_eq
@@ -129,10 +127,10 @@ def _cmd_normalize(args) -> int:
     sig = _load(args.file)
     t, ty = _expr_at(sig, args.expr, args.type)
     nf = normalize_tm(sig, Context(), ty, t)
-    out = print_nf(nf)
+    out = print_tm(nf)
     if args.oracle:
         rewritten = rw_normalize(sig, Context(), ty, t, _fuel())
-        if not alpha_eq(erase(nf), rewritten):
+        if not alpha_eq(nf, rewritten):
             both = f"nbe:    {out}\noracle: {print_tm(rewritten)}"
             return _emit(args, "oracle-mismatch", both, None, 3)
     return _emit(args, "ok", out, None, 0)

@@ -79,13 +79,13 @@ class Mismatch(CheckError):
         return None if self.actual is None else _normalize(self.sig, self.ctx, self.actual)
 
     def __str__(self) -> str:
-        from .surface import context_names, print_nf  # late: surface imports this module
+        from .surface import context_names, print_ty  # late: surface imports this module
 
         expected, actual = self.expected_nf, self.actual_nf
         names = context_names(len(self.ctx), expected, actual)  # actual may be None
         if actual is None:
-            return f"function literal checked against {print_nf(expected, names)}"
-        return f"expected {print_nf(expected, names)}, got {print_nf(actual, names)}"
+            return f"function literal checked against {print_ty(expected, names)}"
+        return f"expected {print_ty(expected, names)}, got {print_ty(actual, names)}"
 
 
 class MotiveMismatch(CheckError):
@@ -132,6 +132,6 @@ class ResourceExhausted(KernelError):
 
 
 def _normalize(sig, ctx, ty):
-    from .nbe import normalize_ty  # late: nbe imports this module through rewrite
+    from .nbe import normalize_ty  # late: the oracle imports this module, and stays apart from nbe
 
     return normalize_ty(sig, ctx, ty)

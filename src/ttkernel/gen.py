@@ -20,7 +20,7 @@ from itertools import product
 from .check import check, check_ty, conv_ty
 from .errors import KernelError
 from .nbe import normalize_tm
-from .normal import erase, is_normal
+from .normal import is_normal
 from .rewrite import DEFAULT_FUEL, oracle_equal, rw_normalize
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
@@ -381,15 +381,14 @@ def case_problem(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
     form is normal, agrees with the rewriting oracle (given ``fuel``), is
     idempotent and checks at ``ty``."""
     nf = normalize_tm(sig, ctx, ty, t)
-    back = erase(nf)
-    if not is_normal(sig, ctx, ty, back):
+    if not is_normal(sig, ctx, ty, nf):
         return "not normal"
-    if not oracle_equal(sig, ctx, ty, back, t, fuel):
+    if not oracle_equal(sig, ctx, ty, nf, t, fuel):
         return "oracle disagrees"
-    if normalize_tm(sig, ctx, ty, back) != nf:
+    if normalize_tm(sig, ctx, ty, nf) != nf:
         return "not idempotent"
     try:
-        check(sig, ctx, back, ty)
+        check(sig, ctx, nf, ty)
     except KernelError as e:
         return f"normal form fails to recheck ({e})"
     return None

@@ -2,11 +2,12 @@
 
 Evaluation sends well-typed syntax into the semantic domain, computing
 the beta rules of application and the Nat eliminator on the way; reify
-reads values back as eta-long normal forms, minting fresh variables as
-de Bruijn levels from the current depth. ``normalize_tm`` composes the
-two over the identity environment of a context. A constant used as a
-function evaluates to its signature entry, the value of its body's
-normal form, filled on first use.
+reads values back into syntax, as the eta-long normal terms that
+``normal.is_normal`` recognizes, minting fresh variables as de Bruijn
+levels from the current depth. ``normalize_tm`` composes the two over
+the identity environment of a context. A constant used as a function
+evaluates to its signature entry, the value of its body's normal form,
+filled on first use.
 Types never compute, so a semantic type is the syntactic type in a
 closure over its environment: reify dispatches on its former, and only
 ``nfty`` evaluates a type's parts, the arguments of a type constant,
@@ -28,22 +29,6 @@ from .domain import (
     VNe,
     VSucc,
     VZero,
-)
-from .normal import (
-    AppNe,
-    FunNf,
-    LamNf,
-    NatIndNe,
-    NatNf,
-    NeTm,
-    NfTm,
-    NfTy,
-    SuccNf,
-    TmConstNe,
-    TyConstNf,
-    VarNe,
-    ZeroNf,
-    erase,
 )
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
@@ -103,7 +88,7 @@ def _constant_value(sig, ty: Ty, body: Term) -> Value:
     """A constant's entry: the value of its body's normal form, so that an
     application evaluates the unfolded body once, whatever the definitions
     the body names."""
-    return eval_tm(sig, (), erase(reify(sig, 0, Closure((), ty), eval_tm(sig, (), body))))
+    return eval_tm(sig, (), reify(sig, 0, Closure((), ty), eval_tm(sig, (), body)))
 
 
 def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
@@ -164,7 +149,7 @@ def var_value(ty: Closure, level: int) -> Value:
     return reflect(ty, NVar(level))
 
 
-def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> NfTm:
+def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
     """Read a value back as an eta-long normal form under ``depth`` binders;
     a neutral at Nat or at a type constant is itself a normal term there."""
     # the type's former and the value's class are tested by identity
@@ -172,29 +157,29 @@ def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> NfTm:
     former, cls = body.__class__, v.__class__
     if former is Nat:
         if cls is VSucc:
-            return succ(SuccNf, v.k, reify(sig, depth, ty, v.base))
+            return succ(Succ, v.k, reify(sig, depth, ty, v.base))
         if cls is VZero:
-            return ZeroNf()
+            return Zero()
         if cls is VNe:
             return reify_ne(sig, depth, v.ne)
         raise AssertionError(f"not a Nat value: {v!r}")
     if former is Pi:
         fresh = var_value(Closure(env, body.dom), depth)
-        return LamNf(reify(sig, depth + 1, Closure(env + (fresh,), body.cod), apply(sig, v, fresh)))
+        return Lam(reify(sig, depth + 1, Closure(env + (fresh,), body.cod), apply(sig, v, fresh)))
     if former is TyConst:
         assert cls is VNe, f"not a neutral at a constant type: {v!r}"
         return reify_ne(sig, depth, v.ne)
     raise AssertionError(f"not a type: {body!r}")
 
 
-def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
+def reify_ne(sig: Signature, depth: int, ne: Neutral) -> Term:
     """Read a neutral back, converting levels to indices."""
     match ne:
         case NVar(level):
             assert 0 <= level < depth, f"level {level} escapes depth {depth}"
-            return VarNe(depth - 1 - level)
+            return Var(depth - 1 - level)
         case NApp(fn, arg, arg_ty):
-            return AppNe(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))
+            return App(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))
         case NNatInd(scrut, motive, zcase, scase):
             env, body = motive.env, motive.body
             fresh_n = var_value(NAT, depth)
@@ -204,13 +189,13 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> NeTm:
             fresh_ih = var_value(motive_n, depth + 1)
             step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
             scase_nf = reify(sig, depth + 2, Closure(env + (succ(VSucc, 1, fresh_n),), body), step)
-            return NatIndNe(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
+            return NatInd(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
         case NConst(name, args):
-            return TmConstNe(name, _reify_const_args(sig, depth, PostulateTm, name, args))
+            return TmConst(name, _reify_const_args(sig, depth, PostulateTm, name, args))
     raise AssertionError(f"not a neutral: {ne!r}")
 
 
-def _reify_const_args(sig, depth, kind, name, args) -> tuple[NfTm, ...]:
+def _reify_const_args(sig, depth, kind, name, args) -> tuple[Term, ...]:
     params = sig.find(kind, name).params
     nfs = []
     for i, v in enumerate(args):
@@ -218,20 +203,20 @@ def _reify_const_args(sig, depth, kind, name, args) -> tuple[NfTm, ...]:
     return tuple(nfs)
 
 
-def nfty(sig: Signature, depth: int, ty: Closure) -> NfTy:
+def nfty(sig: Signature, depth: int, ty: Closure) -> Ty:
     """Read a semantic type back as a normal type, evaluating a type
     constant's arguments on the way."""
     env = ty.env
     match ty.body:
         case Nat():
-            return NatNf()
+            return Nat()
         case TyConst(name, args):
             values = tuple(eval_tm(sig, env, a) for a in args)
-            return TyConstNf(name, _reify_const_args(sig, depth, PostulateTy, name, values))
+            return TyConst(name, _reify_const_args(sig, depth, PostulateTy, name, values))
         case Pi(dom, cod):
             dom_ty = Closure(env, dom)
             fresh = var_value(dom_ty, depth)
-            return FunNf(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), cod)))
+            return Pi(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), cod)))
     raise AssertionError(f"not a type: {ty.body!r}")
 
 
@@ -243,10 +228,10 @@ def id_env(sig: Signature, ctx: Context) -> Env:
     return env
 
 
-def normalize_tm(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm:
+def normalize_tm(sig: Signature, ctx: Context, ty: Ty, t: Term) -> Term:
     env = id_env(sig, ctx)
     return reify(sig, len(ctx), Closure(env, ty), eval_tm(sig, env, t))
 
 
-def normalize_ty(sig: Signature, ctx: Context, ty: Ty) -> NfTy:
+def normalize_ty(sig: Signature, ctx: Context, ty: Ty) -> Ty:
     return nfty(sig, len(ctx), Closure(id_env(sig, ctx), ty))

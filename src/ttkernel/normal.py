@@ -1,16 +1,12 @@
-"""Normal forms: mutually inductive grammars of normal types, normal
-terms and neutral terms, with erasure back to core syntax, and the
-judgments that recognize their erasures.
+"""Normal forms: the judgments that recognize normal types, normal terms
+and neutral terms among plain syntax.
 
 A normal term is beta/iota-free and eta-long: at a function type the
 only normal inhabitants are lambdas, and a blocked elimination (a spine
 headed by a variable or a term constant) is a normal term only at Nat or
-at a type constant. So a neutral is a normal term (``NeTm`` is an
-``NfTm``), and its type follows from its head and its arguments.
-
-Each grammar class erases to the syntax class with the same fields in the
-same order, so erasure is one walk, and two trees are equal exactly when
-their erasures are.
+at a type constant. So a neutral is a normal term, and its type follows
+from its head and its arguments. NbE's readback builds exactly these
+terms, as ``Term`` and ``Ty``; there is no second tree family for them.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
-    Node,
     Pi,
     Succ,
     Term,
@@ -35,114 +30,22 @@ from .syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
-    node,
     subst1,
 )
 
 
-class NfTy(Node):
-    """Normal types."""
-    __slots__ = ()
-
-
-class NfTm(Node):
-    """Normal terms."""
-    __slots__ = ()
-
-
-class NeTm(NfTm):
-    """Neutral terms: blocked eliminations headed by a variable or constant,
-    normal at Nat and at type constants."""
-    __slots__ = ()
-
-
-@node
-class FunNf(NfTy):
-    dom: NfTy
-    cod: NfTy
-
-
-@node
-class NatNf(NfTy):
-    pass
-
-
-@node
-class TyConstNf(NfTy):
-    name: str
-    args: tuple[NfTm, ...] = ()
-
-
-@node
-class LamNf(NfTm):
-    body: NfTm
-
-
-@node
-class ZeroNf(NfTm):
-    pass
-
-
-@node
-class SuccNf(NfTm):
-    """``k`` successors over ``base``; built by ``syntax.succ``."""
-
-    k: int
-    base: NfTm
-
-
-@node
-class VarNe(NeTm):
-    index: int
-
-
-@node
-class AppNe(NeTm):
-    fn: NeTm
-    arg: NfTm
-
-
-@node
-class NatIndNe(NeTm):
-    scrut: NeTm
-    motive: NfTy
-    zcase: NfTm
-    scase: NfTm
-
-
-@node
-class TmConstNe(NeTm):
-    name: str
-    args: tuple[NfTm, ...] = ()
-
-
-# The syntax class each grammar class erases to.
-_ERASES_TO = {
-    FunNf: Pi, NatNf: Nat, TyConstNf: TyConst, LamNf: Lam, ZeroNf: Zero, SuccNf: Succ,
-    VarNe: Var, AppNe: App, NatIndNe: NatInd, TmConstNe: TmConst,
-}
-
-
-def erase(n):
-    """Forget normality structure."""
-    cls = n.__class__
-    if cls is tuple:
-        return tuple(map(erase, n))
-    if not isinstance(n, Node):  # a name, an index or a successor count
-        return n
-    parts = []  # a loop, not a comprehension: one frame per level
-    for f in cls.__match_args__:
-        parts.append(erase(getattr(n, f)))
-    return _ERASES_TO[cls](*parts)
+def erase(t):
+    """``t`` itself: readback already builds syntax. The benchmark still
+    imports this name."""
+    return t
 
 
 # ---------------------------------------------------------------------------
-# Type-directed recognition of normal forms: the judgments the grammar
-# states, decided over syntax without building the tree.
+# Type-directed recognition of normal forms, decided over syntax.
 
 
 def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
-    """Is ``t`` the erasure of a well-typed normal-form tree at ``ty``?
+    """Is ``t`` a normal term at ``ty``?
 
     Types never compute: the types in ``ctx`` and ``ty``, and those computed
     on the way by substitution, are read as they stand. A neutral is normal
@@ -171,7 +74,7 @@ def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
 
 
 def _is_normal_ty(sig: Signature, ctx: Context, ty: Ty) -> bool:
-    """Is ``ty`` the erasure of a well-formed normal type?"""
+    """Is ``ty`` a well-formed normal type?"""
     match ty:
         case Pi(dom, cod):
             return _is_normal_ty(sig, ctx, dom) and _is_normal_ty(sig, ctx.extend(dom), cod)

@@ -58,7 +58,6 @@ from .syntax import (
     uses_index,
     walk,
 )
-from .normal import NfTy, TmConstNe, TyConstNf, erase
 
 KEYWORDS = {"postulate", "def", "Nat", "zero", "succ", "ind", "fun"}
 
@@ -472,8 +471,8 @@ def _elab_head(sig, names, head, args) -> Term:
 
 
 def _constant_names(*trees) -> set[str]:
-    """The names the constants in ``trees``, syntax or normal forms, use."""
-    constants = (TmConst, TyConst, Const, TmConstNe, TyConstNf)
+    """The names the constants in ``trees`` use."""
+    constants = (TmConst, TyConst, Const)
     return {x.name for t in trees for x in walk(t) if x.__class__ in constants}
 
 
@@ -581,8 +580,6 @@ def print_case(ctx: Context, ty: Ty, t: Term) -> str:
 
 
 def print_nf(n, names: tuple[str, ...] = ()) -> str:
-    """Print a normal form (type or term) as surface text."""
-    t = erase(n)
-    if isinstance(n, NfTy):
-        return print_ty(t, names)
-    return print_tm(t, names)
+    """Print a type or a term as surface text. The benchmark still imports
+    this name; the kernel calls ``print_ty`` and ``print_tm``."""
+    return print_ty(n, names) if isinstance(n, Ty) else print_tm(n, names)

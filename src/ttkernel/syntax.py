@@ -95,8 +95,8 @@ def walk(t):
 
 
 # ---------------------------------------------------------------------------
-# Successor chains.  A chain of successors is one node in every layer: ``cls``
-# is the layer's successor class (Succ, SuccNf, VSucc), whose fields are
+# Successor chains.  A chain of successors is one node in syntax and in
+# values: ``cls`` is the successor class, Succ or VSucc, whose fields are
 # ``k >= 1`` and ``base``, and a base is never of the same class.
 
 

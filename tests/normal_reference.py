@@ -1,28 +1,23 @@
-"""The reference recognizer: the tree-building recognizer as it was when
-``is_normal`` rebuilt the whole normal-form tree over a term and compared
-it with None. ``to_nf`` returns the unique ``NfTm`` over a term at a type,
-or None if the term is not in the grammar, and ``to_nf_ty`` the ``NfTy``
-over a type. ``normal.is_normal`` must answer ``to_nf(...) is not None``,
-and ``normal._is_normal_ty`` ``to_nf_ty(...) is not None``."""
+"""The normal-form grammar and the reference recognizer over it.
+
+The grammar is the second tree family NbE's readback built before it
+built syntax: mutually inductive grammars of normal types, normal terms
+and neutral terms, with ``erase`` back to core syntax. Each grammar class
+erases to the syntax class with the same fields in the same order, so
+erasure is one walk, and two trees are equal exactly when their erasures
+are.
+
+``to_nf`` is the tree-building recognizer as it was when ``is_normal``
+rebuilt the whole normal-form tree over a term and compared it with
+None. It returns the unique ``NfTm`` over a term at a type, or None if
+the term is not in the grammar, and ``to_nf_ty`` the ``NfTy`` over a
+type. ``normal.is_normal`` must answer ``to_nf(...) is not None``,
+``normal._is_normal_ty`` ``to_nf_ty(...) is not None``, and NbE's
+readback must be the erasure of the tree ``to_nf`` finds over it."""
 
 from __future__ import annotations
 
-from ttkernel.normal import (
-    AppNe,
-    FunNf,
-    LamNf,
-    NatIndNe,
-    NatNf,
-    NeTm,
-    NfTm,
-    NfTy,
-    SuccNf,
-    TmConstNe,
-    TyConstNf,
-    VarNe,
-    ZeroNf,
-    _reduced,
-)
+from ttkernel.normal import _reduced
 from ttkernel.signature import PostulateTm, PostulateTy, Signature
 from ttkernel.syntax import (
     App,
@@ -30,6 +25,7 @@ from ttkernel.syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
     Term,
@@ -41,8 +37,105 @@ from ttkernel.syntax import (
     alpha_eq,
     inst_params,
     motive_succ_case,
+    node,
     subst1,
 )
+
+
+class NfTy(Node):
+    """Normal types."""
+    __slots__ = ()
+
+
+class NfTm(Node):
+    """Normal terms."""
+    __slots__ = ()
+
+
+class NeTm(NfTm):
+    """Neutral terms: blocked eliminations headed by a variable or constant,
+    normal at Nat and at type constants."""
+    __slots__ = ()
+
+
+@node
+class FunNf(NfTy):
+    dom: NfTy
+    cod: NfTy
+
+
+@node
+class NatNf(NfTy):
+    pass
+
+
+@node
+class TyConstNf(NfTy):
+    name: str
+    args: tuple[NfTm, ...] = ()
+
+
+@node
+class LamNf(NfTm):
+    body: NfTm
+
+
+@node
+class ZeroNf(NfTm):
+    pass
+
+
+@node
+class SuccNf(NfTm):
+    """``k`` successors over ``base``."""
+
+    k: int
+    base: NfTm
+
+
+@node
+class VarNe(NeTm):
+    index: int
+
+
+@node
+class AppNe(NeTm):
+    fn: NeTm
+    arg: NfTm
+
+
+@node
+class NatIndNe(NeTm):
+    scrut: NeTm
+    motive: NfTy
+    zcase: NfTm
+    scase: NfTm
+
+
+@node
+class TmConstNe(NeTm):
+    name: str
+    args: tuple[NfTm, ...] = ()
+
+
+# The syntax class each grammar class erases to.
+_ERASES_TO = {
+    FunNf: Pi, NatNf: Nat, TyConstNf: TyConst, LamNf: Lam, ZeroNf: Zero, SuccNf: Succ,
+    VarNe: Var, AppNe: App, NatIndNe: NatInd, TmConstNe: TmConst,
+}
+
+
+def erase(n):
+    """Forget normality structure."""
+    cls = n.__class__
+    if cls is tuple:
+        return tuple(map(erase, n))
+    if not isinstance(n, Node):  # a name, an index or a successor count
+        return n
+    parts = []  # a loop, not a comprehension: one frame per level
+    for f in cls.__match_args__:
+        parts.append(erase(getattr(n, f)))
+    return _ERASES_TO[cls](*parts)
 
 
 def to_nf(sig: Signature, ctx: Context, ty: Ty, t: Term) -> NfTm | None:

@@ -40,20 +40,7 @@ from ttkernel.nbe import (
     reify_ne,
     var_value,
 )
-from ttkernel.normal import (
-    AppNe,
-    FunNf,
-    LamNf,
-    NatIndNe,
-    NatNf,
-    SuccNf,
-    TmConstNe,
-    TyConstNf,
-    VarNe,
-    ZeroNf,
-    erase,
-    is_normal,
-)
+from ttkernel.normal import is_normal
 from ttkernel.rewrite import oracle_equal, rw_normalize
 from ttkernel.signature import Define
 from ttkernel.surface import print_case
@@ -92,64 +79,64 @@ def _report(n, label, started):
 
 def test_criterion_1_beta_golden_suite(sig_empty, sig_abf):
     started = time.time()
-    a_nf = VarNe(0)
+    a_nf = Var(0)
     ctx_a = Context((A,))
     cases = [
         # eliminator on zero returns the zero case
         (sig_empty, Context(), Nat(),
          NatInd(Zero(), Nat(), numeral(1), Succ(1, Var(0))),
-         SuccNf(1, ZeroNf())),
+         Succ(1, Zero())),
         # eliminator on a successor steps through the successor case
         (sig_empty, Context(), Nat(),
          NatInd(numeral(1), Nat(), Zero(), Succ(1, Var(0))),
-         SuccNf(1, ZeroNf())),
+         Succ(1, Zero())),
         # 2 + 1 by iterated successor steps
         (sig_empty, Context(), Nat(),
          NatInd(numeral(2), Nat(), numeral(1), Succ(1, Var(0))),
-         SuccNf(3, ZeroNf())),
+         Succ(3, Zero())),
         # the successor case sees the predecessor
         (sig_empty, Context(), Nat(),
          NatInd(numeral(3), Nat(), Zero(), Var(1)),
-         SuccNf(2, ZeroNf())),
+         Succ(2, Zero())),
         # function beta
-        (sig_empty, Context(), Nat(), App(Lam(Var(0)), Zero()), ZeroNf()),
+        (sig_empty, Context(), Nat(), App(Lam(Var(0)), Zero()), Zero()),
         (sig_empty, Context(), Nat(),
          App(Lam(Succ(1, Var(0))), numeral(2)),
-         SuccNf(3, ZeroNf())),
+         Succ(3, Zero())),
         # two nested betas (the K combinator)
         (sig_empty, Context(), Nat(),
          App(App(Lam(Lam(Var(1))), numeral(1)), Zero()),
-         SuccNf(1, ZeroNf())),
+         Succ(1, Zero())),
         # beta under a binder
         (sig_empty, Context(), NN,
          Lam(App(Lam(Var(0)), Var(0))),
-         LamNf(VarNe(0))),
+         Lam(Var(0))),
         # a term constant is a blocked spine
         (sig_abf, ctx_a, TyConst("B", (Var(0),)),
          TmConst("f", (Var(0),)),
-         TmConstNe("f", (a_nf,))),
+         TmConst("f", (a_nf,))),
         # a variable at a constant type is its own normal form
         (sig_abf, ctx_a, A, Var(0), a_nf),
         # a variable at an indexed constant type is its own normal form too
         (sig_abf, Context((A, TyConst("B", (Var(0),)))), TyConst("B", (Var(1),)),
          Var(0),
-         VarNe(0)),
+         Var(0)),
         # eta-expansion of a function variable
         (sig_empty, Context((NN,)), NN,
          Var(0),
-         LamNf(AppNe(VarNe(1), VarNe(0)))),
+         Lam(App(Var(1), Var(0)))),
         # a blocked application spine
         (sig_empty, Context((NN,)), Nat(),
          App(Var(0), numeral(1)),
-         AppNe(VarNe(0), SuccNf(1, ZeroNf()))),
+         App(Var(0), Succ(1, Zero()))),
         # a blocked eliminator
         (sig_empty, Context((Nat(),)), Nat(),
          NatInd(Var(0), Nat(), Zero(), Var(0)),
-         NatIndNe(VarNe(0), NatNf(), ZeroNf(), VarNe(0))),
+         NatInd(Var(0), Nat(), Zero(), Var(0))),
         # iterating at a function-typed motive
         (sig_empty, Context(), NN,
          NatInd(numeral(1), NN, Lam(Var(0)), Lam(Succ(1, App(Var(1), Var(0))))),
-         LamNf(SuccNf(1, VarNe(0)))),
+         Lam(Succ(1, Var(0)))),
     ]
     assert len(cases) == 15
     for sig, ctx, ty, t, expected in cases:
@@ -173,8 +160,8 @@ def test_criterion_2_arithmetic(sig_walkthrough):
             p = App(App(mul, numeral(m)), numeral(n))
             s_nf = normalize_tm(sig, Context(), Nat(), s)
             p_nf = normalize_tm(sig, Context(), Nat(), p)
-            assert erase(s_nf) == numeral(m + n)
-            assert erase(p_nf) == numeral(m * n)
+            assert s_nf == numeral(m + n)
+            assert p_nf == numeral(m * n)
             # the rewriting oracle derives the same expectations
             assert rw_normalize(sig, Context(), Nat(), s) == numeral(m + n)
             assert rw_normalize(sig, Context(), Nat(), p) == numeral(m * n)
@@ -269,9 +256,8 @@ def test_criterion_5_renaming_stability(sig_abf):
         except GenerationStuck:
             continue
         done += 1
-        # erasure is one-to-one, so comparing erasures compares normal forms
-        lhs = rename(r, erase(normalize_tm(sig_abf, src, ty, t)))
-        rhs = erase(normalize_tm(sig_abf, tgt, rename(r, ty), rename(r, t)))
+        lhs = rename(r, normalize_tm(sig_abf, src, ty, t))
+        rhs = normalize_tm(sig_abf, tgt, rename(r, ty), rename(r, t))
         assert lhs == rhs, f"renaming {r.map} on {t!r}"
     assert time.time() - started < 30.0
     _report(5, f"{done} (term, renaming) pairs commute exactly", started)
@@ -301,8 +287,8 @@ def test_criterion_6_computation_rule_instances(sig_abf):
 
     # nfty at Nat and reify of zero, across depths
     for depth in range(20):
-        assert nfty(sig, depth, NAT) == NatNf()
-        assert reify(sig, depth, NAT, VZero()) == ZeroNf()
+        assert nfty(sig, depth, NAT) == Nat()
+        assert reify(sig, depth, NAT, VZero()) == Zero()
 
     # reify of successor values
     for i in range(20):
@@ -310,7 +296,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         t = gen_term(sig, ctx, Nat(), 6, rng)
         v = eval_tm(sig, id_env(sig, ctx), t)
         d = len(ctx)
-        assert reify(sig, d, NAT, succ(VSucc, 1, v)) == succ(SuccNf, 1, reify(sig, d, NAT, v))
+        assert reify(sig, d, NAT, succ(VSucc, 1, v)) == succ(Succ, 1, reify(sig, d, NAT, v))
 
     # reify . reflect at Nat is the neutral read back
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
@@ -325,7 +311,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         env = id_env(sig, ctx)
         d = len(ctx)
         fresh = var_value(Closure(env, dom), d)
-        rhs = FunNf(
+        rhs = Pi(
             nfty(sig, d, Closure(env, dom)),
             nfty(sig, d + 1, Closure(env + (fresh,), cod)),
         )
@@ -340,7 +326,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         v = eval_tm(sig, env, Lam(body))
         fresh = var_value(Closure(env, Nat()), d)
         lhs = reify(sig, d, Closure(env, Pi(Nat(), Nat())), v)
-        assert lhs == LamNf(reify(sig, d + 1, Closure(env + (fresh,), Nat()), apply(sig, v, fresh)))
+        assert lhs == Lam(reify(sig, d + 1, Closure(env + (fresh,), Nat()), apply(sig, v, fresh)))
 
     # applying a reflected neutral extends the spine and re-reflects
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
@@ -360,7 +346,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         from ttkernel.syntax import motive_succ_case
 
         scase = gen_term(sig, ctx2, motive_succ_case(motive), 4, rng)
-        scrut = erase(reify_ne(sig, depth, ne))
+        scrut = reify_ne(sig, depth, ne)
         lhs = eval_tm(sig, env, NatInd(scrut, motive, zcase, scase))
         blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
         sem_motive = Closure(env + (reflect(NAT, ne),), motive)
@@ -373,12 +359,12 @@ def test_criterion_6_computation_rule_instances(sig_abf):
     depth = len(ctx)
     a0 = env[0]
     for lvl in range(20):
-        assert nfty(sig, depth + lvl, A_CLO) == TyConstNf("A", ())
+        assert nfty(sig, depth + lvl, A_CLO) == TyConst("A", ())
         ne = NVar(0)
         got = reify(sig, depth, A_CLO, reflect(A_CLO, ne))
         assert got == reify_ne(sig, depth, ne)
         bty = Closure((a0,), TyConst("B", (Var(0),)))
-        assert nfty(sig, depth, bty) == TyConstNf("B", (reify(sig, depth, A_CLO, a0),))
+        assert nfty(sig, depth, bty) == TyConst("B", (reify(sig, depth, A_CLO, a0),))
         got2 = reify(sig, depth, bty, reflect(bty, NVar(1)))
         assert got2 == reify_ne(sig, depth, NVar(1))
 
@@ -412,17 +398,17 @@ def test_criterion_7_eta_longness_and_agreement(sig_empty, sig_abf):
         ran += 1
         nf = normalize_tm(sig, ctx, ty, t)
         if isinstance(ty, Pi):
-            assert isinstance(nf, LamNf), f"non-lambda at function type: {t!r}"
+            assert isinstance(nf, Lam), f"non-lambda at function type: {t!r}"
         rewritten = rw_normalize(sig, ctx, ty, t)
         assert is_normal(sig, ctx, ty, rewritten)
-        assert alpha_eq(erase(nf), rewritten), f"engines disagree on {t!r}"
+        assert alpha_eq(nf, rewritten), f"engines disagree on {t!r}"
     # and over the exhaustive set of criterion 4
     ctx = Context((Nat(),))
     for t in enum_terms(sig_abf, ctx, Nat(), 5):
         nf = normalize_tm(sig_abf, ctx, Nat(), t)
         rewritten = rw_normalize(sig_abf, ctx, Nat(), t)
         assert is_normal(sig_abf, ctx, Nat(), rewritten)
-        assert alpha_eq(erase(nf), rewritten)
+        assert alpha_eq(nf, rewritten)
     _report(7, f"{ran} random + exhaustive cases eta-long, engines agree", started)
 
 

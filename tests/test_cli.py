@@ -497,7 +497,8 @@ def test_normalize_leaves_the_generators_unimported(good):
 
 
 def test_a_normal_form_under_900_binders_prints(tmp_path):
-    # erasing it takes one frame per binder, so it prints wherever it checks
+    # readback and printing take no more frames per binder than parsing its
+    # type takes per arrow, so it prints wherever it checks
     n = 900
     source = "def big : " + " -> ".join(["Nat"] * (n + 1)) + " := " + "\\x. " * n + "x\n"
     (tmp_path / "big.tt").write_text(source)

@@ -20,7 +20,6 @@ from ttkernel.gen import (
     ty_abstractions,
     typable,
 )
-from ttkernel.normal import ZeroNf
 from ttkernel.signature import PostulateTm, Signature
 from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
@@ -109,7 +108,7 @@ def test_case_problem_names_each_property(sig_empty, monkeypatch):
         raise CheckError("rejected")
 
     normalize = gen.normalize_tm  # renormalizing the normal form gives zero
-    renormalize = lambda sig, c, a, u: normalize(sig, c, a, u) if u == t else ZeroNf()
+    renormalize = lambda sig, c, a, u: normalize(sig, c, a, u) if u == t else Zero()
     assert problem_with("is_normal", lambda *args: False) == "not normal"
     assert problem_with("oracle_equal", lambda *args: False) == "oracle disagrees"
     assert problem_with("normalize_tm", renormalize) == "not idempotent"

@@ -11,13 +11,15 @@ import ast
 from pathlib import Path
 
 import ttkernel
+from ttkernel import nbe
+from ttkernel.syntax import Node
 
 SRC = Path(ttkernel.__file__).parent
 
 # (module, function) pairs allowed to import inside a function body
 LATE_IMPORTS = {
     ("errors", "Mismatch.__str__"),  # rendering a mismatch prints through surface
-    ("errors", "_normalize"),  # and normalizes through nbe; both import errors
+    ("errors", "_normalize"),  # and normalizes through nbe, which the oracle never loads
     ("cli", "_cmd_fuzz"),  # only fuzzing needs gen: keep it out of start-up
 }
 # (module, function) pairs outside signature.py allowed to read ``decls``
@@ -115,17 +117,22 @@ def test_no_other_module_reads_the_signatures_private_attributes():
     assert {m: names for m, names in readers.items() if names} == {}
 
 
-def test_the_recognizer_builds_no_normal_form_tree():
-    # normal.py decides the normal judgments over syntax: its grammar classes
-    # are NbE's output and erasure's input, and only erase names them to call
+def test_normal_forms_are_syntax():
+    # normal.py decides the normal judgments over syntax and defines no tree
+    # family of its own, and every node NbE builds, including the successor
+    # class it hands to ``succ``, is a syntax or domain node
     tree = ast.parse((SRC / "normal.py").read_text(encoding="utf-8"))
-    grammar = {c.name for c in tree.body if isinstance(c, ast.ClassDef)}
-    callers = {
-        func
-        for node, func in _scoped("normal")
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in grammar
-    }
-    assert callers <= {"erase"}, callers
+    assert [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)] == []
+    built = set()
+    for node, _ in _scoped("nbe"):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            built.add(node.func.id)
+            if node.func.id == "succ" and isinstance(node.args[0], ast.Name):
+                built.add(node.args[0].id)
+    classes = {name: getattr(nbe, name) for name in built if isinstance(getattr(nbe, name, None), type)}
+    nodes = {name: cls.__module__ for name, cls in classes.items() if issubclass(cls, Node)}
+    assert {"Lam", "Succ", "TyConst", "VNe"} <= set(nodes)
+    assert set(nodes.values()) == {"ttkernel.syntax", "ttkernel.domain"}, nodes
 
 
 def test_nothing_in_the_kernel_is_there_for_the_tests_alone():

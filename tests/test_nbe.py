@@ -22,6 +22,7 @@ from ttkernel.domain import (
     VSucc,
     VZero,
 )
+from ttkernel.gen import gen_cases
 from ttkernel.nbe import (
     apply,
     eval_tm,
@@ -35,20 +36,7 @@ from ttkernel.nbe import (
     reify_ne,
     var_value,
 )
-from ttkernel.normal import (
-    AppNe,
-    FunNf,
-    LamNf,
-    NatIndNe,
-    NatNf,
-    SuccNf,
-    TmConstNe,
-    TyConstNf,
-    VarNe,
-    ZeroNf,
-    erase,
-    is_normal,
-)
+from ttkernel.normal import is_normal
 from ttkernel.rewrite import rw_normalize
 from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type, print_nf, print_tm
 from ttkernel.syntax import (
@@ -58,14 +46,18 @@ from ttkernel.syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
+    Term,
     TmConst,
+    Ty,
     TyConst,
     Var,
     Zero,
     numeral,
     succ,
+    walk,
 )
 
 NN = Pi(Nat(), Nat())
@@ -91,7 +83,7 @@ def test_var_value_at_function_type_is_typed_neutral(sig_empty):
     ty = NN_CLO
     v = var_value(ty, 0)
     assert v == VNe(ty, NVar(0))
-    assert reify(sig_empty, 1, ty, v) == LamNf(AppNe(VarNe(1), VarNe(0)))
+    assert reify(sig_empty, 1, ty, v) == Lam(App(Var(1), Var(0)))
 
 
 # -- evaluation
@@ -108,7 +100,7 @@ def test_eval_ty_keeps_the_type_as_written(sig_abf):
     a = var_value(A_CLO, 0)
     ty = B_OF(App(Lam(Var(0)), Var(0)))
     assert eval_ty(sig_abf, (a,), ty) == Closure((a,), ty)
-    assert nfty(sig_abf, 1, eval_ty(sig_abf, (a,), ty)) == TyConstNf("B", (VarNe(0),))
+    assert nfty(sig_abf, 1, eval_ty(sig_abf, (a,), ty)) == TyConst("B", (Var(0),))
 
 
 def test_eval_ind_zero_case(sig_empty):
@@ -177,17 +169,17 @@ def test_reflect_then_apply(sig_empty):
 
 
 def test_reify_numeral(sig_empty):
-    assert reify(sig_empty, 0, NAT_CLO, VSucc(2, VZero())) == SuccNf(2, ZeroNf())
+    assert reify(sig_empty, 0, NAT_CLO, VSucc(2, VZero())) == Succ(2, Zero())
 
 
 def test_reify_neutral_at_nat(sig_empty):
-    assert reify(sig_empty, 1, NAT_CLO, VNe(NAT_CLO, NVar(0))) == VarNe(0)
+    assert reify(sig_empty, 1, NAT_CLO, VNe(NAT_CLO, NVar(0))) == Var(0)
 
 
 def test_reify_at_function_type_is_eta_long(sig_empty):
     ty = NN_CLO
     got = reify(sig_empty, 1, ty, var_value(ty, 0))
-    assert got == LamNf(AppNe(VarNe(1), VarNe(0)))
+    assert got == Lam(App(Var(1), Var(0)))
 
 
 def test_reify_rejects_escaped_level(sig_empty):
@@ -199,16 +191,16 @@ def test_reify_rejects_escaped_level(sig_empty):
 
 
 def test_nfty_nat(sig_empty):
-    assert nfty(sig_empty, 0, NAT_CLO) == NatNf()
+    assert nfty(sig_empty, 0, NAT_CLO) == Nat()
 
 
 def test_nfty_function(sig_empty):
-    assert nfty(sig_empty, 0, NN_CLO) == FunNf(NatNf(), NatNf())
+    assert nfty(sig_empty, 0, NN_CLO) == Pi(Nat(), Nat())
 
 
 def test_nfty_indexed_constant(sig_abf):
     sem = Closure((VNe(A_CLO, NVar(0)),), B_OF(Var(0)))
-    assert nfty(sig_abf, 1, sem) == TyConstNf("B", (VarNe(0),))
+    assert nfty(sig_abf, 1, sem) == TyConst("B", (Var(0),))
 
 
 # -- identity environments
@@ -233,31 +225,31 @@ def test_id_env_levels_match_positions(sig_empty):
 
 def test_normalize_arithmetic(sig_empty):
     t = NatInd(numeral(2), Nat(), numeral(1), Succ(1, Var(0)))
-    assert normalize_tm(sig_empty, Context(), Nat(), t) == SuccNf(3, ZeroNf())
+    assert normalize_tm(sig_empty, Context(), Nat(), t) == Succ(3, Zero())
 
 
 def test_normalize_eta_expands_variable(sig_empty):
     ctx = Context((NN,))
     got = normalize_tm(sig_empty, ctx, NN, Var(0))
-    assert got == LamNf(AppNe(VarNe(1), VarNe(0)))
+    assert got == Lam(App(Var(1), Var(0)))
 
 
 def test_normalize_constant_spine(sig_abf):
     ctx = Context((A,))
     got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), TmConst("f", (Var(0),)))
-    a_nf = VarNe(0)
-    assert got == TmConstNe("f", (a_nf,))
+    a_nf = Var(0)
+    assert got == TmConst("f", (a_nf,))
 
 
 def test_normalize_variable_at_base_type_is_its_coercion(sig_abf):
     got = normalize_tm(sig_abf, Context((A,)), A, Var(0))
-    assert got == VarNe(0)
+    assert got == Var(0)
 
 
 def test_normalize_ty_dependent(sig_abf):
     ctx = Context((A,))
     got = normalize_ty(sig_abf, ctx, B_OF(App(Lam(Var(0)), Var(0))))
-    assert got == TyConstNf("B", (VarNe(0),))
+    assert got == TyConst("B", (Var(0),))
 
 
 def test_dependent_eliminator_with_indexed_motive(sig_dep):
@@ -265,11 +257,26 @@ def test_dependent_eliminator_with_indexed_motive(sig_dep):
     C = TyConst("C", (Var(0),))
     t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got = normalize_tm(sig_dep, Context(), TyConst("C", (numeral(2),)), t)
-    assert erase(got) == TmConst("h", (numeral(2),))
+    assert got == TmConst("h", (numeral(2),))
     ctx = Context((Nat(),))
     blocked = NatInd(Var(0), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
     got2 = normalize_tm(sig_dep, ctx, TyConst("C", (Var(0),)), blocked)
-    assert isinstance(got2, NatIndNe)
+    assert isinstance(got2, NatInd)
+
+
+def test_readback_builds_syntax(sig_crossval, sig_dep):
+    # normal forms have no tree family of their own: a normal term is a Term
+    # and a normal type a Ty, down to the motives and the constants' arguments
+    seen = set()
+    for sig in (sig_crossval, sig_dep):
+        for ctx, ty, t in gen_cases(sig, 0, 100, 9):
+            nf, nf_ty = normalize_tm(sig, ctx, ty, t), normalize_ty(sig, ctx, ty)
+            assert isinstance(nf, Term) and isinstance(nf_ty, Ty)
+            for x in (*walk(nf), *walk(nf_ty)):
+                if isinstance(x, Node):
+                    assert isinstance(x, (Term, Ty)), x
+                    seen.add(x.__class__)
+    assert seen == {App, Lam, Nat, NatInd, Pi, Succ, TmConst, TyConst, Var, Zero}
 
 
 def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeypatch):
@@ -286,7 +293,7 @@ def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeyp
     assert calls == []
     monkeypatch.undo()
     ty = infer(sig, ctx, t)
-    assert normalize_tm(sig, ctx, ty, t) == AppNe(VarNe(0), SuccNf(3, ZeroNf()))
+    assert normalize_tm(sig, ctx, ty, t) == App(Var(0), Succ(3, Zero()))
 
 
 # -- definitions as constants
@@ -307,7 +314,7 @@ def test_a_definition_evaluates_to_the_value_of_its_normal_form():
     sig = elaborate(parse(CHAIN_3))
     assert sig._cache == {}  # checking the file evaluated no body
     t = elab_tm(sig, (), parse_expression("d3 1"))
-    assert normalize_tm(sig, Context(), Nat(), t) == SuccNf(9, ZeroNf())
+    assert normalize_tm(sig, Context(), Nat(), t) == Succ(9, Zero())
     values = sig._cache["nbe"]
     assert list(values) == ["d0", "d1", "d2", "d3"]  # filled in declaration order
     assert values["d3"] == VLam(Closure((), Succ(8, Var(0))))
@@ -323,7 +330,7 @@ def test_a_term_constant_as_a_function_evaluates_to_its_eta_expansion(sig_abf):
     assert eval_tm(sig_abf, (), Const("f")) == VLam(Closure((), TmConst("f", (Var(0),))))
     ctx = Context((A,))
     got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), App(Const("f"), Var(0)))
-    assert got == TmConstNe("f", (VarNe(0),))
+    assert got == TmConst("f", (Var(0),))
 
 
 def test_filling_a_long_chain_of_definitions_takes_no_frame_per_definition():
@@ -342,7 +349,7 @@ def test_filling_a_long_chain_of_definitions_takes_no_frame_per_definition():
         got = normalize_tm(sig, Context(), Nat(), t)
     finally:
         sys.setrecursionlimit(limit)
-    assert got == SuccNf(1999, ZeroNf())
+    assert got == Succ(1999, Zero())
 
 
 # -- the computation rules of the normalization structure, one test each
@@ -352,7 +359,7 @@ def test_equation_nfty_fun(sig_empty):
     env, dom, cod = (), Nat(), Nat()
     lhs = nfty(sig_empty, 0, Closure(env, Pi(dom, cod)))
     fresh = var_value(Closure(env, dom), 0)
-    rhs = FunNf(
+    rhs = Pi(
         nfty(sig_empty, 0, Closure(env, dom)),
         nfty(sig_empty, 1, Closure(env + (fresh,), cod)),
     )
@@ -363,7 +370,7 @@ def test_equation_reify_abs(sig_empty):
     v = VLam(Closure((), Succ(1, Var(0))))
     lhs = reify(sig_empty, 0, NN_CLO, v)
     fresh = var_value(NAT_CLO, 0)
-    rhs = LamNf(reify(sig_empty, 1, Closure((fresh,), Nat()), apply(sig_empty, v, fresh)))
+    rhs = Lam(reify(sig_empty, 1, Closure((fresh,), Nat()), apply(sig_empty, v, fresh)))
     assert lhs == rhs
 
 
@@ -376,16 +383,16 @@ def test_equation_apply_reflected(sig_empty):
 
 
 def test_equation_nfty_nat(sig_empty):
-    assert nfty(sig_empty, 0, NAT_CLO) == NatNf()
+    assert nfty(sig_empty, 0, NAT_CLO) == Nat()
 
 
 def test_equation_reify_zero(sig_empty):
-    assert reify(sig_empty, 0, NAT_CLO, VZero()) == ZeroNf()
+    assert reify(sig_empty, 0, NAT_CLO, VZero()) == Zero()
 
 
 def test_equation_reify_succ(sig_empty):
     n0 = VSucc(1, VZero())
-    want = succ(SuccNf, 1, reify(sig_empty, 0, NAT_CLO, n0))
+    want = succ(Succ, 1, reify(sig_empty, 0, NAT_CLO, n0))
     assert reify(sig_empty, 0, NAT_CLO, succ(VSucc, 1, n0)) == want
 
 
@@ -412,11 +419,11 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     # and its readback reifies the motive, zero case and successor case
     # under the right number of fresh variables
     got = reify(sig_empty, 1, NAT_CLO, lhs)
-    assert got == NatIndNe(VarNe(0), NatNf(), ZeroNf(), SuccNf(1, VarNe(0)))
+    assert got == NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0)))
 
 
 def test_equation_nfty_const(sig_abf):
-    assert nfty(sig_abf, 0, A_CLO) == TyConstNf("A", ())
+    assert nfty(sig_abf, 0, A_CLO) == TyConst("A", ())
 
 
 def test_equation_reify_reflect_const(sig_abf):
@@ -428,7 +435,7 @@ def test_equation_reify_reflect_const(sig_abf):
 def test_equation_nfty_indexed_const(sig_abf):
     a0 = var_value(A_CLO, 0)
     lhs = nfty(sig_abf, 1, Closure((a0,), B_OF(Var(0))))
-    assert lhs == TyConstNf("B", (reify(sig_abf, 1, A_CLO, a0),))
+    assert lhs == TyConst("B", (reify(sig_abf, 1, A_CLO, a0),))
 
 
 def test_equation_reify_reflect_indexed_const(sig_abf):
@@ -470,7 +477,6 @@ LAYERS = [
     "elab_tm",
     "infer",
     "normalize_tm",
-    "erase",
     "print_nf",
     "print_tm",
     "conv_tm",
@@ -487,14 +493,13 @@ def test_deep_numeral_stack_follows_nesting(sig_walkthrough, layer, src, n):
     sig, ctx = sig_walkthrough, Context()
     stm = parse_expression(src)
     t = elab_tm(sig, (), stm)
-    nf = SuccNf(n, ZeroNf())
+    nf = Succ(n, Zero())
     assert normalize_tm(sig, ctx, Nat(), t) == nf
     open_t = Succ(n, Var(0))  # n successors over a variable print as a run of succ
     calls = {
         "elab_tm": (lambda: elab_tm(sig, (), stm), t),
         "infer": (lambda: infer(sig, ctx, t), Nat()),
         "normalize_tm": (lambda: normalize_tm(sig, ctx, Nat(), t), nf),
-        "erase": (lambda: erase(nf), numeral(n)),
         "print_nf": (lambda: print_nf(nf), str(n)),
         "print_tm": (lambda: print_tm(open_t, ("x",)), "succ " * n + "x"),
         "conv_tm": (

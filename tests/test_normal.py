@@ -1,4 +1,4 @@
-"""Normal-form trees: erasure, the recognition predicate."""
+"""The recognition predicate, and the reference grammar it is held to."""
 
 import dataclasses
 
@@ -7,22 +7,7 @@ import pytest
 from ttkernel import normal, rewrite
 from ttkernel.gen import case_problem, enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm, normalize_ty
-from ttkernel.normal import (
-    AppNe,
-    FunNf,
-    LamNf,
-    NatNf,
-    NfTm,
-    NfTy,
-    SuccNf,
-    TyConstNf,
-    VarNe,
-    ZeroNf,
-    _ERASES_TO,
-    _is_normal_ty,
-    erase,
-    is_normal,
-)
+from ttkernel.normal import _is_normal_ty, is_normal
 from ttkernel.surface import elaborate, parse
 from ttkernel.syntax import (
     App,
@@ -47,7 +32,22 @@ from ttkernel.syntax import (
 import normal_reference
 from conftest import CROSSVAL, HIGHER_ORDER_SOURCES
 from enum_reference import PARTITION_TARGETS
-from normal_reference import to_nf, to_nf_ty
+from normal_reference import (
+    _ERASES_TO,
+    AppNe,
+    FunNf,
+    LamNf,
+    NatNf,
+    NfTm,
+    NfTy,
+    SuccNf,
+    TyConstNf,
+    VarNe,
+    ZeroNf,
+    erase,
+    to_nf,
+    to_nf_ty,
+)
 
 NN = Pi(Nat(), Nat())
 
@@ -160,30 +160,30 @@ def test_is_normal_ty(sig_abf, sig_crossval):
 
 
 def test_roundtrip_unique_reconstruction(sig_abf):
-    # the tree rebuilt from an erased normal form is the original tree
+    # the grammar tree rebuilt over a normal form erases to that normal form
     for ctx, ty, t in gen_cases(sig_abf, 11, 100, 8):
         n = normalize_tm(sig_abf, ctx, ty, t)
-        back = erase(normalize_ty(sig_abf, ctx, ty))
-        assert to_nf(sig_abf, ctx, back, erase(n)) == n
-        assert to_nf_ty(sig_abf, ctx, back) == normalize_ty(sig_abf, ctx, ty)
+        back = normalize_ty(sig_abf, ctx, ty)
+        assert erase(to_nf(sig_abf, ctx, back, n)) == n
+        assert erase(to_nf_ty(sig_abf, ctx, back)) == back
 
 
 def test_erase_injective_small(sig_empty):
-    # exhaustively: distinct normal trees at a fixed type erase differently
-    from ttkernel.gen import enum_terms
-
+    # exhaustively: distinct normal forms at a fixed type have distinct
+    # grammar trees, each erasing back to its own normal form
     ctx = Context((Nat(),))
     seen = {}
     for t in enum_terms(sig_empty, ctx, Nat(), 5):
-        n = normalize_tm(sig_empty, ctx, Nat(), t)
-        e = erase(n)
-        assert seen.setdefault(e, n) == n
+        e = normalize_tm(sig_empty, ctx, Nat(), t)
+        n = to_nf(sig_empty, ctx, Nat(), e)
+        assert erase(n) == e
+        assert seen.setdefault(n, e) == e
 
 
 def test_numeral_roundtrip(sig_empty):
     n = normalize_tm(sig_empty, Context(), Nat(), numeral(4))
-    assert n == SuccNf(4, ZeroNf())
-    assert to_nf(sig_empty, Context(), Nat(), numeral(4)) == n
+    assert n == Succ(4, Zero())
+    assert to_nf(sig_empty, Context(), Nat(), numeral(4)) == SuccNf(4, ZeroNf())
 
 
 def test_fun_nf_shape(sig_empty):
@@ -197,7 +197,7 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
     ctx = Context((NN,))
     ty = TyConst("C", (App(Var(0), Zero()),))
     t = TmConst("q", (Lam(App(Var(1), Var(0))),))
-    assert erase(normalize_tm(sig, ctx, ty, TmConst("q", (Var(0),)))) == t
+    assert normalize_tm(sig, ctx, ty, TmConst("q", (Var(0),))) == t
     assert is_normal(sig, ctx, ty, t)
     # the motive C (ind(x; _. Nat; zero; p r. r)) at zero and at succ p has
     # an iota-redex in its argument: C zero and C (ind(p; ...)) once reduced
@@ -205,7 +205,7 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
     motive = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
     t = NatInd(Var(0), motive, TmConst("c0"), Var(0))
     ty = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
-    assert erase(normalize_tm(sig, ctx, ty, t)) == t
+    assert normalize_tm(sig, ctx, ty, t) == t
     assert is_normal(sig, ctx, ty, t)
 
 
@@ -255,7 +255,7 @@ def test_normal_at_a_type_with_a_redex(source, ctx, ty, t):
     sig = elaborate(parse(source))
     assert case_problem(sig, ctx, ty, t) is None
     n = normalize_tm(sig, ctx, ty, t)
-    assert to_nf(sig, ctx, ty, erase(n)) == n
+    assert erase(to_nf(sig, ctx, ty, n)) == n
 
 
 # Each syntax class, and each grammar class through the class it erases to,
@@ -361,8 +361,8 @@ def verdict_corpus(sig_crossval, sig_dep, sig_abf):
     sigs = [sig_crossval, sig_dep, sig_abf] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
     for i, sig in enumerate(sigs):
         for ctx, ty, t in gen_cases(sig, i, 40, 8):
-            terms += [(sig, ctx, ty, t), (sig, ctx, ty, erase(normalize_tm(sig, ctx, ty, t)))]
-            types += [(sig, ctx, ty), (sig, ctx, erase(normalize_ty(sig, ctx, ty)))]
+            terms += [(sig, ctx, ty, t), (sig, ctx, ty, normalize_tm(sig, ctx, ty, t))]
+            types += [(sig, ctx, ty), (sig, ctx, normalize_ty(sig, ctx, ty))]
     for ctx, ty in PARTITION_TARGETS:
         terms += [(sig_crossval, ctx, ty, t) for t in enum_terms(sig_crossval, ctx, ty, 5)]
         types.append((sig_crossval, ctx, ty))

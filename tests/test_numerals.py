@@ -1,6 +1,6 @@
-"""A numeral is one node: a successor chain is ``Succ(k, base)``,
-``SuccNf(k, base)`` or ``VSucc(k, base)`` in its layer, with ``k >= 1`` and
-a base of another class, and ``syntax.succ`` builds every chain."""
+"""A numeral is one node: a successor chain is ``Succ(k, base)`` in syntax
+and ``VSucc(k, base)`` in values, with ``k >= 1`` and a base of another
+class, and ``syntax.succ`` builds every chain."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from ttkernel.check import conv_tm, infer
 from ttkernel.domain import VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import eval_tm, eval_ty, id_env, normalize_tm, reify
-from ttkernel.normal import SuccNf, ZeroNf, erase, is_normal
+from ttkernel.normal import is_normal
 from ttkernel.rewrite import DEFAULT_FUEL, _Fuel, _reduce, rw_normalize
 from ttkernel.surface import context_names, elab_tm, parse_expression, print_nf, print_tm
 from ttkernel.signature import Signature
@@ -39,7 +39,7 @@ HUGE = 10**9
 def assert_one_node_form(x):
     """Every successor node in ``x`` has ``k >= 1`` and a base of another class."""
     for y in walk(x):
-        if y.__class__ in (Succ, SuccNf, VSucc):
+        if y.__class__ in (Succ, VSucc):
             assert y.k.__class__ is int and y.k >= 1, y
             assert y.base.__class__ is not y.__class__, y
     return x
@@ -50,7 +50,7 @@ def test_succ_builds_one_node():
     assert numeral(3) == Succ(3, Zero())
     assert node_count(numeral(5)) == 6
     assert succ(Succ, 2, Succ(3, Var(0))) == Succ(5, Var(0))
-    assert succ(SuccNf, 1, SuccNf(2, ZeroNf())) == SuccNf(3, ZeroNf())
+    assert succ(Succ, 1, Succ(2, Zero())) == Succ(3, Zero())
     assert succ(VSucc, 4, VZero()) == VSucc(4, VZero())
     base = Var(0)
     assert succ(Succ, 0, base) is base
@@ -93,8 +93,7 @@ def test_every_layer_keeps_the_form(corpus):
         assert_one_node_form(elab_tm(sig, names, parse_expression(print_tm(t, names))))
         env = id_env(sig, ctx)
         v = assert_one_node_form(eval_tm(sig, env, t))
-        nf = assert_one_node_form(reify(sig, len(ctx), eval_ty(sig, env, ty), v))
-        assert_one_node_form(erase(nf))
+        assert_one_node_form(reify(sig, len(ctx), eval_ty(sig, env, ty), v))
         for by in (1, 2):
             assert_one_node_form(shift(t, by))
         for sigma in SIGMAS:
@@ -124,11 +123,11 @@ def test_huge_numeral_builds_hashes_prints_and_normalizes(sig_walkthrough):
     assert print_tm(t) == str(HUGE) and node_count(t) == HUGE + 1
     assert infer(sig, ctx, t) == Nat() and is_normal(sig, ctx, Nat(), t)
     nf = normalize_tm(sig, ctx, Nat(), t)
-    assert nf == SuccNf(HUGE, ZeroNf()) and print_nf(nf) == str(HUGE)
+    assert nf == Succ(HUGE, Zero()) and print_nf(nf) == str(HUGE)
     assert rw_normalize(sig, ctx, Nat(), t) == t
     assert conv_tm(sig, ctx, Nat(), t, numeral(HUGE))
     assert not conv_tm(sig, ctx, Nat(), t, numeral(HUGE + 1))
     # add recurses on its first argument, so this unfolds three successor cases
     s = elab_tm(sig, (), parse_expression(f"add 3 {HUGE}"))
-    assert normalize_tm(sig, ctx, Nat(), s) == SuccNf(HUGE + 3, ZeroNf())
+    assert normalize_tm(sig, ctx, Nat(), s) == Succ(HUGE + 3, Zero())
     assert rw_normalize(sig, ctx, Nat(), s) == numeral(HUGE + 3)

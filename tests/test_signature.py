@@ -8,7 +8,6 @@ from ttkernel.check import declare
 from ttkernel.domain import Closure, VLam
 from ttkernel.errors import CheckError, DuplicateName
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import erase
 from ttkernel.rewrite import rw_normalize
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
@@ -119,7 +118,7 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
     for sig, values in ((left, (2, 3)), (right, (3, 5)), (left, (2, 3))):
         for name, want in zip(("x", "y"), values):
             t = elab_tm(sig, (), parse_expression(name))
-            assert erase(normalize_tm(sig, Context(), Nat(), t)) == numeral(want)
+            assert normalize_tm(sig, Context(), Nat(), t) == numeral(want)
             assert rw_normalize(sig, Context(), Nat(), t) == numeral(want)
     assert left._cache["nbe"]["y"] != right._cache["nbe"]["y"]
     # a child declaring another name sees neither sibling's declaration
@@ -135,13 +134,13 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
 def test_extending_a_signature_that_is_not_last_leaves_the_last_ones_entries():
     parent = elaborate(parse("def one : Nat := 1\n"))
     last = elaborate(parse("def two : Nat := succ one\n"), parent)
-    assert erase(normalize_tm(last, Context(), Nat(), Const("two"))) == numeral(2)
+    assert normalize_tm(last, Context(), Nat(), Const("two")) == numeral(2)
     assert rw_normalize(last, Context(), Nat(), Const("two")) == numeral(2)
     entries = {key: dict(table) for key, table in last._cache.items()}
     assert set(entries["nbe"]) == set(entries["rewrite"]) == {"one", "two"}
     other = declare(parent, Define("two", Nat(), numeral(5)))
     assert other._cache == {} and other._decls is not last._decls
-    assert erase(normalize_tm(other, Context(), Nat(), Const("two"))) == numeral(5)
+    assert normalize_tm(other, Context(), Nat(), Const("two")) == numeral(5)
     assert rw_normalize(other, Context(), Nat(), Const("two")) == numeral(5)
     assert last._cache == entries and all(
         last._cache[key][name] is entry for key, table in entries.items() for name, entry in table.items()
@@ -158,7 +157,7 @@ def test_a_term_constant_as_a_function_reaches_both_engines_through_its_entry(si
     monkeypatch.setattr(Signature, "entry", spy)
     ctx, t = Context((TyConst("A"),)), App(Const("f"), Var(0))
     ty = TyConst("B", (Var(0),))
-    assert erase(normalize_tm(sig_abf, ctx, ty, t)) == rw_normalize(sig_abf, ctx, ty, t) == TmConst("f", (Var(0),))
+    assert normalize_tm(sig_abf, ctx, ty, t) == rw_normalize(sig_abf, ctx, ty, t) == TmConst("f", (Var(0),))
     assert asked == [("nbe", "f"), ("rewrite", "f")]
     assert sig_abf.function("f") == (Pi(TyConst("A"), TyConst("B", (Var(0),))), Lam(TmConst("f", (Var(0),))))
     assert sig_abf._cache["rewrite"] == {"f": Lam(TmConst("f", (Var(0),)))}

@@ -12,7 +12,6 @@ import parser_reference
 from ttkernel.check import check
 from ttkernel.errors import ArityMismatch, KernelError, Mismatch, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import LamNf, AppNe, VarNe, SuccNf, ZeroNf, erase
 from ttkernel.rewrite import unfold
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
@@ -166,17 +165,17 @@ def test_under_applied_constant_eta_expands(sig_abf):
 
 def test_definition_expansion_is_transparent(sig_walkthrough):
     t = elab_tm(sig_walkthrough, (), parse_expression("add 2 3"))
-    assert normalize_tm(sig_walkthrough, Context(), Nat(), t) == SuccNf(5, ZeroNf())
+    assert normalize_tm(sig_walkthrough, Context(), Nat(), t) == Succ(5, Zero())
 
 
 def test_print_numeral():
-    assert print_nf(SuccNf(2, ZeroNf())) == "2"
+    assert print_nf(Succ(2, Zero())) == "2"
 
 
 def test_print_numeral_past_str_limit_is_resource_exhausted():
     # library-built: the parser rejects a literal this long already
     big = numeral(10**4300)
-    printers = [lambda: print_tm(big), lambda: print_nf(SuccNf(big.k, ZeroNf())),
+    printers = [lambda: print_tm(big), lambda: print_nf(Succ(big.k, Zero())),
                 lambda: print_case(Context(), Nat(), big)]
     for show in printers:
         with pytest.raises(ResourceExhausted, match="numeral is too long to print") as err:
@@ -186,7 +185,7 @@ def test_print_numeral_past_str_limit_is_resource_exhausted():
 
 
 def test_print_eta_long_variable():
-    n = LamNf(AppNe(VarNe(1), VarNe(0)))
+    n = Lam(App(Var(1), Var(0)))
     assert print_nf(n, ("g",)) == r"\x0. g x0"
 
 
@@ -217,7 +216,7 @@ def test_print_parse_roundtrip_terms(sig_walkthrough):
         nf = normalize_tm(sig_walkthrough, Context(), ty, t)
         text = print_nf(nf)
         back = elab_tm(sig_walkthrough, (), parse_expression(text))
-        assert back == erase(nf), text
+        assert back == nf, text
 
 
 def test_print_parse_roundtrip_types(sig_abf):
@@ -251,7 +250,7 @@ def test_a_printed_binder_captures_no_constant(source, expr, ty):
     nf = normalize_tm(sig, Context(), a, t)
     assert elab_tm(sig, (), parse_expression(print_tm(t))) == t, print_tm(t)
     assert elab_ty(sig, (), parse_type(print_ty(a))) == a, print_ty(a)
-    assert elab_tm(sig, (), parse_expression(print_nf(nf))) == erase(nf), print_nf(nf)
+    assert elab_tm(sig, (), parse_expression(print_nf(nf))) == nf, print_nf(nf)
 
 
 def test_print_application_grouping(sig_empty):
@@ -272,9 +271,7 @@ def test_succ_argument_is_an_atom(sig_empty):
 
 
 def test_print_nf_type(sig_abf):
-    from ttkernel.normal import TyConstNf, VarNe
-
-    n = TyConstNf("B", (VarNe(0),))
+    n = TyConst("B", (Var(0),))
     assert print_nf(n, ("a",)) == "B a"
 
 

@@ -11,7 +11,6 @@ from ttkernel import domain, normal, signature, surface, syntax
 from ttkernel.domain import Closure, NApp, NVar, VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
-from ttkernel.normal import LamNf, SuccNf, VarNe, ZeroNf
 from ttkernel.signature import Signature
 from ttkernel.surface import elab_tm, elab_ty, parse_expression, parse_type
 from ttkernel.syntax import (
@@ -44,6 +43,7 @@ from ttkernel.syntax import (
 
 import subst_reference
 from enum_reference import PARTITION_TARGETS
+from normal_reference import LamNf, VarNe, to_nf
 from renamings import Renaming, rename
 
 NN = Pi(Nat(), Nat())
@@ -301,8 +301,8 @@ def _nest(make, leaf, n):
 # value; source nesting makes trees as deep as it is.
 DEEP_TREES = {
     "numeral": (numeral, "Succ(k={}, base=Zero())".format, 10**9),
-    "SuccNf normal form": (
-        lambda n: normalize_tm(Signature(), Context(), Nat(), numeral(n)),
+    "SuccNf normal form": (  # the reference's grammar tree over NbE's numeral
+        lambda n: to_nf(Signature(), Context(), Nat(), normalize_tm(Signature(), Context(), Nat(), numeral(n))),
         "SuccNf(k={}, base=ZeroNf())".format,
         10**9,
     ),
@@ -346,14 +346,14 @@ def test_repr_is_the_dataclass_format():
 
 
 def test_eq_compares_classes_lengths_and_leaves():
-    assert Var(0) != VarNe(0) and VarNe(0) != Var(0)
-    assert Succ(1, Zero()) != SuccNf(1, ZeroNf())
+    assert Var(0) != NVar(0) and NVar(0) != Var(0)
+    assert Succ(1, Zero()) != VSucc(1, VZero())
     assert Context((Nat(),)) != Context((Nat(), Nat()))
     assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
     assert Var(0) != 0 and Context() != ()
     # nodes without fields: one value per class
-    assert Nat() == Nat() and Zero() == Zero() and ZeroNf() == ZeroNf()
-    assert Nat() != Zero() and Zero() != ZeroNf() and Nat() != Pi(Nat(), Nat())
+    assert Nat() == Nat() and Zero() == Zero() and VZero() == VZero()
+    assert Nat() != Zero() and Zero() != VZero() and Nat() != Pi(Nat(), Nat())
     t = Pi(Nat(), Nat())
     assert t == t and not t != t
 
@@ -393,9 +393,6 @@ ABSTRACT_NODES = {
     Node,
     syntax.Ty,
     syntax.Term,
-    normal.NfTy,
-    normal.NfTm,
-    normal.NeTm,
     domain.Value,
     domain.Neutral,
     signature.Declaration,
@@ -410,7 +407,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 47
+    assert len(concrete) == 37
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
