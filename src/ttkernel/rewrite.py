@@ -82,8 +82,8 @@ def unfold(sig: Signature, t):
 
 
 def _unfold(sig, t):
-    """``unfold`` past the scan, on a node, a tuple or a field value: a
-    spine is read, any other node rebuilt from its fields, one frame per level."""
+    """``unfold`` past the scan, on a node or a tuple: a spine is read, any
+    other node rebuilt from its fields, one frame per level."""
     cls = t.__class__
     if cls is App or cls is Const:
         head, args, same = t, [], True
@@ -97,15 +97,10 @@ def _unfold(sig, t):
             return _contract(entry, args)
         h = _unfold(sig, head)
         return t if same and h is head else apps(h, args)
-    if cls is tuple:
-        fields = t
-    elif isinstance(t, Node):
-        fields = map(getattr, repeat(t), cls.__match_args__)
-    else:  # a name, an index or a successor count
-        return t
+    fields = t if cls is tuple else map(getattr, repeat(t), cls.__match_args__)
     parts, same = [], True
-    for x in fields:
-        parts.append(y := _unfold(sig, x))
+    for x in fields:  # a name, an index or a successor count stays as it is
+        parts.append(y := _unfold(sig, x) if x.__class__ is tuple or isinstance(x, Node) else x)
         same = same and y is x
     if same:
         return t
@@ -128,22 +123,22 @@ def _reduce(t: Term, fuel: _Fuel) -> Term:
     """Normal form of ``t``, which names no definition: the redexes iterated
     ``step`` contracts, in its order. Returns ``t`` itself when nothing
     inside it reduces."""
-    match t:
-        case Var(_) | Zero():
-            return t
-        case Lam(body):
-            b = _reduce(body, fuel)
-            return t if b is body else Lam(b)
-        case TmConst(name, args):
-            args2 = _reduce_args(args, fuel)
-            return t if args2 is args else TmConst(name, args2)
+    cls = t.__class__
+    if cls is Var or cls is Zero:
+        return t
+    if cls is Lam:
+        b = _reduce(t.body, fuel)
+        return t if b is t.body else Lam(b)
+    if cls is TmConst:
+        args = _reduce_args(t.args, fuel)
+        return t if args is t.args else TmConst(t.name, args)
     # a base can head-reduce to a new successor (``succ (ind(...))`` does once
     # per iota step), so successor heads are summed in a loop, not recursed into
     k, h = 0, t
     while (h := _head(h, fuel)).__class__ is Succ:
         k, h = k + h.k, h.base
     nf = _reduce_hnf(h, fuel)
-    return t if t.__class__ is Succ and nf is t.base else succ(Succ, k, nf)
+    return t if cls is Succ and nf is t.base else succ(Succ, k, nf)
 
 
 def _head(t: Term, fuel: _Fuel) -> Term:
@@ -151,46 +146,45 @@ def _head(t: Term, fuel: _Fuel) -> Term:
     an application or eliminator that is stuck; ``t`` itself when none
     fires. The function position and the scrutinee reduce first."""
     while True:
-        match t:
-            case App(f, a):
-                f2 = _head(f, fuel)
-                if not isinstance(f2, Lam):
-                    return t if f2 is f else App(f2, a)
+        cls = t.__class__
+        if cls is App:
+            f = _head(t.fn, fuel)
+            if f.__class__ is not Lam:
+                return t if f is t.fn else App(f, t.arg)
+            fuel.spend()
+            t = subst1(f.body, t.arg)
+        elif cls is NatInd:
+            s = _head(t.scrut, fuel)
+            if s.__class__ is Zero:
                 fuel.spend()
-                t = subst1(f2.body, a)
-            case NatInd(scrut, motive, zcase, scase):
-                s2 = _head(scrut, fuel)
-                match s2:
-                    case Zero():
-                        fuel.spend()
-                        t = zcase
-                    case Succ(k, base):
-                        fuel.spend()
-                        n = succ(Succ, k - 1, base)
-                        t = subst_many(scase, (NatInd(n, motive, zcase, scase), n))
-                    case _:
-                        return t if s2 is scrut else NatInd(s2, motive, zcase, scase)
-            case _:
-                return t
+                t = t.zcase
+            elif s.__class__ is Succ:
+                fuel.spend()
+                n = succ(Succ, s.k - 1, s.base)
+                t = subst_many(t.scase, (NatInd(n, t.motive, t.zcase, t.scase), n))
+            else:
+                return t if s is t.scrut else NatInd(s, t.motive, t.zcase, t.scase)
+        else:
+            return t
 
 
 def _reduce_hnf(t: Term, fuel: _Fuel) -> Term:
     """``_reduce`` for a term ``_head`` returned: a stuck application or
     eliminator never becomes a redex, so its parts reduce in step's order."""
-    match t:
-        case App(f, a):
-            f2 = _reduce_hnf(f, fuel)
-            a2 = _reduce(a, fuel)
-            return t if f2 is f and a2 is a else App(f2, a2)
-        case NatInd(scrut, motive, zcase, scase):
-            s2 = _reduce_hnf(scrut, fuel)
-            m2 = _reduce_ty(motive, fuel)
-            z2 = _reduce(zcase, fuel)
-            c2 = _reduce(scase, fuel)
-            if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
-                return t
-            return NatInd(s2, m2, z2, c2)
-    assert t.__class__ is not Const, "unfold definitions before reducing"
+    cls = t.__class__
+    if cls is App:
+        f = _reduce_hnf(t.fn, fuel)
+        a = _reduce(t.arg, fuel)
+        return t if f is t.fn and a is t.arg else App(f, a)
+    if cls is NatInd:
+        s = _reduce_hnf(t.scrut, fuel)
+        m = _reduce_ty(t.motive, fuel)
+        z = _reduce(t.zcase, fuel)
+        c = _reduce(t.scase, fuel)
+        if s is t.scrut and m is t.motive and z is t.zcase and c is t.scase:
+            return t
+        return NatInd(s, m, z, c)
+    assert cls is not Const, "unfold definitions before reducing"
     return _reduce(t, fuel)
 
 

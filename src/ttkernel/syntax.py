@@ -54,11 +54,26 @@ class Node:
                 return False
         return True
 
-    def __hash__(self):  # equal trees walk alike
-        if not self.__match_args__:
-            return hash((self.__class__,))
-        shape = (len(x) if x.__class__ is tuple else x.__class__ if isinstance(x, Node) else x
-                 for x in walk(self))
+    def __hash__(self):
+        """The hash of ``walk``'s shape: each node's class, each tuple's length
+        and each field value, in ``walk``'s order, so equal trees hash alike.
+        Built from a list in a plain loop, as enumeration hashes many small
+        memo keys: ``tuple`` of a generator resizes a fresh tuple of 10 to
+        the shape's length, so each call would park one more tuple on
+        CPython's free list of that length, memory the process keeps."""
+        shape, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            cls = x.__class__
+            if cls is tuple:
+                shape.append(len(x))
+                stack += x
+            elif isinstance(x, Node):
+                shape.append(cls)
+                for name in cls.__match_args__:
+                    stack.append(getattr(x, name))
+            else:
+                shape.append(x)
         return hash(tuple(shape))
 
     def __repr__(self):
@@ -193,8 +208,10 @@ class Const(Term):
 
 
 # The binders, declared once: how many each field of a class is under, in
-# field order; every other class binds nothing. Substitution below restates
-# them by hand, for speed, and the tests check that the two agree.
+# field order; every other class binds nothing. ``uses_index`` reads them;
+# the substitution walk restates them by hand, for speed, and
+# tests/test_normal.py::test_binder_table_agrees_with_substitution holds
+# ``shift``, ``subst_many`` and ``uses_index`` to this table.
 BINDERS = {Pi: (0, 1), Lam: (1,), NatInd: (0, 1, 0, 2)}
 
 
@@ -260,103 +277,73 @@ def eta_constant(name: str, arity: int) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Variable traversals.  All index manipulation funnels through one walk,
-# written out by hand for speed, over the binders that ``BINDERS`` declares.
-# ``on_var(v, depth)`` gets each ``Var`` node under ``depth`` binders and
-# returns its replacement, ``v`` itself when the index stays. The walk
-# returns every subtree in which nothing changed as it is, so a closed term
-# comes back as the same object and a changed one shares its unchanged
-# parts; ``is`` is only ever a shortcut here, never meaning.
+# Variable traversals.  Shifting and substitution are one walk, ``_subst``,
+# written out by hand for speed over the binders that ``BINDERS`` declares.
+# It adds each field's binders to ``depth``, which starts at 0 (at the
+# cutoff, for a shift): an index below ``depth`` stays, index ``depth + j``
+# becomes ``sigma[j]`` shifted by ``depth`` when ``j < len(sigma)``, and
+# any other index moves by ``by - len(sigma)``. The walk returns every
+# subtree in which nothing changed as it is, so a closed term comes back as
+# the same object and a changed one shares its unchanged parts; ``is`` is
+# only ever a shortcut here, never meaning.
 
 
-def _map_term(t: Term, depth: int, on_var) -> Term:
+def _subst(t, depth: int, sigma: tuple[Term, ...], by: int):
     cls = t.__class__
     if cls is Var:
-        return on_var(t, depth)
+        i = t.index
+        if i < depth:
+            return t
+        if i - depth < len(sigma):
+            return shift(sigma[i - depth], depth)
+        return Var(i + by - len(sigma))
     if cls is App:
-        f = _map_term(t.fn, depth, on_var)
-        a = _map_term(t.arg, depth, on_var)
+        f = _subst(t.fn, depth, sigma, by)
+        a = _subst(t.arg, depth, sigma, by)
         return t if f is t.fn and a is t.arg else App(f, a)
     if cls is Lam:
-        b = _map_term(t.body, depth + 1, on_var)
+        b = _subst(t.body, depth + 1, sigma, by)
         return t if b is t.body else Lam(b)
-    if cls is Zero or cls is Const:
+    if cls is Zero or cls is Nat or cls is Const:
         return t
     if cls is Succ:
-        new = _map_term(t.base, depth, on_var)
-        return t if new is t.base else succ(Succ, t.k, new)
-    if cls is TmConst:
-        args = _map_args(t.args, depth, on_var)
-        return t if args is t.args else TmConst(t.name, args)
-    match t:
-        case NatInd(n, motive, z, s):
-            n2 = _map_term(n, depth, on_var)
-            motive2 = _map_ty(motive, depth + 1, on_var)
-            z2 = _map_term(z, depth, on_var)
-            s2 = _map_term(s, depth + 2, on_var)
-            if n2 is n and motive2 is motive and z2 is z and s2 is s:
-                return t
-            return NatInd(n2, motive2, z2, s2)
-    raise AssertionError(f"not a term: {t!r}")
-
-
-def _map_ty(ty: Ty, depth: int, on_var) -> Ty:
-    match ty:
-        case Nat():
-            return ty
-        case Pi(dom, cod):
-            d = _map_ty(dom, depth, on_var)
-            c = _map_ty(cod, depth + 1, on_var)
-            return ty if d is dom and c is cod else Pi(d, c)
-        case TyConst(c, args):
-            new = _map_args(args, depth, on_var)
-            return ty if new is args else TyConst(c, new)
-    raise AssertionError(f"not a type: {ty!r}")
-
-
-def _map_args(args: tuple[Term, ...], depth: int, on_var) -> tuple[Term, ...]:
-    """A constant's arguments mapped: ``args`` itself when none changes,
-    otherwise a copy made from the first changed argument on."""
-    for i, a in enumerate(args):
-        b = _map_term(a, depth, on_var)
-        if b is not a:
-            return args[:i] + (b,) + tuple(_map_term(x, depth, on_var) for x in args[i + 1 :])
-    return args
-
-
-def _map(t, on_var):
-    if isinstance(t, Ty):
-        return _map_ty(t, 0, on_var)
-    return _map_term(t, 0, on_var)
+        b = _subst(t.base, depth, sigma, by)
+        return t if b is t.base else succ(Succ, t.k, b)
+    if cls is TmConst or cls is TyConst:  # from the first changed argument on, a copy
+        args = t.args
+        for i, a in enumerate(args):
+            b = _subst(a, depth, sigma, by)
+            if b is not a:
+                rest = tuple(_subst(x, depth, sigma, by) for x in args[i + 1 :])
+                return cls(t.name, args[:i] + (b,) + rest)
+        return t
+    if cls is Pi:
+        d = _subst(t.dom, depth, sigma, by)
+        c = _subst(t.cod, depth + 1, sigma, by)
+        return t if d is t.dom and c is t.cod else Pi(d, c)
+    if cls is NatInd:
+        n = _subst(t.scrut, depth, sigma, by)
+        m = _subst(t.motive, depth + 1, sigma, by)
+        z = _subst(t.zcase, depth, sigma, by)
+        s = _subst(t.scase, depth + 2, sigma, by)
+        if n is t.scrut and m is t.motive and z is t.zcase and s is t.scase:
+            return t
+        return NatInd(n, m, z, s)
+    raise AssertionError(f"not a term or type: {t!r}")
 
 
 def shift(t, by: int, cutoff: int = 0):
     """Add ``by`` to every free index >= ``cutoff``."""
     if by == 0 or t.__class__ is Nat:  # Nat, the most frequent type, has no variable
         return t
-
-    def on_var(v, d):
-        return Var(v.index + by) if v.index >= cutoff + d else v
-
-    return _map(t, on_var)
+    return _subst(t, cutoff, (), by)
 
 
 def subst_many(t, sigma: tuple[Term, ...]):
     """Simultaneously replace ``Var(j)`` by ``sigma[j]``; higher indices drop."""
-    k = len(sigma)
-    if k == 0 or t.__class__ is Nat:
+    if not sigma or t.__class__ is Nat:
         return t
-
-    def on_var(v, d):
-        i = v.index
-        if i < d:
-            return v
-        j = i - d
-        if j < k:
-            return shift(sigma[j], d)
-        return Var(i - k)
-
-    return _map(t, on_var)
+    return _subst(t, 0, sigma, 0)
 
 
 def subst1(body, arg: Term):
@@ -380,16 +367,19 @@ def motive_succ_case(motive: Ty) -> Ty:
 
 def uses_index(t, i: int) -> bool:
     """Does the free variable ``i`` occur in ``t``?"""
-    found = False
-
-    def on_var(v, d):
-        nonlocal found
-        if v.index == i + d:
-            found = True
-        return v
-
-    _map(t, on_var)
-    return found
+    stack = [(t, i)]
+    while stack:
+        x, j = stack.pop()
+        cls = x.__class__
+        if cls is Var:
+            if x.index == j:
+                return True
+        elif cls is tuple:
+            stack += [(y, j) for y in x]
+        elif isinstance(x, Node):
+            for name, b in zip(cls.__match_args__, binders(cls)):
+                stack.append((getattr(x, name), j + b))
+    return False
 
 
 def const_names(t) -> list[str]:

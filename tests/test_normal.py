@@ -27,6 +27,9 @@ from ttkernel.syntax import (
     inst_params,
     numeral,
     shift,
+    subst_many,
+    uses_index,
+    walk,
 )
 
 import normal_reference
@@ -259,8 +262,10 @@ def test_normal_at_a_type_with_a_redex(source, ctx, ty, t):
 
 
 # Each syntax class, and each grammar class through the class it erases to,
-# with a variable in every term or type field: the hand-written shift must
-# move exactly the fields that BINDERS leaves it free in.
+# with a variable in every term or type field: the hand-written shift and
+# substitution must replace it in exactly the fields that BINDERS leaves it
+# free in, return the other fields as they are, and uses_index must find it
+# at the index it has there.
 _FILL = {
     "Term": lambda j: Var(j),
     "Ty": lambda j: TyConst("C", (Var(j),)),
@@ -270,6 +275,7 @@ _FILL = {
     "NfTy": lambda j: TyConstNf("C", (VarNe(j),)),
     "tuple[NfTm, ...]": lambda j: (VarNe(j),),
 }
+_SIGMA = (Lam(Var(0)), Lam(Zero()), Lam(Lam(Var(1))))  # closed, none inside another
 _BINDING_CLASSES = [Pi, Nat, TyConst, Lam, App, Zero, Succ, NatInd, TmConst] + [
     cls for cls in _ERASES_TO if cls is not VarNe
 ]
@@ -284,9 +290,12 @@ def test_binder_table_agrees_with_substitution(cls):
         node = cls(*(_FILL[f.type](j) if f.type in _FILL else {"int": 1, "str": "C"}[f.type] for f in fields))
         t = erase(node) if syntax_cls is not cls else node
         assert t.__class__ is syntax_cls
-        moved = shift(t, 1)
-        got = [getattr(moved, name) != getattr(t, name) for name in syntax_cls.__match_args__]
-        assert got == [var and j >= b for var, b in zip(holds_var, binders(syntax_cls))]
+        for moved, new in ((shift(t, 1), lambda b: Var(j + 1)), (subst_many(t, _SIGMA), lambda b: _SIGMA[j - b])):
+            for name, var, b in zip(syntax_cls.__match_args__, holds_var, binders(syntax_cls)):
+                got = getattr(moved, name)
+                assert new(b) in walk(got) if var and j >= b else got is getattr(t, name)
+        for i in range(3):
+            assert uses_index(t, i) == any(var and j == i + b for var, b in zip(holds_var, binders(syntax_cls)))
 
 
 # The differential test of the recognizer against tests/normal_reference.py:

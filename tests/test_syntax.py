@@ -358,11 +358,23 @@ def test_eq_compares_classes_lengths_and_leaves():
     assert t == t and not t != t
 
 
-def test_hash_is_the_hash_of_the_walk_shape():
+def test_hash_is_the_hash_of_the_walk_shape(scoped_corpus, sig_crossval):
     # pinned values: set iteration and dict order depend on them
     assert hash(Nat()) == hash((Nat,)) and hash(Zero()) == hash((Zero,))
     assert hash(App(Var(0), Zero())) == hash((App, Zero, Var, 0))
     assert hash(TmConst("f", (Var(0),))) == hash((TmConst, 1, Var, 0, "f"))
+    assert hash(Context((Nat(), Nat()))) == hash((Context, 2, Nat, Nat))
+
+    def shape(x):
+        return tuple(len(y) if y.__class__ is tuple else y.__class__ if isinstance(y, Node) else y for y in walk(x))
+
+    # the corpus holds no Const head; a use of a definition elaborates to one
+    with_consts = [elab_tm(sig_crossval, ("v",), parse_expression("add (twice v) (f v)"))]
+    classes = set()
+    for x in [x for _, x in scoped_corpus] + with_consts:
+        assert hash(x) == hash(shape(x)), x
+        classes |= {y.__class__ for y in walk(x)}
+    assert classes >= {Pi, Nat, TyConst, Var, Lam, App, Zero, Succ, NatInd, TmConst, Const, tuple}
 
 
 def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
