@@ -2,9 +2,9 @@
 
     tt check FILE                 exit 0 ok / 1 type error / 2 parse error
     tt normalize FILE -e EXPR [-t TYPE] [--oracle]
-                                  prints the normal form; with --oracle
-                                  also rewrites independently, exit 3 on
-                                  disagreement
+                                  prints the normal form of its one
+                                  EXPR; with --oracle also rewrites
+                                  independently, exit 3 on disagreement
     tt equal FILE -e E1 -e E2 [-t TYPE]
                                   exit 0 equal / 3 not equal
     tt fuzz FILE [--count N] [--seed S] [--size K]
@@ -125,7 +125,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sig = _load(args.file)
-    t, ty = _expr_at(sig, args.expr, args.type)
+    if len(args.expr) != 1:
+        raise UsageError("normalize needs exactly one -e expression")
+    t, ty = _expr_at(sig, args.expr[0], args.type)
     nf = normalize_tm(sig, Context(), ty, t)
     out = print_tm(nf)
     if args.oracle:
@@ -189,7 +191,7 @@ def _run(argv) -> int:
 
     p_norm = sub.add_parser("normalize", help="print a normal form")
     p_norm.add_argument("file")
-    p_norm.add_argument("-e", "--expr", required=True)
+    p_norm.add_argument("-e", "--expr", action="append", required=True)
     p_norm.add_argument("-t", "--type", default=None)
     p_norm.add_argument("--oracle", action="store_true", help="cross-check with the rewriting oracle")
 

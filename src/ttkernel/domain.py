@@ -3,9 +3,10 @@
 Values are weak-head: lambda bodies and case arms live in closures that
 capture an environment and a piece of syntax. Types never compute, so a
 type is not evaluated either: its semantic form is a closure too, the
-syntactic type under the environment it was met in. A neutral carries
-such a type at every type and keeps semantic payloads (values,
-closures); reify reads it back, eta-expanding it at function types.
+syntactic type under the environment it was met in. Values carry no
+types: only a variable holds its own, and readback synthesizes a neutral's
+type from its head, as Coquand's algorithm does (1996). A neutral keeps
+semantic payloads (values, closures) and is itself a value.
 Environments are ordered outermost-first, so ``Var(i)`` evaluates to
 ``env[len(env) - 1 - i]``.
 """
@@ -20,7 +21,7 @@ class Value(Node):
     __slots__ = ()
 
 
-class Neutral(Node):
+class Neutral(Value):
     """Blocked eliminations over de Bruijn levels."""
     __slots__ = ()
 
@@ -57,23 +58,17 @@ class VSucc(Value):
 
 
 @node
-class VNe(Value):
-    """A neutral at its type under an environment, function types included."""
-
-    ty: Closure
-    ne: Neutral
-
-
-@node
 class NVar(Neutral):
+    """A variable at its semantic type, the one value that holds a type."""
+
     level: int
+    ty: Closure
 
 
 @node
 class NApp(Neutral):
     fn: Neutral
     arg: Value
-    arg_ty: Closure
 
 
 @node

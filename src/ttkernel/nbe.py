@@ -11,7 +11,9 @@ filled on first use.
 Types never compute, so a semantic type is the syntactic type in a
 closure over its environment: reify dispatches on its former, and only
 ``nfty`` evaluates a type's parts, the arguments of a type constant,
-when it reads them back.
+when it reads them back. Only a variable holds a type; ``reify_ne``
+synthesizes a neutral's type from its head, and reads each argument back
+at the domain of the type its function synthesizes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .domain import (
     Neutral,
     Value,
     VLam,
-    VNe,
     VSucc,
     VZero,
 )
@@ -77,10 +78,7 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
         case NatInd(scrut, motive, z, s):
             return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
         case TmConst(name, args):
-            decl = sig.find(PostulateTm, name)
-            assert decl is not None, f"'{name}' is not a term constant"
-            values = tuple(eval_tm(sig, env, a) for a in args)
-            return reflect(Closure(values, decl.result), NConst(name, values))
+            return NConst(name, tuple(eval_tm(sig, env, a) for a in args))
     raise AssertionError(f"not a term: {t!r}")
 
 
@@ -110,15 +108,14 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     match base:
         case VZero():
             rec = eval_tm(sig, env, zcase)
-        case VNe(_, ne):
-            blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-            rec = reflect(Closure(env + (base,), motive), blocked)
+        case Neutral():
+            rec = NNatInd(base, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
         case _:
             raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     if k >= 2 and motive.__class__ is Nat:
         # level -1 is no variable's, so reify_ne asserts on a marker that escaped
-        r = VNe(NAT, NVar(-1))
-        step = eval_tm(sig, env + (VNe(NAT, NVar(-1)), r), scase)
+        r = NVar(-1, NAT)
+        step = eval_tm(sig, env + (NVar(-1, NAT), r), scase)
         if step is r:
             return rec
         if step.__class__ is VSucc and step.base is r:
@@ -133,20 +130,9 @@ def apply(sig: Signature, fn: Value, arg: Value) -> Value:
     if fn.__class__ is VLam:
         clo = fn.clo
         return eval_tm(sig, clo.env + (arg,), clo.body)
-    match fn:
-        case VNe(Closure(env, Pi(dom, cod)), ne):
-            return VNe(Closure(env + (arg,), cod), NApp(ne, arg, Closure(env, dom)))
+    if isinstance(fn, Neutral):
+        return NApp(fn, arg)
     raise AssertionError(f"applying a non-function: {fn!r}")
-
-
-def reflect(ty: Closure, ne: Neutral) -> Value:
-    """Embed a neutral at a semantic type, function types included."""
-    return VNe(ty, ne)
-
-
-def var_value(ty: Closure, level: int) -> Value:
-    """The value of a fresh variable: the reflection of its level."""
-    return reflect(ty, NVar(level))
 
 
 def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
@@ -160,43 +146,46 @@ def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
             return succ(Succ, v.k, reify(sig, depth, ty, v.base))
         if cls is VZero:
             return Zero()
-        if cls is VNe:
-            return reify_ne(sig, depth, v.ne)
-        raise AssertionError(f"not a Nat value: {v!r}")
+        return reify_ne(sig, depth, v)[0]
     if former is Pi:
-        fresh = var_value(Closure(env, body.dom), depth)
+        fresh = NVar(depth, Closure(env, body.dom))
         return Lam(reify(sig, depth + 1, Closure(env + (fresh,), body.cod), apply(sig, v, fresh)))
     if former is TyConst:
-        assert cls is VNe, f"not a neutral at a constant type: {v!r}"
-        return reify_ne(sig, depth, v.ne)
+        return reify_ne(sig, depth, v)[0]
     raise AssertionError(f"not a type: {body!r}")
 
 
-def reify_ne(sig: Signature, depth: int, ne: Neutral) -> Term:
-    """Read a neutral back, converting levels to indices."""
+def reify_ne(sig: Signature, depth: int, ne: Neutral) -> tuple[Term, Closure]:
+    """Read a neutral back, converting levels to indices; returns the type
+    it synthesizes from its head too."""
     match ne:
-        case NVar(level):
+        case NVar(level, ty):
             assert 0 <= level < depth, f"level {level} escapes depth {depth}"
-            return Var(depth - 1 - level)
-        case NApp(fn, arg, arg_ty):
-            return App(reify_ne(sig, depth, fn), reify(sig, depth, arg_ty, arg))
+            return Var(depth - 1 - level), ty
+        case NApp(fn, arg):
+            fn_nf, fn_ty = reify_ne(sig, depth, fn)
+            env, pi = fn_ty.env, fn_ty.body
+            assert pi.__class__ is Pi, f"spine head is not a function: {pi!r}"
+            return App(fn_nf, reify(sig, depth, Closure(env, pi.dom), arg)), Closure(env + (arg,), pi.cod)
         case NNatInd(scrut, motive, zcase, scase):
             env, body = motive.env, motive.body
-            fresh_n = var_value(NAT, depth)
+            fresh_n = NVar(depth, NAT)
             motive_n = Closure(env + (fresh_n,), body)
             motive_nf = nfty(sig, depth + 1, motive_n)
             zcase_nf = reify(sig, depth, Closure(env + (VZero(),), body), zcase)
-            fresh_ih = var_value(motive_n, depth + 1)
+            fresh_ih = NVar(depth + 1, motive_n)
             step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
             scase_nf = reify(sig, depth + 2, Closure(env + (succ(VSucc, 1, fresh_n),), body), step)
-            return NatInd(reify_ne(sig, depth, scrut), motive_nf, zcase_nf, scase_nf)
+            nf = NatInd(reify_ne(sig, depth, scrut)[0], motive_nf, zcase_nf, scase_nf)
+            return nf, Closure(env + (scrut,), body)
         case NConst(name, args):
-            return TmConst(name, _reify_const_args(sig, depth, PostulateTm, name, args))
+            decl = sig.find(PostulateTm, name)
+            assert decl is not None, f"'{name}' is not a term constant"
+            return TmConst(name, _reify_args(sig, depth, decl.params, args)), Closure(args, decl.result)
     raise AssertionError(f"not a neutral: {ne!r}")
 
 
-def _reify_const_args(sig, depth, kind, name, args) -> tuple[Term, ...]:
-    params = sig.find(kind, name).params
+def _reify_args(sig, depth, params, args) -> tuple[Term, ...]:
     nfs = []
     for i, v in enumerate(args):
         nfs.append(reify(sig, depth, Closure(args[:i], params[i]), v))
@@ -211,20 +200,23 @@ def nfty(sig: Signature, depth: int, ty: Closure) -> Ty:
         case Nat():
             return Nat()
         case TyConst(name, args):
+            decl = sig.find(PostulateTy, name)
+            assert decl is not None, f"'{name}' is not a type constant"
             values = tuple(eval_tm(sig, env, a) for a in args)
-            return TyConst(name, _reify_const_args(sig, depth, PostulateTy, name, values))
+            return TyConst(name, _reify_args(sig, depth, decl.params, values))
         case Pi(dom, cod):
             dom_ty = Closure(env, dom)
-            fresh = var_value(dom_ty, depth)
+            fresh = NVar(depth, dom_ty)
             return Pi(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), cod)))
     raise AssertionError(f"not a type: {ty.body!r}")
 
 
 def id_env(sig: Signature, ctx: Context) -> Env:
-    """Environment sending each context variable to its own reflection."""
+    """Environment sending each context variable to itself: a fresh
+    variable at its level and its entry's semantic type."""
     env: Env = ()
     for level, entry in enumerate(ctx.entries):
-        env += (var_value(Closure(env, entry), level),)
+        env += (NVar(level, Closure(env, entry)),)
     return env
 
 

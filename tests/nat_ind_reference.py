@@ -8,7 +8,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ttkernel import nbe
-from ttkernel.domain import Closure, NNatInd, Value, VNe, VSucc, VZero
+from ttkernel.domain import Closure, NNatInd, Neutral, Value, VSucc, VZero
 from ttkernel.syntax import succ
 
 
@@ -20,9 +20,8 @@ def nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     match base:
         case VZero():
             rec = nbe.eval_tm(sig, env, zcase)
-        case VNe(_, ne):
-            blocked = NNatInd(ne, Closure(env, motive), nbe.eval_tm(sig, env, zcase), Closure(env, scase))
-            rec = nbe.reflect(nbe.eval_ty(sig, env + (base,), motive), blocked)
+        case Neutral():
+            rec = NNatInd(base, Closure(env, motive), nbe.eval_tm(sig, env, zcase), Closure(env, scase))
         case _:
             raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     for j in range(k):

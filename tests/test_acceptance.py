@@ -16,7 +16,7 @@ from ttkernel.domain import (
     NConst,
     NNatInd,
     NVar,
-    VNe,
+    Neutral,
     VSucc,
     VZero,
 )
@@ -35,10 +35,8 @@ from ttkernel.nbe import (
     id_env,
     nfty,
     normalize_tm,
-    reflect,
     reify,
     reify_ne,
-    var_value,
 )
 from ttkernel.normal import is_normal
 from ttkernel.rewrite import oracle_equal, rw_normalize
@@ -275,8 +273,8 @@ def _nat_neutrals(sig, rng):
     for i in range(24):
         t = [Var(1), App(Var(2), numeral(i)), App(App(Var(0), numeral(i)), Var(1))][i % 3]
         v = eval_tm(sig, env, t)
-        assert isinstance(v, VNe)
-        out.append((ctx, env, depth, v.ne))
+        assert isinstance(v, Neutral)
+        out.append((ctx, env, depth, v))
     return out
 
 
@@ -298,10 +296,11 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         d = len(ctx)
         assert reify(sig, d, NAT, succ(VSucc, 1, v)) == succ(Succ, 1, reify(sig, d, NAT, v))
 
-    # reify . reflect at Nat is the neutral read back
+    # reify at Nat of a neutral is the neutral read back, which synthesizes Nat
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
-        got = reify(sig, depth, NAT, reflect(NAT, ne))
-        assert got == reify_ne(sig, depth, ne)
+        got, ty = reify_ne(sig, depth, ne)
+        assert reify(sig, depth, NAT, ne) == got
+        assert nfty(sig, depth, ty) == Nat()
 
     # nfty at function types splits into domain and fresh-variable codomain
     for i in range(20):
@@ -310,7 +309,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         cod = gen_type(sig, ctx.extend(dom), rng, size=3)
         env = id_env(sig, ctx)
         d = len(ctx)
-        fresh = var_value(Closure(env, dom), d)
+        fresh = NVar(d, Closure(env, dom))
         rhs = Pi(
             nfty(sig, d, Closure(env, dom)),
             nfty(sig, d + 1, Closure(env + (fresh,), cod)),
@@ -324,21 +323,23 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         env = id_env(sig, ctx)
         d = len(ctx)
         v = eval_tm(sig, env, Lam(body))
-        fresh = var_value(Closure(env, Nat()), d)
+        fresh = NVar(d, Closure(env, Nat()))
         lhs = reify(sig, d, Closure(env, Pi(Nat(), Nat())), v)
         assert lhs == Lam(reify(sig, d + 1, Closure(env + (fresh,), Nat()), apply(sig, v, fresh)))
 
-    # applying a reflected neutral extends the spine and re-reflects
+    # applying a neutral extends the spine, which synthesizes the codomain
+    # at the argument and reads the argument back at the domain
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):
-        pi = Closure(env, Pi(Nat(), Nat()))
+        fn = env[0]  # level 0 is the function variable, at Nat -> Nat
         arg = eval_tm(sig, env, gen_term(sig, ctx, Nat(), 4, rng))
-        napp = NApp(NVar(0), arg, Closure(env, Nat()))  # level 0 is the function variable
-        lhs = apply(sig, reflect(pi, NVar(0)), arg)
-        rhs = reflect(Closure(env + (arg,), Nat()), napp)
-        assert lhs == rhs
-        assert reify(sig, depth, NAT, lhs) == reify(sig, depth, NAT, rhs)
+        lhs = apply(sig, fn, arg)
+        assert lhs == NApp(fn, arg)
+        want = App(Var(depth - 1), reify(sig, depth, NAT, arg))
+        assert reify_ne(sig, depth, lhs) == (want, Closure((arg,), Nat()))
+        assert reify(sig, depth, NAT, lhs) == want
 
-    # the eliminator on a reflected neutral reflects the blocked eliminator
+    # the eliminator on a neutral is the blocked eliminator, at the motive
+    # instantiated at the neutral
     for i, (ctx, env, depth, ne) in enumerate(_nat_neutrals(sig, rng)):
         motive = Nat() if i % 2 else Pi(Nat(), Nat())
         zcase = gen_term(sig, ctx, motive, 4, rng)
@@ -346,36 +347,35 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         from ttkernel.syntax import motive_succ_case
 
         scase = gen_term(sig, ctx2, motive_succ_case(motive), 4, rng)
-        scrut = reify_ne(sig, depth, ne)
+        scrut = reify_ne(sig, depth, ne)[0]
         lhs = eval_tm(sig, env, NatInd(scrut, motive, zcase, scase))
-        blocked = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-        sem_motive = Closure(env + (reflect(NAT, ne),), motive)
-        rhs = reflect(sem_motive, blocked)
+        rhs = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
+        sem_motive = Closure(env + (ne,), motive)
         assert reify(sig, depth, sem_motive, lhs) == reify(sig, depth, sem_motive, rhs)
+        assert reify_ne(sig, depth, lhs)[1] == reify_ne(sig, depth, rhs)[1] == sem_motive
 
-    # constant types: nfty and reify . reflect, with and without indices
+    # constant types: nfty, and reify of a variable at one, with and without indices
     ctx = Context((A, TyConst("B", (Var(0),)), Nat()))
     env = id_env(sig, ctx)
     depth = len(ctx)
-    a0 = env[0]
+    a0, b1 = env[0], env[1]
     for lvl in range(20):
         assert nfty(sig, depth + lvl, A_CLO) == TyConst("A", ())
-        ne = NVar(0)
-        got = reify(sig, depth, A_CLO, reflect(A_CLO, ne))
-        assert got == reify_ne(sig, depth, ne)
+        got = reify(sig, depth, A_CLO, a0)
+        assert (got, A_CLO) == reify_ne(sig, depth, a0)
         bty = Closure((a0,), TyConst("B", (Var(0),)))
         assert nfty(sig, depth, bty) == TyConst("B", (reify(sig, depth, A_CLO, a0),))
-        got2 = reify(sig, depth, bty, reflect(bty, NVar(1)))
-        assert got2 == reify_ne(sig, depth, NVar(1))
+        got2 = reify(sig, depth, bty, b1)
+        assert (got2, bty) == reify_ne(sig, depth, b1)
 
-    # a term constant evaluates to the reflected constant spine
+    # a term constant evaluates to the constant spine, at its declared result
     for i in range(20):
         extra = Context((A,) * (1 + i % 3))
         env2 = id_env(sig, extra)
         arg = env2[i % len(env2)]
         lhs = eval_tm(sig, env2, TmConst("f", (Var(len(env2) - 1 - (i % len(env2))),)))
-        rhs = reflect(Closure((arg,), TyConst("B", (Var(0),))), NConst("f", (arg,)))
-        assert lhs == rhs
+        assert lhs == NConst("f", (arg,))
+        assert reify_ne(sig, len(env2), lhs)[1] == Closure((arg,), TyConst("B", (Var(0),)))
 
     _report(6, "computation rules hold on 20+ instantiations each", started)
 

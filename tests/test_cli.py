@@ -153,8 +153,13 @@ def test_fuzz_rejects_a_non_integer_count(good, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["normalize", "FILE"], ["fuzz", "FILE", "--count", "-1"], ["normalize", "FILE", "-e", "-x"]],
-    ids=["missing -e", "negative count", "option as -e text"],
+    [
+        ["normalize", "FILE"],
+        ["fuzz", "FILE", "--count", "-1"],
+        ["normalize", "FILE", "-e", "-x"],
+        ["normalize", "FILE", "-e", "zero", "-e", "zero"],
+    ],
+    ids=["missing -e", "negative count", "option as -e text", "second -e"],
 )
 def test_usage_error_is_a_json_record(good, argv, capsys):
     argv = [good if a == "FILE" else a for a in argv]

@@ -131,7 +131,7 @@ def test_normal_forms_are_syntax():
                 built.add(node.args[0].id)
     classes = {name: getattr(nbe, name) for name in built if isinstance(getattr(nbe, name, None), type)}
     nodes = {name: cls.__module__ for name, cls in classes.items() if issubclass(cls, Node)}
-    assert {"Lam", "Succ", "TyConst", "VNe"} <= set(nodes)
+    assert {"Lam", "Succ", "TyConst", "NVar"} <= set(nodes)
     assert set(nodes.values()) == {"ttkernel.syntax", "ttkernel.domain"}, nodes
 
 

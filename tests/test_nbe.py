@@ -1,4 +1,4 @@
-"""Evaluation, reflect/reify, and the normalization functions.
+"""Evaluation, readback, and the normalization functions.
 
 The *_equation tests pin the computation rules of the evaluator's
 normalization structure, one per rule, by computing both sides
@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from ttkernel import nbe
-from ttkernel.check import conv_tm, infer
+from ttkernel.check import conv_tm, declare, infer
 from ttkernel.domain import (
     Closure,
     NApp,
@@ -18,7 +18,6 @@ from ttkernel.domain import (
     NNatInd,
     NVar,
     VLam,
-    VNe,
     VSucc,
     VZero,
 )
@@ -31,13 +30,12 @@ from ttkernel.nbe import (
     nfty,
     normalize_tm,
     normalize_ty,
-    reflect,
     reify,
     reify_ne,
-    var_value,
 )
 from ttkernel.normal import is_normal
 from ttkernel.rewrite import rw_normalize
+from ttkernel.signature import PostulateTm
 from ttkernel.surface import elab_tm, elab_ty, elaborate, parse, parse_expression, parse_type, print_nf, print_tm
 from ttkernel.syntax import (
     App,
@@ -55,10 +53,15 @@ from ttkernel.syntax import (
     TyConst,
     Var,
     Zero,
+    inst_params,
+    motive_succ_case,
     numeral,
+    subst1,
     succ,
     walk,
 )
+
+from conftest import HIGHER_ORDER_SOURCES
 
 NN = Pi(Nat(), Nat())
 NAT_CLO = Closure((), Nat())
@@ -71,18 +74,19 @@ B_OF = lambda t: TyConst("B", (t,))
 # -- semantic variables
 
 
-def test_var_value_at_nat():
-    assert var_value(NAT_CLO, 0) == VNe(NAT_CLO, NVar(0))
+def test_var_value_at_nat(sig_empty):
+    # a variable holds its own type, and reads back as itself at it
+    assert reify_ne(sig_empty, 1, NVar(0, NAT_CLO)) == (Var(0), NAT_CLO)
 
 
-def test_var_value_at_constant():
-    assert var_value(A_CLO, 0) == VNe(A_CLO, NVar(0))
+def test_var_value_at_constant(sig_abf):
+    assert reify_ne(sig_abf, 1, NVar(0, A_CLO)) == (Var(0), A_CLO)
 
 
 def test_var_value_at_function_type_is_typed_neutral(sig_empty):
     ty = NN_CLO
-    v = var_value(ty, 0)
-    assert v == VNe(ty, NVar(0))
+    v = NVar(0, ty)
+    assert reify_ne(sig_empty, 1, v) == (Var(0), ty)
     assert reify(sig_empty, 1, ty, v) == Lam(App(Var(1), Var(0)))
 
 
@@ -97,7 +101,7 @@ def test_eval_ty_basics(sig_empty, sig_abf):
 
 def test_eval_ty_keeps_the_type_as_written(sig_abf):
     # types never compute: a redex in a type argument waits for nfty
-    a = var_value(A_CLO, 0)
+    a = NVar(0, A_CLO)
     ty = B_OF(App(Lam(Var(0)), Var(0)))
     assert eval_ty(sig_abf, (a,), ty) == Closure((a,), ty)
     assert nfty(sig_abf, 1, eval_ty(sig_abf, (a,), ty)) == TyConst("B", (Var(0),))
@@ -113,9 +117,11 @@ def test_eval_beta(sig_empty):
 
 
 def test_eval_term_constant_is_neutral(sig_abf):
-    a = var_value(A_CLO, 0)
+    a = NVar(0, A_CLO)
     v = eval_tm(sig_abf, (a,), TmConst("f", (Var(0),)))
-    assert v == VNe(Closure((a,), B_OF(Var(0))), NConst("f", (a,)))
+    assert v == NConst("f", (a,))
+    # readback synthesizes its type: the declared result at its arguments
+    assert reify_ne(sig_abf, 1, v) == (TmConst("f", (Var(0),)), Closure((a,), B_OF(Var(0))))
 
 
 def test_eval_ind_succ_uses_predecessor_and_recursion(sig_empty):
@@ -132,10 +138,8 @@ def test_apply_closure(sig_empty):
 
 
 def test_apply_reflected_variable(sig_empty):
-    fn = var_value(NN_CLO, 0)
-    assert apply(sig_empty, fn, VZero()) == VNe(
-        Closure((VZero(),), Nat()), NApp(NVar(0), VZero(), NAT_CLO)
-    )
+    fn = NVar(0, NN_CLO)
+    assert apply(sig_empty, fn, VZero()) == NApp(fn, VZero())
 
 
 def test_apply_non_function_is_invariant_breach(sig_empty):
@@ -148,21 +152,13 @@ def test_apply_closure_with_body(sig_empty):
     assert apply(sig_empty, fn, VSucc(1, VZero())) == VSucc(2, VZero())
 
 
-# -- reflect
-
-
-def test_reflect_at_nat():
-    assert reflect(NAT_CLO, NVar(3)) == VNe(NAT_CLO, NVar(3))
-
-
-def test_reflect_at_constant():
-    assert reflect(A_CLO, NConst("g")) == VNe(A_CLO, NConst("g"))
+# -- types synthesized from a neutral's head
 
 
 def test_reflect_then_apply(sig_empty):
-    v = reflect(NN_CLO, NVar(0))
-    want = VNe(Closure((VZero(),), Nat()), NApp(NVar(0), VZero(), NAT_CLO))
-    assert apply(sig_empty, v, VZero()) == want
+    # an applied variable has its codomain at the argument
+    v = apply(sig_empty, NVar(0, NN_CLO), VZero())
+    assert reify_ne(sig_empty, 1, v) == (App(Var(0), Zero()), Closure((VZero(),), Nat()))
 
 
 # -- reify
@@ -173,18 +169,18 @@ def test_reify_numeral(sig_empty):
 
 
 def test_reify_neutral_at_nat(sig_empty):
-    assert reify(sig_empty, 1, NAT_CLO, VNe(NAT_CLO, NVar(0))) == Var(0)
+    assert reify(sig_empty, 1, NAT_CLO, NVar(0, NAT_CLO)) == Var(0)
 
 
 def test_reify_at_function_type_is_eta_long(sig_empty):
     ty = NN_CLO
-    got = reify(sig_empty, 1, ty, var_value(ty, 0))
+    got = reify(sig_empty, 1, ty, NVar(0, ty))
     assert got == Lam(App(Var(1), Var(0)))
 
 
 def test_reify_rejects_escaped_level(sig_empty):
     with pytest.raises(AssertionError):
-        reify_ne(sig_empty, 1, NVar(1))
+        reify_ne(sig_empty, 1, NVar(1, NAT_CLO))
 
 
 # -- nfty
@@ -199,7 +195,7 @@ def test_nfty_function(sig_empty):
 
 
 def test_nfty_indexed_constant(sig_abf):
-    sem = Closure((VNe(A_CLO, NVar(0)),), B_OF(Var(0)))
+    sem = Closure((NVar(0, A_CLO),), B_OF(Var(0)))
     assert nfty(sig_abf, 1, sem) == TyConst("B", (Var(0),))
 
 
@@ -211,13 +207,13 @@ def test_id_env_empty(sig_empty):
 
 
 def test_id_env_singleton(sig_empty):
-    assert id_env(sig_empty, Context((Nat(),))) == (VNe(NAT_CLO, NVar(0)),)
+    assert id_env(sig_empty, Context((Nat(),))) == (NVar(0, NAT_CLO),)
 
 
 def test_id_env_levels_match_positions(sig_empty):
     env = id_env(sig_empty, Context((Nat(), Nat())))
-    v0 = VNe(NAT_CLO, NVar(0))
-    assert env == (v0, VNe(Closure((v0,), Nat()), NVar(1)))
+    v0 = NVar(0, NAT_CLO)
+    assert env == (v0, NVar(1, Closure((v0,), Nat())))
 
 
 # -- normalization functions
@@ -277,6 +273,73 @@ def test_readback_builds_syntax(sig_crossval, sig_dep):
                     assert isinstance(x, (Term, Ty)), x
                     seen.add(x.__class__)
     assert seen == {App, Lam, Nat, NatInd, Pi, Succ, TmConst, TyConst, Var, Zero}
+
+
+def _neutral_spines(sig, ctx, ty, t):
+    """``(ctx, spine)`` for each neutral spine in the eta-long normal term
+    ``t`` at ``ty``: those at base type, and in each its head, its
+    scrutinee and the spines of its arguments and cases."""
+    while isinstance(ty, Pi):
+        ctx, ty, t = ctx.extend(ty.dom), ty.cod, t.body
+    if isinstance(t, Succ):
+        t = t.base
+    if not isinstance(t, Zero):
+        yield from _in_spine(sig, ctx, t)
+
+
+def _in_spine(sig, ctx, t):
+    yield ctx, t
+    match t:
+        case App(f, a):
+            yield from _in_spine(sig, ctx, f)
+            yield from _neutral_spines(sig, ctx, infer(sig, ctx, f).dom, a)
+        case NatInd(scrut, motive, z, s):
+            yield from _in_spine(sig, ctx, scrut)
+            yield from _neutral_spines(sig, ctx, subst1(motive, Zero()), z)
+            yield from _neutral_spines(sig, ctx.extend(Nat()).extend(motive), motive_succ_case(motive), s)
+        case TmConst(name, args):
+            params = sig.find(PostulateTm, name).params
+            for i, a in enumerate(args):
+                yield from _neutral_spines(sig, ctx, inst_params(params[i], args[:i]), a)
+
+
+def test_a_neutral_synthesizes_the_type_the_checker_infers(sig_crossval, sig_dep):
+    # readback reads a neutral's type off its head; at every neutral spine a
+    # normal form contains, that type is the checker's, up to conversion
+    # k's declared result is a Pi, dependent on its own argument
+    sig_k = declare(sig_dep, PostulateTm("k", (Nat(),), Pi(Nat(), TyConst("C", (Var(0),)))))
+    cases = []
+    sigs = [sig_crossval, sig_dep, sig_k] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
+    for i, sig in enumerate(sigs):
+        cases += [(sig, *case) for case in gen_cases(sig, i, 100, 9)]
+    # a neutral eliminator with a Pi motive, applied to an argument
+    pi_motive = r"\a. \n. \g. (ind(n; k. (B a -> Nat) -> Nat; \h. h (f a); p r. \h. succ (r h))) g"
+    pi_motive_ty = "(a : A) -> Nat -> (B a -> Nat) -> Nat"
+    cases.append(
+        (
+            sig_crossval,
+            Context(),
+            elab_ty(sig_crossval, (), parse_type(pi_motive_ty)),
+            elab_tm(sig_crossval, (), parse_expression(pi_motive)),
+        )
+    )
+    # a term constant whose declared result is a Pi, applied
+    k_app = App(TmConst("k", (Var(0),)), Succ(1, Var(0)))
+    cases.append((sig_k, Context((Nat(),)), TyConst("C", (Succ(1, Var(0)),)), k_app))
+    # a variable applied twice, its second argument at a type over its first
+    ctx = Context((Pi(Nat(), Pi(TyConst("C", (Var(0),)), Nat())),))
+    cases.append((sig_dep, ctx, Nat(), App(App(Var(0), Zero()), TmConst("c0"))))
+    heads = set()
+    for sig, ctx, ty, t in cases:
+        for at, spine in _neutral_spines(sig, ctx, ty, normalize_tm(sig, ctx, ty, t)):
+            depth = len(at)
+            got, sem_ty = reify_ne(sig, depth, eval_tm(sig, id_env(sig, at), spine))
+            assert got == spine
+            assert nfty(sig, depth, sem_ty) == normalize_ty(sig, at, infer(sig, at, spine)), spine
+            if isinstance(spine, App):
+                heads.add(spine.fn.__class__)
+    # functions that are variables, applications, eliminators and constants
+    assert heads == {Var, App, NatInd, TmConst}
 
 
 def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeypatch):
@@ -358,7 +421,7 @@ def test_filling_a_long_chain_of_definitions_takes_no_frame_per_definition():
 def test_equation_nfty_fun(sig_empty):
     env, dom, cod = (), Nat(), Nat()
     lhs = nfty(sig_empty, 0, Closure(env, Pi(dom, cod)))
-    fresh = var_value(Closure(env, dom), 0)
+    fresh = NVar(0, Closure(env, dom))
     rhs = Pi(
         nfty(sig_empty, 0, Closure(env, dom)),
         nfty(sig_empty, 1, Closure(env + (fresh,), cod)),
@@ -369,17 +432,20 @@ def test_equation_nfty_fun(sig_empty):
 def test_equation_reify_abs(sig_empty):
     v = VLam(Closure((), Succ(1, Var(0))))
     lhs = reify(sig_empty, 0, NN_CLO, v)
-    fresh = var_value(NAT_CLO, 0)
+    fresh = NVar(0, NAT_CLO)
     rhs = Lam(reify(sig_empty, 1, Closure((fresh,), Nat()), apply(sig_empty, v, fresh)))
     assert lhs == rhs
 
 
 def test_equation_apply_reflected(sig_empty):
+    # applying a neutral extends its spine; readback reads the argument at
+    # the domain its function synthesizes, and the codomain is its type
     env, dom, cod = (), Nat(), Nat()
-    ne = NVar(0)
-    lhs = apply(sig_empty, reflect(Closure(env, Pi(dom, cod)), ne), VZero())
-    rhs = reflect(Closure(env + (VZero(),), cod), NApp(ne, VZero(), Closure(env, dom)))
-    assert lhs == rhs
+    fn = NVar(0, Closure(env, Pi(dom, cod)))
+    lhs = apply(sig_empty, fn, VZero())
+    assert lhs == NApp(fn, VZero())
+    arg = reify(sig_empty, 1, Closure(env, dom), VZero())
+    assert reify_ne(sig_empty, 1, lhs) == (App(Var(0), arg), Closure(env + (VZero(),), cod))
 
 
 def test_equation_nfty_nat(sig_empty):
@@ -397,25 +463,25 @@ def test_equation_reify_succ(sig_empty):
 
 
 def test_equation_reify_reflect_nat(sig_empty):
-    ne = NApp(NVar(0), VZero(), NAT_CLO)
-    lhs = reify(sig_empty, 1, NAT_CLO, reflect(NAT_CLO, ne))
-    assert lhs == reify_ne(sig_empty, 1, ne)
+    ne = NApp(NVar(0, NN_CLO), VZero())
+    lhs = reify(sig_empty, 1, NAT_CLO, ne)
+    assert lhs == reify_ne(sig_empty, 1, ne)[0]
 
 
 def test_equation_ind_on_reflected_neutral(sig_empty):
     # evaluating the eliminator against a neutral scrutinee produces the
-    # blocked neutral reflected at the instantiated motive
+    # blocked eliminator, whose type is the motive at the scrutinee
     env = id_env(sig_empty, Context((Nat(),)))
-    scrut_ne = NVar(0)
+    scrut_ne = env[0]
     lhs = eval_tm(sig_empty, env, NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0))))
-    blocked = NNatInd(
+    rhs = NNatInd(
         scrut_ne,
         Closure(env, Nat()),
         eval_tm(sig_empty, env, Zero()),
         Closure(env, Succ(1, Var(0))),
     )
-    rhs = reflect(Closure(env + (env[0],), Nat()), blocked)
     assert lhs == rhs
+    assert reify_ne(sig_empty, 1, lhs)[1] == Closure(env + (scrut_ne,), Nat())
     # and its readback reifies the motive, zero case and successor case
     # under the right number of fresh variables
     got = reify(sig_empty, 1, NAT_CLO, lhs)
@@ -427,31 +493,31 @@ def test_equation_nfty_const(sig_abf):
 
 
 def test_equation_reify_reflect_const(sig_abf):
-    ne = NVar(0)
-    lhs = reify(sig_abf, 1, A_CLO, reflect(A_CLO, ne))
-    assert lhs == reify_ne(sig_abf, 1, ne)
+    ne = NVar(0, A_CLO)
+    lhs = reify(sig_abf, 1, A_CLO, ne)
+    assert lhs == reify_ne(sig_abf, 1, ne)[0]
 
 
 def test_equation_nfty_indexed_const(sig_abf):
-    a0 = var_value(A_CLO, 0)
+    a0 = NVar(0, A_CLO)
     lhs = nfty(sig_abf, 1, Closure((a0,), B_OF(Var(0))))
     assert lhs == TyConst("B", (reify(sig_abf, 1, A_CLO, a0),))
 
 
 def test_equation_reify_reflect_indexed_const(sig_abf):
-    a0 = var_value(A_CLO, 0)
+    a0 = NVar(0, A_CLO)
     ty = Closure((a0,), B_OF(Var(0)))
-    ne = NVar(0)
-    lhs = reify(sig_abf, 1, ty, reflect(ty, ne))
-    assert lhs == reify_ne(sig_abf, 1, ne)
+    ne = NVar(1, ty)
+    lhs = reify(sig_abf, 2, ty, ne)
+    assert lhs == reify_ne(sig_abf, 2, ne)[0]
 
 
 def test_equation_term_constant(sig_abf):
     env = id_env(sig_abf, Context((A,)))
     a0 = env[0]
     lhs = eval_tm(sig_abf, env, TmConst("f", (Var(0),)))
-    rhs = reflect(Closure((a0,), B_OF(Var(0))), NConst("f", (a0,)))
-    assert lhs == rhs
+    assert lhs == NConst("f", (a0,))
+    assert reify_ne(sig_abf, 1, lhs)[1] == Closure((a0,), B_OF(Var(0)))
 
 
 # -- deep numerals

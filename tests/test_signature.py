@@ -11,7 +11,7 @@ from ttkernel.nbe import normalize_tm
 from ttkernel.rewrite import rw_normalize
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from ttkernel.surface import elab_tm, elaborate, parse, parse_expression
-from ttkernel.syntax import App, Const, Context, Lam, Nat, Pi, TmConst, TyConst, Var, Zero, numeral, walk
+from ttkernel.syntax import App, Const, Context, Lam, Nat, NatInd, Pi, TmConst, TyConst, Var, Zero, numeral, walk
 
 
 def test_declare_free_model_constants():
@@ -164,10 +164,25 @@ def test_a_term_constant_as_a_function_reaches_both_engines_through_its_entry(si
     assert sig_abf._cache["nbe"]["f"] == VLam(Closure((), TmConst("f", (Var(0),))))
 
 
-@pytest.mark.parametrize("name", ["nope", "A"], ids=["unknown", "a type constant"])
-def test_a_const_that_names_no_function_fails_in_both_engines(sig_crossval, name):
+# a Const naming no function; an undeclared term constant, as a spine; an
+# undeclared type constant, as an eliminator's motive. The context is (Nat, nope).
+NO_DECLARATION = {
+    "unknown": (Nat(), Const("nope"), "'nope'"),
+    "a type constant": (Nat(), Const("A"), "'A'"),
+    "an undeclared term constant": (Nat(), TmConst("nope"), "^'nope' is not a term constant$"),
+    "an undeclared type constant": (
+        TyConst("nope"),
+        NatInd(Var(1), TyConst("nope"), Var(0), Var(0)),
+        "^'nope' is not a type constant$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NO_DECLARATION)
+def test_a_const_that_names_no_function_fails_in_both_engines(sig_crossval, case):
     # as an unknown term constant does in either engine: an assertion that
-    # names it, not an error from inside the fill of its entry
+    # names it, not an error from inside the fill of its entry or readback
+    ty, t, message = NO_DECLARATION[case]
     for normalize in (normalize_tm, rw_normalize):
-        with pytest.raises(AssertionError, match=f"'{name}'"):
-            normalize(sig_crossval, Context(), Nat(), Const(name))
+        with pytest.raises(AssertionError, match=message):
+            normalize(sig_crossval, Context((Nat(), TyConst("nope"))), ty, t)

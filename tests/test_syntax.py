@@ -318,8 +318,8 @@ DEEP_TREES = {
         10**5,
     ),
     "NApp spine": (
-        lambda n: _nest(lambda ne: NApp(ne, VZero(), Closure((), Nat())), NVar(0), n),
-        lambda n: "NApp(fn=" * n + "NVar(level=0)" + ", arg=VZero(), arg_ty=Closure(env=(), body=Nat()))" * n,
+        lambda n: _nest(lambda ne: NApp(ne, VZero()), NVar(0, Closure((), Nat())), n),
+        lambda n: "NApp(fn=" * n + "NVar(level=0, ty=Closure(env=(), body=Nat()))" + ", arg=VZero())" * n,
         10**5,
     ),
 }
@@ -346,7 +346,7 @@ def test_repr_is_the_dataclass_format():
 
 
 def test_eq_compares_classes_lengths_and_leaves():
-    assert Var(0) != NVar(0) and NVar(0) != Var(0)
+    assert Var(0) != NVar(0, Closure((), Nat())) and NVar(0, Closure((), Nat())) != Var(0)
     assert Succ(1, Zero()) != VSucc(1, VZero())
     assert Context((Nat(),)) != Context((Nat(), Nat()))
     assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
@@ -419,7 +419,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 37
+    assert len(concrete) == 36
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
