@@ -12,7 +12,7 @@ from .errors import (
     UnboundVariable,
     UnknownConstant,
 )
-from .nbe import eval_tm, eval_ty, id_env, nfty, reify
+from .nbe import normalize_tm, normalize_ty
 from .signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -133,16 +133,12 @@ def check(sig: Signature, ctx: Context, t: Term, ty: Ty) -> None:
 
 def conv_ty(sig: Signature, ctx: Context, a: Ty, b: Ty) -> bool:
     """Definitional equality of well-formed types."""
-    env, depth = id_env(sig, ctx), len(ctx)
-    return nfty(sig, depth, eval_ty(sig, env, a)) == nfty(sig, depth, eval_ty(sig, env, b))
+    return normalize_ty(sig, ctx, a) == normalize_ty(sig, ctx, b)
 
 
 def conv_tm(sig: Signature, ctx: Context, ty: Ty, t: Term, u: Term) -> bool:
     """Definitional equality of terms checked at ``ty``."""
-    env, depth = id_env(sig, ctx), len(ctx)
-    sem_ty = eval_ty(sig, env, ty)
-    nf_t, nf_u = (reify(sig, depth, sem_ty, eval_tm(sig, env, x)) for x in (t, u))
-    return nf_t == nf_u
+    return normalize_tm(sig, ctx, ty, t) == normalize_tm(sig, ctx, ty, u)
 
 
 def declare(sig: Signature, decl: Declaration) -> Signature:

@@ -71,9 +71,27 @@ def _non_negative(text: str) -> int:
     return n
 
 
+class _Once(argparse.Action):
+    """Stores an argument's one value; a second copy of it is a usage error,
+    where argparse would keep the last one silently."""
+
+    given = False
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.given:
+            raise argparse.ArgumentError(self, "given more than once")
+        self.given = True
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error instead of exiting, so that ``main`` reports it
-    as it does every other error, as a ``--json`` record too."""
+    as it does every other error, as a ``--json`` record too. Every argument
+    that takes a value and names no action is stored by ``_Once``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
 
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
@@ -125,9 +143,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_normalize(args) -> int:
     sig = _load(args.file)
-    if len(args.expr) != 1:
-        raise UsageError("normalize needs exactly one -e expression")
-    t, ty = _expr_at(sig, args.expr[0], args.type)
+    t, ty = _expr_at(sig, args.expr, args.type)
     nf = normalize_tm(sig, Context(), ty, t)
     out = print_tm(nf)
     if args.oracle:
@@ -191,7 +207,7 @@ def _run(argv) -> int:
 
     p_norm = sub.add_parser("normalize", help="print a normal form")
     p_norm.add_argument("file")
-    p_norm.add_argument("-e", "--expr", action="append", required=True)
+    p_norm.add_argument("-e", "--expr", required=True)
     p_norm.add_argument("-t", "--type", default=None)
     p_norm.add_argument("--oracle", action="store_true", help="cross-check with the rewriting oracle")
 

@@ -1,8 +1,10 @@
 """Semantic domain for normalization by evaluation.
 
 Values are weak-head: lambda bodies and case arms live in closures that
-capture an environment and a piece of syntax. Types never compute, so a
-type is not evaluated either: its semantic form is a closure too, the
+capture an environment and a piece of syntax, and a function's value is
+its closure. A numeral's value is the syntax's own: ``Zero``, or a
+``Succ`` chain whose base is a value. Types never compute, so a type is
+not evaluated either: its semantic form is a closure too, the
 syntactic type under the environment it was met in. Values carry no
 types: only a variable holds its own, and readback synthesizes a neutral's
 type from its head, as Coquand's algorithm does (1996). A neutral keeps
@@ -17,7 +19,7 @@ from .syntax import Node, Term, Ty, node
 
 
 class Value(Node):
-    """Semantic values."""
+    """Semantic values besides the numerals, which are syntax."""
     __slots__ = ()
 
 
@@ -26,35 +28,17 @@ class Neutral(Value):
     __slots__ = ()
 
 
-Env = tuple  # of Value, outermost binder first
+Env = tuple  # of values, outermost binder first
 
 
 @node
-class Closure(Node):
+class Closure(Value):
     """A body under a captured environment: a term or a type binding one
-    variable (a lambda, a motive), a term binding two (the successor case
+    variable (a lambda's value, a motive), a term binding two (the successor case
     of the eliminator), or a type binding none (a semantic type)."""
 
     env: Env
     body: Term | Ty
-
-
-@node
-class VLam(Value):
-    clo: Closure
-
-
-@node
-class VZero(Value):
-    pass
-
-
-@node
-class VSucc(Value):
-    """``k`` successors over ``base``; built by ``syntax.succ``."""
-
-    k: int
-    base: Value
 
 
 @node

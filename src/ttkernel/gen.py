@@ -96,7 +96,7 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
             if pick == "zero":
                 return Zero()
             if pick == "succ":
-                return succ(Succ, 1, _gen_term(sig, ctx, ty, size - 1, rng))
+                return succ(1, _gen_term(sig, ctx, ty, size - 1, rng))
             if pick == "spine":
                 return _gen_spine(sig, ctx, rng.choice(heads), size, rng)
             return _gen_ind(sig, ctx, ty, size, rng)
@@ -215,7 +215,7 @@ def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
             return (
                 isinstance(tgt, Succ)
                 and tgt.k >= j
-                and _match_tm(p, succ(Succ, tgt.k - j, tgt.base), k, binds, opened, under)
+                and _match_tm(p, succ(tgt.k - j, tgt.base), k, binds, opened, under)
             )
         case App(f, a):
             head = f
@@ -348,7 +348,7 @@ def _abs(x, u, d) -> list:
     if cls is Var:
         out.append(Var(x.index + 1) if x.index >= d else x)
     elif cls is Succ:  # one successor per level: the list and order of a nested chain
-        out += [succ(Succ, 1, q) for q in _abs(succ(Succ, x.k - 1, x.base), u, d)]
+        out += [succ(1, q) for q in _abs(succ(x.k - 1, x.base), u, d)]
     else:
         fields = zip(cls.__match_args__, binders(cls))
         out += [cls(*combo) for combo in product(*(_abs(getattr(x, f), u, d + b) for f, b in fields))]
@@ -436,7 +436,7 @@ class _TypedEnum:
                     yield TmConst(d.name), inst_params(d.result, ())
             return
         for p in self.checkable(ctx, Nat(), s - 1):
-            yield succ(Succ, 1, p), Nat()
+            yield succ(1, p), Nat()
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
             for f, f_ty in self.inferable(ctx, s1):

@@ -27,9 +27,6 @@ from .domain import (
     NVar,
     Neutral,
     Value,
-    VLam,
-    VSucc,
-    VZero,
 )
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
@@ -67,14 +64,15 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
     if cls is App:
         return apply(sig, eval_tm(sig, env, t.fn), eval_tm(sig, env, t.arg))
     if cls is Lam:
-        return VLam(Closure(env, t.body))
-    if cls is Succ:
-        return succ(VSucc, t.k, eval_tm(sig, env, t.base))
+        return Closure(env, t.body)
+    if cls is Succ:  # a numeral is its own value, and a closed one comes back as it is
+        base = eval_tm(sig, env, t.base)
+        return t if base is t.base else succ(t.k, base)
     if cls is Const:
         return sig.entry("nbe", t.name, _constant_value)
+    if cls is Zero:
+        return t
     match t:
-        case Zero():
-            return VZero()
         case NatInd(scrut, motive, z, s):
             return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
         case TmConst(name, args):
@@ -104,9 +102,9 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     redex (Abel 2013). Markers are told apart by identity: ``==`` is
     structural, so the markers of nested probes are equal. They never
     escape, since only ``rec`` or successors over it are returned."""
-    k, base = (scrut.k, scrut.base) if scrut.__class__ is VSucc else (0, scrut)
+    k, base = (scrut.k, scrut.base) if scrut.__class__ is Succ else (0, scrut)
     match base:
-        case VZero():
+        case Zero():
             rec = eval_tm(sig, env, zcase)
         case Neutral():
             rec = NNatInd(base, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
@@ -118,18 +116,17 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
         step = eval_tm(sig, env + (NVar(-1, NAT), r), scase)
         if step is r:
             return rec
-        if step.__class__ is VSucc and step.base is r:
-            return succ(VSucc, step.k * k, rec)
+        if step.__class__ is Succ and step.base is r:
+            return succ(step.k * k, rec)
     for j in range(k):
-        rec = eval_tm(sig, env + (succ(VSucc, j, base), rec), scase)
+        rec = eval_tm(sig, env + (succ(j, base), rec), scase)
     return rec
 
 
 def apply(sig: Signature, fn: Value, arg: Value) -> Value:
-    """Apply a lambda, or extend a neutral function's spine."""
-    if fn.__class__ is VLam:
-        clo = fn.clo
-        return eval_tm(sig, clo.env + (arg,), clo.body)
+    """Apply a lambda's closure, or extend a neutral function's spine."""
+    if fn.__class__ is Closure:
+        return eval_tm(sig, fn.env + (arg,), fn.body)
     if isinstance(fn, Neutral):
         return NApp(fn, arg)
     raise AssertionError(f"applying a non-function: {fn!r}")
@@ -137,15 +134,17 @@ def apply(sig: Signature, fn: Value, arg: Value) -> Value:
 
 def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
     """Read a value back as an eta-long normal form under ``depth`` binders;
-    a neutral at Nat or at a type constant is itself a normal term there."""
+    a neutral at Nat or at a type constant is itself a normal term there,
+    and a numeral whose base reads back as it is comes back as it is."""
     # the type's former and the value's class are tested by identity
     env, body = ty.env, ty.body
     former, cls = body.__class__, v.__class__
     if former is Nat:
-        if cls is VSucc:
-            return succ(Succ, v.k, reify(sig, depth, ty, v.base))
-        if cls is VZero:
-            return Zero()
+        if cls is Succ:
+            base = reify(sig, depth, ty, v.base)
+            return v if base is v.base else succ(v.k, base)
+        if cls is Zero:
+            return v
         return reify_ne(sig, depth, v)[0]
     if former is Pi:
         fresh = NVar(depth, Closure(env, body.dom))
@@ -172,10 +171,10 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> tuple[Term, Closure]:
             fresh_n = NVar(depth, NAT)
             motive_n = Closure(env + (fresh_n,), body)
             motive_nf = nfty(sig, depth + 1, motive_n)
-            zcase_nf = reify(sig, depth, Closure(env + (VZero(),), body), zcase)
+            zcase_nf = reify(sig, depth, Closure(env + (Zero(),), body), zcase)
             fresh_ih = NVar(depth + 1, motive_n)
             step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
-            scase_nf = reify(sig, depth + 2, Closure(env + (succ(VSucc, 1, fresh_n),), body), step)
+            scase_nf = reify(sig, depth + 2, Closure(env + (succ(1, fresh_n),), body), step)
             nf = NatInd(reify_ne(sig, depth, scrut)[0], motive_nf, zcase_nf, scase_nf)
             return nf, Closure(env + (scrut,), body)
         case NConst(name, args):

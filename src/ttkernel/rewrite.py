@@ -104,7 +104,7 @@ def _unfold(sig, t):
         same = same and y is x
     if same:
         return t
-    return tuple(parts) if cls is tuple else succ(Succ, *parts) if cls is Succ else cls(*parts)
+    return tuple(parts) if cls is tuple else succ(*parts) if cls is Succ else cls(*parts)
 
 
 def _contract(body: Term, args: list) -> Term:
@@ -138,7 +138,7 @@ def _reduce(t: Term, fuel: _Fuel) -> Term:
     while (h := _head(h, fuel)).__class__ is Succ:
         k, h = k + h.k, h.base
     nf = _reduce_hnf(h, fuel)
-    return t if cls is Succ and nf is t.base else succ(Succ, k, nf)
+    return t if cls is Succ and nf is t.base else succ(k, nf)
 
 
 def _head(t: Term, fuel: _Fuel) -> Term:
@@ -160,7 +160,7 @@ def _head(t: Term, fuel: _Fuel) -> Term:
                 t = t.zcase
             elif s.__class__ is Succ:
                 fuel.spend()
-                n = succ(Succ, s.k - 1, s.base)
+                n = succ(s.k - 1, s.base)
                 t = subst_many(t.scase, (NatInd(n, t.motive, t.zcase, t.scase), n))
             else:
                 return t if s is t.scrut else NatInd(s, t.motive, t.zcase, t.scase)

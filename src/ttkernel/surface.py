@@ -427,7 +427,7 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
         return numeral(stm.value)
     match stm:
         case SSucc(k, pred, _):
-            return succ(Succ, k, elab_tm(sig, names, pred))
+            return succ(k, elab_tm(sig, names, pred))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):

@@ -110,17 +110,16 @@ def walk(t):
 
 
 # ---------------------------------------------------------------------------
-# Successor chains.  A chain of successors is one node in syntax and in
-# values: ``cls`` is the successor class, Succ or VSucc, whose fields are
-# ``k >= 1`` and ``base``, and a base is never of the same class.
+# Successor chains.  A chain of successors is one node, ``Succ``, whose
+# fields are ``k >= 1`` and ``base``, and a base is never a ``Succ``.
 
 
-def succ(cls, k: int, base):
-    """``k`` successors of class ``cls`` over ``base``, as one node: ``base``
-    itself when ``k`` is 0, its count raised when it is already a chain."""
-    if base.__class__ is cls:
-        return cls(base.k + k, base.base)
-    return cls(k, base) if k else base
+def succ(k: int, base):
+    """``k`` successors over ``base``, as one node: ``base`` itself when
+    ``k`` is 0, its count raised when it is already a chain."""
+    if base.__class__ is Succ:
+        return Succ(base.k + k, base.base)
+    return Succ(k, base) if k else base
 
 
 class Ty(Node):
@@ -173,7 +172,8 @@ class Zero(Term):
 
 @node
 class Succ(Term):
-    """``k`` successors over ``base``; built by ``succ``."""
+    """``k`` successors over ``base``; built by ``succ``. As a value (a
+    numeral is its own value), ``base`` is a value."""
 
     k: int
     base: Term
@@ -241,7 +241,7 @@ class Context(Node):
 
 
 def numeral(n: int) -> Term:
-    return succ(Succ, n, Zero())
+    return succ(n, Zero())
 
 
 def split_pi(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
@@ -308,7 +308,7 @@ def _subst(t, depth: int, sigma: tuple[Term, ...], by: int):
         return t
     if cls is Succ:
         b = _subst(t.base, depth, sigma, by)
-        return t if b is t.base else succ(Succ, t.k, b)
+        return t if b is t.base else succ(t.k, b)
     if cls is TmConst or cls is TyConst:  # from the first changed argument on, a copy
         args = t.args
         for i, a in enumerate(args):
@@ -362,7 +362,7 @@ def inst_params(t, args: tuple[Term, ...]):
 
 def motive_succ_case(motive: Ty) -> Ty:
     """Expected type of a NatInd successor case, scoped over (n, ih)."""
-    return subst1(shift(motive, 2, cutoff=1), succ(Succ, 1, Var(1)))
+    return subst1(shift(motive, 2, cutoff=1), succ(1, Var(1)))
 
 
 def uses_index(t, i: int) -> bool:

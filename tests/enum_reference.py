@@ -10,7 +10,7 @@ from ttkernel.check import check_ty
 from ttkernel.errors import KernelError
 from ttkernel.gen import typable
 from ttkernel.signature import PostulateTm, PostulateTy
-from ttkernel.syntax import App, Context, Lam, Nat, NatInd, Pi, Succ, TmConst, TyConst, Var, Zero, succ
+from ttkernel.syntax import App, Context, Lam, Nat, NatInd, Pi, TmConst, TyConst, Var, Zero, succ
 
 # The benchmark's partition targets (context, type) over the CROSSVAL
 # signature of conftest.py; 180/60/18/22 terms up to size 6.
@@ -41,7 +41,7 @@ class RawEnum:
             out.append(Zero())
             out += [TmConst(d.name) for d in self.tm_consts if not d.params]
         elif s >= 2:
-            out += [succ(Succ, 1, p) for p in self.terms(n, s - 1)]
+            out += [succ(1, p) for p in self.terms(n, s - 1)]
             out += [Lam(b) for b in self.terms(n + 1, s - 1)]
             for s1 in range(1, s - 1):
                 for f in self.terms(n, s1):

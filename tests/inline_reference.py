@@ -31,7 +31,6 @@ from ttkernel.syntax import (
     Nat,
     NatInd,
     Pi,
-    Succ,
     Term,
     TmConst,
     Ty,
@@ -95,7 +94,7 @@ def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
         case SNum(value, _):
             return numeral(value)
         case SSucc(k, pred, _):
-            return succ(Succ, k, elab_tm(sig, names, pred))
+            return succ(k, elab_tm(sig, names, pred))
         case SLam(param, body, _):
             return Lam(elab_tm(sig, names + (param,), body))
         case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):

@@ -8,24 +8,24 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ttkernel import nbe
-from ttkernel.domain import Closure, NNatInd, Neutral, Value, VSucc, VZero
-from ttkernel.syntax import succ
+from ttkernel.domain import Closure, NNatInd, Neutral, Value
+from ttkernel.syntax import Succ, Zero, succ
 
 
 def nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
     the base of its successor chain, then the successor case once per
     predecessor, innermost first."""
-    k, base = (scrut.k, scrut.base) if scrut.__class__ is VSucc else (0, scrut)
+    k, base = (scrut.k, scrut.base) if scrut.__class__ is Succ else (0, scrut)
     match base:
-        case VZero():
+        case Zero():
             rec = nbe.eval_tm(sig, env, zcase)
         case Neutral():
             rec = NNatInd(base, Closure(env, motive), nbe.eval_tm(sig, env, zcase), Closure(env, scase))
         case _:
             raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     for j in range(k):
-        rec = nbe.eval_tm(sig, env + (succ(VSucc, j, base), rec), scase)
+        rec = nbe.eval_tm(sig, env + (succ(j, base), rec), scase)
     return rec
 
 

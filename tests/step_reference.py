@@ -33,7 +33,7 @@ def step(sig: Signature, t: Term) -> Term | None:
         case NatInd(Zero(), _, zcase, _):
             return zcase
         case NatInd(Succ(k, base), motive, zcase, scase):
-            n = succ(Succ, k - 1, base)
+            n = succ(k - 1, base)
             return subst_many(scase, (NatInd(n, motive, zcase, scase), n))
     match t:
         case Var(_) | Zero():
@@ -43,7 +43,7 @@ def step(sig: Signature, t: Term) -> Term | None:
             return None if b is None else Lam(b)
         case Succ(k, base):
             b2 = step(sig, base)
-            return None if b2 is None else succ(Succ, k, b2)
+            return None if b2 is None else succ(k, b2)
         case App(f, a):
             f2 = step(sig, f)
             if f2 is not None:

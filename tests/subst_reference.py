@@ -18,7 +18,7 @@ def _map_term(t, depth, on_var):
         case Zero():
             return t
         case Succ(k, base):
-            return succ(Succ, k, _map_term(base, depth, on_var))
+            return succ(k, _map_term(base, depth, on_var))
         case NatInd(n, motive, z, s):
             return NatInd(
                 _map_term(n, depth, on_var),

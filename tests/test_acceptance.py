@@ -17,8 +17,6 @@ from ttkernel.domain import (
     NNatInd,
     NVar,
     Neutral,
-    VSucc,
-    VZero,
 )
 from ttkernel.gen import (
     GenerationStuck,
@@ -286,7 +284,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
     # nfty at Nat and reify of zero, across depths
     for depth in range(20):
         assert nfty(sig, depth, NAT) == Nat()
-        assert reify(sig, depth, NAT, VZero()) == Zero()
+        assert reify(sig, depth, NAT, Zero()) == Zero()
 
     # reify of successor values
     for i in range(20):
@@ -294,7 +292,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         t = gen_term(sig, ctx, Nat(), 6, rng)
         v = eval_tm(sig, id_env(sig, ctx), t)
         d = len(ctx)
-        assert reify(sig, d, NAT, succ(VSucc, 1, v)) == succ(Succ, 1, reify(sig, d, NAT, v))
+        assert reify(sig, d, NAT, succ(1, v)) == succ(1, reify(sig, d, NAT, v))
 
     # reify at Nat of a neutral is the neutral read back, which synthesizes Nat
     for ctx, env, depth, ne in _nat_neutrals(sig, rng):

@@ -201,7 +201,7 @@ def test_conv_is_equivalence_and_congruence(sig_abf):
         # congruence under the successor and under abstraction
         if ty == Nat():
             assert conv_tm(sig_abf, ctx, ty, t, u) == conv_tm(
-                sig_abf, ctx, ty, succ(Succ, 1, t), succ(Succ, 1, u)
+                sig_abf, ctx, ty, succ(1, t), succ(1, u)
             )
 
 

@@ -158,8 +158,23 @@ def test_fuzz_rejects_a_non_integer_count(good, capsys):
         ["fuzz", "FILE", "--count", "-1"],
         ["normalize", "FILE", "-e", "-x"],
         ["normalize", "FILE", "-e", "zero", "-e", "zero"],
+        ["normalize", "FILE", "-e", "\\x. x", "-t", "Nat -> Nat", "-t", "A -> A"],
+        ["equal", "FILE", "-e", "zero", "-e", "zero", "-t", "Nat", "-t", "Nat"],
+        ["fuzz", "FILE", "--count", "3", "--count", "5"],
+        ["fuzz", "FILE", "--seed", "1", "--seed=1"],
+        ["fuzz", "FILE", "--size", "4", "--si", "4"],
     ],
-    ids=["missing -e", "negative count", "option as -e text", "second -e"],
+    ids=[
+        "missing -e",
+        "negative count",
+        "option as -e text",
+        "second -e",
+        "second -t to normalize",
+        "second -t to equal",
+        "second --count",
+        "second --seed",
+        "second --size",
+    ],
 )
 def test_usage_error_is_a_json_record(good, argv, capsys):
     argv = [good if a == "FILE" else a for a in argv]
@@ -167,6 +182,18 @@ def test_usage_error_is_a_json_record(good, argv, capsys):
     record = {"code": "usage_error", "line": None, "col": None}
     assert _json_of(capsys) == {"status": "parse-error", "output": None, "error": record}
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("-t", "Nat"), ("--type", "Nat"), ("-e", "zero"), ("--count", "3"), ("--seed", "0"), ("--size", "4")],
+)
+def test_a_single_valued_option_given_twice_is_a_usage_error(good, option, value, capsys):
+    command = "fuzz" if option in ("--count", "--seed", "--size") else "normalize"
+    argv = [command, good] + (["-e", "zero"] if option in ("-t", "--type") else [])
+    assert main(argv + [option, value, option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[usage_error]: argument ") and "given more than once\n" in err
 
 
 def test_help_still_exits_zero(capsys):

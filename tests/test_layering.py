@@ -119,19 +119,19 @@ def test_no_other_module_reads_the_signatures_private_attributes():
 
 def test_normal_forms_are_syntax():
     # normal.py decides the normal judgments over syntax and defines no tree
-    # family of its own, and every node NbE builds, including the successor
-    # class it hands to ``succ``, is a syntax or domain node
+    # family of its own, and every node NbE builds is a syntax or domain
+    # node; its successor chains, in values and in normal forms alike, it
+    # builds only through ``syntax.succ``
     tree = ast.parse((SRC / "normal.py").read_text(encoding="utf-8"))
     assert [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)] == []
     built = set()
     for node, _ in _scoped("nbe"):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             built.add(node.func.id)
-            if node.func.id == "succ" and isinstance(node.args[0], ast.Name):
-                built.add(node.args[0].id)
+    assert "succ" in built and "Succ" not in built
     classes = {name: getattr(nbe, name) for name in built if isinstance(getattr(nbe, name, None), type)}
     nodes = {name: cls.__module__ for name, cls in classes.items() if issubclass(cls, Node)}
-    assert {"Lam", "Succ", "TyConst", "NVar"} <= set(nodes)
+    assert {"Lam", "Closure", "TyConst", "NVar"} <= set(nodes)
     assert set(nodes.values()) == {"ttkernel.syntax", "ttkernel.domain"}, nodes
 
 

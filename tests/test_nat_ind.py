@@ -95,7 +95,7 @@ def _cases(depth: int, nest: int):
     var = st.integers(0, depth - 1).map(Var)
     small = st.sampled_from([*range(1, depth - 1, 2), depth - 1]).map(Var)
     leaves = st.one_of(
-        st.builds(lambda j, v: succ(Succ, j, v), st.integers(0, 3), var),
+        st.builds(succ, st.integers(0, 3), var),
         st.builds(_add, st.one_of(small, st.integers(0, 4).map(numeral)), var),
     )
     if nest == 0:
@@ -111,7 +111,7 @@ def _cases(depth: int, nest: int):
 
 SCRUTINEES = st.one_of(
     st.integers(0, 4).map(numeral),
-    st.integers(0, 3).map(lambda j: succ(Succ, j, Var(0))),
+    st.integers(0, 3).map(lambda j: succ(j, Var(0))),
 )
 
 

@@ -17,9 +17,6 @@ from ttkernel.domain import (
     NConst,
     NNatInd,
     NVar,
-    VLam,
-    VSucc,
-    VZero,
 )
 from ttkernel.gen import gen_cases
 from ttkernel.nbe import (
@@ -109,11 +106,18 @@ def test_eval_ty_keeps_the_type_as_written(sig_abf):
 
 def test_eval_ind_zero_case(sig_empty):
     t = NatInd(Zero(), Nat(), Succ(1, Zero()), Succ(1, Var(0)))
-    assert eval_tm(sig_empty, (), t) == VSucc(1, VZero())
+    assert eval_tm(sig_empty, (), t) == Succ(1, Zero())
 
 
 def test_eval_beta(sig_empty):
-    assert eval_tm(sig_empty, (), App(Lam(Var(0)), Zero())) == VZero()
+    assert eval_tm(sig_empty, (), App(Lam(Var(0)), Zero())) == Zero()
+
+
+def test_a_lambda_evaluates_to_one_closure(sig_empty):
+    # a function's value is its closure, with no wrapper around it
+    body, env = Succ(1, Var(0)), (Zero(),)
+    v = eval_tm(sig_empty, env, Lam(body))
+    assert v.__class__ is Closure and v.env is env and v.body is body
 
 
 def test_eval_term_constant_is_neutral(sig_abf):
@@ -134,22 +138,22 @@ def test_eval_ind_succ_uses_predecessor_and_recursion(sig_empty):
 
 
 def test_apply_closure(sig_empty):
-    assert apply(sig_empty, VLam(Closure((), Var(0))), VZero()) == VZero()
+    assert apply(sig_empty, Closure((), Var(0)), Zero()) == Zero()
 
 
 def test_apply_reflected_variable(sig_empty):
     fn = NVar(0, NN_CLO)
-    assert apply(sig_empty, fn, VZero()) == NApp(fn, VZero())
+    assert apply(sig_empty, fn, Zero()) == NApp(fn, Zero())
 
 
 def test_apply_non_function_is_invariant_breach(sig_empty):
     with pytest.raises(AssertionError):
-        apply(sig_empty, VZero(), VZero())
+        apply(sig_empty, Zero(), Zero())
 
 
 def test_apply_closure_with_body(sig_empty):
-    fn = VLam(Closure((), Succ(1, Var(0))))
-    assert apply(sig_empty, fn, VSucc(1, VZero())) == VSucc(2, VZero())
+    fn = Closure((), Succ(1, Var(0)))
+    assert apply(sig_empty, fn, Succ(1, Zero())) == Succ(2, Zero())
 
 
 # -- types synthesized from a neutral's head
@@ -157,15 +161,15 @@ def test_apply_closure_with_body(sig_empty):
 
 def test_reflect_then_apply(sig_empty):
     # an applied variable has its codomain at the argument
-    v = apply(sig_empty, NVar(0, NN_CLO), VZero())
-    assert reify_ne(sig_empty, 1, v) == (App(Var(0), Zero()), Closure((VZero(),), Nat()))
+    v = apply(sig_empty, NVar(0, NN_CLO), Zero())
+    assert reify_ne(sig_empty, 1, v) == (App(Var(0), Zero()), Closure((Zero(),), Nat()))
 
 
 # -- reify
 
 
 def test_reify_numeral(sig_empty):
-    assert reify(sig_empty, 0, NAT_CLO, VSucc(2, VZero())) == Succ(2, Zero())
+    assert reify(sig_empty, 0, NAT_CLO, Succ(2, Zero())) == Succ(2, Zero())
 
 
 def test_reify_neutral_at_nat(sig_empty):
@@ -222,6 +226,15 @@ def test_id_env_levels_match_positions(sig_empty):
 def test_normalize_arithmetic(sig_empty):
     t = NatInd(numeral(2), Nat(), numeral(1), Succ(1, Var(0)))
     assert normalize_tm(sig_empty, Context(), Nat(), t) == Succ(3, Zero())
+
+
+def test_a_closed_numeral_is_its_own_value_and_normal_form(sig_empty):
+    n = numeral(10**6)
+    assert eval_tm(sig_empty, (), n) is n
+    assert normalize_tm(sig_empty, Context(), Nat(), n) is n
+    # over a variable, the chain is rebuilt around the base read back
+    ctx = Context((Nat(),))
+    assert normalize_tm(sig_empty, ctx, Nat(), Succ(3, Var(0))) == Succ(3, Var(0))
 
 
 def test_normalize_eta_expands_variable(sig_empty):
@@ -380,7 +393,7 @@ def test_a_definition_evaluates_to_the_value_of_its_normal_form():
     assert normalize_tm(sig, Context(), Nat(), t) == Succ(9, Zero())
     values = sig._cache["nbe"]
     assert list(values) == ["d0", "d1", "d2", "d3"]  # filled in declaration order
-    assert values["d3"] == VLam(Closure((), Succ(8, Var(0))))
+    assert values["d3"] == Closure((), Succ(8, Var(0)))
 
 
 def test_only_the_definitions_a_use_needs_are_evaluated():
@@ -390,7 +403,7 @@ def test_only_the_definitions_a_use_needs_are_evaluated():
 
 
 def test_a_term_constant_as_a_function_evaluates_to_its_eta_expansion(sig_abf):
-    assert eval_tm(sig_abf, (), Const("f")) == VLam(Closure((), TmConst("f", (Var(0),))))
+    assert eval_tm(sig_abf, (), Const("f")) == Closure((), TmConst("f", (Var(0),)))
     ctx = Context((A,))
     got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), App(Const("f"), Var(0)))
     assert got == TmConst("f", (Var(0),))
@@ -430,7 +443,7 @@ def test_equation_nfty_fun(sig_empty):
 
 
 def test_equation_reify_abs(sig_empty):
-    v = VLam(Closure((), Succ(1, Var(0))))
+    v = Closure((), Succ(1, Var(0)))
     lhs = reify(sig_empty, 0, NN_CLO, v)
     fresh = NVar(0, NAT_CLO)
     rhs = Lam(reify(sig_empty, 1, Closure((fresh,), Nat()), apply(sig_empty, v, fresh)))
@@ -442,10 +455,10 @@ def test_equation_apply_reflected(sig_empty):
     # the domain its function synthesizes, and the codomain is its type
     env, dom, cod = (), Nat(), Nat()
     fn = NVar(0, Closure(env, Pi(dom, cod)))
-    lhs = apply(sig_empty, fn, VZero())
-    assert lhs == NApp(fn, VZero())
-    arg = reify(sig_empty, 1, Closure(env, dom), VZero())
-    assert reify_ne(sig_empty, 1, lhs) == (App(Var(0), arg), Closure(env + (VZero(),), cod))
+    lhs = apply(sig_empty, fn, Zero())
+    assert lhs == NApp(fn, Zero())
+    arg = reify(sig_empty, 1, Closure(env, dom), Zero())
+    assert reify_ne(sig_empty, 1, lhs) == (App(Var(0), arg), Closure(env + (Zero(),), cod))
 
 
 def test_equation_nfty_nat(sig_empty):
@@ -453,17 +466,17 @@ def test_equation_nfty_nat(sig_empty):
 
 
 def test_equation_reify_zero(sig_empty):
-    assert reify(sig_empty, 0, NAT_CLO, VZero()) == Zero()
+    assert reify(sig_empty, 0, NAT_CLO, Zero()) == Zero()
 
 
 def test_equation_reify_succ(sig_empty):
-    n0 = VSucc(1, VZero())
-    want = succ(Succ, 1, reify(sig_empty, 0, NAT_CLO, n0))
-    assert reify(sig_empty, 0, NAT_CLO, succ(VSucc, 1, n0)) == want
+    n0 = Succ(1, Zero())
+    want = succ(1, reify(sig_empty, 0, NAT_CLO, n0))
+    assert reify(sig_empty, 0, NAT_CLO, succ(1, n0)) == want
 
 
 def test_equation_reify_reflect_nat(sig_empty):
-    ne = NApp(NVar(0, NN_CLO), VZero())
+    ne = NApp(NVar(0, NN_CLO), Zero())
     lhs = reify(sig_empty, 1, NAT_CLO, ne)
     assert lhs == reify_ne(sig_empty, 1, ne)[0]
 

@@ -1,11 +1,10 @@
-"""A numeral is one node: a successor chain is ``Succ(k, base)`` in syntax
-and ``VSucc(k, base)`` in values, with ``k >= 1`` and a base of another
-class, and ``syntax.succ`` builds every chain."""
+"""A numeral is one node: a successor chain is ``Succ(k, base)``, in syntax
+and in values alike, with ``k >= 1`` and a base of another class, and
+``syntax.succ`` builds every chain."""
 
 import pytest
 
 from ttkernel.check import conv_tm, infer
-from ttkernel.domain import VSucc, VZero
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import eval_tm, eval_ty, id_env, normalize_tm, reify
 from ttkernel.normal import is_normal
@@ -39,7 +38,7 @@ HUGE = 10**9
 def assert_one_node_form(x):
     """Every successor node in ``x`` has ``k >= 1`` and a base of another class."""
     for y in walk(x):
-        if y.__class__ in (Succ, VSucc):
+        if y.__class__ is Succ:
             assert y.k.__class__ is int and y.k >= 1, y
             assert y.base.__class__ is not y.__class__, y
     return x
@@ -49,17 +48,16 @@ def test_succ_builds_one_node():
     assert numeral(0) == Zero()
     assert numeral(3) == Succ(3, Zero())
     assert node_count(numeral(5)) == 6
-    assert succ(Succ, 2, Succ(3, Var(0))) == Succ(5, Var(0))
-    assert succ(Succ, 1, Succ(2, Zero())) == Succ(3, Zero())
-    assert succ(VSucc, 4, VZero()) == VSucc(4, VZero())
+    assert succ(2, Succ(3, Var(0))) == Succ(5, Var(0))
+    assert succ(1, Succ(2, Zero())) == Succ(3, Zero())
     base = Var(0)
-    assert succ(Succ, 0, base) is base
+    assert succ(0, base) is base
 
 
 def test_a_base_that_becomes_a_successor_merges():
     sig = Signature()
     assert subst_many(Succ(2, Var(0)), (numeral(3),)) == Succ(5, Zero())
-    assert eval_tm(sig, (VSucc(3, VZero()),), Succ(2, Var(0))) == VSucc(5, VZero())
+    assert eval_tm(sig, (Succ(3, Zero()),), Succ(2, Var(0))) == Succ(5, Zero())
     t = Succ(2, App(Lam(Succ(1, Var(0))), numeral(3)))  # the base reduces to a successor
     assert step(sig, t) == _reduce(t, _Fuel(1)) == Succ(6, Zero())
 

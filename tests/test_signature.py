@@ -5,7 +5,7 @@ import functools
 import pytest
 
 from ttkernel.check import declare
-from ttkernel.domain import Closure, VLam
+from ttkernel.domain import Closure
 from ttkernel.errors import CheckError, DuplicateName
 from ttkernel.nbe import normalize_tm
 from ttkernel.rewrite import rw_normalize
@@ -161,7 +161,7 @@ def test_a_term_constant_as_a_function_reaches_both_engines_through_its_entry(si
     assert asked == [("nbe", "f"), ("rewrite", "f")]
     assert sig_abf.function("f") == (Pi(TyConst("A"), TyConst("B", (Var(0),))), Lam(TmConst("f", (Var(0),))))
     assert sig_abf._cache["rewrite"] == {"f": Lam(TmConst("f", (Var(0),)))}
-    assert sig_abf._cache["nbe"]["f"] == VLam(Closure((), TmConst("f", (Var(0),))))
+    assert sig_abf._cache["nbe"]["f"] == Closure((), TmConst("f", (Var(0),)))
 
 
 # a Const naming no function; an undeclared term constant, as a spine; an

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkernel import domain, normal, signature, surface, syntax
-from ttkernel.domain import Closure, NApp, NVar, VSucc, VZero
+from ttkernel.domain import Closure, NApp, NVar
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
 from ttkernel.signature import Signature
@@ -163,7 +163,7 @@ def scoped_terms(draw, depth, fuel=4):
     if pick == "var":
         return Var(draw(st.integers(0, depth - 1)))
     if pick == "succ":
-        return succ(Succ, 1, draw(scoped_terms(depth, fuel - 1)))
+        return succ(1, draw(scoped_terms(depth, fuel - 1)))
     if pick == "lam":
         return Lam(draw(scoped_terms(depth + 1, fuel - 1)))
     if pick == "app":
@@ -306,7 +306,11 @@ DEEP_TREES = {
         "SuccNf(k={}, base=ZeroNf())".format,
         10**9,
     ),
-    "VSucc chain": (lambda n: succ(VSucc, n, VZero()), "VSucc(k={}, base=VZero())".format, 10**9),
+    "Succ chain over a neutral": (
+        lambda n: succ(n, NVar(0, Closure((), Nat()))),
+        "Succ(k={}, base=NVar(level=0, ty=Closure(env=(), body=Nat())))".format,
+        10**9,
+    ),
     "Lam nest": (
         lambda n: _nest(Lam, Var(0), n),
         lambda n: "Lam(body=" * n + "Var(index=0)" + ")" * n,
@@ -318,8 +322,8 @@ DEEP_TREES = {
         10**5,
     ),
     "NApp spine": (
-        lambda n: _nest(lambda ne: NApp(ne, VZero()), NVar(0, Closure((), Nat())), n),
-        lambda n: "NApp(fn=" * n + "NVar(level=0, ty=Closure(env=(), body=Nat()))" + ", arg=VZero())" * n,
+        lambda n: _nest(lambda ne: NApp(ne, Zero()), NVar(0, Closure((), Nat())), n),
+        lambda n: "NApp(fn=" * n + "NVar(level=0, ty=Closure(env=(), body=Nat()))" + ", arg=Zero())" * n,
         10**5,
     ),
 }
@@ -347,13 +351,13 @@ def test_repr_is_the_dataclass_format():
 
 def test_eq_compares_classes_lengths_and_leaves():
     assert Var(0) != NVar(0, Closure((), Nat())) and NVar(0, Closure((), Nat())) != Var(0)
-    assert Succ(1, Zero()) != VSucc(1, VZero())
+    assert Lam(Var(0)) != Closure((), Var(0)) and Closure((), Var(0)) != Lam(Var(0))
     assert Context((Nat(),)) != Context((Nat(), Nat()))
     assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
     assert Var(0) != 0 and Context() != ()
     # nodes without fields: one value per class
-    assert Nat() == Nat() and Zero() == Zero() and VZero() == VZero()
-    assert Nat() != Zero() and Zero() != VZero() and Nat() != Pi(Nat(), Nat())
+    assert Nat() == Nat() and Zero() == Zero()
+    assert Nat() != Zero() and Zero() != Nat() and Nat() != Pi(Nat(), Nat())
     t = Pi(Nat(), Nat())
     assert t == t and not t != t
 
@@ -419,7 +423,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 36
+    assert len(concrete) == 33
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
