@@ -43,7 +43,7 @@ from .surface import (
     print_case,
     print_tm,
 )
-from .syntax import Context, alpha_eq
+from .syntax import Context
 
 CLOSED_PIPE = 141  # 128 + SIGPIPE
 
@@ -148,7 +148,7 @@ def _cmd_normalize(args) -> int:
     out = print_tm(nf)
     if args.oracle:
         rewritten = rw_normalize(sig, Context(), ty, t, _fuel())
-        if not alpha_eq(nf, rewritten):
+        if nf != rewritten:
             both = f"nbe:    {out}\noracle: {print_tm(rewritten)}"
             return _emit(args, "oracle-mismatch", both, None, 3)
     return _emit(args, "ok", out, None, 0)

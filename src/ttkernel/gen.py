@@ -39,7 +39,6 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    alpha_eq,
     apps,
     binders,
     inst_params,
@@ -188,7 +187,7 @@ def _match_result(pattern: Ty, target: Ty, k: int):
 
 def _match_ty(pat, tgt, k, binds, opened) -> bool:
     if k == 0:
-        return alpha_eq(pat, tgt)
+        return pat == tgt
     match (pat, tgt):
         case (Nat(), Nat()):
             return True
@@ -204,7 +203,7 @@ def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
             if under:
                 opened.add(k - 1 - j)
             if j in binds:
-                return alpha_eq(binds[j], tgt)
+                return binds[j] == tgt
             binds[j] = tgt
             return True
         case Var(j):
@@ -245,7 +244,7 @@ def _param_free_eq(pat, tgt, k) -> bool:
     # binders inside a result type: only match when no parameter occurs
     if any(uses_index(pat, j) for j in range(k)):
         return False
-    return alpha_eq(shift(pat, -k), tgt)
+    return shift(pat, -k) == tgt
 
 
 def _gen_ind(sig, ctx, ty, size, rng) -> Term:

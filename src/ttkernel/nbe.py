@@ -7,7 +7,10 @@ reads values back into syntax, as the eta-long normal terms that
 levels from the current depth. ``normalize_tm`` composes the two over
 the identity environment of a context. A constant used as a function
 evaluates to its signature entry, the value of its body's normal form,
-filled on first use.
+filled on first use. An elimination that a neutral blocks builds the
+syntax's own node over values: applying a neutral gives ``App``,
+eliminating one gives ``NatInd``, and a term constant is ``TmConst``; a
+neutral is told by its class, one of ``NEUTRAL``.
 Types never compute, so a semantic type is the syntactic type in a
 closure over its environment: reify dispatches on its former, and only
 ``nfty`` evaluates a type's parts, the arguments of a type constant,
@@ -18,16 +21,7 @@ at the domain of the type its function synthesizes.
 
 from __future__ import annotations
 
-from .domain import (
-    Closure,
-    Env,
-    NApp,
-    NConst,
-    NNatInd,
-    NVar,
-    Neutral,
-    Value,
-)
+from .domain import Closure, Env, NVar
 from .signature import PostulateTm, PostulateTy, Signature
 from .syntax import (
     App,
@@ -36,6 +30,7 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
+    Node,
     Pi,
     Succ,
     Term,
@@ -49,6 +44,7 @@ from .syntax import (
 
 
 NAT = Closure((), Nat())
+NEUTRAL = (NVar, App, NatInd, TmConst)  # a neutral value's classes
 
 
 def eval_ty(sig: Signature, env: Env, ty: Ty) -> Closure:
@@ -56,7 +52,7 @@ def eval_ty(sig: Signature, env: Env, ty: Ty) -> Closure:
     return Closure(env, ty)
 
 
-def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
+def eval_tm(sig: Signature, env: Env, t: Term) -> Node:
     # the frequent classes are tested by identity before the rare ones
     cls = t.__class__
     if cls is Var:
@@ -76,18 +72,18 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Value:
         case NatInd(scrut, motive, z, s):
             return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
         case TmConst(name, args):
-            return NConst(name, tuple(eval_tm(sig, env, a) for a in args))
+            return TmConst(name, tuple(eval_tm(sig, env, a) for a in args))
     raise AssertionError(f"not a term: {t!r}")
 
 
-def _constant_value(sig, ty: Ty, body: Term) -> Value:
+def _constant_value(sig, ty: Ty, body: Term) -> Node:
     """A constant's entry: the value of its body's normal form, so that an
     application evaluates the unfolded body once, whatever the definitions
     the body names."""
     return eval_tm(sig, (), reify(sig, 0, Closure((), ty), eval_tm(sig, (), body)))
 
 
-def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
+def _nat_ind(sig, env, motive, zcase, scase, scrut: Node) -> Node:
     """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
     the base of its successor chain, then the successor case once per
     predecessor, innermost first, unless it has a closed form.
@@ -103,13 +99,12 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     structural, so the markers of nested probes are equal. They never
     escape, since only ``rec`` or successors over it are returned."""
     k, base = (scrut.k, scrut.base) if scrut.__class__ is Succ else (0, scrut)
-    match base:
-        case Zero():
-            rec = eval_tm(sig, env, zcase)
-        case Neutral():
-            rec = NNatInd(base, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
-        case _:
-            raise AssertionError(f"eliminating a non-Nat value: {base!r}")
+    if base.__class__ is Zero:
+        rec = eval_tm(sig, env, zcase)
+    elif isinstance(base, NEUTRAL):
+        rec = NatInd(base, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
+    else:
+        raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     if k >= 2 and motive.__class__ is Nat:
         # level -1 is no variable's, so reify_ne asserts on a marker that escaped
         r = NVar(-1, NAT)
@@ -123,16 +118,16 @@ def _nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
     return rec
 
 
-def apply(sig: Signature, fn: Value, arg: Value) -> Value:
+def apply(sig: Signature, fn: Node, arg: Node) -> Node:
     """Apply a lambda's closure, or extend a neutral function's spine."""
     if fn.__class__ is Closure:
         return eval_tm(sig, fn.env + (arg,), fn.body)
-    if isinstance(fn, Neutral):
-        return NApp(fn, arg)
+    if isinstance(fn, NEUTRAL):
+        return App(fn, arg)
     raise AssertionError(f"applying a non-function: {fn!r}")
 
 
-def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
+def reify(sig: Signature, depth: int, ty: Closure, v: Node) -> Term:
     """Read a value back as an eta-long normal form under ``depth`` binders;
     a neutral at Nat or at a type constant is itself a normal term there,
     and a numeral whose base reads back as it is comes back as it is."""
@@ -154,19 +149,19 @@ def reify(sig: Signature, depth: int, ty: Closure, v: Value) -> Term:
     raise AssertionError(f"not a type: {body!r}")
 
 
-def reify_ne(sig: Signature, depth: int, ne: Neutral) -> tuple[Term, Closure]:
+def reify_ne(sig: Signature, depth: int, ne: Node) -> tuple[Term, Closure]:
     """Read a neutral back, converting levels to indices; returns the type
     it synthesizes from its head too."""
     match ne:
         case NVar(level, ty):
             assert 0 <= level < depth, f"level {level} escapes depth {depth}"
             return Var(depth - 1 - level), ty
-        case NApp(fn, arg):
+        case App(fn, arg):
             fn_nf, fn_ty = reify_ne(sig, depth, fn)
             env, pi = fn_ty.env, fn_ty.body
             assert pi.__class__ is Pi, f"spine head is not a function: {pi!r}"
             return App(fn_nf, reify(sig, depth, Closure(env, pi.dom), arg)), Closure(env + (arg,), pi.cod)
-        case NNatInd(scrut, motive, zcase, scase):
+        case NatInd(scrut, motive, zcase, scase):
             env, body = motive.env, motive.body
             fresh_n = NVar(depth, NAT)
             motive_n = Closure(env + (fresh_n,), body)
@@ -177,7 +172,7 @@ def reify_ne(sig: Signature, depth: int, ne: Neutral) -> tuple[Term, Closure]:
             scase_nf = reify(sig, depth + 2, Closure(env + (succ(1, fresh_n),), body), step)
             nf = NatInd(reify_ne(sig, depth, scrut)[0], motive_nf, zcase_nf, scase_nf)
             return nf, Closure(env + (scrut,), body)
-        case NConst(name, args):
+        case TmConst(name, args):
             decl = sig.find(PostulateTm, name)
             assert decl is not None, f"'{name}' is not a term constant"
             return TmConst(name, _reify_args(sig, depth, decl.params, args)), Closure(args, decl.result)

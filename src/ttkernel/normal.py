@@ -27,7 +27,6 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    alpha_eq,
     inst_params,
     motive_succ_case,
     subst1,
@@ -70,7 +69,7 @@ def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
     have = _spine_type(sig, ctx, t)
     if have is None:
         return False
-    return have == ty or isinstance(ty, TyConst) and alpha_eq(_reduced(sig, ctx, have), _reduced(sig, ctx, ty))
+    return have == ty or isinstance(ty, TyConst) and _reduced(sig, ctx, have) == _reduced(sig, ctx, ty)
 
 
 def _is_normal_ty(sig: Signature, ctx: Context, ty: Ty) -> bool:

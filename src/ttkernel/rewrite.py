@@ -48,7 +48,6 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    alpha_eq,
     apps,
     const_names,
     shift,
@@ -300,4 +299,4 @@ def oracle_equal(
     sig: Signature, ctx: Context, ty: Ty, t: Term, u: Term, fuel: int = DEFAULT_FUEL
 ) -> bool:
     """Definitional equality by rewriting both sides to normal form."""
-    return alpha_eq(rw_normalize(sig, ctx, ty, t, fuel), rw_normalize(sig, ctx, ty, u, fuel))
+    return rw_normalize(sig, ctx, ty, t, fuel) == rw_normalize(sig, ctx, ty, u, fuel)

@@ -8,22 +8,21 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ttkernel import nbe
-from ttkernel.domain import Closure, NNatInd, Neutral, Value
-from ttkernel.syntax import Succ, Zero, succ
+from ttkernel.domain import Closure
+from ttkernel.syntax import NatInd, Node, Succ, Zero, succ
 
 
-def nat_ind(sig, env, motive, zcase, scase, scrut: Value) -> Value:
+def nat_ind(sig, env, motive, zcase, scase, scrut: Node) -> Node:
     """Eliminate ``scrut``: the zero case (or the blocked neutral) once at
     the base of its successor chain, then the successor case once per
     predecessor, innermost first."""
     k, base = (scrut.k, scrut.base) if scrut.__class__ is Succ else (0, scrut)
-    match base:
-        case Zero():
-            rec = nbe.eval_tm(sig, env, zcase)
-        case Neutral():
-            rec = NNatInd(base, Closure(env, motive), nbe.eval_tm(sig, env, zcase), Closure(env, scase))
-        case _:
-            raise AssertionError(f"eliminating a non-Nat value: {base!r}")
+    if base.__class__ is Zero:
+        rec = nbe.eval_tm(sig, env, zcase)
+    elif isinstance(base, nbe.NEUTRAL):
+        rec = NatInd(base, Closure(env, motive), nbe.eval_tm(sig, env, zcase), Closure(env, scase))
+    else:
+        raise AssertionError(f"eliminating a non-Nat value: {base!r}")
     for j in range(k):
         rec = nbe.eval_tm(sig, env + (succ(j, base), rec), scase)
     return rec

@@ -10,14 +10,7 @@ import random
 import time
 
 from ttkernel.cli import main
-from ttkernel.domain import (
-    Closure,
-    NApp,
-    NConst,
-    NNatInd,
-    NVar,
-    Neutral,
-)
+from ttkernel.domain import Closure, NVar
 from ttkernel.gen import (
     GenerationStuck,
     case_problem,
@@ -27,6 +20,7 @@ from ttkernel.gen import (
     gen_type,
 )
 from ttkernel.nbe import (
+    NEUTRAL,
     apply,
     eval_tm,
     eval_ty,
@@ -271,7 +265,7 @@ def _nat_neutrals(sig, rng):
     for i in range(24):
         t = [Var(1), App(Var(2), numeral(i)), App(App(Var(0), numeral(i)), Var(1))][i % 3]
         v = eval_tm(sig, env, t)
-        assert isinstance(v, Neutral)
+        assert isinstance(v, NEUTRAL)
         out.append((ctx, env, depth, v))
     return out
 
@@ -331,7 +325,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         fn = env[0]  # level 0 is the function variable, at Nat -> Nat
         arg = eval_tm(sig, env, gen_term(sig, ctx, Nat(), 4, rng))
         lhs = apply(sig, fn, arg)
-        assert lhs == NApp(fn, arg)
+        assert lhs == App(fn, arg)
         want = App(Var(depth - 1), reify(sig, depth, NAT, arg))
         assert reify_ne(sig, depth, lhs) == (want, Closure((arg,), Nat()))
         assert reify(sig, depth, NAT, lhs) == want
@@ -347,7 +341,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         scase = gen_term(sig, ctx2, motive_succ_case(motive), 4, rng)
         scrut = reify_ne(sig, depth, ne)[0]
         lhs = eval_tm(sig, env, NatInd(scrut, motive, zcase, scase))
-        rhs = NNatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
+        rhs = NatInd(ne, Closure(env, motive), eval_tm(sig, env, zcase), Closure(env, scase))
         sem_motive = Closure(env + (ne,), motive)
         assert reify(sig, depth, sem_motive, lhs) == reify(sig, depth, sem_motive, rhs)
         assert reify_ne(sig, depth, lhs)[1] == reify_ne(sig, depth, rhs)[1] == sem_motive
@@ -372,7 +366,7 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         env2 = id_env(sig, extra)
         arg = env2[i % len(env2)]
         lhs = eval_tm(sig, env2, TmConst("f", (Var(len(env2) - 1 - (i % len(env2))),)))
-        assert lhs == NConst("f", (arg,))
+        assert lhs == TmConst("f", (arg,))
         assert reify_ne(sig, len(env2), lhs)[1] == Closure((arg,), TyConst("B", (Var(0),)))
 
     _report(6, "computation rules hold on 20+ instantiations each", started)

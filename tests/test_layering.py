@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 import ttkernel
-from ttkernel import nbe
+from ttkernel import domain, nbe
 from ttkernel.syntax import Node
 
 SRC = Path(ttkernel.__file__).parent
@@ -86,6 +86,13 @@ def test_domain_is_a_data_module():
     assert _kernel_imports("domain") == {"syntax"}
 
 
+def test_the_domain_adds_only_closures_and_variables_to_syntax():
+    # every other value, neutrals included, is a syntax node over values,
+    # so no wrapper class copies a syntax node field for field
+    classes = {name for name, c in vars(domain).items() if isinstance(c, type) and c.__module__ == domain.__name__}
+    assert classes == {"Closure", "NVar"}
+
+
 def _names(module: str) -> set[str]:
     """Every name ``module`` binds, imports, reads or reads as an attribute."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
@@ -121,7 +128,8 @@ def test_normal_forms_are_syntax():
     # normal.py decides the normal judgments over syntax and defines no tree
     # family of its own, and every node NbE builds is a syntax or domain
     # node; its successor chains, in values and in normal forms alike, it
-    # builds only through ``syntax.succ``
+    # builds only through ``syntax.succ``, and its neutral values are the
+    # syntax's own App, NatInd and TmConst
     tree = ast.parse((SRC / "normal.py").read_text(encoding="utf-8"))
     assert [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)] == []
     built = set()
@@ -131,7 +139,7 @@ def test_normal_forms_are_syntax():
     assert "succ" in built and "Succ" not in built
     classes = {name: getattr(nbe, name) for name in built if isinstance(getattr(nbe, name, None), type)}
     nodes = {name: cls.__module__ for name, cls in classes.items() if issubclass(cls, Node)}
-    assert {"Lam", "Closure", "TyConst", "NVar"} <= set(nodes)
+    assert {"Lam", "Closure", "TyConst", "NVar", "App", "NatInd", "TmConst"} <= set(nodes)
     assert set(nodes.values()) == {"ttkernel.syntax", "ttkernel.domain"}, nodes
 
 

@@ -11,13 +11,7 @@ import pytest
 
 from ttkernel import nbe
 from ttkernel.check import conv_tm, declare, infer
-from ttkernel.domain import (
-    Closure,
-    NApp,
-    NConst,
-    NNatInd,
-    NVar,
-)
+from ttkernel.domain import Closure, NVar
 from ttkernel.gen import gen_cases
 from ttkernel.nbe import (
     apply,
@@ -123,7 +117,7 @@ def test_a_lambda_evaluates_to_one_closure(sig_empty):
 def test_eval_term_constant_is_neutral(sig_abf):
     a = NVar(0, A_CLO)
     v = eval_tm(sig_abf, (a,), TmConst("f", (Var(0),)))
-    assert v == NConst("f", (a,))
+    assert v == TmConst("f", (a,))
     # readback synthesizes its type: the declared result at its arguments
     assert reify_ne(sig_abf, 1, v) == (TmConst("f", (Var(0),)), Closure((a,), B_OF(Var(0))))
 
@@ -143,7 +137,7 @@ def test_apply_closure(sig_empty):
 
 def test_apply_reflected_variable(sig_empty):
     fn = NVar(0, NN_CLO)
-    assert apply(sig_empty, fn, Zero()) == NApp(fn, Zero())
+    assert apply(sig_empty, fn, Zero()) == App(fn, Zero())
 
 
 def test_apply_non_function_is_invariant_breach(sig_empty):
@@ -286,6 +280,65 @@ def test_readback_builds_syntax(sig_crossval, sig_dep):
                     assert isinstance(x, (Term, Ty)), x
                     seen.add(x.__class__)
     assert seen == {App, Lam, Nat, NatInd, Pi, Succ, TmConst, TyConst, Var, Zero}
+
+
+def _value_shape(v, seen, heads):
+    """Walk the value positions of ``v``, each node once (``seen`` maps
+    ids to the nodes, which keeps them alive), asserting the value grammar: a function is a ``Closure``, a
+    numeral ``Zero`` or a ``Succ`` over a non-numeral, and an ``App`` or
+    ``NatInd`` has a neutral function or scrutinee, never a closure or a
+    numeral. ``heads`` collects the class at the end of each spine."""
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
+        cls = x.__class__
+        if cls is Closure:
+            stack += x.env
+        elif cls is NVar:
+            stack += x.ty.env
+        elif cls is Succ:
+            assert x.base.__class__ is Zero or x.base.__class__ in nbe.NEUTRAL, f"not a numeral: {x!r}"
+            stack.append(x.base)
+        elif cls is App or cls is NatInd:
+            ne = x.fn if cls is App else x.scrut
+            assert ne.__class__ in nbe.NEUTRAL, f"{cls.__name__} value over a non-neutral: {x!r}"
+            if cls is NatInd:
+                assert x.motive.__class__ is Closure and x.scase.__class__ is Closure, x
+            while ne.__class__ is App or ne.__class__ is NatInd:
+                ne = ne.fn if ne.__class__ is App else ne.scrut
+            heads.add(ne.__class__)
+            stack += (x.fn, x.arg) if cls is App else (x.scrut, x.motive, x.zcase, x.scase)
+        elif cls is TmConst:
+            stack += x.args
+        else:
+            assert cls is Zero, f"not a value: {x!r}"
+
+
+def test_a_neutral_value_is_headed_by_a_variable_or_a_constant(sig_crossval, sig_dep, monkeypatch):
+    # neutral values are the syntax's own App, NatInd and TmConst over values:
+    # every value evaluation and application reach keeps the value grammar,
+    # with a variable or a term constant at the head of each spine
+    sig_k = declare(sig_dep, PostulateTm("k", (Nat(),), Pi(Nat(), TyConst("C", (Var(0),)))))
+    sigs = [sig_crossval, sig_dep, sig_k] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
+    seen, heads, classes = {}, set(), set()
+
+    def check(v):
+        classes.add(v.__class__)
+        _value_shape(v, seen, heads)
+        return v
+
+    eval_tm, apply = nbe.eval_tm, nbe.apply
+    monkeypatch.setattr(nbe, "eval_tm", lambda sig, env, t: check(eval_tm(sig, env, t)))
+    monkeypatch.setattr(nbe, "apply", lambda sig, fn, arg: check(apply(sig, check(fn), check(arg))))
+    for i, sig in enumerate(sigs):
+        for ctx, ty, t in gen_cases(sig, i, 100, 9):
+            seen.clear()
+            normalize_tm(sig, ctx, ty, t)
+    assert classes == {App, Closure, NatInd, NVar, Succ, TmConst, Zero}
+    assert heads == {NVar, TmConst}
 
 
 def _neutral_spines(sig, ctx, ty, t):
@@ -456,7 +509,7 @@ def test_equation_apply_reflected(sig_empty):
     env, dom, cod = (), Nat(), Nat()
     fn = NVar(0, Closure(env, Pi(dom, cod)))
     lhs = apply(sig_empty, fn, Zero())
-    assert lhs == NApp(fn, Zero())
+    assert lhs == App(fn, Zero())
     arg = reify(sig_empty, 1, Closure(env, dom), Zero())
     assert reify_ne(sig_empty, 1, lhs) == (App(Var(0), arg), Closure(env + (Zero(),), cod))
 
@@ -476,7 +529,7 @@ def test_equation_reify_succ(sig_empty):
 
 
 def test_equation_reify_reflect_nat(sig_empty):
-    ne = NApp(NVar(0, NN_CLO), Zero())
+    ne = App(NVar(0, NN_CLO), Zero())
     lhs = reify(sig_empty, 1, NAT_CLO, ne)
     assert lhs == reify_ne(sig_empty, 1, ne)[0]
 
@@ -487,7 +540,7 @@ def test_equation_ind_on_reflected_neutral(sig_empty):
     env = id_env(sig_empty, Context((Nat(),)))
     scrut_ne = env[0]
     lhs = eval_tm(sig_empty, env, NatInd(Var(0), Nat(), Zero(), Succ(1, Var(0))))
-    rhs = NNatInd(
+    rhs = NatInd(
         scrut_ne,
         Closure(env, Nat()),
         eval_tm(sig_empty, env, Zero()),
@@ -529,7 +582,7 @@ def test_equation_term_constant(sig_abf):
     env = id_env(sig_abf, Context((A,)))
     a0 = env[0]
     lhs = eval_tm(sig_abf, env, TmConst("f", (Var(0),)))
-    assert lhs == NConst("f", (a0,))
+    assert lhs == TmConst("f", (a0,))
     assert reify_ne(sig_abf, 1, lhs)[1] == Closure((a0,), B_OF(Var(0)))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkernel import domain, normal, signature, surface, syntax
-from ttkernel.domain import Closure, NApp, NVar
+from ttkernel.domain import Closure, NVar
 from ttkernel.gen import enum_terms, gen_cases
 from ttkernel.nbe import normalize_tm
 from ttkernel.signature import Signature
@@ -321,9 +321,9 @@ DEEP_TREES = {
         lambda n: "LamNf(body=" * n + "VarNe(index=0)" + ")" * n,
         10**5,
     ),
-    "NApp spine": (
-        lambda n: _nest(lambda ne: NApp(ne, Zero()), NVar(0, Closure((), Nat())), n),
-        lambda n: "NApp(fn=" * n + "NVar(level=0, ty=Closure(env=(), body=Nat()))" + ", arg=Zero())" * n,
+    "neutral App spine": (
+        lambda n: _nest(lambda ne: App(ne, Zero()), NVar(0, Closure((), Nat())), n),
+        lambda n: "App(fn=" * n + "NVar(level=0, ty=Closure(env=(), body=Nat()))" + ", arg=Zero())" * n,
         10**5,
     ),
 }
@@ -409,8 +409,6 @@ ABSTRACT_NODES = {
     Node,
     syntax.Ty,
     syntax.Term,
-    domain.Value,
-    domain.Neutral,
     signature.Declaration,
 }
 
@@ -423,7 +421,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 33
+    assert len(concrete) == 30
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
