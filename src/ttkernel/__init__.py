@@ -15,7 +15,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -46,7 +45,6 @@ __all__ = [
     "Signature",
     "Succ",
     "Term",
-    "TmConst",
     "Ty",
     "TyConst",
     "Var",

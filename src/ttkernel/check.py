@@ -24,7 +24,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -108,12 +107,6 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
             except Mismatch as e:
                 raise MotiveMismatch("successor", e) from e
             return subst1(motive, scrut)
-        case TmConst(name, args):
-            decl = sig.find(PostulateTm, name)
-            if decl is None:
-                raise UnknownConstant(f"'{name}' is not a term constant")
-            _check_args(sig, ctx, name, decl.params, args)
-            return inst_params(decl.result, args)
     raise AssertionError(f"not a term: {t!r}")
 
 

@@ -4,12 +4,12 @@ Values are weak-head and reuse syntax wherever syntax fits: lambda bodies
 and case arms live in closures that capture an environment and a piece of
 syntax, and a function's value is its closure. A numeral's value is the
 syntax's own: ``Zero``, or a ``Succ`` chain whose base is a value. A
-neutral value is a variable, or the syntax's own eliminator over a
-neutral with values in its other fields: ``App(ne, value)``,
-``NatInd(ne, motive closure, value, successor-case closure)``, or a term
-constant ``TmConst(name, values)``. Types never compute, so a type is not
-evaluated either: its semantic form is a closure too, the syntactic type
-under the environment it was met in. Values carry no types: only a
+neutral value is a variable, a postulated term constant's ``Const`` head
+(a postulate has no body), or the syntax's own eliminator over a neutral
+with values in its other fields: ``App(ne, value)`` or ``NatInd(ne,
+motive closure, value, successor-case closure)``. Types never compute,
+so a type is not evaluated either: its semantic form is a closure too,
+the syntactic type under the environment it was met in. Values carry no types: only a
 variable holds its own, and readback synthesizes a neutral's type from
 its head, as Coquand's algorithm does (1996). Environments are ordered
 outermost-first, so ``Var(i)`` evaluates to ``env[len(env) - 1 - i]``.

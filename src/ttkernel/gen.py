@@ -34,7 +34,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -106,8 +105,8 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
 
 def _spine_heads(sig, ctx, ty):
     """Heads whose result type can be made to match ``ty``: each a variable
-    or a term constant's declaration, with its telescope and the match's
-    binds and open positions.
+    or a postulate's ``Const``, with its telescope and the match's binds
+    and open positions.
 
     A match needs the result's former (and a constant type's name) to be the
     target's, and weakening keeps both, so a context entry is tested before
@@ -122,21 +121,21 @@ def _spine_heads(sig, ctx, ty):
         found = _match_result(result, ty, len(tele))
         if found is not None:
             heads.append((Var(i), tele, *found))
-    for d, tele, result in sig.derived(_constants)[0].get(former, ()):
+    for head, tele, result in sig.derived(_constants)[0].get(former, ()):
         found = _match_result(result, ty, len(tele))
         if found is not None:
-            heads.append((d, tele, *found))
+            heads.append((head, tele, *found))
     return heads
 
 
 def _constants(sig):
-    """Built once per signature: the term constants by their result's former,
-    each with its telescope and result split, and the type constants, both
-    in declaration order."""
+    """Built once per signature: the postulated term constants' heads by
+    their result's former, each with the telescope and result of its type,
+    and the type constants, both in declaration order."""
     by_former = {}
     for d in sig.of_kind(PostulateTm):
-        more, result = split_pi(d.result)  # a Pi result only if declared through the library
-        by_former.setdefault(_former(result), []).append((d, d.params + more, result))
+        tele, result = split_pi(sig.function(d.name)[0])
+        by_former.setdefault(_former(result), []).append((Const(d.name), tele, result))
     return by_former, sig.of_kind(PostulateTy)
 
 
@@ -145,8 +144,8 @@ def _former(ty: Ty):
     return ty.name if ty.__class__ is TyConst else ty.__class__
 
 
-def _gen_spine(sig, ctx, head, size, rng) -> Term:
-    var_or_decl, tele, binds, opened = head
+def _gen_spine(sig, ctx, found, size, rng) -> Term:
+    head, tele, binds, opened = found
     k = len(tele)
     committed = sum(node_count(a) for a in binds.values())
     free = max(k - len(binds), 1)
@@ -162,12 +161,7 @@ def _gen_spine(sig, ctx, head, size, rng) -> Term:
             args.append(rw_normalize(sig, ctx, param_ty, binds[j]))
         else:
             args.append(binds[j])
-    if isinstance(var_or_decl, Var):
-        t, rest = var_or_decl, args
-    else:  # the constant takes its parameters; the rest come from its result's Pi
-        n = len(var_or_decl.params)
-        t, rest = TmConst(var_or_decl.name, tuple(args[:n])), args[n:]
-    return apps(t, rest)
+    return apps(head, args)
 
 
 def _match_result(pattern: Ty, target: Ty, k: int):
@@ -225,13 +219,6 @@ def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
                 isinstance(tgt, App)
                 and _match_tm(f, tgt.fn, k, binds, opened, under)
                 and _match_tm(a, tgt.arg, k, binds, opened, under)
-            )
-        case TmConst(c, pas):
-            return (
-                isinstance(tgt, TmConst)
-                and tgt.name == c
-                and len(tgt.args) == len(pas)
-                and all(_match_tm(p, t, k, binds, opened, under) for p, t in zip(pas, tgt.args))
             )
         case Lam(_) | NatInd(_, _, _, _):
             return _param_free_eq(pat, tgt, k)
@@ -430,9 +417,8 @@ class _TypedEnum:
         if s == 1:
             yield from ((Var(i), ctx.var_type(i)) for i in range(len(ctx)))
             yield Zero(), Nat()
-            for d in self.sig.of_kind(PostulateTm):
-                if not d.params:
-                    yield TmConst(d.name), inst_params(d.result, ())
+            for d in self.sig.of_kind(PostulateTm):  # a head, which the App rule applies
+                yield Const(d.name), self.sig.function(d.name)[0]
             return
         for p in self.checkable(ctx, Nat(), s - 1):
             yield succ(1, p), Nat()
@@ -446,10 +432,6 @@ class _TypedEnum:
                 for a, a_ty in self.inferable(ctx, s2):
                     for body, b_ty in self.inferable(ctx.extend(a_ty), s1 - 1):
                         yield App(Lam(body), a), subst1(b_ty, a)
-        for d in self.sig.of_kind(PostulateTm):
-            if d.params:
-                for args in self._parts(self._arg_slots(ctx, d.params), s - 1):
-                    yield TmConst(d.name, args), inst_params(d.result, args)
         ind_slots = (
             lambda done, sz: self.checkable(ctx, Nat(), sz),
             lambda done, sz: self.types(ctx.extend(Nat()), sz),

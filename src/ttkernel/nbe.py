@@ -5,24 +5,26 @@ the beta rules of application and the Nat eliminator on the way; reify
 reads values back into syntax, as the eta-long normal terms that
 ``normal.is_normal`` recognizes, minting fresh variables as de Bruijn
 levels from the current depth. ``normalize_tm`` composes the two over
-the identity environment of a context. A constant used as a function
-evaluates to its signature entry, the value of its body's normal form,
-filled on first use. An elimination that a neutral blocks builds the
-syntax's own node over values: applying a neutral gives ``App``,
-eliminating one gives ``NatInd``, and a term constant is ``TmConst``; a
-neutral is told by its class, one of ``NEUTRAL``.
+the identity environment of a context. A term constant evaluates to its
+signature entry: a definition's is the value of its body's normal form,
+filled on first use, and a postulate, which has no body, is its own
+``Const`` head, a neutral. An elimination that a neutral blocks builds
+the syntax's own node over values: applying a neutral gives ``App`` and
+eliminating one gives ``NatInd``; a neutral is told by its class, one of
+``NEUTRAL``.
 Types never compute, so a semantic type is the syntactic type in a
 closure over its environment: reify dispatches on its former, and only
 ``nfty`` evaluates a type's parts, the arguments of a type constant,
 when it reads them back. Only a variable holds a type; ``reify_ne``
-synthesizes a neutral's type from its head, and reads each argument back
-at the domain of the type its function synthesizes.
+synthesizes a neutral's type from its head (a postulate's is its declared
+Pi), and reads each argument back at the domain of the type its function
+synthesizes.
 """
 
 from __future__ import annotations
 
 from .domain import Closure, Env, NVar
-from .signature import PostulateTm, PostulateTy, Signature
+from .signature import PostulateTy, Signature
 from .syntax import (
     App,
     Context,
@@ -34,7 +36,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -44,7 +45,7 @@ from .syntax import (
 
 
 NAT = Closure((), Nat())
-NEUTRAL = (NVar, App, NatInd, TmConst)  # a neutral value's classes
+NEUTRAL = (NVar, App, NatInd, Const)  # a neutral value's classes
 
 
 def eval_ty(sig: Signature, env: Env, ty: Ty) -> Closure:
@@ -68,11 +69,8 @@ def eval_tm(sig: Signature, env: Env, t: Term) -> Node:
         return sig.entry("nbe", t.name, _constant_value)
     if cls is Zero:
         return t
-    match t:
-        case NatInd(scrut, motive, z, s):
-            return _nat_ind(sig, env, motive, z, s, eval_tm(sig, env, scrut))
-        case TmConst(name, args):
-            return TmConst(name, tuple(eval_tm(sig, env, a) for a in args))
+    if cls is NatInd:
+        return _nat_ind(sig, env, t.motive, t.zcase, t.scase, eval_tm(sig, env, t.scrut))
     raise AssertionError(f"not a term: {t!r}")
 
 
@@ -172,10 +170,10 @@ def reify_ne(sig: Signature, depth: int, ne: Node) -> tuple[Term, Closure]:
             scase_nf = reify(sig, depth + 2, Closure(env + (succ(1, fresh_n),), body), step)
             nf = NatInd(reify_ne(sig, depth, scrut)[0], motive_nf, zcase_nf, scase_nf)
             return nf, Closure(env + (scrut,), body)
-        case TmConst(name, args):
-            decl = sig.find(PostulateTm, name)
-            assert decl is not None, f"'{name}' is not a term constant"
-            return TmConst(name, _reify_args(sig, depth, decl.params, args)), Closure(args, decl.result)
+        case Const(name):
+            fn = sig.function(name)
+            assert fn is not None and fn[1] is None, f"'{name}' is no postulated term constant"
+            return ne, Closure((), fn[0])
     raise AssertionError(f"not a neutral: {ne!r}")
 
 

@@ -3,18 +3,21 @@ and neutral terms among plain syntax.
 
 A normal term is beta/iota-free and eta-long: at a function type the
 only normal inhabitants are lambdas, and a blocked elimination (a spine
-headed by a variable or a term constant) is a normal term only at Nat or
-at a type constant. So a neutral is a normal term, and its type follows
-from its head and its arguments. NbE's readback builds exactly these
-terms, as ``Term`` and ``Ty``; there is no second tree family for them.
+headed by a variable or by a postulated term constant, a ``Const`` head
+with no body) is a normal term only at Nat or at a type constant; a
+definition's head is never normal. So a neutral is a normal term, and
+its type follows from its head and its arguments. NbE's readback builds
+exactly these terms, as ``Term`` and ``Ty``; there is no second tree
+family for them.
 """
 
 from __future__ import annotations
 
 from .rewrite import DEFAULT_FUEL, _eta_ty, _Fuel, _reduce_ty, unfold
-from .signature import PostulateTm, PostulateTy, Signature
+from .signature import PostulateTy, Signature
 from .syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -22,7 +25,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -116,10 +118,10 @@ def _spine_type(sig: Signature, ctx: Context, t: Term) -> Ty | None:
                 and is_normal(sig, ctx_n.extend(motive), motive_succ_case(motive), s)
             ):
                 return subst1(motive, scrut)
-        case TmConst(name, args):
-            decl = sig.find(PostulateTm, name)
-            if decl is not None and _normal_args(sig, ctx, decl.params, args):
-                return inst_params(decl.result, args)
+        case Const(name):
+            fn = sig.function(name)
+            if fn is not None and fn[1] is None:  # a postulate, which has no body
+                return fn[0]
     return None
 
 

@@ -16,14 +16,15 @@ rewriter ``step`` of ``tests/step_reference.py`` would, in the same order,
 so results and fuel counts are identical; the tests check this on
 generated and enumerated terms.
 
-Constant heads are unfolded before that, in a pass of its own that spends
-no fuel and passes a term naming no constant after one scan (``unfold``): a
+Definitions are unfolded before that, in a pass of its own that spends no
+fuel and passes a term naming no definition after one scan (``unfold``): a
 definition applied to arguments becomes its unfolded body with the
 arguments substituted in, as elaboration once inlined definitions, so the
 oracle reduces the same terms, with the same step counts, as it did then. A
-term constant given fewer arguments than it takes unfolds to its
-eta-expansion alike. The unfolded bodies are signature entries; the
-reducer, which sees no constant, takes no signature.
+postulated term constant has no body: its ``Const`` head stays, a neutral
+head that the reducer treats like a variable and whose type the eta pass
+reads as its declared Pi. The unfolded bodies are signature entries; the
+reducer, which sees no definition, takes no signature.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from itertools import repeat
 
 from .errors import FuelExhausted
-from .signature import PostulateTm, PostulateTy, Signature
+from .signature import Define, PostulateTy, Signature
 from .syntax import (
     App,
     Context,
@@ -43,7 +44,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -70,14 +70,14 @@ class _Fuel:
 
 
 def unfold(sig: Signature, t):
-    """``t``, a term or a type, with every constant head unfolded: ``d a_1
-    ... a_n`` becomes the unfolded body of ``d`` (a term constant's
-    eta-expansion), whose leading lambdas take the unfolded arguments, one
-    ``subst_many`` per run of lambdas; arguments left over stay applied.
-    A tree that names no constant comes back as itself after one scan, as
-    does every subtree in which nothing unfolds. The unfolded bodies are
-    the signature's entries."""
-    return _unfold(sig, t) if const_names(t) else t
+    """``t``, a term or a type, with every definition unfolded: ``d a_1 ...
+    a_n`` becomes the unfolded body of ``d``, whose leading lambdas take the
+    unfolded arguments, one ``subst_many`` per run of lambdas; arguments
+    left over stay applied. A postulate's head stays. A tree that names no
+    definition comes back as itself after one scan, as does every subtree
+    in which nothing unfolds. The unfolded bodies are the signature's
+    entries."""
+    return _unfold(sig, t) if any(sig.find(Define, n) for n in const_names(t)) else t
 
 
 def _unfold(sig, t):
@@ -91,10 +91,13 @@ def _unfold(sig, t):
             same = same and a is head.arg
             head = head.fn
         args.reverse()
-        if head.__class__ is Const:  # its entry is its body, unfolded
+        if head.__class__ is Const:
             entry = sig.entry("rewrite", head.name, lambda sig, ty, body: unfold(sig, body))
-            return _contract(entry, args)
-        h = _unfold(sig, head)
+            if entry != head:  # a definition's entry is its body, unfolded; a postulate's, its head
+                return _contract(entry, args)
+            h = head
+        else:
+            h = _unfold(sig, head)
         return t if same and h is head else apps(h, args)
     fields = t if cls is tuple else map(getattr, repeat(t), cls.__match_args__)
     parts, same = [], True
@@ -121,16 +124,13 @@ def _contract(body: Term, args: list) -> Term:
 def _reduce(t: Term, fuel: _Fuel) -> Term:
     """Normal form of ``t``, which names no definition: the redexes iterated
     ``step`` contracts, in its order. Returns ``t`` itself when nothing
-    inside it reduces."""
+    inside it reduces. A postulate's head is as stuck as a variable."""
     cls = t.__class__
-    if cls is Var or cls is Zero:
+    if cls is Var or cls is Zero or cls is Const:
         return t
     if cls is Lam:
         b = _reduce(t.body, fuel)
         return t if b is t.body else Lam(b)
-    if cls is TmConst:
-        args = _reduce_args(t.args, fuel)
-        return t if args is t.args else TmConst(t.name, args)
     # a base can head-reduce to a new successor (``succ (ind(...))`` does once
     # per iota step), so successor heads are summed in a loop, not recursed into
     k, h = 0, t
@@ -183,7 +183,6 @@ def _reduce_hnf(t: Term, fuel: _Fuel) -> Term:
         if s is t.scrut and m is t.motive and z is t.zcase and c is t.scase:
             return t
         return NatInd(s, m, z, c)
-    assert cls is not Const, "unfold definitions before reducing"
     return _reduce(t, fuel)
 
 
@@ -262,11 +261,10 @@ def _eta_ne(sig, ctx: tuple[Ty, ...], t: Term) -> tuple[Term, Ty]:
             if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
                 return t, motive
             return NatInd(s2, m2, z2, c2), motive
-        case TmConst(name, args):
-            decl = sig.find(PostulateTm, name)
-            assert decl is not None, f"'{name}' is not a term constant"
-            args2 = _eta_args(sig, ctx, decl.params, args)
-            return t if args2 is args else TmConst(name, args2), decl.result
+        case Const(name):
+            fn = sig.function(name)
+            assert fn is not None and fn[1] is None, f"'{name}' is no postulated term constant"
+            return t, fn[0]
     raise AssertionError(f"not a neutral spine: {t!r}")
 
 

@@ -2,15 +2,18 @@
 
 A signature realizes the free-model setting: type constants with term
 telescopes, term constants with a telescope and a result type, and
-transparent definitions. A definition stays a constant: terms name it with
-``Const``. Bodies are closed and mention only the definitions before them.
+transparent definitions. A definition stays a constant: terms name it, as
+they name a postulated term constant, with ``Const``. Bodies are closed
+and mention only the constants before them.
 A signature answers lookups by kind, the declaration's class;
 ``check.declare`` checks a declaration and appends it.
 
-A constant used as a function (a definition, or a term constant given
-fewer arguments than it takes) has a type, which the checker reads, and a
-body, from which each engine computes its ``entry`` for it, kept under a
-key of its own. Only ``function`` says what a term constant's are.
+A term constant, named by a ``Const`` head, has a type, which the checker
+reads: a definition's as declared, a postulate's the Pi over its
+parameters. A definition has a body too, from which each engine computes
+its ``entry`` for it, kept under a key of its own; a postulate has no
+body, and its entry under every key is its own head, a neutral. Only
+``function`` says what a term constant's type and body are.
 
 Extending costs the same at any length. A signature and those extended
 from it share one list of declarations and one name index, and each sees
@@ -23,7 +26,7 @@ starts with none.
 
 from __future__ import annotations
 
-from .syntax import Node, Term, Ty, const_names, eta_constant, node, pi_over
+from .syntax import Const, Node, Term, Ty, const_names, node, pi_over
 
 
 class Declaration(Node):
@@ -104,24 +107,24 @@ class Signature(Node):
             got = self._cache[build] = build(self)
         return got
 
-    def function(self, name: str) -> tuple[Ty, Term] | None:
-        """The constant ``name`` used as a function, as ``(type, body)``: a
-        definition's declared type and body, or a term constant's Pi over
-        its parameters and eta-expansion; None for any other name."""
+    def function(self, name: str) -> tuple[Ty, Term | None] | None:
+        """The term constant ``name`` as ``(type, body)``: a definition's
+        declared type and body, or a postulate's Pi over its parameters and
+        no body; None for any other name."""
         d = self.find(Declaration, name)
         if d.__class__ is Define:
             return d.declared_type, d.body
         if d.__class__ is PostulateTm:
-            return pi_over(d.params, d.result), eta_constant(name, len(d.params))
+            return pi_over(d.params, d.result), None
         return None
 
     def entry(self, key: str, name: str, compute):
-        """The entry under ``key`` of the constant ``name`` used as a function.
-        A miss fills it, and each unfilled one its body reaches, in
-        declaration order, with ``compute(self, type, body)`` of ``function``.
-        A body names only the definitions before it, so ``compute`` finds
-        their entries filled and never recurses into another fill: a chain
-        of any length costs no stack."""
+        """The entry under ``key`` of the term constant ``name``. A miss
+        fills it, and each unfilled one its body reaches, in declaration
+        order: a postulate's is its own head, a definition's ``compute(self,
+        type, body)`` of ``function``. A body names only the constants before
+        it, so ``compute`` finds their entries filled and never recurses into
+        another fill: a chain of any length costs no stack."""
         try:
             return self._cache[key][name]
         except KeyError:
@@ -130,9 +133,11 @@ class Signature(Node):
         while todo:
             n = todo.pop()
             if n not in found and n not in table:
-                found[n] = self.function(n)
-                assert found[n] is not None, f"'{n}' is no constant used as a function"
-                todo += const_names(found[n][1])
+                fn = found[n] = self.function(n)
+                assert fn is not None, f"'{n}' is no term constant"
+                if fn[1] is not None:
+                    todo += const_names(fn[1])
         for n in sorted(found, key=self._index.__getitem__):
-            table[n] = compute(self, *found[n])
+            ty, body = found[n]
+            table[n] = Const(n) if body is None else compute(self, ty, body)
         return table[name]

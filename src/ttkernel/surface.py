@@ -45,7 +45,6 @@ from .syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -369,7 +368,7 @@ def parse_type(source: str):
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: names to de Bruijn, term constants applied, definitions named
+# Elaboration: names to de Bruijn, term constants named by their heads
 
 
 def elaborate(decls, sig: Signature = Signature()) -> Signature:
@@ -456,10 +455,7 @@ def _elab_head(sig, names, head, args) -> Term:
         if names[len(names) - 1 - i] == name:
             return apps(Var(i), args)
     match sig.find(Declaration, name):
-        case PostulateTm(_, params, _) if len(args) >= len(params):
-            k = len(params)
-            return apps(TmConst(name, tuple(args[:k])), args[k:])
-        case PostulateTm() | Define():  # a constant as a function
+        case PostulateTm() | Define():  # a term constant, a head applied with App
             return apps(Const(name), args)
         case PostulateTy(_, _):
             raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
@@ -472,8 +468,7 @@ def _elab_head(sig, names, head, args) -> Term:
 
 def _constant_names(*trees) -> set[str]:
     """The names the constants in ``trees`` use."""
-    constants = (TmConst, TyConst, Const)
-    return {x.name for t in trees for x in walk(t) if x.__class__ in constants}
+    return {x.name for t in trees for x in walk(t) if x.__class__ in (TyConst, Const)}
 
 
 class _Printer:
@@ -523,11 +518,6 @@ class _Printer:
                     f"{p} {r}. {self.tm(scase, names + (p, r), 0)})"
                 )
                 return _wrap(body, prec > 0)
-            case TmConst(c, args):
-                if not args:
-                    return c
-                parts = " ".join(self.tm(a, names, 2) for a in args)
-                return _wrap(f"{c} {parts}", prec > 1)
             case Const(c):
                 return c
         raise AssertionError(f"not a term: {t!r}")

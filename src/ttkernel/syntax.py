@@ -3,7 +3,9 @@
 Terms and types are well-scoped de Bruijn trees: ``Var(0)`` is the
 innermost binder. A context is a telescope ordered outermost-first, so
 ``Var(i)`` refers to ``entries[len(entries) - 1 - i]``. ``BINDERS``
-declares, once, which fields are under binders. Every node is a slotted
+declares, once, which fields are under binders. A term constant, defined
+or postulated, is a ``Const`` head applied with ``App``: a postulate has
+no body, so a spine over it is neutral. Every node is a slotted
 dataclass on the ``Node`` base, which the kernel never mutates;
 structural equality is alpha-equivalence for free. As nothing is
 mutated, trees share subtrees: the variable traversals (shift and
@@ -191,18 +193,12 @@ class NatInd(Term):
 
 
 @node
-class TmConst(Term):
-    name: str
-    args: tuple[Term, ...] = ()
-
-
-@node
 class Const(Term):
-    """A constant as a function: a definition, or a term constant given fewer
-    arguments than it takes, by name. It is a closed head, applied with
-    ``App``; the checker gives it its type as declared (a term constant's as
-    the Pi over its parameters), NbE the value of its body (a term
-    constant's eta-expansion, ``eta_constant``) and the oracle unfolds it."""
+    """A term constant by name: a definition, or a postulated term constant.
+    It is a closed head, applied with ``App``; the checker gives it its type
+    as declared (a postulate's as the Pi over its parameters). A definition
+    has a body, whose value NbE takes and which the oracle unfolds; a
+    postulate has none, and is a neutral head."""
 
     name: str
 
@@ -267,15 +263,6 @@ def pi_over(params: tuple[Ty, ...], result: Ty) -> Ty:
     return result
 
 
-def eta_constant(name: str, arity: int) -> Term:
-    """``\\x_1 ... x_n. name x_1 ... x_n``: the term constant ``name`` of
-    ``arity`` parameters as a function."""
-    t: Term = TmConst(name, tuple(Var(arity - 1 - i) for i in range(arity)))
-    for _ in range(arity):
-        t = Lam(t)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Variable traversals.  Shifting and substitution are one walk, ``_subst``,
 # written out by hand for speed over the binders that ``BINDERS`` declares.
@@ -309,13 +296,13 @@ def _subst(t, depth: int, sigma: tuple[Term, ...], by: int):
     if cls is Succ:
         b = _subst(t.base, depth, sigma, by)
         return t if b is t.base else succ(t.k, b)
-    if cls is TmConst or cls is TyConst:  # from the first changed argument on, a copy
+    if cls is TyConst:  # from the first changed argument on, a copy
         args = t.args
         for i, a in enumerate(args):
             b = _subst(a, depth, sigma, by)
             if b is not a:
                 rest = tuple(_subst(x, depth, sigma, by) for x in args[i + 1 :])
-                return cls(t.name, args[:i] + (b,) + rest)
+                return TyConst(t.name, args[:i] + (b,) + rest)
         return t
     if cls is Pi:
         d = _subst(t.dom, depth, sigma, by)
@@ -402,7 +389,7 @@ def const_names(t) -> list[str]:
             stack.append(x.base)
         elif cls is NatInd:
             stack += (x.scrut, x.motive, x.zcase, x.scase)
-        elif cls is TmConst or cls is TyConst:
+        elif cls is TyConst:
             stack += x.args
         elif cls is Pi:
             stack += (x.dom, x.cod)

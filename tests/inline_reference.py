@@ -1,6 +1,6 @@
 """The inlining elaborator: each use of a definition is replaced by its body,
-with the arguments substituted into the body's leading lambdas, and a term
-constant applied to fewer arguments than it takes is eta-expanded.
+with the arguments substituted into the body's leading lambdas, and a
+postulated term constant stays a ``Const`` head applied with ``App``.
 Definitions were elaborated this way before they became constants. The
 rewriting oracle's ``unfold`` of the elaborated term must give the term
 this elaborator produces, on every input; ``elaborate`` here returns a
@@ -27,17 +27,16 @@ from ttkernel.surface import (
 )
 from ttkernel.syntax import (
     App,
+    Const,
     Lam,
     Nat,
     NatInd,
     Pi,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
     numeral,
-    shift,
     split_pi,
     subst_many,
     succ,
@@ -133,20 +132,8 @@ def _elab_head(sig, names, head, args) -> Term:
         if names[len(names) - 1 - i] == name:
             return _apps(Var(i), args)
     match sig.find(Declaration, name):
-        case PostulateTm(_, params, _):
-            k = len(params)
-            if len(args) >= k:
-                return _apps(TmConst(name, tuple(args[:k])), args[k:])
-            # under-applied constant: eta-expand so the kernel only ever
-            # sees fully applied constants
-            missing = k - len(args)
-            spine = tuple(shift(a, missing) for a in args) + tuple(
-                Var(missing - 1 - i) for i in range(missing)
-            )
-            t: Term = TmConst(name, spine)
-            for _ in range(missing):
-                t = Lam(t)
-            return t
+        case PostulateTm():
+            return _apps(Const(name), args)
         case Define(_, _, body):
             # bodies are closed and pre-expanded; contract the
             # administrative redexes so the result stays inferable: one

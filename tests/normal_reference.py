@@ -21,6 +21,7 @@ from ttkernel.normal import _reduced
 from ttkernel.signature import PostulateTm, PostulateTy, Signature
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -29,7 +30,6 @@ from ttkernel.syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -38,6 +38,7 @@ from ttkernel.syntax import (
     inst_params,
     motive_succ_case,
     node,
+    pi_over,
     subst1,
 )
 
@@ -53,8 +54,8 @@ class NfTm(Node):
 
 
 class NeTm(NfTm):
-    """Neutral terms: blocked eliminations headed by a variable or constant,
-    normal at Nat and at type constants."""
+    """Neutral terms: blocked eliminations headed by a variable or a
+    postulated term constant, normal at Nat and at type constants."""
     __slots__ = ()
 
 
@@ -113,15 +114,14 @@ class NatIndNe(NeTm):
 
 
 @node
-class TmConstNe(NeTm):
-    name: str
-    args: tuple[NfTm, ...] = ()
+class ConstNe(NeTm):
+    name: str  # a postulated term constant's: a definition's head is never normal
 
 
 # The syntax class each grammar class erases to.
 _ERASES_TO = {
     FunNf: Pi, NatNf: Nat, TyConstNf: TyConst, LamNf: Lam, ZeroNf: Zero, SuccNf: Succ,
-    VarNe: Var, AppNe: App, NatIndNe: NatInd, TmConstNe: TmConst,
+    VarNe: Var, AppNe: App, NatIndNe: NatInd, ConstNe: Const,
 }
 
 
@@ -232,13 +232,10 @@ def _to_ne(sig: Signature, ctx: Context, t: Term) -> tuple[NeTm, Ty] | None:
             if znf is None or snf is None:
                 return None
             return NatIndNe(head[0], mnf, znf, snf), subst1(motive, scrut)
-        case TmConst(name, args):
+        case Const(name):
             decl = sig.find(PostulateTm, name)
             if decl is None:
                 return None
-            nfs = _arg_nfs(sig, ctx, decl.params, args)
-            if nfs is None:
-                return None
-            return TmConstNe(name, nfs), inst_params(decl.result, args)
+            return ConstNe(name), pi_over(decl.params, decl.result)
         case _:
             return None

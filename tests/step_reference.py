@@ -8,13 +8,13 @@ from __future__ import annotations
 from ttkernel.signature import Signature
 from ttkernel.syntax import (
     App,
+    Const,
     Lam,
     Nat,
     NatInd,
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -36,7 +36,7 @@ def step(sig: Signature, t: Term) -> Term | None:
             n = succ(k - 1, base)
             return subst_many(scase, (NatInd(n, motive, zcase, scase), n))
     match t:
-        case Var(_) | Zero():
+        case Var(_) | Zero() | Const(_):  # a postulate's head, as the oracle meets it
             return None
         case Lam(body):
             b = step(sig, body)
@@ -62,9 +62,6 @@ def step(sig: Signature, t: Term) -> Term | None:
                 return NatInd(scrut, motive, z2, scase)
             sc2 = step(sig, scase)
             return None if sc2 is None else NatInd(scrut, motive, zcase, sc2)
-        case TmConst(name, args):
-            args2 = _step_args(sig, args)
-            return None if args2 is None else TmConst(name, args2)
     raise AssertionError(f"not a term: {t!r}")
 
 

@@ -4,7 +4,7 @@ before they shared unchanged subtrees, rebuilding every node they visit.
 must return results ``==`` to these. ``rename_with`` has no kernel
 counterpart: it is how ``renamings`` maps variables."""
 
-from ttkernel.syntax import App, Lam, Nat, NatInd, Pi, Succ, TmConst, Ty, TyConst, Var, Zero, succ
+from ttkernel.syntax import App, Const, Lam, Nat, NatInd, Pi, Succ, Ty, TyConst, Var, Zero, succ
 
 
 def _map_term(t, depth, on_var):
@@ -15,7 +15,7 @@ def _map_term(t, depth, on_var):
             return Lam(_map_term(b, depth + 1, on_var))
         case App(f, a):
             return App(_map_term(f, depth, on_var), _map_term(a, depth, on_var))
-        case Zero():
+        case Zero() | Const(_):
             return t
         case Succ(k, base):
             return succ(k, _map_term(base, depth, on_var))
@@ -26,8 +26,6 @@ def _map_term(t, depth, on_var):
                 _map_term(z, depth, on_var),
                 _map_term(s, depth + 2, on_var),
             )
-        case TmConst(c, args):
-            return TmConst(c, tuple(_map_term(a, depth, on_var) for a in args))
     raise AssertionError(f"not a term: {t!r}")
 
 

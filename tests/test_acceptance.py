@@ -36,13 +36,13 @@ from ttkernel.signature import Define
 from ttkernel.surface import print_case
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
     NatInd,
     Pi,
     Succ,
-    TmConst,
     TyConst,
     Var,
     Zero,
@@ -103,8 +103,8 @@ def test_criterion_1_beta_golden_suite(sig_empty, sig_abf):
          Lam(Var(0))),
         # a term constant is a blocked spine
         (sig_abf, ctx_a, TyConst("B", (Var(0),)),
-         TmConst("f", (Var(0),)),
-         TmConst("f", (a_nf,))),
+         App(Const("f"), Var(0)),
+         App(Const("f"), a_nf)),
         # a variable at a constant type is its own normal form
         (sig_abf, ctx_a, A, Var(0), a_nf),
         # a variable at an indexed constant type is its own normal form too
@@ -224,7 +224,7 @@ def test_criterion_4_uniqueness_at_size_7(sig_crossval):
             total += 1
         assert all(len(nfs) == 1 for nfs in classes.values()), "a class got several normal forms"
         assert len(set().union(*classes.values())) == len(classes), "classes share a normal form"
-    assert total == 506 + 180 + 25 + 43
+    assert total == 606 + 192 + 26 + 31
     assert time.time() - started < 10.0
     _report(4, f"{total} terms of size <= 7 at the partition targets, one NF per class", started)
 
@@ -360,13 +360,13 @@ def test_criterion_6_computation_rule_instances(sig_abf):
         got2 = reify(sig, depth, bty, b1)
         assert (got2, bty) == reify_ne(sig, depth, b1)
 
-    # a term constant evaluates to the constant spine, at its declared result
+    # a term constant applied evaluates to its spine, at its declared result
     for i in range(20):
         extra = Context((A,) * (1 + i % 3))
         env2 = id_env(sig, extra)
         arg = env2[i % len(env2)]
-        lhs = eval_tm(sig, env2, TmConst("f", (Var(len(env2) - 1 - (i % len(env2))),)))
-        assert lhs == TmConst("f", (arg,))
+        lhs = eval_tm(sig, env2, App(Const("f"), Var(len(env2) - 1 - (i % len(env2)))))
+        assert lhs == App(Const("f"), arg)
         assert reify_ne(sig, len(env2), lhs)[1] == Closure((arg,), TyConst("B", (Var(0),)))
 
     _report(6, "computation rules hold on 20+ instantiations each", started)

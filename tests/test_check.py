@@ -27,7 +27,6 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
-    TmConst,
     TyConst,
     Var,
     Zero,
@@ -73,11 +72,10 @@ def test_check_ty_unknown(sig_empty, sig_walkthrough):
 
 
 def test_infer_names_no_term_constant(sig_walkthrough):
-    # a type constant, a definition (a Const head, never a TmConst) and an
-    # unknown name, where a term constant belongs
-    for name in ("A", "add", "nope"):
-        with pytest.raises(UnknownConstant, match=f"^'{name}' is not a term constant$") as e:
-            infer(sig_walkthrough, Context(), TmConst(name))
+    # a type constant and an unknown name, where a term constant belongs
+    for name in ("A", "nope"):
+        with pytest.raises(UnknownConstant, match=f"^'{name}' is neither a definition nor a term constant$") as e:
+            infer(sig_walkthrough, Context(), App(Const(name), Zero()))
         assert (e.value.line, e.value.col) == (None, None)
 
 
@@ -128,15 +126,10 @@ def test_infer_motive_mismatch(sig_empty):
         infer(sig_empty, Context(), bad)
 
 
-def test_infer_constant_arity(sig_abf):
-    with pytest.raises(ArityMismatch):
-        infer(sig_abf, Context(), TmConst("f", ()))
-
-
 def test_infer_beta_redex(sig_abf):
     assert infer(sig_abf, Context(), App(Lam(Var(0)), Zero())) == Nat()
     # the body's type may mention the bound variable: the argument replaces it
-    t = App(Lam(TmConst("f", (Var(0),))), Var(0))
+    t = App(Lam(App(Const("f"), Var(0))), Var(0))
     assert infer(sig_abf, Context((A,)), t) == TyConst("B", (Var(0),))
     with pytest.raises(CannotInfer):  # the argument must infer
         infer(sig_abf, Context(), App(Lam(Var(0)), Lam(Var(0))))
@@ -155,7 +148,7 @@ def test_check_mismatch(sig_empty):
 
 def test_check_sees_through_redex_in_expected_type(sig_abf):
     ctx = Context((A,))
-    check(sig_abf, ctx, TmConst("f", (Var(0),)), TyConst("B", (App(Lam(Var(0)), Var(0)),)))
+    check(sig_abf, ctx, App(Const("f"), Var(0)), TyConst("B", (App(Lam(Var(0)), Var(0)),)))
 
 
 def test_conv_beta(sig_empty):
@@ -231,4 +224,4 @@ def test_checker_error_carries_normal_forms(sig_empty):
 
 def test_check_rejects_ill_typed_constant_argument(sig_abf):
     with pytest.raises(CheckError):
-        infer(sig_abf, Context(), TmConst("f", (Zero(),)))
+        infer(sig_abf, Context(), App(Const("f"), Zero()))

@@ -24,6 +24,7 @@ from ttkernel.signature import PostulateTm, Signature
 from ttkernel.surface import elaborate, parse, print_case
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -31,7 +32,6 @@ from ttkernel.syntax import (
     Node,
     Pi,
     Succ,
-    TmConst,
     TyConst,
     Var,
     Zero,
@@ -132,7 +132,7 @@ SIG_K = declare(Signature(), PostulateTm("k", (), Pi(Nat(), Nat())))
 
 def test_gen_uses_a_constant_with_a_function_result():
     def uses_k(t):
-        return t == TmConst("k") or any(
+        return t == Const("k") or any(
             isinstance(c, Node) and uses_k(c) for c in (getattr(t, f) for f in t.__match_args__)
         )
 
@@ -155,7 +155,7 @@ def reference_spine_heads(sig, ctx, ty):
             more, result = split_pi(d.result)
             found = gen._match_result(result, ty, len(d.params) + len(more))
             if found is not None:
-                heads.append((d, d.params + more, *found))
+                heads.append((Const(d.name), d.params + more, *found))
     return heads
 
 
@@ -224,18 +224,27 @@ def test_enum_includes_redexes(sig_empty):
 
 
 def test_enum_pinned_list(sig_abf):
-    # the exact list, in order, at (a : A) |- B a up to size 5
+    # the exact list, in order, at (a : A) |- B a up to size 6: f is a
+    # head of size 1 at its Pi, which the App rule applies
     ctx = Context((TyConst("A"),))
-    f0, f1 = TmConst("f", (Var(0),)), TmConst("f", (Var(1),))
-    assert enum_terms(sig_abf, ctx, TyConst("B", (Var(0),)), 5) == [
+    f = Const("f")
+    f0, f1 = App(f, Var(0)), App(f, Var(1))
+    assert enum_terms(sig_abf, ctx, TyConst("B", (Var(0),)), 6) == [
         f0,
+        App(f, App(Lam(Var(0)), Var(0))),
+        App(f, App(Lam(Var(1)), Var(0))),
+        App(f, App(Lam(Var(1)), Zero())),
+        App(f, App(Lam(Var(1)), f)),
         App(Lam(Var(0)), f0),
+        App(App(Lam(f), Var(0)), Var(0)),
+        App(App(Lam(f), Zero()), Var(0)),
+        App(App(Lam(Var(0)), f), Var(0)),
+        App(App(Lam(f), f), Var(0)),
         App(Lam(f0), Var(0)),
         App(Lam(f1), Var(0)),
         App(Lam(f1), Zero()),
-        TmConst("f", (App(Lam(Var(0)), Var(0)),)),
-        TmConst("f", (App(Lam(Var(1)), Var(0)),)),
-        TmConst("f", (App(Lam(Var(1)), Zero()),)),
+        App(Lam(App(Var(0), Var(1))), f),
+        App(Lam(f1), f),
     ]
 
 

@@ -3,8 +3,10 @@
 Imports happen at module level, so the import graph is what the module
 headers say; the few late imports left break real cycles or keep ``gen``
 out of start-up. Declarations are reached through the signature's
-lookups by kind, never by scanning ``Signature.decls``, and a constant
-used as a function through ``Signature.function`` and ``entry``.
+lookups by kind, never by scanning ``Signature.decls``, and a term
+constant's type, body and engine entries through ``Signature.function``
+and ``entry``: a postulated term constant is a neutral ``Const`` head with
+no body, whose entry is that head.
 """
 
 import ast
@@ -129,7 +131,8 @@ def test_normal_forms_are_syntax():
     # family of its own, and every node NbE builds is a syntax or domain
     # node; its successor chains, in values and in normal forms alike, it
     # builds only through ``syntax.succ``, and its neutral values are the
-    # syntax's own App, NatInd and TmConst
+    # syntax's own App and NatInd over a variable or a postulate's Const
+    # head, which the signature's entry supplies
     tree = ast.parse((SRC / "normal.py").read_text(encoding="utf-8"))
     assert [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)] == []
     built = set()
@@ -139,7 +142,7 @@ def test_normal_forms_are_syntax():
     assert "succ" in built and "Succ" not in built
     classes = {name: getattr(nbe, name) for name in built if isinstance(getattr(nbe, name, None), type)}
     nodes = {name: cls.__module__ for name, cls in classes.items() if issubclass(cls, Node)}
-    assert {"Lam", "Closure", "TyConst", "NVar", "App", "NatInd", "TmConst"} <= set(nodes)
+    assert {"Lam", "Closure", "TyConst", "NVar", "App", "NatInd"} <= set(nodes)
     assert set(nodes.values()) == {"ttkernel.syntax", "ttkernel.domain"}, nodes
 
 

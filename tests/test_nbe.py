@@ -39,12 +39,10 @@ from ttkernel.syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
     Zero,
-    inst_params,
     motive_succ_case,
     numeral,
     subst1,
@@ -116,10 +114,18 @@ def test_a_lambda_evaluates_to_one_closure(sig_empty):
 
 def test_eval_term_constant_is_neutral(sig_abf):
     a = NVar(0, A_CLO)
-    v = eval_tm(sig_abf, (a,), TmConst("f", (Var(0),)))
-    assert v == TmConst("f", (a,))
+    v = eval_tm(sig_abf, (a,), App(Const("f"), Var(0)))
+    assert v == App(Const("f"), a)
     # readback synthesizes its type: the declared result at its arguments
-    assert reify_ne(sig_abf, 1, v) == (TmConst("f", (Var(0),)), Closure((a,), B_OF(Var(0))))
+    assert reify_ne(sig_abf, 1, v) == (App(Const("f"), Var(0)), Closure((a,), B_OF(Var(0))))
+
+
+def test_a_postulates_head_reads_back_as_itself_at_its_declared_pi(sig_abf):
+    # a postulate has no body: its value is its head, a neutral of its own
+    head = eval_tm(sig_abf, (), Const("f"))
+    assert head == Const("f")
+    got, ty = reify_ne(sig_abf, 0, head)
+    assert got is head and ty == Closure((), Pi(A, B_OF(Var(0))))
 
 
 def test_eval_ind_succ_uses_predecessor_and_recursion(sig_empty):
@@ -239,9 +245,9 @@ def test_normalize_eta_expands_variable(sig_empty):
 
 def test_normalize_constant_spine(sig_abf):
     ctx = Context((A,))
-    got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), TmConst("f", (Var(0),)))
+    got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), App(Const("f"), Var(0)))
     a_nf = Var(0)
-    assert got == TmConst("f", (a_nf,))
+    assert got == App(Const("f"), a_nf)
 
 
 def test_normalize_variable_at_base_type_is_its_coercion(sig_abf):
@@ -258,11 +264,11 @@ def test_normalize_ty_dependent(sig_abf):
 def test_dependent_eliminator_with_indexed_motive(sig_dep):
     # motive C n: the eliminator computes on numerals and blocks on variables
     C = TyConst("C", (Var(0),))
-    t = NatInd(numeral(2), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
+    t = NatInd(numeral(2), C, Const("c0"), App(Const("h"), Succ(1, Var(1))))
     got = normalize_tm(sig_dep, Context(), TyConst("C", (numeral(2),)), t)
-    assert got == TmConst("h", (numeral(2),))
+    assert got == App(Const("h"), numeral(2))
     ctx = Context((Nat(),))
-    blocked = NatInd(Var(0), C, TmConst("c0"), TmConst("h", (Succ(1, Var(1)),)))
+    blocked = NatInd(Var(0), C, Const("c0"), App(Const("h"), Succ(1, Var(1))))
     got2 = normalize_tm(sig_dep, ctx, TyConst("C", (Var(0),)), blocked)
     assert isinstance(got2, NatInd)
 
@@ -279,7 +285,7 @@ def test_readback_builds_syntax(sig_crossval, sig_dep):
                 if isinstance(x, Node):
                     assert isinstance(x, (Term, Ty)), x
                     seen.add(x.__class__)
-    assert seen == {App, Lam, Nat, NatInd, Pi, Succ, TmConst, TyConst, Var, Zero}
+    assert seen == {App, Const, Lam, Nat, NatInd, Pi, Succ, TyConst, Var, Zero}
 
 
 def _value_shape(v, seen, heads):
@@ -311,16 +317,14 @@ def _value_shape(v, seen, heads):
                 ne = ne.fn if ne.__class__ is App else ne.scrut
             heads.add(ne.__class__)
             stack += (x.fn, x.arg) if cls is App else (x.scrut, x.motive, x.zcase, x.scase)
-        elif cls is TmConst:
-            stack += x.args
         else:
-            assert cls is Zero, f"not a value: {x!r}"
+            assert cls is Zero or cls is Const, f"not a value: {x!r}"
 
 
 def test_a_neutral_value_is_headed_by_a_variable_or_a_constant(sig_crossval, sig_dep, monkeypatch):
-    # neutral values are the syntax's own App, NatInd and TmConst over values:
-    # every value evaluation and application reach keeps the value grammar,
-    # with a variable or a term constant at the head of each spine
+    # neutral values are the syntax's own App and NatInd over values: every
+    # value evaluation and application reach keeps the value grammar, with a
+    # variable or a postulate's Const head at the head of each spine
     sig_k = declare(sig_dep, PostulateTm("k", (Nat(),), Pi(Nat(), TyConst("C", (Var(0),)))))
     sigs = [sig_crossval, sig_dep, sig_k] + [elaborate(parse(s)) for s in HIGHER_ORDER_SOURCES]
     seen, heads, classes = {}, set(), set()
@@ -337,8 +341,8 @@ def test_a_neutral_value_is_headed_by_a_variable_or_a_constant(sig_crossval, sig
         for ctx, ty, t in gen_cases(sig, i, 100, 9):
             seen.clear()
             normalize_tm(sig, ctx, ty, t)
-    assert classes == {App, Closure, NatInd, NVar, Succ, TmConst, Zero}
-    assert heads == {NVar, TmConst}
+    assert classes == {App, Closure, Const, NatInd, NVar, Succ, Zero}
+    assert heads == {NVar, Const}
 
 
 def _neutral_spines(sig, ctx, ty, t):
@@ -363,10 +367,6 @@ def _in_spine(sig, ctx, t):
             yield from _in_spine(sig, ctx, scrut)
             yield from _neutral_spines(sig, ctx, subst1(motive, Zero()), z)
             yield from _neutral_spines(sig, ctx.extend(Nat()).extend(motive), motive_succ_case(motive), s)
-        case TmConst(name, args):
-            params = sig.find(PostulateTm, name).params
-            for i, a in enumerate(args):
-                yield from _neutral_spines(sig, ctx, inst_params(params[i], args[:i]), a)
 
 
 def test_a_neutral_synthesizes_the_type_the_checker_infers(sig_crossval, sig_dep):
@@ -390,11 +390,11 @@ def test_a_neutral_synthesizes_the_type_the_checker_infers(sig_crossval, sig_dep
         )
     )
     # a term constant whose declared result is a Pi, applied
-    k_app = App(TmConst("k", (Var(0),)), Succ(1, Var(0)))
+    k_app = App(App(Const("k"), Var(0)), Succ(1, Var(0)))
     cases.append((sig_k, Context((Nat(),)), TyConst("C", (Succ(1, Var(0)),)), k_app))
     # a variable applied twice, its second argument at a type over its first
     ctx = Context((Pi(Nat(), Pi(TyConst("C", (Var(0),)), Nat())),))
-    cases.append((sig_dep, ctx, Nat(), App(App(Var(0), Zero()), TmConst("c0"))))
+    cases.append((sig_dep, ctx, Nat(), App(App(Var(0), Zero()), Const("c0"))))
     heads = set()
     for sig, ctx, ty, t in cases:
         for at, spine in _neutral_spines(sig, ctx, ty, normalize_tm(sig, ctx, ty, t)):
@@ -405,7 +405,7 @@ def test_a_neutral_synthesizes_the_type_the_checker_infers(sig_crossval, sig_dep
             if isinstance(spine, App):
                 heads.add(spine.fn.__class__)
     # functions that are variables, applications, eliminators and constants
-    assert heads == {Var, App, NatInd, TmConst}
+    assert heads == {Var, App, NatInd, Const}
 
 
 def test_applying_a_neutral_does_not_evaluate_its_codomain(sig_crossval, monkeypatch):
@@ -456,10 +456,13 @@ def test_only_the_definitions_a_use_needs_are_evaluated():
 
 
 def test_a_term_constant_as_a_function_evaluates_to_its_eta_expansion(sig_abf):
-    assert eval_tm(sig_abf, (), Const("f")) == Closure((), TmConst("f", (Var(0),)))
+    # its value is its head, a neutral, which readback eta-expands at its Pi
+    assert eval_tm(sig_abf, (), Const("f")) == Const("f")
+    pi = Pi(A, B_OF(Var(0)))
+    assert normalize_tm(sig_abf, Context(), pi, Const("f")) == Lam(App(Const("f"), Var(0)))
     ctx = Context((A,))
     got = normalize_tm(sig_abf, ctx, B_OF(Var(0)), App(Const("f"), Var(0)))
-    assert got == TmConst("f", (Var(0),))
+    assert got == App(Const("f"), Var(0))
 
 
 def test_filling_a_long_chain_of_definitions_takes_no_frame_per_definition():
@@ -581,8 +584,8 @@ def test_equation_reify_reflect_indexed_const(sig_abf):
 def test_equation_term_constant(sig_abf):
     env = id_env(sig_abf, Context((A,)))
     a0 = env[0]
-    lhs = eval_tm(sig_abf, env, TmConst("f", (Var(0),)))
-    assert lhs == TmConst("f", (a0,))
+    lhs = eval_tm(sig_abf, env, App(Const("f"), Var(0)))
+    assert lhs == App(Const("f"), a0)
     assert reify_ne(sig_abf, 1, lhs)[1] == Closure((a0,), B_OF(Var(0)))
 
 

@@ -11,6 +11,7 @@ from ttkernel.normal import _is_normal_ty, is_normal
 from ttkernel.surface import elaborate, parse
 from ttkernel.syntax import (
     App,
+    Const,
     Context,
     Lam,
     Nat,
@@ -18,7 +19,6 @@ from ttkernel.syntax import (
     Pi,
     Succ,
     Term,
-    TmConst,
     Ty,
     TyConst,
     Var,
@@ -124,19 +124,19 @@ def test_is_normal_rejects_what_is_no_neutral(sig_crossval):
     for normal, rejected in cases:
         assert is_normal(sig_crossval, ctx, Nat(), normal), normal
         assert not is_normal(sig_crossval, ctx, Nat(), rejected), rejected
-    # a constant's argument, and a constant that names a definition
+    # a postulate's spine and its argument; a definition's head is never normal
     c = TyConst("C", (Var(0),))
-    assert is_normal(sig_crossval, ctx, c, TmConst("h", (Var(0),)))
-    assert not is_normal(sig_crossval, ctx, c, TmConst("h", (App(Lam(Var(0)), Var(0)),)))
-    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("twice", (Var(0),)))
+    assert is_normal(sig_crossval, ctx, c, App(Const("h"), Var(0)))
+    assert not is_normal(sig_crossval, ctx, c, App(Const("h"), App(Lam(Var(0)), Var(0))))
+    assert not is_normal(sig_crossval, ctx, Nat(), App(Const("twice"), Var(0)))
     # a type constant's name and an unknown name are no term constants either
-    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("A"))
-    assert not is_normal(sig_crossval, ctx, Nat(), TmConst("nope", (Var(0),)))
+    assert not is_normal(sig_crossval, ctx, Nat(), Const("A"))
+    assert not is_normal(sig_crossval, ctx, Nat(), App(Const("nope"), Var(0)))
     # a neutral at a base type: its spine's type against the given one, up to
     # the oracle's normal form at a type constant
-    hv = TmConst("h", (Var(0),))
+    hv = App(Const("h"), Var(0))
     ctx_a = Context((TyConst("A"), TyConst("A")))  # a, a' : A
-    fa = TmConst("f", (Var(1),))
+    fa = App(Const("f"), Var(1))
     base_cases = [
         (ctx, c, hv, True),
         (ctx, TyConst("C", (App(Lam(Var(0)), Var(0)),)), hv, True),
@@ -199,14 +199,14 @@ def test_is_normal_reduces_the_types_it_computes_by_substitution():
     # q's result C (u zero) at the eta-long u = \x. v0 x is C ((\x. v0 x) zero)
     ctx = Context((NN,))
     ty = TyConst("C", (App(Var(0), Zero()),))
-    t = TmConst("q", (Lam(App(Var(1), Var(0))),))
-    assert normalize_tm(sig, ctx, ty, TmConst("q", (Var(0),))) == t
+    t = App(Const("q"), Lam(App(Var(1), Var(0))))
+    assert normalize_tm(sig, ctx, ty, App(Const("q"), Var(0))) == t
     assert is_normal(sig, ctx, ty, t)
     # the motive C (ind(x; _. Nat; zero; p r. r)) at zero and at succ p has
     # an iota-redex in its argument: C zero and C (ind(p; ...)) once reduced
     ctx = Context((Nat(),))
     motive = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
-    t = NatInd(Var(0), motive, TmConst("c0"), Var(0))
+    t = NatInd(Var(0), motive, Const("c0"), Var(0))
     ty = TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
     assert normalize_tm(sig, ctx, ty, t) == t
     assert is_normal(sig, ctx, ty, t)
@@ -230,7 +230,7 @@ def test_the_recognizer_spends_no_oracle_steps(monkeypatch):
     monkeypatch.setattr(normal, "_Fuel", counting(normal._Fuel, "recognizer"))
     sig = elaborate(parse("postulate C (n : Nat)\npostulate q : (u : Nat -> Nat) -> C (u zero)"))
     ctx, ty = Context((NN,)), TyConst("C", (App(Var(0), Zero()),))
-    assert is_normal(sig, ctx, ty, TmConst("q", (Lam(App(Var(1), Var(0))),)))
+    assert is_normal(sig, ctx, ty, App(Const("q"), Lam(App(Var(1), Var(0)))))
     assert spent == {"oracle": 0, "recognizer": 1}
 
 
@@ -245,9 +245,9 @@ ETA_SHORT = "postulate E (u : Nat -> Nat)\npostulate e : (w : Nat -> Nat) -> E w
 @pytest.mark.parametrize(
     ("source", "ctx", "ty", "t"),
     [
-        (CROSSVAL, Context(), TyConst("C", (I,)), TmConst("h", (I,))),
+        (CROSSVAL, Context(), TyConst("C", (I,)), App(Const("h"), I)),
         (CROSSVAL, Context((TyConst("C", (I,)),)), TyConst("C", (I,)), Var(0)),
-        (ETA_SHORT, Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Var(0),))),
+        (ETA_SHORT, Context((NN,)), TyConst("E", (Var(0),)), App(Const("e"), Var(0))),
     ],
     ids=["h I at C I", "v : C I", "e v at E v"],
 )
@@ -276,7 +276,7 @@ _FILL = {
     "tuple[NfTm, ...]": lambda j: (VarNe(j),),
 }
 _SIGMA = (Lam(Var(0)), Lam(Zero()), Lam(Lam(Var(1))))  # closed, none inside another
-_BINDING_CLASSES = [Pi, Nat, TyConst, Lam, App, Zero, Succ, NatInd, TmConst] + [
+_BINDING_CLASSES = [Pi, Nat, TyConst, Lam, App, Zero, Succ, NatInd, Const] + [
     cls for cls in _ERASES_TO if cls is not VarNe
 ]
 
@@ -314,28 +314,28 @@ def _handwritten_cases(sig):
     a_ctx = Context((TyConst("A"), Nat()))  # a : A, v : Nat
     aa_ctx = Context((TyConst("A"), TyConst("A")))  # a, a' : A
     n_ctx, ci = Context((Nat(),)), TyConst("C", (NatInd(Var(0), Nat(), Zero(), Var(0)),))
-    hv, cv, fa = TmConst("h", (Var(0),)), TyConst("C", (Var(0),)), TmConst("f", (Var(1),))
+    hv, cv, fa = App(Const("h"), Var(0)), TyConst("C", (Var(0),)), App(Const("f"), Var(1))
     cases = [
         (u_ctx, NN, Var(1)),  # eta-short at a function type
         (u_ctx, NN, Lam(App(Var(2), Var(0)))),
         (u_ctx, Nat(), App(Var(1), Var(0))),
         (u_ctx, Nat(), App(Var(1), redex)),
         (u_ctx, Nat(), Var(2)),
-        (Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Var(0),))),  # an eta-short type argument
-        (Context((NN,)), TyConst("E", (Var(0),)), TmConst("e", (Lam(App(Var(1), Var(0))),))),
-        (Context((NN,)), TyConst("C", (App(Var(0), Zero()),)), TmConst("q", (Lam(App(Var(1), Var(0))),))),
-        (Context((NN,)), TyConst("C", (Zero(),)), TmConst("q", (Lam(App(Var(1), Var(0))),))),
+        (Context((NN,)), TyConst("E", (Var(0),)), App(Const("e"), Var(0))),  # an eta-short type argument
+        (Context((NN,)), TyConst("E", (Var(0),)), App(Const("e"), Lam(App(Var(1), Var(0))))),
+        (Context((NN,)), TyConst("C", (App(Var(0), Zero()),)), App(Const("q"), Lam(App(Var(1), Var(0))))),
+        (Context((NN,)), TyConst("C", (Zero(),)), App(Const("q"), Lam(App(Var(1), Var(0))))),
         (u_ctx, cv, hv),
         (u_ctx, TyConst("C", (redex,)), hv),  # agrees once reduced
         (u_ctx, TyConst("C", (Zero(),)), hv),
         (u_ctx, Nat(), hv),
         (u_ctx, cv, Var(0)),
-        (u_ctx, cv, TmConst("h", (redex,))),
-        (u_ctx, cv, TmConst("h")),  # wrong arities
-        (u_ctx, cv, TmConst("h", (Var(0), Var(0)))),
-        (u_ctx, Nat(), TmConst("twice", (Var(0),))),  # a definition, a type constant, no constant
-        (u_ctx, Nat(), TmConst("A")),
-        (u_ctx, Nat(), TmConst("nope", (Var(0),))),
+        (u_ctx, cv, App(Const("h"), redex)),
+        (u_ctx, cv, Const("h")),  # under- and over-applied
+        (u_ctx, cv, App(App(Const("h"), Var(0)), Var(0))),
+        (u_ctx, Nat(), App(Const("twice"), Var(0))),  # a definition, a type constant, no constant
+        (u_ctx, Nat(), Const("A")),
+        (u_ctx, Nat(), App(Const("nope"), Var(0))),
         (aa_ctx, TyConst("B", (Var(1),)), fa),
         (aa_ctx, TyConst("B", (Var(0),)), fa),
         (u_ctx, Nat(), NatInd(Var(0), Nat(), Zero(), Var(0))),
@@ -344,9 +344,9 @@ def _handwritten_cases(sig):
         (u_ctx, Nat(), NatInd(Var(1), Nat(), Zero(), Var(0))),  # a scrutinee of function type
         (u_ctx, Nat(), NatInd(Zero(), Nat(), Zero(), Var(0))),  # an iota-redex
         (a_ctx, TyConst("A"), NatInd(Var(0), TyConst("A"), Var(1), Var(0))),
-        (n_ctx, cv, NatInd(Var(0), cv, TmConst("c0"), Var(0))),
-        (n_ctx, cv, NatInd(Var(0), cv, TmConst("c0"), Zero())),
-        (n_ctx, ci, NatInd(Var(0), ci, TmConst("c0"), Var(0))),  # a motive whose iota-redex reduces
+        (n_ctx, cv, NatInd(Var(0), cv, Const("c0"), Var(0))),
+        (n_ctx, cv, NatInd(Var(0), cv, Const("c0"), Zero())),
+        (n_ctx, ci, NatInd(Var(0), ci, Const("c0"), Var(0))),  # a motive whose iota-redex reduces
     ]
     for name in ("f", "twice", "nope", "C"):  # motives that are no types, or of the wrong arity
         cases.append((a_ctx, TyConst("A"), NatInd(Var(0), TyConst(name), Var(1), Var(0))))
@@ -458,7 +458,7 @@ def _nested(depth, leaf, wrap):
 @pytest.mark.parametrize(
     ("source", "ctx", "case"),
     [
-        ("postulate s : Nat -> Nat", Context(), lambda d: (Nat(), _nested(d, Zero(), lambda t: TmConst("s", (t,))))),
+        ("postulate s : Nat -> Nat", Context(), lambda d: (Nat(), _nested(d, Zero(), lambda t: App(Const("s"), t)))),
         ("", Context((NN, Nat())), lambda d: (Nat(), _nested(d, Var(0), lambda t: App(Var(1), t)))),
         ("", Context((Nat(),)), lambda d: (Nat(), _nested(d, Var(0), lambda t: NatInd(t, Nat(), Zero(), Var(0))))),
         ("", Context(), lambda d: (_nested(d, Nat(), lambda c: Pi(Nat(), c)), _nested(d, Var(0), Lam))),

@@ -22,8 +22,8 @@ def test_perfbench_self_check_counts():
     assert counts == {
         "user": {"surface.core_nodes": 2_176, "nbe.nf_nodes": 314},
         "oracle": {
-            "nbe.nf_nodes": 5_876,
-            "rewrite.beta_iota_steps": 9_555,
+            "nbe.nf_nodes": 6_444,
+            "rewrite.beta_iota_steps": 9_577,
             "gen.attempts": 1_107,
             "gen.cases": 960,
             "surface.core_nodes": 181,

@@ -12,7 +12,7 @@ import parser_reference
 from ttkernel.check import check
 from ttkernel.errors import ArityMismatch, KernelError, Mismatch, ParseError, ResourceExhausted, UnknownName
 from ttkernel.nbe import normalize_tm
-from ttkernel.rewrite import unfold
+from ttkernel.rewrite import rw_normalize, unfold
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
     SNum,
@@ -40,7 +40,6 @@ from ttkernel.syntax import (
     NatInd,
     Pi,
     Succ,
-    TmConst,
     TyConst,
     Var,
     Zero,
@@ -157,10 +156,13 @@ def test_elaborate_shadowing():
 
 
 def test_under_applied_constant_eta_expands(sig_abf):
-    # a constant as a function is a head, which unfolds to its eta-expansion
+    # a term constant is a head, which no unfolding touches: a postulate has
+    # no body, and its eta-expansion is the normal form's, at its Pi
     t = elab_tm(sig_abf, (), parse_expression("f"))
     assert t == Const("f")
-    assert unfold(sig_abf, t) == Lam(TmConst("f", (Var(0),)))
+    assert unfold(sig_abf, t) is t
+    pi = Pi(TyConst("A"), TyConst("B", (Var(0),)))
+    assert rw_normalize(sig_abf, Context(), pi, t) == normalize_tm(sig_abf, Context(), pi, t) == Lam(App(t, Var(0)))
 
 
 def test_definition_expansion_is_transparent(sig_walkthrough):
@@ -279,13 +281,13 @@ def test_context_variables_skip_the_names_of_constants():
     # a constant named like a context variable keeps its name; the variable
     # takes the next free one, as a binder would
     ctx = Context((Nat(),))
-    constant = print_case(ctx, Nat(), App(Lam(Var(0)), TmConst("v0")))
+    constant = print_case(ctx, Nat(), App(Lam(Var(0)), Const("v0")))
     variable = print_case(ctx, Nat(), App(Lam(Var(0)), Var(0)))
     assert constant == r"v1 : Nat |- (\x0. x0) v0 : Nat"
     assert variable == r"v0 : Nat |- (\x0. x0) v0 : Nat"
     sig = elaborate(parse("postulate C (n : Nat)\npostulate v0 : Nat\npostulate c : C v0"))
     with pytest.raises(Mismatch) as e:
-        check(sig, ctx, TmConst("c"), TyConst("C", (Var(0),)))
+        check(sig, ctx, Const("c"), TyConst("C", (Var(0),)))
     assert str(e.value) == "expected C v1, got C v0"
 
 
@@ -293,7 +295,7 @@ def test_zero_parameter_term_constant():
     sig = elaborate(parse("postulate c : Nat\ndef d : Nat := succ c"))
     c = sig.find(Declaration, "c")
     assert isinstance(c, PostulateTm) and c.params == ()
-    assert sig.find(Declaration, "d").body == Succ(1, TmConst("c"))
+    assert sig.find(Declaration, "d").body == Succ(1, Const("c"))
 
 
 # The benchmark's preludes and a chain of definitions d0..d3.
@@ -588,7 +590,8 @@ def test_unfold_returns_the_term_itself_exactly_when_it_names_no_constant(case):
     t = _elaborated(elab_tm, sig, text)
     if isinstance(t, tuple):  # elaboration failed
         return
-    assert (unfold(sig, t) is t) == (const_names(t) == [])
+    # a postulate's head stays: only a definition unfolds
+    assert (unfold(sig, t) is t) == (not any(sig.find(Define, n) for n in const_names(t)))
 
 
 @pytest.mark.parametrize(

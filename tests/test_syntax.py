@@ -23,7 +23,6 @@ from ttkernel.syntax import (
     Node,
     Pi,
     Succ,
-    TmConst,
     TyConst,
     Var,
     Zero,
@@ -137,7 +136,7 @@ def test_node_count():
     assert node_count(numeral(3)) == 4
     assert node_count(Lam(Var(0))) == 2
     assert node_count(NatInd(Zero(), Nat(), Zero(), Var(0))) == 5
-    assert node_count(TmConst("f", (Var(0), Zero()))) == 3
+    assert node_count(TyConst("B", (Var(0), Zero()))) == 3
 
 
 def test_uses_index():
@@ -243,7 +242,7 @@ def scoped_corpus(sig_crossval, sig_dep, sig_abf):
     return out
 
 
-SIGMAS = ((Zero(),), (Var(2), Succ(1, Var(0))), (Lam(Var(1)), numeral(2), TmConst("c0")))
+SIGMAS = ((Zero(),), (Var(2), Succ(1, Var(0))), (Lam(Var(1)), numeral(2), Const("c0")))
 
 
 def test_traversals_agree_with_the_reference(scoped_corpus):
@@ -276,7 +275,7 @@ def test_deep_closed_numeral_is_shared():
 def test_changed_trees_share_their_unchanged_parts():
     n = numeral(3)
     assert subst1(App(Var(0), n), Zero()).arg is n
-    assert shift(TmConst("h", (Var(0), n, Var(1))), 1).args[1] is n
+    assert shift(TyConst("D", (Var(0), n, Var(1))), 1).args[1] is n
     motive = TyConst("C", (Var(0),))
     t = shift(NatInd(Var(2), motive, n, Lam(Var(0))), 1)
     assert t == NatInd(Var(3), motive, n, Lam(Var(0)))
@@ -339,7 +338,7 @@ def test_deep_chain_eq_hash_repr(case):
 
 
 def test_repr_is_the_dataclass_format():
-    assert repr(TmConst("f", (Var(0),))) == "TmConst(name='f', args=(Var(index=0),))"
+    assert repr(App(Const("f"), Var(0))) == "App(fn=Const(name='f'), arg=Var(index=0))"
     assert repr(TyConst("B", (Var(0), Zero()))) == "TyConst(name='B', args=(Var(index=0), Zero()))"
     assert repr(TyConst("A")) == "TyConst(name='A', args=())"
     assert repr(Context((Nat(),))) == "Context(entries=(Nat(),))"
@@ -353,7 +352,7 @@ def test_eq_compares_classes_lengths_and_leaves():
     assert Var(0) != NVar(0, Closure((), Nat())) and NVar(0, Closure((), Nat())) != Var(0)
     assert Lam(Var(0)) != Closure((), Var(0)) and Closure((), Var(0)) != Lam(Var(0))
     assert Context((Nat(),)) != Context((Nat(), Nat()))
-    assert Var(0) != Var(1) and TmConst("f") != TmConst("g")
+    assert Var(0) != Var(1) and Const("f") != Const("g")
     assert Var(0) != 0 and Context() != ()
     # nodes without fields: one value per class
     assert Nat() == Nat() and Zero() == Zero()
@@ -366,19 +365,19 @@ def test_hash_is_the_hash_of_the_walk_shape(scoped_corpus, sig_crossval):
     # pinned values: set iteration and dict order depend on them
     assert hash(Nat()) == hash((Nat,)) and hash(Zero()) == hash((Zero,))
     assert hash(App(Var(0), Zero())) == hash((App, Zero, Var, 0))
-    assert hash(TmConst("f", (Var(0),))) == hash((TmConst, 1, Var, 0, "f"))
+    assert hash(TyConst("B", (Var(0),))) == hash((TyConst, 1, Var, 0, "B"))
     assert hash(Context((Nat(), Nat()))) == hash((Context, 2, Nat, Nat))
 
     def shape(x):
         return tuple(len(y) if y.__class__ is tuple else y.__class__ if isinstance(y, Node) else y for y in walk(x))
 
-    # the corpus holds no Const head; a use of a definition elaborates to one
+    # the corpus holds postulates' Const heads alone; a use of a definition elaborates to one
     with_consts = [elab_tm(sig_crossval, ("v",), parse_expression("add (twice v) (f v)"))]
     classes = set()
     for x in [x for _, x in scoped_corpus] + with_consts:
         assert hash(x) == hash(shape(x)), x
         classes |= {y.__class__ for y in walk(x)}
-    assert classes >= {Pi, Nat, TyConst, Var, Lam, App, Zero, Succ, NatInd, TmConst, Const, tuple}
+    assert classes >= {Pi, Nat, TyConst, Var, Lam, App, Zero, Succ, NatInd, Const, tuple}
 
 
 def test_rebuilt_terms_are_equal_and_hash_alike(sig_walkthrough):
@@ -421,7 +420,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 30
+    assert len(concrete) == 29
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
