@@ -36,19 +36,21 @@ from .syntax import (
 
 def check_ty(sig: Signature, ctx: Context, ty: Ty) -> None:
     """Check that ``ty`` is a well-formed type."""
-    match ty:
-        case Pi(dom, cod):
-            check_ty(sig, ctx, dom)
-            check_ty(sig, ctx.extend(dom), cod)
-        case Nat():
-            pass
-        case TyConst(name, args):
-            decl = sig.find(PostulateTy, name)
-            if decl is None:
-                raise UnknownConstant(f"'{name}' is not a type constant")
-            _check_args(sig, ctx, name, decl.params, args)
-        case _:
-            raise AssertionError(f"not a type: {ty!r}")
+    cls = ty.__class__
+    while cls is Pi:  # a telescope in a loop, each domain before the rest
+        check_ty(sig, ctx, ty.dom)
+        ctx = ctx.extend(ty.dom)
+        ty = ty.cod
+        cls = ty.__class__
+    if cls is Nat:
+        return
+    if cls is TyConst:
+        decl = sig.find(PostulateTy, ty.name)
+        if decl is None:
+            raise UnknownConstant(f"'{ty.name}' is not a type constant")
+        _check_args(sig, ctx, ty.name, decl.params, ty.args)
+        return
+    raise AssertionError(f"not a type: {ty!r}")
 
 
 def _check_args(sig, ctx, name, params, args):
@@ -89,24 +91,24 @@ def infer(sig: Signature, ctx: Context, t: Term) -> Ty:
     if cls is Succ:
         check(sig, ctx, t.base, Nat())
         return Nat()
-    match t:
-        case Lam(_):
-            raise CannotInfer("cannot infer the type of a lambda; annotate it")
-        case Zero():
-            return Nat()
-        case NatInd(scrut, motive, zcase, scase):
-            check(sig, ctx, scrut, Nat())
-            check_ty(sig, ctx.extend(Nat()), motive)
-            try:
-                check(sig, ctx, zcase, subst1(motive, Zero()))
-            except Mismatch as e:
-                raise MotiveMismatch("zero", e) from e
-            ctx2 = ctx.extend(Nat()).extend(motive)
-            try:
-                check(sig, ctx2, scase, motive_succ_case(motive))
-            except Mismatch as e:
-                raise MotiveMismatch("successor", e) from e
-            return subst1(motive, scrut)
+    if cls is Zero:
+        return Nat()
+    if cls is NatInd:
+        motive = t.motive
+        check(sig, ctx, t.scrut, Nat())
+        check_ty(sig, ctx.extend(Nat()), motive)
+        try:
+            check(sig, ctx, t.zcase, subst1(motive, Zero()))
+        except Mismatch as e:
+            raise MotiveMismatch("zero", e) from e
+        ctx2 = ctx.extend(Nat()).extend(motive)
+        try:
+            check(sig, ctx2, t.scase, motive_succ_case(motive))
+        except Mismatch as e:
+            raise MotiveMismatch("successor", e) from e
+        return subst1(motive, t.scrut)
+    if cls is Lam:
+        raise CannotInfer("cannot infer the type of a lambda; annotate it")
     raise AssertionError(f"not a term: {t!r}")
 
 
@@ -138,17 +140,17 @@ def declare(sig: Signature, decl: Declaration) -> Signature:
     """Check ``decl`` against ``sig`` and append it."""
     if sig.find(Declaration, decl.name) is not None:
         raise DuplicateName(f"duplicate name '{decl.name}'")
-    match decl:
-        case PostulateTy(_, params) | PostulateTm(_, params, _):
-            ctx = Context()
-            for ty in params:
-                check_ty(sig, ctx, ty)
-                ctx = ctx.extend(ty)
-            if isinstance(decl, PostulateTm):
-                check_ty(sig, ctx, decl.result)
-        case Define(_, declared_type, body):
-            check_ty(sig, Context(), declared_type)
-            check(sig, Context(), body, declared_type)
-        case _:
-            raise AssertionError(f"not a declaration: {decl!r}")
+    cls = decl.__class__
+    if cls is Define:
+        check_ty(sig, Context(), decl.declared_type)
+        check(sig, Context(), decl.body, decl.declared_type)
+    elif cls is PostulateTy or cls is PostulateTm:
+        ctx = Context()
+        for ty in decl.params:
+            check_ty(sig, ctx, ty)
+            ctx = ctx.extend(ty)
+        if cls is PostulateTm:
+            check_ty(sig, ctx, decl.result)
+    else:
+        raise AssertionError(f"not a declaration: {decl!r}")
     return sig.extend(decl)

@@ -150,30 +150,32 @@ def reify(sig: Signature, depth: int, ty: Closure, v: Node) -> Term:
 def reify_ne(sig: Signature, depth: int, ne: Node) -> tuple[Term, Closure]:
     """Read a neutral back, converting levels to indices; returns the type
     it synthesizes from its head too."""
-    match ne:
-        case NVar(level, ty):
-            assert 0 <= level < depth, f"level {level} escapes depth {depth}"
-            return Var(depth - 1 - level), ty
-        case App(fn, arg):
-            fn_nf, fn_ty = reify_ne(sig, depth, fn)
-            env, pi = fn_ty.env, fn_ty.body
-            assert pi.__class__ is Pi, f"spine head is not a function: {pi!r}"
-            return App(fn_nf, reify(sig, depth, Closure(env, pi.dom), arg)), Closure(env + (arg,), pi.cod)
-        case NatInd(scrut, motive, zcase, scase):
-            env, body = motive.env, motive.body
-            fresh_n = NVar(depth, NAT)
-            motive_n = Closure(env + (fresh_n,), body)
-            motive_nf = nfty(sig, depth + 1, motive_n)
-            zcase_nf = reify(sig, depth, Closure(env + (Zero(),), body), zcase)
-            fresh_ih = NVar(depth + 1, motive_n)
-            step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
-            scase_nf = reify(sig, depth + 2, Closure(env + (succ(1, fresh_n),), body), step)
-            nf = NatInd(reify_ne(sig, depth, scrut)[0], motive_nf, zcase_nf, scase_nf)
-            return nf, Closure(env + (scrut,), body)
-        case Const(name):
-            fn = sig.function(name)
-            assert fn is not None and fn[1] is None, f"'{name}' is no postulated term constant"
-            return ne, Closure((), fn[0])
+    cls = ne.__class__
+    if cls is App:
+        fn_nf, fn_ty = reify_ne(sig, depth, ne.fn)
+        env, pi, arg = fn_ty.env, fn_ty.body, ne.arg
+        assert pi.__class__ is Pi, f"spine head is not a function: {pi!r}"
+        return App(fn_nf, reify(sig, depth, Closure(env, pi.dom), arg)), Closure(env + (arg,), pi.cod)
+    if cls is NVar:
+        level = ne.level
+        assert 0 <= level < depth, f"level {level} escapes depth {depth}"
+        return Var(depth - 1 - level), ne.ty
+    if cls is Const:
+        fn = sig.function(ne.name)
+        assert fn is not None and fn[1] is None, f"'{ne.name}' is no postulated term constant"
+        return ne, Closure((), fn[0])
+    if cls is NatInd:
+        motive, scase = ne.motive, ne.scase
+        env, body = motive.env, motive.body
+        fresh_n = NVar(depth, NAT)
+        motive_n = Closure(env + (fresh_n,), body)
+        motive_nf = nfty(sig, depth + 1, motive_n)
+        zcase_nf = reify(sig, depth, Closure(env + (Zero(),), body), ne.zcase)
+        fresh_ih = NVar(depth + 1, motive_n)
+        step = eval_tm(sig, scase.env + (fresh_n, fresh_ih), scase.body)
+        scase_nf = reify(sig, depth + 2, Closure(env + (succ(1, fresh_n),), body), step)
+        nf = NatInd(reify_ne(sig, depth, ne.scrut)[0], motive_nf, zcase_nf, scase_nf)
+        return nf, Closure(env + (ne.scrut,), body)
     raise AssertionError(f"not a neutral: {ne!r}")
 
 
@@ -187,20 +189,20 @@ def _reify_args(sig, depth, params, args) -> tuple[Term, ...]:
 def nfty(sig: Signature, depth: int, ty: Closure) -> Ty:
     """Read a semantic type back as a normal type, evaluating a type
     constant's arguments on the way."""
-    env = ty.env
-    match ty.body:
-        case Nat():
-            return Nat()
-        case TyConst(name, args):
-            decl = sig.find(PostulateTy, name)
-            assert decl is not None, f"'{name}' is not a type constant"
-            values = tuple(eval_tm(sig, env, a) for a in args)
-            return TyConst(name, _reify_args(sig, depth, decl.params, values))
-        case Pi(dom, cod):
-            dom_ty = Closure(env, dom)
-            fresh = NVar(depth, dom_ty)
-            return Pi(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), cod)))
-    raise AssertionError(f"not a type: {ty.body!r}")
+    env, body = ty.env, ty.body
+    cls = body.__class__
+    if cls is Nat:
+        return body
+    if cls is Pi:
+        dom_ty = Closure(env, body.dom)
+        fresh = NVar(depth, dom_ty)
+        return Pi(nfty(sig, depth, dom_ty), nfty(sig, depth + 1, Closure(env + (fresh,), body.cod)))
+    if cls is TyConst:
+        decl = sig.find(PostulateTy, body.name)
+        assert decl is not None, f"'{body.name}' is not a type constant"
+        values = tuple([eval_tm(sig, env, a) for a in body.args])
+        return TyConst(body.name, _reify_args(sig, depth, decl.params, values))
+    raise AssertionError(f"not a type: {body!r}")
 
 
 def id_env(sig: Signature, ctx: Context) -> Env:

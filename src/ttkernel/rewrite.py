@@ -29,8 +29,6 @@ reducer, which sees no definition, takes no signature.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 from .errors import FuelExhausted
 from .signature import Define, PostulateTy, Signature
 from .syntax import (
@@ -40,7 +38,6 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
-    Node,
     Pi,
     Succ,
     Term,
@@ -81,8 +78,8 @@ def unfold(sig: Signature, t):
 
 
 def _unfold(sig, t):
-    """``unfold`` past the scan, on a node or a tuple: a spine is read, any
-    other node rebuilt from its fields, one frame per level."""
+    """``unfold`` past the scan: a spine is read, any other node rebuilt by
+    its class, as ``syntax._subst`` walks the grammar, one frame per level."""
     cls = t.__class__
     if cls is App or cls is Const:
         head, args, same = t, [], True
@@ -99,14 +96,30 @@ def _unfold(sig, t):
         else:
             h = _unfold(sig, head)
         return t if same and h is head else apps(h, args)
-    fields = t if cls is tuple else map(getattr, repeat(t), cls.__match_args__)
-    parts, same = [], True
-    for x in fields:  # a name, an index or a successor count stays as it is
-        parts.append(y := _unfold(sig, x) if x.__class__ is tuple or isinstance(x, Node) else x)
-        same = same and y is x
-    if same:
+    if cls is Lam:
+        b = _unfold(sig, t.body)
+        return t if b is t.body else Lam(b)
+    if cls is Var or cls is Zero or cls is Nat:
         return t
-    return tuple(parts) if cls is tuple else succ(*parts) if cls is Succ else cls(*parts)
+    if cls is Succ:  # a base that unfolds to a numeral merges into the chain
+        b = _unfold(sig, t.base)
+        return t if b is t.base else succ(t.k, b)
+    if cls is NatInd:
+        n = _unfold(sig, t.scrut)
+        m = _unfold(sig, t.motive)
+        z = _unfold(sig, t.zcase)
+        s = _unfold(sig, t.scase)
+        if n is t.scrut and m is t.motive and z is t.zcase and s is t.scase:
+            return t
+        return NatInd(n, m, z, s)
+    if cls is Pi:
+        d = _unfold(sig, t.dom)
+        c = _unfold(sig, t.cod)
+        return t if d is t.dom and c is t.cod else Pi(d, c)
+    if cls is TyConst:
+        args = tuple([_unfold(sig, a) for a in t.args])
+        return t if all(a is b for a, b in zip(args, t.args)) else TyConst(t.name, args)
+    raise AssertionError(f"not a term or type: {t!r}")
 
 
 def _contract(body: Term, args: list) -> Term:

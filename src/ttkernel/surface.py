@@ -335,9 +335,26 @@ class _Parser:
         if kind == "zero":
             return SNum(0, loc)
         if kind == "succ":
-            while kinds[self.pos] == "succ":
-                self.pos += 1
-            return SSucc(self.pos - i, self.atom(), loc)
+            # ``succ+ (`` over a term that starts with ``succ`` nests in a loop:
+            # each level keeps its run length and place, and is closed, innermost
+            # first, by the rest of its parenthesized application and its ``)``
+            levels = []
+            while True:
+                while kinds[self.pos] == "succ":
+                    self.pos += 1
+                if kinds[self.pos] != "(" or kinds[self.pos + 1] != "succ":
+                    break
+                levels.append((self.pos - i, loc))
+                i = self.pos + 1
+                loc = (self.lines[i], self.cols[i])
+                self.pos = i + 1
+            t = SSucc(self.pos - i, self.atom(), loc)
+            for k, loc in reversed(levels):
+                while self.starts_atom():
+                    t = SApp(t, self.atom(), t.loc)
+                self.expect(")")
+                t = SSucc(k, t, loc)
+            return t
         if kind == "(":
             tm = self.tm()
             self.expect(")")
@@ -384,81 +401,87 @@ def elaborate(decls, sig: Signature = Signature()) -> Signature:
 
 
 def _elab_decl(sig: Signature, d) -> Declaration:
-    match d:
-        case SPostulateTy(name, params, _):
-            names: tuple[str, ...] = ()
-            tys = []
-            for pname, sty in params:
-                tys.append(elab_ty(sig, names, sty))
-                names += (pname,)
-            return PostulateTy(name, tuple(tys))
-        case SPostulateTm(name, sty, _):
-            return PostulateTm(name, *split_pi(elab_ty(sig, (), sty)))
-        case SDefine(name, sty, sbody, _):
-            return Define(name, elab_ty(sig, (), sty), elab_tm(sig, (), sbody))
+    cls = d.__class__
+    if cls is SDefine:
+        return Define(d.name, elab_ty(sig, (), d.ty), elab_tm(sig, (), d.body))
+    if cls is SPostulateTm:
+        return PostulateTm(d.name, *split_pi(elab_ty(sig, (), d.ty)))
+    if cls is SPostulateTy:
+        names: tuple[str, ...] = ()
+        tys = []
+        for pname, sty in d.params:
+            tys.append(elab_ty(sig, names, sty))
+            names += (pname,)
+        return PostulateTy(d.name, tuple(tys))
     raise AssertionError(f"not a declaration: {d!r}")
 
 
 def elab_ty(sig: Signature, names: tuple[str, ...], sty) -> Ty:
-    match sty:
-        case STyNat(_):
-            return Nat()
-        case STyPi(param, dom, cod, _):
-            return Pi(elab_ty(sig, names, dom), elab_ty(sig, names + (param or "_",), cod))
-        case STyName(name, sargs, loc):
-            decl = sig.find(PostulateTy, name)
-            if decl is None:
-                raise UnknownName(f"'{name}' is not a type constant", *loc)
-            if len(sargs) != len(decl.params):
-                raise ArityMismatch(
-                    f"'{name}' expects {len(decl.params)} argument(s), got {len(sargs)}", *loc
-                )
-            return TyConst(name, tuple(elab_tm(sig, names, a) for a in sargs))
+    cls = sty.__class__
+    if cls is STyNat:
+        return Nat()
+    if cls is STyPi:
+        return Pi(elab_ty(sig, names, sty.dom), elab_ty(sig, names + (sty.param or "_",), sty.cod))
+    if cls is STyName:
+        name, sargs, loc = sty.name, sty.args, sty.loc
+        decl = sig.find(PostulateTy, name)
+        if decl is None:
+            raise UnknownName(f"'{name}' is not a type constant", *loc)
+        if len(sargs) != len(decl.params):
+            raise ArityMismatch(
+                f"'{name}' expects {len(decl.params)} argument(s), got {len(sargs)}", *loc
+            )
+        return TyConst(name, tuple([elab_tm(sig, names, a) for a in sargs]))
     raise AssertionError(f"not a surface type: {sty!r}")
 
 
 def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
-    cls = stm.__class__  # spines and numerals, the frequent ones, by identity
-    if cls is SApp or cls is SVar:
+    # the frequent classes are tested by identity before the rare ones
+    cls = stm.__class__
+    if cls is SVar:
+        return _elab_head(sig, names, stm, [])
+    if cls is SApp:
         head, sargs = _spine_of(stm)
         return _elab_head(sig, names, head, [elab_tm(sig, names, a) for a in sargs])
     if cls is SNum:
         return numeral(stm.value)
-    match stm:
-        case SSucc(k, pred, _):
-            return succ(k, elab_tm(sig, names, pred))
-        case SLam(param, body, _):
-            return Lam(elab_tm(sig, names + (param,), body))
-        case SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, _):
-            return NatInd(
-                elab_tm(sig, names, scrut),
-                elab_ty(sig, names + (mvar,), motive),
-                elab_tm(sig, names, zcase),
-                elab_tm(sig, names + (pvar, rvar), scase),
-            )
+    if cls is SLam:
+        return Lam(elab_tm(sig, names + (stm.param,), stm.body))
+    if cls is SSucc:  # nested successors are summed in a loop, so nesting costs no stack
+        k, pred = stm.k, stm.pred
+        while pred.__class__ is SSucc:
+            k, pred = k + pred.k, pred.pred
+        return succ(k, elab_tm(sig, names, pred))
+    if cls is SInd:
+        return NatInd(
+            elab_tm(sig, names, stm.scrut),
+            elab_ty(sig, names + (stm.motive_var,), stm.motive),
+            elab_tm(sig, names, stm.zcase),
+            elab_tm(sig, names + (stm.pred_var, stm.rec_var), stm.scase),
+        )
     raise AssertionError(f"not a surface term: {stm!r}")
 
 
 def _spine_of(stm):
     sargs = []
-    while isinstance(stm, SApp):
+    while stm.__class__ is SApp:
         sargs.append(stm.arg)
         stm = stm.fn
-    return stm, list(reversed(sargs))
+    sargs.reverse()
+    return stm, sargs
 
 
 def _elab_head(sig, names, head, args) -> Term:
-    if not isinstance(head, SVar):
+    if head.__class__ is not SVar:
         return apps(elab_tm(sig, names, head), args)
     name, loc = head.name, head.loc
-    for i in range(len(names)):
-        if names[len(names) - 1 - i] == name:
-            return apps(Var(i), args)
-    match sig.find(Declaration, name):
-        case PostulateTm() | Define():  # a term constant, a head applied with App
-            return apps(Const(name), args)
-        case PostulateTy(_, _):
-            raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
+    if name in names:  # the innermost binder of that name
+        return apps(Var(names[::-1].index(name)), args)
+    cls = sig.find(Declaration, name).__class__
+    if cls is PostulateTm or cls is Define:  # a term constant, a head applied with App
+        return apps(Const(name), args)
+    if cls is PostulateTy:
+        raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
     raise UnknownName(f"unknown identifier '{name}'", *loc)
 
 
@@ -490,54 +513,57 @@ class _Printer:
         return f"x{k}"
 
     def tm(self, t: Term, names: tuple[str, ...], prec: int) -> str:
-        match t:
-            case Var(i):
-                return names[len(names) - 1 - i] if 0 <= i < len(names) else f"?v{i}"
-            case Zero():
-                return "zero"
-            case Succ(k, base):
-                if isinstance(base, Zero):
-                    try:
-                        return str(k)
-                    except ValueError:  # more digits than str() converts
-                        raise ResourceExhausted("numeral is too long to print") from None
-                return _wrap("succ " * k + self.tm(base, names, 2), prec > 1)
-            case Lam(body):
-                x = self.fresh(names)
-                return _wrap(f"\\{x}. {self.tm(body, names + (x,), 0)}", prec > 0)
-            case App(f, a):
-                return _wrap(f"{self.tm(f, names, 1)} {self.tm(a, names, 2)}", prec > 1)
-            case NatInd(scrut, motive, zcase, scase):
-                x = self.fresh(names)
-                p = self.fresh(names)
-                r = self.fresh(names + (p,))
-                body = (
-                    f"ind({self.tm(scrut, names, 0)}; "
-                    f"{x}. {self.ty(motive, names + (x,), 0)}; "
-                    f"{self.tm(zcase, names, 0)}; "
-                    f"{p} {r}. {self.tm(scase, names + (p, r), 0)})"
-                )
-                return _wrap(body, prec > 0)
-            case Const(c):
-                return c
+        cls = t.__class__
+        if cls is Var:
+            i = t.index
+            return names[len(names) - 1 - i] if 0 <= i < len(names) else f"?v{i}"
+        if cls is App:
+            return _wrap(f"{self.tm(t.fn, names, 1)} {self.tm(t.arg, names, 2)}", prec > 1)
+        if cls is Succ:
+            if t.base.__class__ is Zero:
+                try:
+                    return str(t.k)
+                except ValueError:  # more digits than str() converts
+                    raise ResourceExhausted("numeral is too long to print") from None
+            return _wrap("succ " * t.k + self.tm(t.base, names, 2), prec > 1)
+        if cls is Zero:
+            return "zero"
+        if cls is Const:
+            return t.name
+        if cls is Lam:
+            x = self.fresh(names)
+            return _wrap(f"\\{x}. {self.tm(t.body, names + (x,), 0)}", prec > 0)
+        if cls is NatInd:
+            x = self.fresh(names)
+            p = self.fresh(names)
+            r = self.fresh(names + (p,))
+            body = (
+                f"ind({self.tm(t.scrut, names, 0)}; "
+                f"{x}. {self.ty(t.motive, names + (x,), 0)}; "
+                f"{self.tm(t.zcase, names, 0)}; "
+                f"{p} {r}. {self.tm(t.scase, names + (p, r), 0)})"
+            )
+            return _wrap(body, prec > 0)
         raise AssertionError(f"not a term: {t!r}")
 
     def ty(self, ty: Ty, names: tuple[str, ...], prec: int) -> str:
-        match ty:
-            case Nat():
-                return "Nat"
-            case TyConst(c, args):
-                if not args:
-                    return c
-                parts = " ".join(self.tm(a, names, 2) for a in args)
-                return _wrap(f"{c} {parts}", prec > 1)
-            case Pi(dom, cod):
-                if uses_index(cod, 0):
-                    x = self.fresh(names)
-                    s = f"({x} : {self.ty(dom, names, 0)}) -> {self.ty(cod, names + (x,), 0)}"
-                else:
-                    s = f"{self.ty(dom, names, 1)} -> {self.ty(cod, names + ('_',), 0)}"
-                return _wrap(s, prec > 0)
+        cls = ty.__class__
+        if cls is Nat:
+            return "Nat"
+        if cls is Pi:
+            dom, cod = ty.dom, ty.cod
+            if uses_index(cod, 0):
+                x = self.fresh(names)
+                s = f"({x} : {self.ty(dom, names, 0)}) -> {self.ty(cod, names + (x,), 0)}"
+            else:
+                s = f"{self.ty(dom, names, 1)} -> {self.ty(cod, names + ('_',), 0)}"
+            return _wrap(s, prec > 0)
+        if cls is TyConst:
+            c, args = ty.name, ty.args
+            if not args:
+                return c
+            parts = " ".join(self.tm(a, names, 2) for a in args)
+            return _wrap(f"{c} {parts}", prec > 1)
         raise AssertionError(f"not a type: {ty!r}")
 
 

@@ -393,6 +393,7 @@ DEEP = {
     "mul 100 100 --oracle": (["normalize", "-e", "mul 100 100", "--oracle"], "10000"),
     "equal mul 40 40": (["equal", "-e", "mul 40 40", "-e", "add (mul 40 20) (mul 40 20)"], "equal"),
     "check chain d0..d9": (["check"], "ok: 10 declaration(s)"),
+    "600 nested succ": (["normalize", "-e", "succ (" * 600 + "zero" + ")" * 600], "600"),
 }
 
 
@@ -408,10 +409,10 @@ def test_deep_input_works(good, tmp_path, capsys, case):
     assert capsys.readouterr() == (want + "\n", "")
 
 
-@pytest.mark.parametrize("case", ["600 nested succ"])
+@pytest.mark.parametrize("case", ["600 nested parentheses"])
 def test_deep_input_is_resource_exhausted(good, capsys, case):
-    # the parser still recurses once per parenthesis
-    argv = ["normalize", good, "-e", "succ (" * 600 + "zero" + ")" * 600]
+    # the parser still recurses once per plain parenthesis
+    argv = ["normalize", good, "-e", "(" * 600 + "zero" + ")" * 600]
     assert main(argv + ["--json"]) == 4
     out, err = capsys.readouterr()
     record = {"code": "resource_exhausted", "line": None, "col": None}

@@ -453,6 +453,11 @@ def _outcome(parse_fn, source):
 @example("(f) x (y) z")  # an application's place is its head's, inside parentheses
 @example("fun x => ind(x; n. B (n) -> (y : A) -> C y; zero; p r. succ succ (succ r)) -- c\r\n")
 @example("postulate B (x : A) (y : B x)\ndef d : (x : Nat) -> Nat := \\y. y")
+@example("succ (succ (zero) x)")  # nested ``succ (`` levels, which parse in a loop
+@example("succ (\\x. x)")
+@example("succ (succ (succ (a)) b) c")
+@example("succ (succ (zero)")
+@example("succ ( succ")
 def test_parser_agrees_with_the_reference(source):
     for ours, ref in [
         (parse, parser_reference.parse),
@@ -570,6 +575,9 @@ _SIGS = {name: (elaborate(parse(src)), inline_reference.elaborate(parse(src))) f
 @example(("arith", "(mul 2) ((add) v)"))
 @example(("crossval", "ind(twice v; m. C (twice m); c0; p r. h (add (succ p) 1))"))
 @example(("inlined", "k v (add w) (app (id2 (add 1)) two)"))
+@example(("arith", "nope (zilch zero)"))  # arguments elaborate before their head: 'zilch' at 1:7
+@example(("arith", "ind(nope; _. Nat; zilch; p r. r)"))  # fields in order: 'nope'
+@example(("crossval", "ind(v; m. C zilch zilch; c0; p r. r)"))  # the arity before the arguments
 def test_unfolding_matches_the_inlining_elaborator(case):
     # a term naming definitions, unfolded, is what inlining elaborated;
     # with the same error where elaboration fails
@@ -596,10 +604,19 @@ def test_unfold_returns_the_term_itself_exactly_when_it_names_no_constant(case):
 
 @pytest.mark.parametrize(
     "source",
-    ["succ (" * 300 + "zero" + ")" * 300, "(\\x. " * 300 + "x" + ")" * 300, "\\x. " * 900 + "x"],
-    ids=["300 nested succ", "300 nested lambdas in parentheses", "900 lambdas"],
+    [
+        "succ (" * 300 + "zero" + ")" * 300,
+        "succ (" * 10_000 + "zero" + ")" * 10_000,
+        "(\\x. " * 300 + "x" + ")" * 300,
+        "\\x. " * 900 + "x",
+    ],
+    ids=["300 nested succ", "10000 nested succ", "300 nested lambdas in parentheses", "900 lambdas"],
 )
 def test_deeply_nested_source_parses_and_elaborates(source):
-    # the recursive descent's limits at the default recursion limit are
-    # about 330, 330 and 990 levels
-    assert elab_tm(elaborate([]), (), parse_expression(source)) is not None
+    # nested ``succ (`` parses and elaborates in a loop, at any depth; the
+    # recursive descent's limits at the default recursion limit are about
+    # 330 lambdas in parentheses and 990 lambdas
+    t = elab_tm(elaborate([]), (), parse_expression(source))
+    assert t is not None
+    if source.startswith("succ"):
+        assert t == numeral(source.count("succ"))
