@@ -352,6 +352,40 @@ def test_generated_cases_are_pinned(sig_crossval):
     assert digest.hexdigest() == "377c63bd50b85b16f8c052513ae44fb1d10597f8fb808f31c9def84e24ccd907"
 
 
+# The same loops over the generator's other signatures, which reach what
+# CROSSVAL does not: opened match positions and their re-check, and
+# Pi-typed binds normalized by the oracle. WALKTHROUGH's definitions are no
+# heads, so its cases are sig_abf's.
+PINNED_CASES = {
+    "sig_walkthrough": "c6cebb612d4a4313a7e49f914ff3b6a3eea22735c053fa893b3586ad7ae23e67",
+    "sig_dep": "256b976f5c50691bf01d257b9f40eedf3aa491cb1c6db8c6de1b9fce623c7cd3",
+    "sig_abf": "c6cebb612d4a4313a7e49f914ff3b6a3eea22735c053fa893b3586ad7ae23e67",
+    "SIG_K": "b7d0aa003677b26138441ea58eedede6ddb9f964d6af63372a24f041f9e2b42b",
+    "higher_order_0": "17d737c2da572c7727b33de999a55c0a27172fe5cd412151bfe63a2a0a742163",
+    "higher_order_1": "5de14c53458d99f32aef6f92e4f80c9870204e3415bedfc8b466ed0297734fe8",
+    "higher_order_2": "1e99f03cc13578f881db4fb9363e00e0674c67e6f314d42b715ad0165a95719a",
+}
+
+
+def _named_signature(request, name):
+    if name == "SIG_K":
+        return SIG_K
+    if name.startswith("higher_order_"):
+        return elaborate(parse(HIGHER_ORDER_SOURCES[int(name.rsplit("_", 1)[1])]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", PINNED_CASES)
+def test_generated_cases_are_pinned_beyond_crossval(request, name):
+    sig = _named_signature(request, name)
+    digest = hashlib.sha256()
+    for seed in range(4):
+        for size in (6, 9, 12):
+            for case in gen_cases(sig, seed, 40, size):
+                digest.update(print_case(*case).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CASES[name]
+
+
 def test_match_result_through_successors():
     # a head returning C (succ (succ n)) matches C 5 with n := 3, and no numeral below 2
     pattern = TyConst("C", (Succ(2, Var(0)),))

@@ -3,7 +3,7 @@
 import pytest
 
 import transcript
-from conftest import CROSSVAL
+from conftest import CROSSVAL, HIGHER_ORDER_SOURCES, WALKTHROUGH
 
 RECORDS = transcript.load()
 
@@ -15,6 +15,12 @@ def test_the_transcript_is_the_one_the_script_writes():
 
 def test_the_crossval_source_is_conftests():
     assert (transcript.SOURCES / "crossval.tt").read_text() == CROSSVAL.lstrip("\n")
+
+
+def test_the_other_fuzzed_sources_are_conftests():
+    assert (transcript.SOURCES / "walkthrough.tt").read_text() == WALKTHROUGH.lstrip("\n")
+    for i, source in enumerate(HIGHER_ORDER_SOURCES):
+        assert (transcript.SOURCES / f"higher_order_{i}.tt").read_text() == source
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: " ".join(r["argv"]))

@@ -25,6 +25,16 @@ RECORDS = HERE / "transcript.json"
 
 IND_PI = r"\n. ind(n; k. Nat -> Nat; g2 zero; p r. \m. g2 (r m) p)"
 
+# The generator's other signatures (``conftest``'s WALKTHROUGH and
+# HIGHER_ORDER_SOURCES), each fuzzed and normalized by the oracle at an
+# open term: a neutral eliminator, and heads whose arguments are eta-expanded.
+_FUZZED = [
+    ("walkthrough.tt", r"\n. mul n 2", "Nat -> Nat"),
+    ("higher_order_0.tt", r"\v. q v", "(v : Nat -> Nat) -> C (v zero)"),
+    ("higher_order_1.tt", r"\v. d (v zero) (q v)", "(v : Nat -> Nat) -> D (v zero) (q v)"),
+    ("higher_order_2.tt", r"\a. m (\x. zero) a", "A -> C zero"),
+]
+
 
 def _runs() -> list[list[str]]:
     runs = []
@@ -63,6 +73,11 @@ def _runs() -> list[list[str]]:
         ["check", "heads.tt"],
         ["check", "heads.tt", "--json"],
     ]
+    for source, expr, ty in _FUZZED:
+        for seed in ("0", "3"):
+            for json_flag in ([], ["--json"]):
+                runs.append(["fuzz", source, "--count", "300", "--seed", seed, *json_flag])
+        runs.append(["normalize", source, "-e", expr, "-t", ty, "--oracle"])
     return runs
 
 
