@@ -73,18 +73,23 @@ def gen_term(sig: Signature, ctx: Context, ty: Ty, size: int, seed=0) -> Term:
 
 
 def _gen_term(sig, ctx, ty, size, rng) -> Term:
-    if isinstance(ty, Pi):
+    cls = ty.__class__
+    if cls is Pi:
         return Lam(_gen_term(sig, ctx.extend(ty.dom), ty.cod, size - 1, rng))
-    heads = _spine_heads(sig, ctx, ty)
-    if size < 2:
-        # no budget to generate arguments, so only fully determined spines
-        heads = [h for h in heads if len(h[2]) == len(h[1])]
     options = []
-    if isinstance(ty, Nat):
+    if cls is Nat:
+        # every head whose result is Nat matches it with nothing bound, so the
+        # result formers tell whether there is a head, and the list is built
+        # only when a spine is drawn
+        heads = None
+        spines = _has_nat_head(sig, ctx, size)
         options.append("zero")
         if size >= 2:
             options += ["succ", "succ"]
-    if heads:
+    else:
+        heads = _sized(_spine_heads(sig, ctx, ty), size)
+        spines = bool(heads)
+    if spines:
         options += ["spine"] * 3
     if size >= 5:
         options += ["ind"]
@@ -96,11 +101,42 @@ def _gen_term(sig, ctx, ty, size, rng) -> Term:
             if pick == "succ":
                 return succ(1, _gen_term(sig, ctx, ty, size - 1, rng))
             if pick == "spine":
+                if heads is None:
+                    heads = _sized(_spine_heads(sig, ctx, ty), size)
                 return _gen_spine(sig, ctx, rng.choice(heads), size, rng)
             return _gen_ind(sig, ctx, ty, size, rng)
         except GenerationStuck:
             options = [o for o in options if o != pick]
     raise GenerationStuck("no inhabitant found")
+
+
+def _sized(heads, size):
+    """With no budget to generate arguments (``size`` < 2), only the fully
+    determined spines."""
+    return heads if size >= 2 else [h for h in heads if len(h[2]) == len(h[1])]
+
+
+def _has_nat_head(sig, ctx, size) -> bool:
+    """Whether ``_spine_heads`` at Nat, ``_sized`` for ``size``, is non-empty:
+    a head matches Nat when its result is Nat, binding nothing, so at size <
+    2 only a head without parameters counts."""
+    for entry in ctx.entries:
+        k, result = _result(entry)
+        if result.__class__ is Nat and (size >= 2 or not k):
+            return True
+    for _, tele, _ in sig.derived(_constants)[0].get(Nat, ()):
+        if size >= 2 or not tele:
+            return True
+    return False
+
+
+def _result(ty: Ty) -> tuple[int, Ty]:
+    """The number of parameters of a Pi type and its result; ``split_pi``
+    without building the telescope."""
+    k = 0
+    while ty.__class__ is Pi:
+        ty, k = ty.cod, k + 1
+    return k, ty
 
 
 def _spine_heads(sig, ctx, ty):
@@ -112,10 +148,11 @@ def _spine_heads(sig, ctx, ty):
     target's, and weakening keeps both, so a context entry is tested before
     it is weakened and a head that fails the test is never matched."""
     heads = []
-    n = len(ctx)
+    entries = ctx.entries
+    n = len(entries)
     former = _former(ty)
     for i in range(n):
-        if _former(split_pi(ctx.entries[n - 1 - i])[1]) != former:
+        if _former(_result(entries[n - 1 - i])[1]) != former:
             continue
         tele, result = split_pi(ctx.var_type(i))
         found = _match_result(result, ty, len(tele))
@@ -182,48 +219,55 @@ def _match_result(pattern: Ty, target: Ty, k: int):
 def _match_ty(pat, tgt, k, binds, opened) -> bool:
     if k == 0:
         return pat == tgt
-    match (pat, tgt):
-        case (Nat(), Nat()):
-            return True
-        case (TyConst(c1, pas), TyConst(c2, tas)) if c1 == c2 and len(pas) == len(tas):
-            return all(_match_tm(p, t, k, binds, opened) for p, t in zip(pas, tas))
+    cls = pat.__class__
+    if cls is not tgt.__class__:
+        return False
+    if cls is Nat:
+        return True
+    if cls is TyConst and pat.name == tgt.name and len(pat.args) == len(tgt.args):
+        for p, t in zip(pat.args, tgt.args):
+            if not _match_tm(p, t, k, binds, opened):
+                return False
+        return True
     return False
 
 
 def _match_tm(pat, tgt, k, binds, opened, under=False) -> bool:
     # under: inside an application whose head is a parameter
-    match pat:
-        case Var(j) if j < k:
-            if under:
-                opened.add(k - 1 - j)
-            if j in binds:
-                return binds[j] == tgt
-            binds[j] = tgt
-            return True
-        case Var(j):
-            return tgt == Var(j - k)
-        case Zero():
-            return tgt == Zero()
-        case Succ(j, p):  # j successors of the target's, then p against the rest
-            return (
-                isinstance(tgt, Succ)
-                and tgt.k >= j
-                and _match_tm(p, succ(tgt.k - j, tgt.base), k, binds, opened, under)
-            )
-        case App(f, a):
-            head = f
-            while isinstance(head, App):
-                head = head.fn
-            under = under or isinstance(head, Var) and head.index < k
-            return (
-                isinstance(tgt, App)
-                and _match_tm(f, tgt.fn, k, binds, opened, under)
-                and _match_tm(a, tgt.arg, k, binds, opened, under)
-            )
-        case Lam(_) | NatInd(_, _, _, _):
-            return _param_free_eq(pat, tgt, k)
-        case Const(_):
-            return tgt == pat
+    cls = pat.__class__
+    if cls is Var:
+        j = pat.index
+        if j >= k:
+            return tgt.__class__ is Var and tgt.index == j - k
+        if under:
+            opened.add(k - 1 - j)
+        if j in binds:
+            return binds[j] == tgt
+        binds[j] = tgt
+        return True
+    if cls is App:
+        head = pat.fn
+        while head.__class__ is App:
+            head = head.fn
+        under = under or head.__class__ is Var and head.index < k
+        return (
+            tgt.__class__ is App
+            and _match_tm(pat.fn, tgt.fn, k, binds, opened, under)
+            and _match_tm(pat.arg, tgt.arg, k, binds, opened, under)
+        )
+    if cls is Succ:  # j successors of the target's, then the base against the rest
+        j = pat.k
+        return (
+            tgt.__class__ is Succ
+            and tgt.k >= j
+            and _match_tm(pat.base, succ(tgt.k - j, tgt.base), k, binds, opened, under)
+        )
+    if cls is Zero:
+        return tgt.__class__ is Zero
+    if cls is Const:
+        return tgt == pat
+    if cls is Lam or cls is NatInd:
+        return _param_free_eq(pat, tgt, k)
     return False
 
 
@@ -256,7 +300,10 @@ def _gen_ind(sig, ctx, ty, size, rng) -> Term:
 
 def gen_type(sig: Signature, ctx: Context, rng=None, size: int = 4) -> Ty:
     """A random well-formed type; Pi nesting is bounded by ``size``."""
-    rng = _rng(rng if rng is not None else 0)
+    return _gen_type(sig, ctx, _rng(rng if rng is not None else 0), size)
+
+
+def _gen_type(sig, ctx, rng, size) -> Ty:
     choices = ["nat", "nat"]
     ty_consts = sig.derived(_constants)[1]
     if ty_consts:
@@ -268,8 +315,8 @@ def gen_type(sig: Signature, ctx: Context, rng=None, size: int = 4) -> Ty:
         if pick == "nat":
             return Nat()
         if pick == "pi":
-            dom = gen_type(sig, ctx, rng, (size - 1) // 2)
-            cod = gen_type(sig, ctx.extend(dom), rng, size - 1 - node_count(dom))
+            dom = _gen_type(sig, ctx, rng, (size - 1) // 2)
+            cod = _gen_type(sig, ctx.extend(dom), rng, size - 1 - node_count(dom))
             return Pi(dom, cod)
         d = rng.choice(ty_consts)
         try:
@@ -286,7 +333,7 @@ def gen_context(sig: Signature, rng=None, max_len: int = 3, size: int = 4) -> Co
     rng = _rng(rng if rng is not None else 0)
     ctx = Context()
     for _ in range(rng.randint(0, max_len)):
-        ctx = ctx.extend(gen_type(sig, ctx, rng, size))
+        ctx = ctx.extend(_gen_type(sig, ctx, rng, size))
     return ctx
 
 

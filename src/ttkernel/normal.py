@@ -58,32 +58,34 @@ def is_normal(sig: Signature, ctx: Context, ty: Ty, t: Term) -> bool:
     ``ctx`` and ``ty`` must be well formed: the oracle's eta pass asserts on
     an ill-formed spine.
     """
-    match ty:
-        case Pi(dom, cod):
-            # eta-long: normal inhabitants of Pi are lambdas
-            return isinstance(t, Lam) and is_normal(sig, ctx.extend(dom), cod, t.body)
-        case Nat():
-            match t:
-                case Zero():
-                    return True
-                case Succ(_, base):
-                    return is_normal(sig, ctx, ty, base)
+    while True:  # through a Pi telescope and a successor chain, in a loop
+        cls = ty.__class__
+        if cls is Pi:  # eta-long: normal inhabitants of Pi are lambdas
+            if t.__class__ is not Lam:
+                return False
+            ctx, ty, t = ctx.extend(ty.dom), ty.cod, t.body
+        elif cls is Nat and t.__class__ is Succ:
+            t = t.base
+        elif cls is Nat and t.__class__ is Zero:
+            return True
+        else:
+            break
     have = _spine_type(sig, ctx, t)
     if have is None:
         return False
-    return have == ty or isinstance(ty, TyConst) and _reduced(sig, ctx, have) == _reduced(sig, ctx, ty)
+    return have == ty or cls is TyConst and _reduced(sig, ctx, have) == _reduced(sig, ctx, ty)
 
 
 def _is_normal_ty(sig: Signature, ctx: Context, ty: Ty) -> bool:
     """Is ``ty`` a well-formed normal type?"""
-    match ty:
-        case Pi(dom, cod):
-            return _is_normal_ty(sig, ctx, dom) and _is_normal_ty(sig, ctx.extend(dom), cod)
-        case Nat():
-            return True
-        case TyConst(name, args):
-            decl = sig.find(PostulateTy, name)
-            return decl is not None and _normal_args(sig, ctx, decl.params, args)
+    cls = ty.__class__
+    if cls is Nat:
+        return True
+    if cls is Pi:
+        return _is_normal_ty(sig, ctx, ty.dom) and _is_normal_ty(sig, ctx.extend(ty.dom), ty.cod)
+    if cls is TyConst:
+        decl = sig.find(PostulateTy, ty.name)
+        return decl is not None and _normal_args(sig, ctx, decl.params, ty.args)
     raise AssertionError(f"not a type: {ty!r}")
 
 
@@ -100,28 +102,29 @@ def _normal_args(sig, ctx, params, args) -> bool:
 def _spine_type(sig: Signature, ctx: Context, t: Term) -> Ty | None:
     """The type the neutral spine ``t`` synthesizes from its head, if all its
     parts are normal; None otherwise."""
-    match t:
-        case Var(i):
-            if 0 <= i < len(ctx):
-                return ctx.var_type(i)
-        case App(f, a):
-            fty = _spine_type(sig, ctx, f)
-            if isinstance(fty, Pi) and is_normal(sig, ctx, fty.dom, a):
-                return subst1(fty.cod, a)
-        case NatInd(scrut, motive, z, s):
-            ctx_n = ctx.extend(Nat())
-            # without a normal motive, the cases have no types to check at
-            if (
-                isinstance(_spine_type(sig, ctx, scrut), Nat)
-                and _is_normal_ty(sig, ctx_n, motive)
-                and is_normal(sig, ctx, subst1(motive, Zero()), z)
-                and is_normal(sig, ctx_n.extend(motive), motive_succ_case(motive), s)
-            ):
-                return subst1(motive, scrut)
-        case Const(name):
-            fn = sig.function(name)
-            if fn is not None and fn[1] is None:  # a postulate, which has no body
-                return fn[0]
+    cls = t.__class__
+    if cls is App:
+        fty = _spine_type(sig, ctx, t.fn)
+        if fty.__class__ is Pi and is_normal(sig, ctx, fty.dom, t.arg):
+            return subst1(fty.cod, t.arg)
+    elif cls is Var:
+        if 0 <= t.index < len(ctx):
+            return ctx.var_type(t.index)
+    elif cls is Const:
+        fn = sig.function(t.name)
+        if fn is not None and fn[1] is None:  # a postulate, which has no body
+            return fn[0]
+    elif cls is NatInd:
+        motive = t.motive
+        ctx_n = ctx.extend(Nat())
+        # without a normal motive, the cases have no types to check at
+        if (
+            _spine_type(sig, ctx, t.scrut).__class__ is Nat
+            and _is_normal_ty(sig, ctx_n, motive)
+            and is_normal(sig, ctx, subst1(motive, Zero()), t.zcase)
+            and is_normal(sig, ctx_n.extend(motive), motive_succ_case(motive), t.scase)
+        ):
+            return subst1(motive, t.scrut)
     return None
 
 

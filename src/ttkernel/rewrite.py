@@ -201,16 +201,16 @@ def _reduce_hnf(t: Term, fuel: _Fuel) -> Term:
 
 def _reduce_ty(ty: Ty, fuel: _Fuel) -> Ty:
     """Normal form of a type's term arguments, in ``step_ty``'s order."""
-    match ty:
-        case Nat():
-            return ty
-        case Pi(dom, cod):
-            d2 = _reduce_ty(dom, fuel)
-            c2 = _reduce_ty(cod, fuel)
-            return ty if d2 is dom and c2 is cod else Pi(d2, c2)
-        case TyConst(name, args):
-            args2 = _reduce_args(args, fuel)
-            return ty if args2 is args else TyConst(name, args2)
+    cls = ty.__class__
+    if cls is Nat:
+        return ty
+    if cls is Pi:
+        d = _reduce_ty(ty.dom, fuel)
+        c = _reduce_ty(ty.cod, fuel)
+        return ty if d is ty.dom and c is ty.cod else Pi(d, c)
+    if cls is TyConst:
+        args = _reduce_args(ty.args, fuel)
+        return ty if args is ty.args else TyConst(ty.name, args)
     raise AssertionError(f"not a type: {ty!r}")
 
 
@@ -241,59 +241,60 @@ def rw_normalize(sig: Signature, ctx: Context, ty: Ty, t: Term, fuel: int = DEFA
 
 def _eta_tm(sig, ctx: tuple[Ty, ...], ty: Ty, t: Term) -> Term:
     # t is beta/iota-reduced; at Nat or a type constant it is a numeral or a spine
-    if isinstance(ty, Pi):
-        if isinstance(t, Lam):
+    if ty.__class__ is Pi:
+        if t.__class__ is Lam:
             body = _eta_tm(sig, ctx + (ty.dom,), ty.cod, t.body)
             return t if body is t.body else Lam(body)
         return Lam(_eta_tm(sig, ctx + (ty.dom,), ty.cod, App(shift(t, 1), Var(0))))
-    match t:
-        case Zero():
-            return t
-        case Succ(k, base):
-            b = _eta_tm(sig, ctx, ty, base)
-            return t if b is base else Succ(k, b)
+    cls = t.__class__
+    if cls is Zero:
+        return t
+    if cls is Succ:
+        b = _eta_tm(sig, ctx, ty, t.base)
+        return t if b is t.base else Succ(t.k, b)
     return _eta_ne(sig, ctx, t)[0]
 
 
 def _eta_ne(sig, ctx: tuple[Ty, ...], t: Term) -> tuple[Term, Ty]:
     """Eta-expand the arguments of a neutral spine; returns its type too.
     A spine whose arguments are already eta-long comes back as it is."""
-    match t:
-        case Var(i):
-            return t, ctx[-1 - i]
-        case App(f, a):
-            f2, f_ty = _eta_ne(sig, ctx, f)
-            assert isinstance(f_ty, Pi), f"spine head is not a function: {f_ty!r}"
-            a2 = _eta_tm(sig, ctx, f_ty.dom, a)
-            return t if f2 is f and a2 is a else App(f2, a2), f_ty.cod
-        case NatInd(scrut, motive, zcase, scase):
-            s2 = _eta_ne(sig, ctx, scrut)[0]
-            m2 = _eta_ty(sig, ctx + (Nat(),), motive)
-            z2 = _eta_tm(sig, ctx, motive, zcase)
-            c2 = _eta_tm(sig, ctx + (Nat(), motive), motive, scase)
-            if s2 is scrut and m2 is motive and z2 is zcase and c2 is scase:
-                return t, motive
-            return NatInd(s2, m2, z2, c2), motive
-        case Const(name):
-            fn = sig.function(name)
-            assert fn is not None and fn[1] is None, f"'{name}' is no postulated term constant"
-            return t, fn[0]
+    cls = t.__class__
+    if cls is App:
+        f2, f_ty = _eta_ne(sig, ctx, t.fn)
+        assert f_ty.__class__ is Pi, f"spine head is not a function: {f_ty!r}"
+        a2 = _eta_tm(sig, ctx, f_ty.dom, t.arg)
+        return t if f2 is t.fn and a2 is t.arg else App(f2, a2), f_ty.cod
+    if cls is Var:
+        return t, ctx[-1 - t.index]
+    if cls is Const:
+        fn = sig.function(t.name)
+        assert fn is not None and fn[1] is None, f"'{t.name}' is no postulated term constant"
+        return t, fn[0]
+    if cls is NatInd:
+        motive = t.motive
+        s2 = _eta_ne(sig, ctx, t.scrut)[0]
+        m2 = _eta_ty(sig, ctx + (Nat(),), motive)
+        z2 = _eta_tm(sig, ctx, motive, t.zcase)
+        c2 = _eta_tm(sig, ctx + (Nat(), motive), motive, t.scase)
+        if s2 is t.scrut and m2 is motive and z2 is t.zcase and c2 is t.scase:
+            return t, motive
+        return NatInd(s2, m2, z2, c2), motive
     raise AssertionError(f"not a neutral spine: {t!r}")
 
 
 def _eta_ty(sig, ctx: tuple[Ty, ...], ty: Ty) -> Ty:
-    match ty:
-        case Nat():
-            return ty
-        case Pi(dom, cod):
-            d2 = _eta_ty(sig, ctx, dom)
-            c2 = _eta_ty(sig, ctx + (dom,), cod)
-            return ty if d2 is dom and c2 is cod else Pi(d2, c2)
-        case TyConst(name, args):
-            decl = sig.find(PostulateTy, name)
-            assert decl is not None, f"'{name}' is not a type constant"
-            args2 = _eta_args(sig, ctx, decl.params, args)
-            return ty if args2 is args else TyConst(name, args2)
+    cls = ty.__class__
+    if cls is Nat:
+        return ty
+    if cls is Pi:
+        d = _eta_ty(sig, ctx, ty.dom)
+        c = _eta_ty(sig, ctx + (ty.dom,), ty.cod)
+        return ty if d is ty.dom and c is ty.cod else Pi(d, c)
+    if cls is TyConst:
+        decl = sig.find(PostulateTy, ty.name)
+        assert decl is not None, f"'{ty.name}' is not a type constant"
+        args = _eta_args(sig, ctx, decl.params, ty.args)
+        return ty if args is ty.args else TyConst(ty.name, args)
     raise AssertionError(f"not a type: {ty!r}")
 
 

@@ -39,6 +39,7 @@ from ttkernel.syntax import (
     numeral,
     split_pi,
     subst1,
+    walk,
 )
 
 from conftest import HIGHER_ORDER_SOURCES
@@ -157,6 +158,22 @@ def reference_spine_heads(sig, ctx, ty):
             if found is not None:
                 heads.append((Const(d.name), d.params + more, *found))
     return heads
+
+
+def test_the_nat_head_shortcut_is_the_reference_decision(request):
+    # at Nat, whether _gen_term offers a spine is decided without the heads:
+    # it must be whether the reference list, filtered for the size, is empty
+    decisions = {1: set(), 2: set()}
+    for name in ["sig_crossval", *PINNED_CASES]:
+        sig = _named_signature(request, name)
+        for seed in range(50):
+            ctx = gen_context(sig, random.Random(seed))
+            heads = reference_spine_heads(sig, ctx, Nat())
+            for size in (1, 2, 6):
+                sized = heads if size >= 2 else [h for h in heads if len(h[2]) == len(h[1])]
+                assert gen._has_nat_head(sig, ctx, size) == bool(sized), (name, ctx, size)
+                decisions[min(size, 2)].add(bool(sized))
+    assert decisions == {1: {True, False}, 2: {True, False}}
 
 
 def test_spine_heads_is_the_reference_list(sig_crossval, sig_dep, sig_abf, monkeypatch):
@@ -293,6 +310,19 @@ def test_enum_types_is_the_reference_list(sig_crossval, ctx):
 def by_size(items, max_size):
     """The multiset of ``items`` of each size 1..``max_size``."""
     return [Counter(x for x in items if node_count(x) == s) for s in range(1, max_size + 1)]
+
+
+def test_node_count_is_the_walks(sig_crossval):
+    # the hand-written count over the grammar counts what the generic walk does
+    ctxs = [Context(), Context((A,)), Context((Nat(), TyConst("C", (Var(0),))))]
+    trees = [ty for ctx in ctxs for ty in enum_types(sig_crossval, ctx, 4)]
+    for ctx, ty in [(Context((Nat(),)), Nat()), (Context((A,)), TyConst("B", (Var(0),)))]:
+        trees += enum_terms(sig_crossval, ctx, ty, 5)
+    trees += [x for case in gen_cases(sig_crossval, 0, 100, 12) for x in case[1:]]
+    trees.append(numeral(5000))
+    assert {type(x) for t in trees for x in walk(t)} >= {Pi, Nat, TyConst, Var, Lam, App, Zero, Succ, NatInd, Const}
+    for t in trees:
+        assert node_count(t) == sum(x.k if isinstance(x, Succ) else 1 for x in walk(t) if isinstance(x, Node))
 
 
 def test_enum_types(sig_abf):
