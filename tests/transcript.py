@@ -35,6 +35,23 @@ _FUZZED = [
     ("higher_order_2.tt", r"\a. m (\x. zero) a", "A -> C zero"),
 ]
 
+# Files ``tt check`` rejects, one error each: unknown names in term and in
+# type position, a type constant as a term, arity in a definition's type and
+# in a telescope, two unknown names in one application, a motive mismatch,
+# a parse error, and input too deep or too long.
+_ILL_FORMED = [
+    "unknown_term.tt",
+    "unknown_type.tt",
+    "type_in_term.tt",
+    "arity_def.tt",
+    "arity_postulate.tt",
+    "two_unknown.tt",
+    "motive.tt",
+    "parse_error.tt",
+    "deep_parens.tt",
+    "long_numeral.tt",
+]
+
 
 def _runs() -> list[list[str]]:
     runs = []
@@ -78,6 +95,14 @@ def _runs() -> list[list[str]]:
             for json_flag in ([], ["--json"]):
                 runs.append(["fuzz", source, "--count", "300", "--seed", seed, *json_flag])
         runs.append(["normalize", source, "-e", expr, "-t", ty, "--oracle"])
+    for source in _ILL_FORMED:
+        runs.append(["check", source])
+        runs.append(["check", source, "--json"])
+    runs += [
+        ["normalize", "crossval.tt", "-e", "add 200000 0", "--oracle"],  # fuel_exhausted
+        ["normalize", "crossval.tt", "-e", "zero", "-e", "zero"],  # usage_error
+        ["normalize", "crossval.tt", "-e", "zero", "-e", "zero", "--json"],
+    ]
     return runs
 
 
