@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, parser, elaborator and pretty-printer.
+"""Surface syntax: tokenizer, parser, name resolution and pretty-printer.
 
 The concrete grammar:
 
@@ -24,6 +24,12 @@ and tab; a line ends at "\r\n", "\r" or "\n", and "--" comments run to the
 end of the line. Any other character is an error. The tokenizer matches
 each line once per token and returns parallel lists of kinds, texts, lines
 and columns, which the parser reads by index.
+
+The parser builds core syntax: a bound name is its de Bruijn ``Var``, a
+free name a ``Const`` and a type name a ``TyConst``. It records each free
+name and type constant it meets, with its place, and elaboration checks
+them against the signature: a term constant's ``Const`` is its head, so
+elaboration returns the parsed tree itself.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .syntax import (
     Lam,
     Nat,
     NatInd,
-    Node,
     Pi,
     Succ,
     Term,
@@ -49,8 +54,6 @@ from .syntax import (
     TyConst,
     Var,
     Zero,
-    apps,
-    node,
     numeral,
     split_pi,
     succ,
@@ -100,105 +103,26 @@ def tokenize(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Surface trees (named variables, with source locations)
-
-
-@node
-class SVar(Node):
-    name: str
-    loc: tuple[int, int]
-
-
-@node
-class SNum(Node):
-    value: int
-    loc: tuple[int, int]
-
-
-@node
-class SSucc(Node):
-    k: int  # a run of k >= 1 "succ" tokens
-    pred: object
-    loc: tuple[int, int]
-
-
-@node
-class SLam(Node):
-    param: str
-    body: object
-    loc: tuple[int, int]
-
-
-@node
-class SApp(Node):
-    fn: object
-    arg: object
-    loc: tuple[int, int]
-
-
-@node
-class SInd(Node):
-    scrut: object
-    motive_var: str
-    motive: object
-    zcase: object
-    pred_var: str
-    rec_var: str
-    scase: object
-    loc: tuple[int, int]
-
-
-@node
-class STyNat(Node):
-    loc: tuple[int, int]
-
-
-@node
-class STyName(Node):
-    name: str
-    args: tuple
-    loc: tuple[int, int]
-
-
-@node
-class STyPi(Node):
-    param: str | None  # None for the non-dependent arrow sugar
-    dom: object
-    cod: object
-    loc: tuple[int, int]
-
-
-@node
-class SPostulateTy(Node):
-    name: str
-    params: tuple  # of (name, surface type)
-    loc: tuple[int, int]
-
-
-@node
-class SPostulateTm(Node):
-    name: str
-    ty: object
-    loc: tuple[int, int]
-
-
-@node
-class SDefine(Node):
-    name: str
-    ty: object
-    body: object
-    loc: tuple[int, int]
-
+# Parsing, straight to core syntax
 
 _ATOM_START = {"ident", "num", "zero", "succ", "("}
 
 
 class _Parser:
-    """Recursive descent over ``tokenize``'s lists; ``pos`` indexes the next token."""
+    """Recursive descent over ``tokenize``'s lists; ``pos`` indexes the next
+    token. ``scope`` holds the bound names, outermost first. ``uses`` holds
+    one ``(name, arity, line, col)`` per free name (arity None) and per type
+    constant, in the order elaboration checks them: fields in source order,
+    a type constant before its arguments, and an application's arguments
+    before its head, through parentheses. ``head`` is where the uses of the
+    head of the application parsed last begin."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, scope: tuple[str, ...] = ()):
         self.kinds, self.texts, self.lines, self.cols = tokenize(source)
         self.pos = 0
+        self.scope = list(scope)
+        self.uses = []
+        self.head = 0
 
     def expect(self, kind: str) -> str:
         """Consume a token of ``kind`` and return its text."""
@@ -228,60 +152,72 @@ class _Parser:
         return decls
 
     def decl(self):
+        """A declaration, with its own uses and its place."""
         i = self.pos
         kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        self.uses, self.scope = uses, scope = [], []
         if kind == "postulate":
             self.pos = i + 1
             name = self.expect("ident")
             if self.kinds[self.pos] == ":":
                 self.pos += 1
-                return SPostulateTm(name, self.ty(), loc)
+                return PostulateTm(name, *split_pi(self.ty())), uses, loc
             params = []
             while self.kinds[self.pos] == "(":
                 self.pos += 1
                 pname = self.expect("ident")
                 self.expect(":")
-                params.append((pname, self.ty()))
+                params.append(self.ty())
+                scope.append(pname)  # in scope in the parameters after it
                 self.expect(")")
-            return SPostulateTy(name, tuple(params), loc)
+            return PostulateTy(name, tuple(params)), uses, loc
         if kind == "def":
             self.pos = i + 1
             name = self.expect("ident")
             self.expect(":")
             ty = self.ty()
             self.expect(":=")
-            return SDefine(name, ty, self.tm(), loc)
+            return Define(name, ty, self.tm()), uses, loc
         self.fail("'postulate' or 'def'")
 
     # types
 
     def ty(self):
         kinds, i = self.kinds, self.pos
-        loc = (self.lines[i], self.cols[i])
         if kinds[i] == "(" and kinds[i + 1] == "ident" and kinds[i + 2] == ":":
-            pname = self.texts[i + 1]
             self.pos = i + 3
             dom = self.ty()
             self.expect(")")
             self.expect("->")
-            return STyPi(pname, dom, self.ty(), loc)
-        left = self.ty1()
-        if kinds[self.pos] != "->":
-            return left
-        self.pos += 1
-        return STyPi(None, left, self.ty(), loc)
+            param = self.texts[i + 1]
+        else:
+            dom = self.ty1()
+            if kinds[self.pos] != "->":
+                return dom
+            self.pos += 1
+            param = "_"  # which names the arrow's binder in its codomain
+        scope = self.scope
+        scope.append(param)
+        cod = self.ty()
+        scope.pop()
+        return Pi(dom, cod)
 
     def ty1(self):
         i = self.pos
-        kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        kind = self.kinds[i]
         self.pos = i + 1
         if kind == "Nat":
-            return STyNat(loc)
+            return Nat()
         if kind == "ident":
+            uses = self.uses
+            at = len(uses)
+            uses.append(None)  # the constant's place, held before its arguments' uses
             args = []
             while self.starts_atom():
                 args.append(self.atom())
-            return STyName(self.texts[i], tuple(args), loc)
+            name = self.texts[i]
+            uses[at] = (name, len(args), self.lines[i], self.cols[i])
+            return TyConst(name, tuple(args))
         if kind == "(":
             ty = self.ty()
             self.expect(")")
@@ -293,67 +229,92 @@ class _Parser:
 
     def tm(self):
         i = self.pos
-        kind, loc = self.kinds[i], (self.lines[i], self.cols[i])
+        kind = self.kinds[i]
         if kind == "\\" or kind == "fun":
             self.pos = i + 1
-            name = self.expect("ident")
+            scope = self.scope
+            scope.append(self.expect("ident"))
             self.expect("." if kind == "\\" else "=>")
-            return SLam(name, self.tm(), loc)
+            body = self.tm()
+            scope.pop()
+            return Lam(body)
         if kind == "ind":
             self.pos = i + 1
             self.expect("(")
             scrut = self.tm()
             self.expect(";")
-            mvar = self.expect("ident")
+            scope = self.scope
+            scope.append(self.expect("ident"))
             self.expect(".")
             motive = self.ty()
+            scope.pop()
             self.expect(";")
             zcase = self.tm()
             self.expect(";")
-            pvar = self.expect("ident")
-            rvar = self.expect("ident")
+            scope.append(self.expect("ident"))
+            scope.append(self.expect("ident"))
             self.expect(".")
             scase = self.tm()
+            del scope[-2:]
             self.expect(")")
-            return SInd(scrut, mvar, motive, zcase, pvar, rvar, scase, loc)
+            return NatInd(scrut, motive, zcase, scase)
+        uses = self.uses
+        head = len(uses)
         t = self.atom()
+        if not self.starts_atom():
+            return t
+        if t.__class__ is App:  # a parenthesized application: its head's uses go last
+            head = self.head
+        mid = len(uses)
         while self.starts_atom():
-            t = SApp(t, self.atom(), t.loc)
+            t = App(t, self.atom())
+        if head < mid < len(uses):
+            uses[head:] = uses[mid:] + uses[head:mid]
+        self.head = len(uses) - mid + head
         return t
 
     def atom(self):
         kinds, i = self.kinds, self.pos
-        kind, loc = kinds[i], (self.lines[i], self.cols[i])
+        kind = kinds[i]
         self.pos = i + 1
         if kind == "ident":
-            return SVar(self.texts[i], loc)
+            name, scope = self.texts[i], self.scope
+            if name in scope:  # the innermost binder of that name
+                return Var(scope[::-1].index(name))
+            self.uses.append((name, None, self.lines[i], self.cols[i]))
+            return Const(name)
         if kind == "num":
             try:
-                return SNum(int(self.texts[i]), loc)
+                return numeral(int(self.texts[i]))
             except ValueError:  # more digits than int() converts
+                loc = self.lines[i], self.cols[i]
                 raise ResourceExhausted(f"numeral of {len(self.texts[i])} digits is too long", *loc) from None
         if kind == "zero":
-            return SNum(0, loc)
+            return Zero()
         if kind == "succ":
             # ``succ+ (`` over a term that starts with ``succ`` nests in a loop:
-            # each level keeps its run length and place, and is closed, innermost
-            # first, by the rest of its parenthesized application and its ``)``
+            # each level keeps its run length, and is closed, innermost first,
+            # by the rest of its parenthesized application and its ``)``
+            uses = self.uses
+            head = len(uses)
             levels = []
             while True:
                 while kinds[self.pos] == "succ":
                     self.pos += 1
                 if kinds[self.pos] != "(" or kinds[self.pos + 1] != "succ":
                     break
-                levels.append((self.pos - i, loc))
+                levels.append(self.pos - i)
                 i = self.pos + 1
-                loc = (self.lines[i], self.cols[i])
                 self.pos = i + 1
-            t = SSucc(self.pos - i, self.atom(), loc)
-            for k, loc in reversed(levels):
+            t = succ(self.pos - i, self.atom())
+            for k in reversed(levels):
+                mid = len(uses)
                 while self.starts_atom():
-                    t = SApp(t, self.atom(), t.loc)
+                    t = App(t, self.atom())
+                if head < mid < len(uses):  # every level's head starts where the first did
+                    uses[head:] = uses[mid:] + uses[head:mid]
                 self.expect(")")
-                t = SSucc(k, t, loc)
+                t = succ(k, t)
             return t
         if kind == "(":
             tm = self.tm()
@@ -363,17 +324,18 @@ class _Parser:
         self.fail("a term")
 
 
-def _parse_whole(source: str, rule):
-    """Run ``rule`` on the tokens of ``source``, which it must consume."""
-    p = _Parser(source)
+def _parse_whole(source: str, rule, scope: tuple[str, ...] = ()):
+    """``(tree, uses, source)``: ``rule`` run on the tokens of ``source``,
+    which it must consume, with the names ``scope`` bound."""
+    p = _Parser(source, scope)
     out = rule(p)
     p.expect("eof")
-    return out
+    return out, p.uses, source
 
 
 def parse(source: str) -> list:
-    """Parse a file of declarations."""
-    return _parse_whole(source, _Parser.file)
+    """Parse a file: one ``(declaration, uses, (line, col))`` per declaration."""
+    return _parse_whole(source, _Parser.file)[0]
 
 
 def parse_expression(source: str):
@@ -385,104 +347,54 @@ def parse_type(source: str):
 
 
 # ---------------------------------------------------------------------------
-# Elaboration: names to de Bruijn, term constants named by their heads
+# Elaboration: the parsed names checked against the signature
 
 
-def elaborate(decls, sig: Signature = Signature()) -> Signature:
-    """Resolve and check a parsed file on top of ``sig``."""
-    for d in decls:
+def elaborate(decls) -> Signature:
+    """Resolve and check a parsed file."""
+    sig = Signature()
+    for d, uses, loc in decls:
         try:
-            sig = declare(sig, _elab_decl(sig, d))
+            _resolve(sig, uses)
+            sig = declare(sig, d)
         except CheckError as e:
             if e.line is None:
-                e.line, e.col = d.loc
+                e.line, e.col = loc
             raise
     return sig
 
 
-def _elab_decl(sig: Signature, d) -> Declaration:
-    cls = d.__class__
-    if cls is SDefine:
-        return Define(d.name, elab_ty(sig, (), d.ty), elab_tm(sig, (), d.body))
-    if cls is SPostulateTm:
-        return PostulateTm(d.name, *split_pi(elab_ty(sig, (), d.ty)))
-    if cls is SPostulateTy:
-        names: tuple[str, ...] = ()
-        tys = []
-        for pname, sty in d.params:
-            tys.append(elab_ty(sig, names, sty))
-            names += (pname,)
-        return PostulateTy(d.name, tuple(tys))
-    raise AssertionError(f"not a declaration: {d!r}")
+def elab_ty(sig: Signature, names: tuple[str, ...], parsed) -> Ty:
+    """The parsed type, under the bound ``names``, once ``sig`` resolves its
+    names. The parser binds names, so under ``names`` it parses again."""
+    tree, uses, source = _parse_whole(parsed[2], _Parser.ty, names) if names else parsed
+    _resolve(sig, uses)
+    return tree
 
 
-def elab_ty(sig: Signature, names: tuple[str, ...], sty) -> Ty:
-    cls = sty.__class__
-    if cls is STyNat:
-        return Nat()
-    if cls is STyPi:
-        return Pi(elab_ty(sig, names, sty.dom), elab_ty(sig, names + (sty.param or "_",), sty.cod))
-    if cls is STyName:
-        name, sargs, loc = sty.name, sty.args, sty.loc
+def elab_tm(sig: Signature, names: tuple[str, ...], parsed) -> Term:
+    """The parsed term, as ``elab_ty`` gives the parsed type."""
+    tree, uses, source = _parse_whole(parsed[2], _Parser.tm, names) if names else parsed
+    _resolve(sig, uses)
+    return tree
+
+
+def _resolve(sig: Signature, uses) -> None:
+    """Raise at the first use ``sig`` does not declare: a free name that is
+    no term constant, or a type name that is no type constant of its arity."""
+    for name, arity, line, col in uses:
+        if arity is None:
+            cls = sig.find(Declaration, name).__class__
+            if cls is PostulateTm or cls is Define:
+                continue
+            if cls is PostulateTy:
+                raise UnknownName(f"'{name}' is a type constant, not a term", line, col)
+            raise UnknownName(f"unknown identifier '{name}'", line, col)
         decl = sig.find(PostulateTy, name)
         if decl is None:
-            raise UnknownName(f"'{name}' is not a type constant", *loc)
-        if len(sargs) != len(decl.params):
-            raise ArityMismatch(
-                f"'{name}' expects {len(decl.params)} argument(s), got {len(sargs)}", *loc
-            )
-        return TyConst(name, tuple([elab_tm(sig, names, a) for a in sargs]))
-    raise AssertionError(f"not a surface type: {sty!r}")
-
-
-def elab_tm(sig: Signature, names: tuple[str, ...], stm) -> Term:
-    # the frequent classes are tested by identity before the rare ones
-    cls = stm.__class__
-    if cls is SVar:
-        return _elab_head(sig, names, stm, [])
-    if cls is SApp:
-        head, sargs = _spine_of(stm)
-        return _elab_head(sig, names, head, [elab_tm(sig, names, a) for a in sargs])
-    if cls is SNum:
-        return numeral(stm.value)
-    if cls is SLam:
-        return Lam(elab_tm(sig, names + (stm.param,), stm.body))
-    if cls is SSucc:  # nested successors are summed in a loop, so nesting costs no stack
-        k, pred = stm.k, stm.pred
-        while pred.__class__ is SSucc:
-            k, pred = k + pred.k, pred.pred
-        return succ(k, elab_tm(sig, names, pred))
-    if cls is SInd:
-        return NatInd(
-            elab_tm(sig, names, stm.scrut),
-            elab_ty(sig, names + (stm.motive_var,), stm.motive),
-            elab_tm(sig, names, stm.zcase),
-            elab_tm(sig, names + (stm.pred_var, stm.rec_var), stm.scase),
-        )
-    raise AssertionError(f"not a surface term: {stm!r}")
-
-
-def _spine_of(stm):
-    sargs = []
-    while stm.__class__ is SApp:
-        sargs.append(stm.arg)
-        stm = stm.fn
-    sargs.reverse()
-    return stm, sargs
-
-
-def _elab_head(sig, names, head, args) -> Term:
-    if head.__class__ is not SVar:
-        return apps(elab_tm(sig, names, head), args)
-    name, loc = head.name, head.loc
-    if name in names:  # the innermost binder of that name
-        return apps(Var(names[::-1].index(name)), args)
-    cls = sig.find(Declaration, name).__class__
-    if cls is PostulateTm or cls is Define:  # a term constant, a head applied with App
-        return apps(Const(name), args)
-    if cls is PostulateTy:
-        raise UnknownName(f"'{name}' is a type constant, not a term", *loc)
-    raise UnknownName(f"unknown identifier '{name}'", *loc)
+            raise UnknownName(f"'{name}' is not a type constant", line, col)
+        if arity != len(decl.params):
+            raise ArityMismatch(f"'{name}' expects {len(decl.params)} argument(s), got {arity}", line, col)
 
 
 # ---------------------------------------------------------------------------

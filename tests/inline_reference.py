@@ -1,6 +1,7 @@
 """The inlining elaborator: each use of a definition is replaced by its body,
 with the arguments substituted into the body's leading lambdas, and a
-postulated term constant stays a ``Const`` head applied with ``App``.
+postulated term constant stays a ``Const`` head applied with ``App``. It
+elaborates the surface trees of ``tests/parser_reference.py``.
 Definitions were elaborated this way before they became constants. The
 rewriting oracle's ``unfold`` of the elaborated term must give the term
 this elaborator produces, on every input; ``elaborate`` here returns a
@@ -8,10 +9,7 @@ signature whose definition bodies and declared types are inlined too."""
 
 from __future__ import annotations
 
-from ttkernel.check import declare
-from ttkernel.errors import ArityMismatch, CheckError, UnknownName
-from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
-from ttkernel.surface import (
+from parser_reference import (
     SApp,
     SDefine,
     SInd,
@@ -25,6 +23,9 @@ from ttkernel.surface import (
     STyPi,
     SVar,
 )
+from ttkernel.check import declare
+from ttkernel.errors import ArityMismatch, CheckError, UnknownName
+from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy, Signature
 from ttkernel.syntax import (
     App,
     Const,

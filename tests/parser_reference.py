@@ -1,31 +1,107 @@
 """The reference front end: the tokenizer and parser as they were when the
 tokenizer built one ``Token`` per token from one regex match per token and
-per blank, and the parser read them through ``peek``/``advance``/``accept``.
-``surface.parse``, ``parse_expression`` and ``parse_type`` must give trees
-``==`` to these, or raise the same exception class with the same message,
-line and column."""
+per blank, and the parser read them through ``peek``/``advance``/``accept``
+into named surface trees, the classes below, each with its source place.
+``tests/inline_reference.py`` elaborates these trees; ``surface``'s parser
+builds core syntax instead, and ``unfold`` of what ``surface`` elaborates
+must be what the two references give, or the same exception class with
+the same message, line and column."""
 
 from __future__ import annotations
 
 import re
 
 from ttkernel.errors import ParseError, ResourceExhausted
-from ttkernel.surface import (
-    KEYWORDS,
-    SApp,
-    SDefine,
-    SInd,
-    SLam,
-    SNum,
-    SPostulateTm,
-    SPostulateTy,
-    SSucc,
-    STyName,
-    STyNat,
-    STyPi,
-    SVar,
-)
+from ttkernel.surface import KEYWORDS
 from ttkernel.syntax import Node, node
+
+
+@node
+class SVar(Node):
+    name: str
+    loc: tuple[int, int]
+
+
+@node
+class SNum(Node):
+    value: int
+    loc: tuple[int, int]
+
+
+@node
+class SSucc(Node):
+    k: int  # a run of k >= 1 "succ" tokens
+    pred: object
+    loc: tuple[int, int]
+
+
+@node
+class SLam(Node):
+    param: str
+    body: object
+    loc: tuple[int, int]
+
+
+@node
+class SApp(Node):
+    fn: object
+    arg: object
+    loc: tuple[int, int]
+
+
+@node
+class SInd(Node):
+    scrut: object
+    motive_var: str
+    motive: object
+    zcase: object
+    pred_var: str
+    rec_var: str
+    scase: object
+    loc: tuple[int, int]
+
+
+@node
+class STyNat(Node):
+    loc: tuple[int, int]
+
+
+@node
+class STyName(Node):
+    name: str
+    args: tuple
+    loc: tuple[int, int]
+
+
+@node
+class STyPi(Node):
+    param: str | None  # None for the non-dependent arrow sugar
+    dom: object
+    cod: object
+    loc: tuple[int, int]
+
+
+@node
+class SPostulateTy(Node):
+    name: str
+    params: tuple  # of (name, surface type)
+    loc: tuple[int, int]
+
+
+@node
+class SPostulateTm(Node):
+    name: str
+    ty: object
+    loc: tuple[int, int]
+
+
+@node
+class SDefine(Node):
+    name: str
+    ty: object
+    body: object
+    loc: tuple[int, int]
+
 
 # One alternative per token class; blanks and comments match no group.
 _TOKEN = re.compile(
@@ -64,7 +140,6 @@ def tokenize(source: str) -> list[Token]:
             toks.append(Token(kind, text, line, col))
     toks.append(Token("eof", "", line, len(source) - bol + 1))
     return toks
-
 
 
 _ATOM_START = {"ident", "num", "zero", "succ", "("}

@@ -106,10 +106,18 @@ def test_extending_the_longest_signature_appends_in_place():
     assert [d.name for d in sig.decls] == [f"T{i}" for i in range(50)]
 
 
+def _extended(parent, source):
+    """``parent`` extended, with ``declare``, by the declarations of ``source``."""
+    sig = parent
+    for decl, _, _ in parse(source):
+        sig = declare(sig, decl)
+    return sig
+
+
 def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
     parent = elaborate(parse("def one : Nat := 1\n"))
-    left = elaborate(parse("def x : Nat := succ one\ndef y : Nat := succ x\n"), parent)
-    right = elaborate(parse("def x : Nat := succ (succ one)\ndef y : Nat := succ (succ x)\n"), parent)
+    left = _extended(parent, "def x : Nat := succ one\ndef y : Nat := succ x\n")
+    right = _extended(parent, "def x : Nat := succ (succ one)\ndef y : Nat := succ (succ x)\n")
     assert parent.find(Declaration, "x") is None and [d.name for d in parent.decls] == ["one"]
     assert left.find(Define, "x") != right.find(Define, "x")
     # each child's values, NbE's and the oracle's, in turn: none leaks into the other
@@ -120,18 +128,18 @@ def test_signatures_extended_from_one_parent_see_only_their_own_declarations():
             assert rw_normalize(sig, Context(), Nat(), t) == numeral(want)
     assert left._cache["nbe"]["y"] != right._cache["nbe"]["y"]
     # a child declaring another name sees neither sibling's declaration
-    other = elaborate(parse("def z : Nat := 7\n"), parent)
+    other = _extended(parent, "def z : Nat := 7\n")
     assert [d.name for d in other.decls] == ["one", "z"] and other.find(Define, "x") is None
     assert rw_normalize(other, Context(), Nat(), Const("z")) == numeral(7)
     # a third child, extended after both were used, starts with empty tables
-    third = elaborate(parse("def x : Nat := zero\n"), parent)
+    third = _extended(parent, "def x : Nat := zero\n")
     assert rw_normalize(third, Context(), Nat(), Const("x")) == Zero()
     assert third._cache == {"rewrite": {"x": Zero()}}
 
 
 def test_extending_a_signature_that_is_not_last_leaves_the_last_ones_entries():
     parent = elaborate(parse("def one : Nat := 1\n"))
-    last = elaborate(parse("def two : Nat := succ one\n"), parent)
+    last = _extended(parent, "def two : Nat := succ one\n")
     assert normalize_tm(last, Context(), Nat(), Const("two")) == numeral(2)
     assert rw_normalize(last, Context(), Nat(), Const("two")) == numeral(2)
     entries = {key: dict(table) for key, table in last._cache.items()}

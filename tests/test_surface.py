@@ -2,6 +2,7 @@
 
 import functools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,16 +10,21 @@ from hypothesis import strategies as st
 
 import inline_reference
 import parser_reference
+from ttkernel import surface
 from ttkernel.check import check
-from ttkernel.errors import ArityMismatch, KernelError, Mismatch, ParseError, ResourceExhausted, UnknownName
+from ttkernel.errors import (
+    ArityMismatch,
+    DuplicateName,
+    KernelError,
+    Mismatch,
+    ParseError,
+    ResourceExhausted,
+    UnknownName,
+)
 from ttkernel.nbe import normalize_tm
 from ttkernel.rewrite import rw_normalize, unfold
 from ttkernel.signature import Declaration, Define, PostulateTm, PostulateTy
 from ttkernel.surface import (
-    SNum,
-    SSucc,
-    SVar,
-    _spine_of,
     elab_tm,
     elab_ty,
     elaborate,
@@ -64,11 +70,11 @@ def test_parse_free_model_postulates():
 def test_parse_numeral_sugar():
     sig = elaborate(parse("def two : Nat := 2"))
     assert sig.find(Declaration, "two") == Define("two", Nat(), Succ(2, Zero()))
-    # a numeral, zero included, is one surface node
-    assert parse_expression("1000") == SNum(1000, (1, 1))
-    assert parse_expression("succ zero") == SSucc(1, SNum(0, (1, 6)), (1, 1))
-    # so is a run of successors
-    assert parse_expression("succ succ (succ x)") == SSucc(2, SSucc(1, SVar("x", (1, 17)), (1, 12)), (1, 1))
+    # a numeral, zero included, parses to one node
+    assert parse_expression("1000")[0] == Succ(1000, Zero())
+    assert parse_expression("succ zero")[0] == Succ(1, Zero())
+    # so do nested runs of successors, over a free name, which is a use
+    assert parse_expression("succ succ (succ x)")[:2] == (Succ(3, Const("x")), [("x", None, 1, 17)])
     assert elab_tm(sig, (), parse_expression("succ 2")) == Succ(3, Zero())
 
 
@@ -102,7 +108,7 @@ def test_parse_comments_and_whitespace():
 )
 def test_a_line_ends_at_cr_lf_or_crlf(source, lines):
     # a comment ends at a bare carriage return too
-    assert [(d.name, d.loc[0]) for d in parse(source)] == list(zip("AB", lines))
+    assert [(d.name, loc[0]) for d, _, loc in parse(source)] == list(zip("AB", lines))
 
 
 def test_parse_error_has_position():
@@ -153,6 +159,15 @@ def test_elaborate_arity_error(sig_abf):
 def test_elaborate_shadowing():
     t = elab_tm(elaborate([]), (), parse_expression(r"\x. \x. x"))
     assert t == Lam(Lam(Var(0)))
+
+
+def test_elaboration_returns_the_parsed_tree(sig_walkthrough):
+    # the parser builds core syntax, so elaboration checks names and builds nothing
+    for text in ("add 2 3", r"\x. f x", "mul (add 1 1) 4"):
+        p = parse_expression(text)
+        assert elab_tm(sig_walkthrough, (), p) is p[0]
+    p = parse_type("(x : A) -> B x")
+    assert elab_ty(sig_walkthrough, (), p) is p[0]
 
 
 def test_under_applied_constant_eta_expands(sig_abf):
@@ -415,10 +430,12 @@ def test_tokenize_rejects_a_character_that_starts_no_token(source, col):
     assert (e.value.line, e.value.col) == (1, col)
 
 
-# The differential test of the parser against tests/parser_reference.py:
-# token soups, and the preludes and a chain with a few spans replaced. The
-# reference ends lines at "\n" only, so it reads the source with "\r\n" and
-# "\r" rewritten to "\n".
+# The differential test of the front end against the reference front end,
+# tests/parser_reference.py's parser and tests/inline_reference.py's
+# elaborator: token soups, and the preludes and a chain with a few spans
+# replaced, read as a file, an expression and a type. The reference ends
+# lines at "\n" only, so it reads the source with "\r\n" and "\r" rewritten
+# to "\n".
 LONG = "9" * 4301  # past int()'s limit
 SOUP = [
     "postulate", "def", "Nat", "zero", "succ", "ind", "fun", ":=", "->", "=>", "(", ")", ":", ";",
@@ -441,11 +458,42 @@ def _mutated(draw):
     return source
 
 
-def _outcome(parse_fn, source):
+def _outcome(fn, *args):
     try:
-        return parse_fn(source)
+        return fn(*args)
     except KernelError as e:
         return type(e), str(e), e.line, e.col
+
+
+def _unfold_decl(sig, d):
+    match d:
+        case Define(name, ty, body):
+            return Define(name, unfold(sig, ty), unfold(sig, body))
+        case PostulateTm(name, params, result):
+            return PostulateTm(name, tuple(unfold(sig, p) for p in params), unfold(sig, result))
+    return PostulateTy(d.name, tuple(unfold(sig, p) for p in d.params))
+
+
+def _unfolded_file(source):
+    sig = elaborate(parse(source))
+    return tuple(_unfold_decl(sig, d) for d in sig.decls)
+
+
+def _reference_file(source):
+    return inline_reference.elaborate(parser_reference.parse(source)).decls
+
+
+def _unchecked(sig, decl):
+    """``check.declare`` without the type checking, which reports an inlined
+    body's errors in other words than a body that names definitions."""
+    if sig.find(Declaration, decl.name) is not None:
+        raise DuplicateName(f"duplicate name '{decl.name}'")
+    return sig.extend(decl)
+
+
+# Expressions and types elaborate over CROSSVAL, under no names, under
+# fresh ones, and under names that shadow a definition and a type constant.
+NAMES = [(), ("v", "w"), ("add", "C")]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -458,13 +506,25 @@ def _outcome(parse_fn, source):
 @example("succ (succ (succ (a)) b) c")
 @example("succ (succ (zero)")
 @example("succ ( succ")
+@example("(\\x. nope) zilch")  # the argument before the head: 'zilch'
+@example("succ nope zilch")
+@example("((nope v) zilch) w")  # arguments first, through parentheses: 'zilch' under ("v", "w")
+@example("succ (succ (f nope) zilch) c0")  # a level of nested successors is one head: 'zilch'
+@example("Nat -> B _")  # the arrow's "_" binder is in scope
+# ill-typed: checked, an inlined body's error reads otherwise, so files are compared unchecked
+@example("def add : Nat -> Nat -> Nat := \\m. \\n. n\ndef g : Nat -> Nat := \\m. ind(m; _. Nat; m; p r. add r)")
 def test_parser_agrees_with_the_reference(source):
-    for ours, ref in [
-        (parse, parser_reference.parse),
-        (parse_expression, parser_reference.parse_expression),
-        (parse_type, parser_reference.parse_type),
-    ]:
-        assert _outcome(ours, source) == _outcome(ref, re.sub(r"\r\n?", "\n", source))
+    lf = re.sub(r"\r\n?", "\n", source)
+    with mock.patch.object(surface, "declare", _unchecked), mock.patch.object(inline_reference, "declare", _unchecked):
+        assert _outcome(_unfolded_file, source) == _outcome(_reference_file, lf)
+    sig, inlined = _SIGS["crossval"]
+    for names in NAMES:
+        for ours, ref, parse_ours, parse_ref in [
+            (elab_tm, inline_reference.elab_tm, parse_expression, parser_reference.parse_expression),
+            (elab_ty, inline_reference.elab_ty, parse_type, parser_reference.parse_type),
+        ]:
+            got = _outcome(lambda: unfold(sig, ours(sig, names, parse_ours(source))))
+            assert got == _outcome(lambda: ref(inlined, names, parse_ref(lf))), names
 
 
 INLINED = r"""
@@ -479,9 +539,11 @@ def k : Nat -> (Nat -> Nat) -> Nat -> Nat := \a. \f. f
 def _inline_sequential(sig, names, source):
     """A definition's unfolded body applied to its unfolded arguments, one
     ``subst1`` per argument."""
-    head, sargs = _spine_of(parse_expression(source))
+    head, args = elab_tm(sig, names, parse_expression(source)), []
+    while isinstance(head, App):
+        head, args = head.fn, [head.arg, *args]
     t = unfold(sig, sig.find(Define, head.name).body)
-    for a in (unfold(sig, elab_tm(sig, names, a)) for a in sargs):
+    for a in (unfold(sig, a) for a in args):
         t = subst1(t.body, a) if isinstance(t, Lam) else App(t, a)
     return t
 
@@ -516,20 +578,9 @@ def test_definition_inlining_matches_the_sequential_rule(names, source, expected
 UNFOLDED = {"arith": ARITH_SOURCE, "crossval": CROSSVAL_SOURCE, "inlined": INLINED, "chain 8": CHAIN_8}
 
 
-def _unfold_decl(sig, d):
-    match d:
-        case Define(name, ty, body):
-            return Define(name, unfold(sig, ty), unfold(sig, body))
-        case PostulateTm(name, params, result):
-            return PostulateTm(name, tuple(unfold(sig, p) for p in params), unfold(sig, result))
-    return PostulateTy(d.name, tuple(unfold(sig, p) for p in d.params))
-
-
 @pytest.mark.parametrize("name", UNFOLDED)
 def test_unfolded_declarations_are_the_inlined_ones(name):
-    decls = parse(UNFOLDED[name])
-    sig, inlined = elaborate(decls), inline_reference.elaborate(decls)
-    assert tuple(_unfold_decl(sig, d) for d in sig.decls) == inlined.decls
+    assert _unfolded_file(UNFOLDED[name]) == _reference_file(UNFOLDED[name])
 
 
 @functools.cache
@@ -556,18 +607,18 @@ def _terms(names: tuple, bound: tuple, depth: int):
 @st.composite
 def _unfolding_cases(draw):
     source = draw(st.sampled_from(["arith", "crossval", "inlined"]))
-    names = tuple(d.name for d in parse(UNFOLDED[source]))
+    names = tuple(d.name for d, _, _ in parse(UNFOLDED[source]))
     return source, draw(_terms(names, ("v", "w"), 3))
 
 
-def _elaborated(elab, sig, text):
-    try:
-        return elab(sig, ("v", "w"), parse_expression(text))
-    except KernelError as e:
-        return type(e), str(e), e.line, e.col
+def _elaborated(elab, sig, text, parse_fn=parse_expression):
+    return _outcome(lambda: elab(sig, ("v", "w"), parse_fn(text)))
 
 
-_SIGS = {name: (elaborate(parse(src)), inline_reference.elaborate(parse(src))) for name, src in UNFOLDED.items()}
+_SIGS = {
+    name: (elaborate(parse(src)), inline_reference.elaborate(parser_reference.parse(src)))
+    for name, src in UNFOLDED.items()
+}
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -584,7 +635,7 @@ def test_unfolding_matches_the_inlining_elaborator(case):
     source, text = case
     sig, inlined = _SIGS[source]
     got = _elaborated(lambda *a: unfold(sig, elab_tm(*a)), sig, text)
-    assert got == _elaborated(inline_reference.elab_tm, inlined, text)
+    assert got == _elaborated(inline_reference.elab_tm, inlined, text, parser_reference.parse_expression)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -603,20 +654,32 @@ def test_unfold_returns_the_term_itself_exactly_when_it_names_no_constant(case):
 
 
 @pytest.mark.parametrize(
-    "source",
+    ("source", "parse_fn", "elab"),
     [
-        "succ (" * 300 + "zero" + ")" * 300,
-        "succ (" * 10_000 + "zero" + ")" * 10_000,
-        "(\\x. " * 300 + "x" + ")" * 300,
-        "\\x. " * 900 + "x",
+        ("succ (" * 300 + "zero" + ")" * 300, parse_expression, elab_tm),
+        ("succ (" * 10_000 + "zero" + ")" * 10_000, parse_expression, elab_tm),
+        ("(\\x. " * 300 + "x" + ")" * 300, parse_expression, elab_tm),
+        ("\\x. " * 900 + "x", parse_expression, elab_tm),
+        ("Nat -> " * 900 + "Nat", parse_type, elab_ty),
+        ("(x : Nat) -> " * 900 + "Nat", parse_type, elab_ty),
+        ("f (" * 400 + "zero" + ")" * 400, parse_expression, elab_tm),
     ],
-    ids=["300 nested succ", "10000 nested succ", "300 nested lambdas in parentheses", "900 lambdas"],
+    ids=[
+        "300 nested succ",
+        "10000 nested succ",
+        "300 nested lambdas in parentheses",
+        "900 lambdas",
+        "900 arrows",
+        "900 dependent arrows",
+        "400 nested arguments",
+    ],
 )
-def test_deeply_nested_source_parses_and_elaborates(source):
-    # nested ``succ (`` parses and elaborates in a loop, at any depth; the
-    # recursive descent's limits at the default recursion limit are about
-    # 330 lambdas in parentheses and 990 lambdas
-    t = elab_tm(elaborate([]), (), parse_expression(source))
+def test_deeply_nested_source_parses_and_elaborates(source, parse_fn, elab):
+    # nested ``succ (`` parses in a loop, at any depth; the recursive
+    # descent's limits at the default recursion limit are about 330 lambdas
+    # in parentheses, 495 nested arguments, and 990 lambdas or arrows
+    sig = elaborate(parse("postulate f : Nat -> Nat"))
+    t = elab(sig, (), parse_fn(source))
     assert t is not None
     if source.startswith("succ"):
         assert t == numeral(source.count("succ"))

@@ -342,10 +342,11 @@ def test_repr_is_the_dataclass_format():
     assert repr(TyConst("B", (Var(0), Zero()))) == "TyConst(name='B', args=(Var(index=0), Zero()))"
     assert repr(TyConst("A")) == "TyConst(name='A', args=())"
     assert repr(Context((Nat(),))) == "Context(entries=(Nat(),))"
-    assert repr(surface.parse_type("(x : Nat) -> A")) == (
-        "STyPi(param='x', dom=STyNat(loc=(1, 6)), cod=STyName(name='A', args=(), loc=(1, 14)), "
-        "loc=(1, 1))"
+    tree, uses, _ = surface.parse_type("(x : Nat) -> B x (f x)")
+    assert repr(tree) == (
+        "Pi(dom=Nat(), cod=TyConst(name='B', args=(Var(index=0), App(fn=Const(name='f'), arg=Var(index=0)))))"
     )
+    assert repr(uses) == "[('B', 2, 1, 14), ('f', None, 1, 19)]"
 
 
 def test_eq_compares_classes_lengths_and_leaves():
@@ -420,7 +421,7 @@ def test_every_node_class_is_a_slotted_dataclass():
         if isinstance(c, type) and c.__module__ == m.__name__ and c not in (surface._Parser, surface._Printer)
     ]
     concrete = [c for c in classes if c not in ABSTRACT_NODES]
-    assert len(concrete) == 29
+    assert len(concrete) == 17
     for c in concrete:
         assert dataclasses.is_dataclass(c) and issubclass(c, Node), c
         assert not hasattr(object.__new__(c), "__dict__"), c
